@@ -184,19 +184,8 @@ def loo_covariances(
         entries = 0.5 * (entries + entries.T)
         loo = CovMatrix(entries=entries, mesh_weight=ens.mesh.weight)
         s_bar = (sup_total - float(ens.sups[n])) / (ens.N - 1)
-        rho = _loo_threshold(s_bar, ens.N - 1, rule)
+        rho = rule.rho(s_bar, ens.N - 1)
         yield n, loo, hard_threshold(loo, rho), rho
-
-
-def _loo_threshold(s_bar: float, N: int, rule: ThresholdRule) -> float:
-    if rule.form == "full":
-        if rule.c0 > math.sqrt(N):
-            raise EnkfError(
-                f"full-form threshold requires c0 <= sqrt(N-1) for the "
-                f"leave-one-out estimator: c0={rule.c0}, N-1={N}"
-            )
-        return rule.c0 * max(1.0 / N, s_bar / math.sqrt(N), s_bar * s_bar / N)
-    return max(0.0, rule.c0 * s_bar / math.sqrt(N))
 
 
 def gain_continuity_bound(delta_norm: float, cov_norm: float, obs: ObservationModel) -> float:

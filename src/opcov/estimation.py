@@ -10,10 +10,18 @@ Spectral norms are computed by seeded power iteration with Rayleigh-Ritz
 extraction over a small Krylov basis (restarted Lanczos).  One matrix
 application per step, a residual-certified stopping rule, and restarts on
 stagnation; the subspace extraction is what lets the estimate converge when
-the top of the spectrum is clustered (small-lengthscale covariances) or when
-the largest and smallest eigenvalues nearly tie in magnitude, both cases
-where a bare power iteration stalls.  Error norms use matrix-free products,
-so the difference est - truth is never materialized.
+the largest and smallest eigenvalues nearly tie in magnitude, where a bare
+power iteration stalls.  Error norms use matrix-free products.
+
+Every norm has a budget of max(128, L // 6) matrix applications, where the
+Krylov work on one BLAS thread costs as much as a dense symmetric eigensolve.
+A spectrum the iteration cannot certify within it (small-lengthscale
+covariances, whose top eigenvalues cluster 1e-5 apart) gets the exact
+``eigvalsh`` answer for the explicit operand: the matrix, the shifted
+``s I - A`` of the min-eigenvalue solve, or ``est - truth``, materialized only
+then.  The worst case, a solve that would have certified just past the budget,
+costs about twice the better of the two paths.  The fallback holds one extra
+L x L copy, two when it builds the operand (+800 MB each at L = 10,000).
 """
 
 from __future__ import annotations
@@ -80,6 +88,21 @@ class ThresholdRule:
         if self.form not in ("full", "simplified"):
             raise EstimationError(f"threshold form must be 'full' or 'simplified', got {self.form!r}")
 
+    def rho(self, s_bar: float, N: int) -> float:
+        """The threshold for mean supremum ``s_bar`` over ``N`` fields.
+
+        The simplified form is clamped at zero in the degenerate case of a
+        negative mean supremum (possible only on very coarse meshes); a zero
+        threshold keeps every entry, which is what a negative one would do.
+        """
+        if self.form == "full":
+            if self.c0 > math.sqrt(N):
+                raise EstimationError(
+                    f"full-form threshold requires c0 <= sqrt(N): c0={self.c0}, N={N}"
+                )
+            return self.c0 * max(1.0 / N, s_bar / math.sqrt(N), s_bar * s_bar / N)
+        return max(0.0, self.c0 * s_bar / math.sqrt(N))
+
 
 @dataclass(frozen=True)
 class EstimatorReport:
@@ -129,32 +152,13 @@ def sample_covariance(ens: Ensemble, center: bool = False) -> CovMatrix:
 
 
 def threshold_parameter(ens: Ensemble, rule: ThresholdRule) -> float:
-    """The data-driven threshold rho_hat for this ensemble under ``rule``.
-
-    The simplified form is clamped at zero in the degenerate case of a
-    negative mean supremum (possible only on very coarse meshes); a zero
-    threshold keeps every entry, which is what a negative one would do.
-    """
-    N = ens.N
-    s_bar = ensemble_sup_mean(ens)
-    if rule.form == "full":
-        if rule.c0 > math.sqrt(N):
-            raise EstimationError(
-                f"full-form threshold requires c0 <= sqrt(N): c0={rule.c0}, N={N}"
-            )
-        return rule.c0 * max(1.0 / N, s_bar / math.sqrt(N), s_bar * s_bar / N)
-    return max(0.0, rule.c0 * s_bar / math.sqrt(N))
+    """The data-driven threshold rho_hat for this ensemble under ``rule``."""
+    return rule.rho(ensemble_sup_mean(ens), ens.N)
 
 
 def population_threshold(esup: float, N: int, rule: ThresholdRule) -> float:
     """rho_N with the expected supremum ``esup`` in place of the sample mean."""
-    if rule.form == "full":
-        if rule.c0 > math.sqrt(N):
-            raise EstimationError(
-                f"full-form threshold requires c0 <= sqrt(N): c0={rule.c0}, N={N}"
-            )
-        return rule.c0 * max(1.0 / N, esup / math.sqrt(N), esup * esup / N)
-    return max(0.0, rule.c0 * esup / math.sqrt(N))
+    return rule.rho(esup, N)
 
 
 def hard_threshold(cov: CovMatrix, rho: float) -> CovMatrix:
@@ -185,12 +189,14 @@ def psd_projection(cov: CovMatrix) -> CovMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _as_matvec(obj):
-    if isinstance(obj, CovMatrix):
-        entries = obj.entries
-        return (lambda v: entries @ v), obj.L
-    arr = np.asarray(obj, dtype=float)
-    return (lambda v: arr @ v), arr.shape[0]
+# Defaults shared by every norm entry point.
+_TOL = 1e-9
+_MAXITER = 10_000
+
+
+def _operand(obj):
+    """The explicit matrix behind ``obj``; a CovMatrix keeps its own array."""
+    return obj.entries if isinstance(obj, CovMatrix) else np.asarray(obj, dtype=float)
 
 
 def _top_ritz(alpha, beta, j):
@@ -251,7 +257,7 @@ def _lanczos_sweep(matvec, start, ncv, budget, tol):
     return theta, ritz, resid, used
 
 
-def _power_spectral_norm(matvec, n, seed, tol, maxiter, ncv=128):
+def _power_spectral_norm(matvec, n, seed, tol, maxiter, dense=None, ncv=128):
     """Largest |eigenvalue| of a symmetric operator by restarted Krylov iteration.
 
     Power iteration with Rayleigh-Ritz extraction over a small Krylov basis,
@@ -261,7 +267,15 @@ def _power_spectral_norm(matvec, n, seed, tol, maxiter, ncv=128):
     (covariances of small-lengthscale kernels have top gaps of order 1e-5);
     the subspace extraction converges through such clusters while keeping the
     same certificate: an exact residual norm below tol * |estimate|.
+
+    ``dense`` returns the operator as an explicit n x n matrix; it is called
+    only when the certificate is not met within max(ncv, n // 6) applications,
+    the measured point where Krylov work on one BLAS thread costs as much as a
+    dense symmetric eigensolve, and the exact ``eigvalsh`` answer is returned
+    instead.  Without ``dense``, or with ``maxiter`` at or below that budget,
+    the iteration runs to ``maxiter`` and raises :class:`SpectralNormError`.
     """
+    limit = maxiter if dense is None else min(maxiter, max(ncv, n // 6))
     rng = substream(seed, 0x5E07)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
@@ -269,17 +283,17 @@ def _power_spectral_norm(matvec, n, seed, tol, maxiter, ncv=128):
     best = (math.inf, 0.0)  # (relative residual, |theta|)
     last_rel = math.inf
     stagnant = 0
-    while used < maxiter:
-        theta, ritz, resid, sweep_used = _lanczos_sweep(matvec, v, ncv, maxiter - used, tol)
+    while used < limit:
+        theta, ritz, resid, sweep_used = _lanczos_sweep(matvec, v, ncv, limit - used, tol)
         used += sweep_used
         scale = abs(theta)
         if scale == 0.0 and resid == 0.0:
-            return 0.0, 0.0, used
+            return 0.0
         rel = resid / max(scale, 1e-300)
         if rel < best[0]:
             best = (rel, scale)
         if rel <= tol:
-            return scale, resid, used
+            return scale
         # Restart on stagnation: a sweep that failed to cut the residual
         # meaningfully gets a fresh random direction mixed in.
         if rel > 0.9 * last_rel:
@@ -294,6 +308,8 @@ def _power_spectral_norm(matvec, n, seed, tol, maxiter, ncv=128):
             v /= np.linalg.norm(v)
         else:
             v = ritz
+    if limit < maxiter:
+        return spectral_norm_dense(dense())
     raise SpectralNormError(
         f"spectral norm iteration did not reach tol={tol:g} within {maxiter} "
         f"matrix applications (best estimate {best[1]!r}, relative residual {best[0]:.3e})",
@@ -301,32 +317,32 @@ def _power_spectral_norm(matvec, n, seed, tol, maxiter, ncv=128):
     )
 
 
-def spectral_norm(cov, seed: int = 0, tol: float = 1e-9, maxiter: int = 10_000) -> float:
+def spectral_norm(cov, seed: int = 0, tol: float = _TOL, maxiter: int = _MAXITER) -> float:
     """Largest absolute eigenvalue of a symmetric matrix (or CovMatrix).
 
-    Seeded power iteration; deterministic given ``seed``.  Raises
-    :class:`SpectralNormError` at the iteration cap, reporting the last
-    estimate and residual.
+    Seeded restarted Lanczos, with the dense eigensolver as the fallback for
+    spectra it cannot certify cheaply; deterministic given ``seed``.  Raises
+    :class:`SpectralNormError` when an explicit ``maxiter`` at or below the
+    Krylov budget is exhausted, reporting the last estimate and residual.
     """
-    matvec, n = _as_matvec(cov)
-    value, _, _ = _power_spectral_norm(matvec, n, seed, tol, maxiter)
-    return value
+    a = _operand(cov)
+    return _power_spectral_norm(lambda v: a @ v, a.shape[0], seed, tol, maxiter, lambda: a)
 
 
 def spectral_norm_dense(cov) -> float:
-    """Dense eigensolver path; the oracle for L <= 512 test matrices."""
-    entries = cov.entries if isinstance(cov, CovMatrix) else np.asarray(cov, dtype=float)
-    return float(np.max(np.abs(np.linalg.eigvalsh(entries))))
+    """Dense eigensolver path: the solver's fallback and the test oracle."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(_operand(cov)))))
 
 
-def min_eigenvalue(cov, seed: int = 0, tol: float = 1e-9, maxiter: int = 10_000) -> float:
-    """Smallest eigenvalue via two power iterations (shift by the norm)."""
-    matvec, n = _as_matvec(cov)
-    s, _, _ = _power_spectral_norm(matvec, n, seed, tol, maxiter)
+def min_eigenvalue(cov, seed: int = 0, tol: float = _TOL, maxiter: int = _MAXITER) -> float:
+    """Smallest eigenvalue via two spectral norms (shift by the norm)."""
+    a = _operand(cov)
+    n = a.shape[0]
+    s = _power_spectral_norm(lambda v: a @ v, n, seed, tol, maxiter, lambda: a)
     if s == 0.0:
         return 0.0
-    shifted = lambda v: s * v - matvec(v)
-    t, _, _ = _power_spectral_norm(shifted, n, seed + 1, tol, maxiter)
+    t = _power_spectral_norm(lambda v: s * v - a @ v, n, seed + 1, tol, maxiter,
+                             lambda: s * np.eye(n) - a)
     return s - t
 
 
@@ -336,7 +352,7 @@ def relative_error(est: CovMatrix, truth: CovMatrix, seed: int = 0,
 
     Quadrature weights cancel in the ratio, so plain matrix norms are used.
     The difference is applied matrix-free (two matrix products per
-    iteration), never materialized.
+    iteration); it is materialized only if the dense fallback is taken.
     """
     if est.L != truth.L:
         raise EstimationError(f"order mismatch: est {est.L} vs truth {truth.L}")
@@ -348,7 +364,8 @@ def relative_error(est: CovMatrix, truth: CovMatrix, seed: int = 0,
         # A fully thresholded estimate: the difference is -truth exactly.
         return 1.0
     a, b = est.entries, truth.entries
-    diff_norm, _, _ = _power_spectral_norm(lambda v: a @ v - b @ v, est.L, seed, 1e-9, 10_000)
+    diff_norm = _power_spectral_norm(lambda v: a @ v - b @ v, est.L, seed, _TOL, _MAXITER,
+                                     lambda: a - b)
     return diff_norm / truth_norm
 
 

@@ -17,7 +17,12 @@ from opcov.enkf import (
     state_norm,
     compare_analysis_updates,
 )
-from opcov.estimation import ThresholdRule, spectral_norm_dense, threshold_parameter
+from opcov.estimation import (
+    EstimationError,
+    ThresholdRule,
+    spectral_norm_dense,
+    threshold_parameter,
+)
 from opcov.kernels import se_kernel
 from opcov.sampling import CovMatrix, build_mesh, covariance_matrix, sample_ensemble
 
@@ -164,6 +169,16 @@ def test_loo_requires_two_particles():
     ens = make_ensemble([[1.0, 2.0]])
     with pytest.raises(EnkfError):
         next(loo_covariances(ens, ThresholdRule()))
+
+
+def test_loo_full_form_needs_c0_within_sqrt_n_minus_one():
+    # c0 = 2.1 fits sqrt(5) for the whole ensemble but not sqrt(4) for each
+    # leave-one-out one; the shared ThresholdRule.rho check reports it
+    ens = make_ensemble(np.eye(5))
+    rule = ThresholdRule(c0=2.1, form="full")
+    threshold_parameter(ens, rule)
+    with pytest.raises(EstimationError, match="sqrt"):
+        next(loo_covariances(ens, rule))
 
 
 def test_loo_threshold_close_to_full_threshold():

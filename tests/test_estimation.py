@@ -11,6 +11,7 @@ from opcov.estimation import (
     EstimatorReport,
     SpectralNormError,
     ThresholdRule,
+    _power_spectral_norm,
     estimate_and_report,
     hard_threshold,
     l1_operator_bound,
@@ -259,6 +260,37 @@ def test_spectral_norm_nonconvergence_reports_state():
     assert err.value.estimate > 0.9
     assert err.value.iterations <= 3
     assert math.isfinite(err.value.residual)
+
+
+def test_clustered_spectrum_falls_back_to_dense():
+    # a small-lengthscale truth: its top eigenvalues cluster, the 1e-9
+    # certificate takes ~650 matvecs, past the max(128, L // 6) budget, so
+    # every entry point answers with the dense eigensolver
+    L = 300
+    sym = covariance_matrix(se_kernel(1e-3), build_mesh(1, L)).entries
+    calls = []
+
+    def matvec(v):
+        calls.append(1)
+        return sym @ v
+
+    assert _power_spectral_norm(matvec, L, 0, 1e-9, 10_000, lambda: sym) == spectral_norm_dense(sym)
+    assert len(calls) == 128
+    assert spectral_norm(sym) == spectral_norm_dense(sym)
+    assert min_eigenvalue(sym) == pytest.approx(np.min(np.linalg.eigvalsh(sym)), rel=1e-12)
+    half = 0.5 * np.eye(L)
+    got = relative_error(cov(sym), cov(half), truth_norm=0.5)
+    assert got == spectral_norm_dense(sym - half) / 0.5
+    with pytest.raises(SpectralNormError):
+        spectral_norm(sym, maxiter=128)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 5])
+def test_small_lengthscale_truth_norm_is_exact(seed):
+    # these seeds exhausted 10_000 Lanczos matvecs before the dense fallback
+    truth = covariance_matrix(se_kernel(5e-4), build_mesh(1, 1250))
+    want = spectral_norm_dense(truth)
+    assert abs(spectral_norm(truth, seed=seed) - want) <= 1e-12 * want
 
 
 def test_min_eigenvalue_matches_dense():
