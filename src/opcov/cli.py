@@ -52,7 +52,7 @@ from .sampling import (
     factorize,
     sample_ensemble,
 )
-from .theory import scaling_report
+from .theory import _check_draws, _check_q, scaling_report
 
 __all__ = [
     "ConfigError",
@@ -121,12 +121,30 @@ class ExperimentConfig:
             raise ConfigError(f"n_rule must be '5log' or 'fixed', got {self.n_rule!r}")
         if self.n_rule == "fixed" and self.n_fixed < 1:
             raise ConfigError("fixed n_rule needs n_fixed >= 1")
-        if self.form not in ("full", "simplified"):
-            raise ConfigError(f"form must be 'full' or 'simplified', got {self.form!r}")
         if self.log_base <= 1.0:
             raise ConfigError(f"log_base must be > 1, got {self.log_base}")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
+        # The library's own checks, run before any work so that a bad value
+        # is a configuration error rather than a failure mid-run.
+        try:
+            rule = ThresholdRule(c0=self.c0, form=self.form)
+            mesh = build_mesh(self.d, self.m)
+            if self.experiment == "enkf-demo":
+                enkf_mod.pointwise_observation(mesh, self.dy, self.noise_std)
+            if self.experiment == "theory":
+                _check_q(self.q)
+                _check_draws(self.esup_samples)
+        except (EstimationError, SamplingError, enkf_mod.EnkfError) as exc:
+            raise ConfigError(str(exc)) from None
+        if rule.form == "full" and self.experiment != "theory":  # theory does not threshold
+            # enkf-demo thresholds leave-one-out ensembles of N - 1 members
+            shrink = 1 if self.experiment == "enkf-demo" else 0
+            for lam in self.lambda_grid:
+                try:
+                    rule.rho(0.0, sample_size(lam, self) - shrink)
+                except EstimationError as exc:
+                    raise ConfigError(f"{exc} at lambda={lam!r}") from None
 
 
 def fig1_config(**overrides) -> ExperimentConfig:
@@ -602,17 +620,6 @@ def main(argv=None) -> int:
         return 1
     try:
         if cfg.experiment in ("fig1", "fig2", "custom"):
-            # Full-form surfaces its c0 <= sqrt(N) precondition before any work.
-            if cfg.form == "full":
-                for lam in cfg.lambda_grid:
-                    n = sample_size(lam, cfg)
-                    if cfg.c0 > math.sqrt(n):
-                        print(
-                            f"opcov: configuration error: full form needs c0 <= sqrt(N); "
-                            f"c0={cfg.c0}, N={n} at lambda={lam!r}",
-                            file=sys.stderr,
-                        )
-                        return 1
             run_figure(cfg)
         elif cfg.experiment == "enkf-demo":
             run_enkf_demo(cfg)

@@ -9,10 +9,9 @@ in reported quantities: ||A|| = smax(A) / sqrt(weight), covariance operator
 norms are weight * (matrix norm), state discrepancies are sqrt(weight) times
 the Euclidean norm, and gains carry sqrt(weight) * smax.
 
-The default observation operator takes d_y pointwise values at equispaced
-mesh sites.  Pointwise evaluation is unbounded on L^2 and only makes sense
-after discretization; a local-average alternative is provided for checking
-sensitivity to that choice.
+The observation operator takes d_y pointwise values at equispaced mesh
+sites.  Pointwise evaluation is unbounded on L^2 and only makes sense after
+discretization.
 
 All three analysis updates share the observation y and the per-particle
 noises, which isolates the gain estimation error: the difference between two
@@ -51,7 +50,6 @@ __all__ = [
     "AnalysisComparisonSummary",
     "observation_model",
     "pointwise_observation",
-    "local_average_observation",
     "kalman_gain",
     "analysis_update",
     "loo_covariances",
@@ -62,6 +60,10 @@ __all__ = [
 ]
 
 DEFAULT_NOISE_STD = math.sqrt(0.1)
+
+# Relative tolerance of the covariance norms behind c_const and the
+# gain-continuity check.
+_NORM_TOL = 1e-7
 
 
 class EnkfError(RuntimeError):
@@ -108,36 +110,17 @@ def observation_model(A, Gamma, mesh_weight: float) -> ObservationModel:
     )
 
 
-def _site_indices(L: int, d_y: int) -> np.ndarray:
-    if not (1 <= d_y <= L):
-        raise EnkfError(f"need 1 <= d_y <= L, got d_y={d_y}, L={L}")
-    return np.floor((np.arange(d_y) + 0.5) * L / d_y).astype(int)
-
-
 def pointwise_observation(
     mesh: Mesh, d_y: int, noise_std: float = DEFAULT_NOISE_STD
 ) -> ObservationModel:
     """d_y pointwise evaluations at equispaced mesh sites, Gamma = noise_std^2 I."""
     if noise_std <= 0.0:
         raise EnkfError(f"noise_std must be > 0, got {noise_std}")
+    if not (1 <= d_y <= mesh.L):
+        raise EnkfError(f"need 1 <= d_y <= L, got d_y={d_y}, L={mesh.L}")
+    sites = np.floor((np.arange(d_y) + 0.5) * mesh.L / d_y).astype(int)
     A = np.zeros((d_y, mesh.L))
-    A[np.arange(d_y), _site_indices(mesh.L, d_y)] = 1.0
-    return observation_model(A, noise_std**2 * np.eye(d_y), mesh.weight)
-
-
-def local_average_observation(
-    mesh: Mesh, d_y: int, width: int, noise_std: float = DEFAULT_NOISE_STD
-) -> ObservationModel:
-    """Smoothed alternative: each row averages the ``width`` nearest mesh points."""
-    if noise_std <= 0.0:
-        raise EnkfError(f"noise_std must be > 0, got {noise_std}")
-    if not (1 <= width <= mesh.L):
-        raise EnkfError(f"need 1 <= width <= L, got width={width}")
-    A = np.zeros((d_y, mesh.L))
-    for row, site in enumerate(_site_indices(mesh.L, d_y)):
-        dist = np.linalg.norm(mesh.coords - mesh.coords[site], axis=1)
-        nearest = np.argpartition(dist, width - 1)[:width]
-        A[row, nearest] = 1.0 / width
+    A[np.arange(d_y), sites] = 1.0
     return observation_model(A, noise_std**2 * np.eye(d_y), mesh.weight)
 
 
@@ -279,7 +262,6 @@ def compare_analysis_updates(
     trials: int,
     seed: int,
     check_continuity: bool = True,
-    norm_tol: float = 1e-7,
 ) -> AnalysisComparisonSummary:
     """Compare stochastic and localized analysis updates to the mean-field one.
 
@@ -299,7 +281,7 @@ def compare_analysis_updates(
     cov = covariance_matrix(kernel, mesh)
     factor = factorize(cov)
     gain_true = kalman_gain(cov, obs)
-    cov_op_norm = mesh.weight * spectral_norm(cov, seed=derive_seed(seed, 0xC0), tol=norm_tol)
+    cov_op_norm = mesh.weight * spectral_norm(cov, seed=derive_seed(seed, 0xC0), tol=_NORM_TOL)
     w = mesh.weight
     results: list[AnalysisComparison] = []
     for t in range(trials):
@@ -325,7 +307,7 @@ def compare_analysis_updates(
             c_consts[n] = obs.a_op_norm * obs.gamma_inv_norm * cov_op_norm * innov_norms[n]
             if check_continuity:
                 delta = w * spectral_norm(
-                    loo.entries - cov.entries, seed=derive_seed(seed, t, 2, n), tol=norm_tol
+                    loo.entries - cov.entries, seed=derive_seed(seed, t, 2, n), tol=_NORM_TOL
                 )
                 bound = gain_continuity_bound(delta, cov_op_norm, obs)
                 actual = gain_operator_norm(gain_v - gain_true, w)

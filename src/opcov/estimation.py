@@ -47,7 +47,6 @@ __all__ = [
     "spectral_norm_dense",
     "min_eigenvalue",
     "relative_error",
-    "l1_operator_bound",
     "estimate_and_report",
 ]
 
@@ -90,6 +89,9 @@ class ThresholdRule:
 
     def rho(self, s_bar: float, N: int) -> float:
         """The threshold for mean supremum ``s_bar`` over ``N`` fields.
+
+        With the expected supremum in place of ``s_bar`` this is the
+        population threshold rho_N.
 
         The simplified form is clamped at zero in the degenerate case of a
         negative mean supremum (possible only on very coarse meshes); a zero
@@ -136,16 +138,12 @@ def report_csv_row(
     ])
 
 
-def sample_covariance(ens: Ensemble, center: bool = False) -> CovMatrix:
+def sample_covariance(ens: Ensemble) -> CovMatrix:
     """(1/N) sum_n u_n u_n^T on the mesh; symmetric PSD by construction.
 
-    No mean subtraction by default: the fields are centered by model.  Pass
-    ``center=True`` to subtract the ensemble mean first.
+    No mean subtraction: the fields are centered by model.
     """
-    fields = ens.fields
-    if center:
-        fields = fields - fields.mean(axis=0, keepdims=True)
-    entries = fields.T @ fields
+    entries = ens.fields.T @ ens.fields
     entries /= ens.N
     entries = 0.5 * (entries + entries.T)
     return CovMatrix(entries=entries, mesh_weight=ens.mesh.weight)
@@ -154,11 +152,6 @@ def sample_covariance(ens: Ensemble, center: bool = False) -> CovMatrix:
 def threshold_parameter(ens: Ensemble, rule: ThresholdRule) -> float:
     """The data-driven threshold rho_hat for this ensemble under ``rule``."""
     return rule.rho(ensemble_sup_mean(ens), ens.N)
-
-
-def population_threshold(esup: float, N: int, rule: ThresholdRule) -> float:
-    """rho_N with the expected supremum ``esup`` in place of the sample mean."""
-    return rule.rho(esup, N)
 
 
 def hard_threshold(cov: CovMatrix, rho: float) -> CovMatrix:
@@ -367,14 +360,6 @@ def relative_error(est: CovMatrix, truth: CovMatrix, seed: int = 0,
     diff_norm = _power_spectral_norm(lambda v: a @ v - b @ v, est.L, seed, _TOL, _MAXITER,
                                      lambda: a - b)
     return diff_norm / truth_norm
-
-
-def l1_operator_bound(cov: CovMatrix) -> float:
-    """weight * max_i sum_j |entries[i, j]|, the discretized row-integral bound.
-
-    Upper-bounds the weighted spectral norm for symmetric kernels.
-    """
-    return cov.mesh_weight * float(np.max(np.sum(np.abs(cov.entries), axis=1)))
 
 
 def estimate_and_report(

@@ -4,12 +4,11 @@ Two stationary families are provided, squared exponential and Matern, both
 normalized to k(0) = 1 and strictly decreasing in the separation r.  The
 lengthscale ``lam`` enters only through r / lam, so k_lam(a * r) equals
 k_{lam/a}(r) exactly; several downstream scaling computations rely on this
-identity and it is exposed for property testing.
+identity.
 
 Matern kernels use the exact closed forms for nu in {1/2, 3/2, 5/2} (the
 experiments only need nu = 3/2).  Other positive nu are evaluated through the
-modified Bessel function of the second kind; that path can be switched off,
-after which non-half-integer nu raises a ``KernelError``.
+modified Bessel function of the second kind.
 """
 
 from __future__ import annotations
@@ -26,32 +25,15 @@ __all__ = [
     "se_kernel",
     "matern_kernel",
     "eval_kernel",
-    "rescale_identity_residual",
     "half_width",
     "parse_kernel",
-    "set_general_nu_enabled",
 ]
 
 _HALF_INTEGER_NU = (0.5, 1.5, 2.5)
 
-# Module switch for the Bessel-based general-nu Matern path.  Off means only
-# the half-integer closed forms are accepted.
-_general_nu_enabled = True
-
 
 class KernelError(ValueError):
     """Invalid kernel parameters or evaluation arguments."""
-
-
-def set_general_nu_enabled(enabled: bool) -> bool:
-    """Enable or disable the Bessel path for non-half-integer Matern nu.
-
-    Returns the previous setting so callers can restore it.
-    """
-    global _general_nu_enabled
-    previous = _general_nu_enabled
-    _general_nu_enabled = bool(enabled)
-    return previous
 
 
 @dataclass(frozen=True)
@@ -117,11 +99,6 @@ def _matern_unit(z, nu: float):
         else:
             out = (1.0 + z + z * z / 3.0) * np.exp(-z)
     else:
-        if not _general_nu_enabled:
-            raise KernelError(
-                f"matern nu={nu} needs the general Bessel path, which is disabled; "
-                "supported closed forms are nu in {0.5, 1.5, 2.5}"
-            )
         with np.errstate(invalid="ignore", over="ignore"):
             out = (2.0 ** (1.0 - nu) / special.gamma(nu)) * z**nu * special.kv(nu, z)
         # kv is +inf at 0 and underflows for large z; both limits are handled
@@ -150,18 +127,6 @@ def eval_kernel(kernel: KernelModel, r):
         z = (math.sqrt(2.0 * kernel.nu) / kernel.lam) * arr
         out = _matern_unit(z, kernel.nu)
     return out if np.ndim(r) else float(out)
-
-
-def rescale_identity_residual(kernel: KernelModel, alpha: float, r: float) -> float:
-    """Residual |k_lam(alpha r) - k_{lam/alpha}(r)| of the lengthscale identity.
-
-    Analytically zero for both families; the contract used by property tests
-    is residual <= 1e-12 for all valid inputs.
-    """
-    if not (alpha > 0):
-        raise KernelError(f"alpha must be > 0, got {alpha!r}")
-    rescaled = KernelModel(kernel.family, kernel.lam / alpha, kernel.nu)
-    return abs(eval_kernel(kernel, alpha * r) - eval_kernel(rescaled, r))
 
 
 def half_width(kernel: KernelModel) -> float:

@@ -11,8 +11,6 @@ substreams are independent of execution order and thread count.
 
 from __future__ import annotations
 
-import csv
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +32,6 @@ __all__ = [
     "ensemble_sup_mean",
     "substream",
     "derive_seed",
-    "write_ensemble",
-    "read_ensemble",
-    "ensemble_to_csv",
 ]
 
 # Dense L x L storage caps the mesh size; 12,500 points (~1.25 GB per matrix
@@ -45,11 +40,13 @@ MAX_MESH_POINTS = 12_500
 
 _JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
 
-_MAGIC = b"OPCV1"
-
 
 class SamplingError(RuntimeError):
     """Mesh construction or Gaussian sampling failure."""
+
+
+def _seed_sequence(master_seed: int, key: tuple) -> np.random.SeedSequence:
+    return np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(k) for k in key))
 
 
 def derive_seed(master_seed: int, *key: int) -> int:
@@ -59,14 +56,12 @@ def derive_seed(master_seed: int, *key: int) -> int:
     of numpy's compatibility guarantee), so runs are reproducible and trial
     substreams never collide in practice.
     """
-    ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(k) for k in key))
-    return int(ss.generate_state(1, np.uint64)[0])
+    return int(_seed_sequence(master_seed, key).generate_state(1, np.uint64)[0])
 
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:
     """Counter-based generator for substream ``key`` of ``master_seed``."""
-    ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(k) for k in key))
-    return np.random.Generator(np.random.Philox(seed=ss))
+    return np.random.Generator(np.random.Philox(seed=_seed_sequence(master_seed, key)))
 
 
 @dataclass(frozen=True)
@@ -193,19 +188,7 @@ def factorize(cov: CovMatrix) -> CovFactor:
     )
 
 
-def _mesh_of(cov: CovMatrix) -> Mesh:
-    # Minimal stand-in mesh when sampling from a bare matrix (tests build
-    # covariances by hand); only L and weight are meaningful downstream.
-    L = cov.L
-    return Mesh(d=1, m=L, L=L, coords=((np.arange(L) + 0.5) / L)[:, None], weight=cov.mesh_weight)
-
-
-def sample_ensemble(
-    cov: CovMatrix | CovFactor,
-    N: int,
-    seed: int,
-    mesh: Mesh | None = None,
-) -> Ensemble:
+def sample_ensemble(cov: CovMatrix | CovFactor, N: int, seed: int, mesh: Mesh) -> Ensemble:
     """Draw N i.i.d. fields ~ N(0, cov) on the mesh.
 
     Deterministic given (cov, N, seed): the same inputs give bit-identical
@@ -215,8 +198,6 @@ def sample_ensemble(
     if N < 1:
         raise SamplingError(f"sample count N must be >= 1, got {N}")
     factor = cov if isinstance(cov, CovFactor) else factorize(cov)
-    if mesh is None:
-        mesh = _mesh_of(factor.cov)
     if mesh.L != factor.cov.L:
         raise SamplingError("mesh size does not match covariance order")
     rng = substream(seed)
@@ -230,48 +211,3 @@ def ensemble_sup_mean(ens: Ensemble) -> float:
     """Arithmetic mean over the ensemble of the per-field mesh maxima."""
     return float(ens.sups.mean())
 
-
-# ---------------------------------------------------------------------------
-# persistence
-# ---------------------------------------------------------------------------
-
-_HEADER = struct.Struct("<5sIIQQd")  # magic, d, m, N, seed, jitter
-
-
-def write_ensemble(ens: Ensemble, path) -> None:
-    """Write the flat binary format: header then N*L little-endian float64."""
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, ens.mesh.d, ens.mesh.m, ens.N, ens.seed, ens.jitter))
-        fh.write(np.ascontiguousarray(ens.fields, dtype="<f8").tobytes())
-
-
-def read_ensemble(path) -> Ensemble:
-    """Read an ensemble written by :func:`write_ensemble`.
-
-    The mesh is rebuilt from (d, m); sups are recomputed from the stored
-    fields (the cache-coherence invariant makes this lossless).
-    """
-    with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) < _HEADER.size:
-            raise SamplingError(f"truncated ensemble header in {path}")
-        magic, d, m, N, seed, jitter = _HEADER.unpack(header)
-        if magic != _MAGIC:
-            raise SamplingError(f"bad magic {magic!r} in {path}; expected {_MAGIC!r}")
-        mesh = build_mesh(d, m)
-        data = np.frombuffer(fh.read(8 * N * mesh.L), dtype="<f8")
-        if data.size != N * mesh.L:
-            raise SamplingError(f"truncated field data in {path}")
-        fields = data.reshape(N, mesh.L).astype(float)
-    return Ensemble(
-        mesh=mesh, N=int(N), fields=fields, sups=fields.max(axis=1),
-        seed=int(seed), jitter=float(jitter),
-    )
-
-
-def ensemble_to_csv(ens: Ensemble, path) -> None:
-    """Plain CSV export for interoperability: one row per field."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        for row in ens.fields:
-            writer.writerow([repr(float(v)) for v in row])

@@ -20,7 +20,6 @@ from scipy.integrate import quad
 from .estimation import (
     EstimationError,
     ThresholdRule,
-    population_threshold,
     sample_covariance,
     spectral_norm,
     threshold_parameter,
@@ -44,7 +43,6 @@ __all__ = [
     "sparsity_level",
     "sparsity_asymptotic",
     "operator_norm_asymptotic",
-    "effective_rank",
     "expected_supremum_mc",
     "supremum_scaling_prediction",
     "cq_constant",
@@ -63,14 +61,18 @@ def _check_q(q: float) -> None:
         raise EstimationError(f"sparsity exponent q must lie in (0, 1), got {q!r}")
 
 
-def sparsity_level(kernel: KernelModel, mesh: Mesh, q: float) -> float:
+def _check_draws(M: int) -> None:
+    if M < 2:
+        raise EstimationError(f"need M >= 2 Monte Carlo fields, got {M}")
+
+
+def sparsity_level(cov: CovMatrix, q: float) -> float:
     """Discretized R_q^q: max_i weight * sum_j |k(x_i, x_j)|^q.
 
     Returned as R_q^q (not R_q); callers exponentiate if they need R_q.
     """
     _check_q(q)
-    cov = covariance_matrix(kernel, mesh)
-    return mesh.weight * float(np.max(np.sum(np.abs(cov.entries) ** q, axis=1)))
+    return cov.mesh_weight * float(np.max(np.sum(np.abs(cov.entries) ** q, axis=1)))
 
 
 def _radial_integral(kernel: KernelModel, q: float, d: int, epsrel: float = 1e-10) -> float:
@@ -121,30 +123,14 @@ def operator_norm_asymptotic(kernel: KernelModel, d: int) -> float:
     return kernel.lam**d * SPHERE_AREA[d] * _radial_integral(kernel, 1.0, d)
 
 
-def effective_rank(cov: CovMatrix, seed: int = 0) -> float:
-    """r(C) = Tr / spectral norm; quadrature weights cancel in the ratio."""
-    norm = spectral_norm(cov, seed=seed)
-    if norm == 0.0:
-        raise EstimationError("effective rank is undefined for a zero matrix")
-    return float(np.trace(cov.entries)) / norm
-
-
 def expected_supremum_mc(
-    kernel: KernelModel,
-    mesh: Mesh,
-    M: int,
-    seed: int,
-    factor: CovFactor | None = None,
+    factor: CovFactor, mesh: Mesh, M: int, seed: int
 ) -> tuple[float, float]:
     """Monte Carlo estimate (mean, stderr) of the expected field supremum.
 
-    Draws M independent fields; pass a prebuilt ``factor`` to skip the
-    Cholesky factorization.
+    Draws M independent fields from the factorized covariance.
     """
-    if M < 2:
-        raise EstimationError(f"need M >= 2 Monte Carlo fields, got {M}")
-    if factor is None:
-        factor = factorize(covariance_matrix(kernel, mesh))
+    _check_draws(M)
     ens = sample_ensemble(factor, M, seed, mesh)
     mean = float(ens.sups.mean())
     stderr = float(ens.sups.std(ddof=1) / math.sqrt(M))
@@ -226,19 +212,23 @@ class ScalingReport:
 def scaling_report(
     kernel: KernelModel, mesh: Mesh, q: float, M: int, seed: int
 ) -> ScalingReport:
-    """Assemble every scaling quantity for one (kernel, mesh) pair."""
-    _check_q(q)
+    """Assemble every scaling quantity for one (kernel, mesh) pair.
+
+    One covariance assembly and one spectral norm serve R_q^q, the operator
+    norm and the effective rank r(C) = Tr / norm (weights cancel in the ratio).
+    """
     cov = covariance_matrix(kernel, mesh)
+    Rq_q = sparsity_level(cov, q)
     factor = factorize(cov)
     mat_norm = spectral_norm(cov, seed=derive_seed(seed, 1))
-    esup, _ = expected_supremum_mc(kernel, mesh, M, derive_seed(seed, 2), factor=factor)
+    esup, _ = expected_supremum_mc(factor, mesh, M, derive_seed(seed, 2))
     try:
         prediction = supremum_scaling_prediction(kernel, mesh.d)
     except EstimationError:
         prediction = math.nan
     return ScalingReport(
         lam=kernel.lam,
-        Rq_q=mesh.weight * float(np.max(np.sum(np.abs(cov.entries) ** q, axis=1))),
+        Rq_q=Rq_q,
         Rq_q_asymptotic=sparsity_asymptotic(kernel, q, mesh.d),
         op_norm=mesh.weight * mat_norm,
         op_norm_asymptotic=operator_norm_asymptotic(kernel, mesh.d),
@@ -304,10 +294,8 @@ def supnorm_error_experiment(
         raise EstimationError(f"need at least 30 trials, got {trials}")
     cov = covariance_matrix(kernel, mesh)
     factor = factorize(cov)
-    esup, esup_se = expected_supremum_mc(
-        kernel, mesh, esup_samples, derive_seed(seed, 0xE5), factor=factor
-    )
-    rho_N = population_threshold(esup, N, ThresholdRule(c0=1.0, form="full"))
+    esup, esup_se = expected_supremum_mc(factor, mesh, esup_samples, derive_seed(seed, 0xE5))
+    rho_N = ThresholdRule(c0=1.0, form="full").rho(esup, N)
     ref_col = mesh.L // 2
     max_all = np.empty(trials)
     max_col = np.empty(trials)
@@ -371,10 +359,8 @@ def threshold_concentration_experiment(
     rule = ThresholdRule(c0=c0, form=form)
     cov = covariance_matrix(kernel, mesh)
     factor = factorize(cov)
-    esup, esup_se = expected_supremum_mc(
-        kernel, mesh, esup_samples, derive_seed(seed, 0xE5), factor=factor
-    )
-    rho_N = population_threshold(esup, N, rule)
+    esup, esup_se = expected_supremum_mc(factor, mesh, esup_samples, derive_seed(seed, 0xE5))
+    rho_N = rule.rho(esup, N)
     ratios = np.empty(trials)
     for t in range(trials):
         ens = sample_ensemble(factor, N, derive_seed(seed, t), mesh)

@@ -148,6 +148,32 @@ def test_full_form_with_large_c0_rejected():
     assert code == 1  # c0 = 5 > sqrt(16)
 
 
+@pytest.mark.parametrize("argv", [
+    ["custom", "--c0", "0.5"],
+    ["custom", "--m", "1"],
+    ["custom", "--d", "4"],
+    ["custom", "--d", "3", "--m", "24"],  # 13,824 points: over the dense-storage limit
+    ["theory", "--q", "1.5"],
+    ["theory", "--q", "0"],
+    ["theory", "--esup-samples", "1"],
+    ["enkf-demo", "--dy", "0"],
+    ["enkf-demo", "--noise-std", "0"],
+    # full form needs c0 <= sqrt(N - 1) on the N - 1 member leave-one-out ensembles
+    ["enkf-demo", "--form", "full", "--c0", "3", "--lambdas", "0.3"],
+    ["enkf-demo", "--form", "full", "--c0", "2.5", "--lambdas", "0.3"],  # sqrt(6) < 2.5 < sqrt(7)
+], ids=" ".join)
+def test_bad_values_are_configuration_errors(argv, tmp_path, capsys):
+    out = tmp_path / "o"
+    args = argv + ["--trials", "1", "--out", str(out)]
+    if "--lambdas" not in argv:
+        args += ["--lambdas", "0.2"]
+    if "--m" not in argv:
+        args += ["--m", "16"]
+    assert main(args) == 1
+    assert "configuration error" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_bad_flag_exits_one(capsys):
     assert main(["custom", "--lambdas", "0.1,0.2", "--m", "8"]) == 1
     assert "descending" in capsys.readouterr().err

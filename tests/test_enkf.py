@@ -10,7 +10,6 @@ from opcov.enkf import (
     gain_continuity_bound,
     gain_operator_norm,
     kalman_gain,
-    local_average_observation,
     loo_covariances,
     observation_model,
     pointwise_observation,
@@ -46,13 +45,6 @@ def test_pointwise_rows_are_unit_vectors():
     # orthonormal rows at distinct sites: sigma_max(A) = 1
     assert obs.a_op_norm == pytest.approx(1.0 / math.sqrt(mesh.weight), rel=1e-12)
     assert obs.gamma_inv_norm == pytest.approx(10.0, rel=1e-12)  # Gamma = 0.1 I
-
-
-def test_local_average_rows():
-    mesh = build_mesh(1, 20)
-    obs = local_average_observation(mesh, 3, width=4)
-    assert np.allclose(obs.A.sum(axis=1), 1.0)
-    assert np.all(np.count_nonzero(obs.A, axis=1) == 4)
 
 
 def test_observation_model_rejects_bad_gamma():

@@ -15,9 +15,7 @@ from opcov.kernels import (
     half_width,
     matern_kernel,
     parse_kernel,
-    rescale_identity_residual,
     se_kernel,
-    set_general_nu_enabled,
 )
 
 # Matern nu=3/2 half-width, frozen from an independent fine-grid scan of
@@ -63,17 +61,6 @@ def test_general_nu_path_matches_bessel():
     got = eval_kernel(matern_kernel(0.5, 2.2), r)
     want = bessel_matern(r, 0.5, 2.2)
     assert np.max(np.abs(got - want) / want) < 1e-10
-
-
-def test_general_nu_can_be_disabled():
-    prev = set_general_nu_enabled(False)
-    try:
-        with pytest.raises(KernelError, match="disabled"):
-            eval_kernel(matern_kernel(0.5, 2.2), 1.0)
-        # closed forms stay available
-        assert eval_kernel(matern_kernel(0.5, 1.5), 1.0) > 0
-    finally:
-        set_general_nu_enabled(prev)
 
 
 def test_eval_vectorized_matches_scalar():
@@ -166,13 +153,16 @@ def test_rescale_identity(lam, alpha, r, family):
     kernel = se_kernel(lam) if family == "se" else matern_kernel(
         lam, 1.5 if family == "matern32" else 0.5
     )
-    assert rescale_identity_residual(kernel, alpha, r) <= 1e-12
+    rescaled = KernelModel(kernel.family, kernel.lam / alpha, kernel.nu)
+    assert abs(eval_kernel(kernel, alpha * r) - eval_kernel(rescaled, r)) <= 1e-12
 
 
 def test_rescale_identity_examples():
-    assert rescale_identity_residual(se_kernel(0.5), 2.0, 0.3) <= 1e-12
-    assert rescale_identity_residual(matern_kernel(1.0, 1.5), 3.0, 0.1) <= 1e-12
-    assert rescale_identity_residual(se_kernel(1.0), 1.0, 0.0) == 0.0
+    # k_lam(alpha r) = k_{lam/alpha}(r)
+    for kernel, alpha, r in ((se_kernel(0.5), 2.0, 0.3), (matern_kernel(1.0, 1.5), 3.0, 0.1)):
+        rescaled = KernelModel(kernel.family, kernel.lam / alpha, kernel.nu)
+        assert abs(eval_kernel(kernel, alpha * r) - eval_kernel(rescaled, r)) <= 1e-12
+    assert eval_kernel(se_kernel(1.0), 1.0 * 0.0) == eval_kernel(se_kernel(1.0 / 1.0), 0.0)
 
 
 def test_half_width_se():

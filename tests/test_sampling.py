@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from _helpers import make_ensemble
+from _helpers import make_ensemble, make_mesh
 from opcov.kernels import matern_kernel, se_kernel
 from opcov.sampling import (
     MAX_MESH_POINTS,
@@ -13,12 +13,9 @@ from opcov.sampling import (
     covariance_matrix,
     derive_seed,
     ensemble_sup_mean,
-    ensemble_to_csv,
     factorize,
-    read_ensemble,
     sample_ensemble,
     substream,
-    write_ensemble,
 )
 
 
@@ -103,7 +100,7 @@ def test_jitter_ladder_recorded():
     ones = CovMatrix(entries=np.ones((3, 3)), mesh_weight=1.0 / 3.0)
     factor = factorize(ones)
     assert factor.jitter in (0.0, 1e-12)
-    ens = sample_ensemble(ones, 4, seed=1)
+    ens = sample_ensemble(ones, 4, seed=1, mesh=build_mesh(1, 3))
     assert ens.jitter == factor.jitter
 
 
@@ -116,12 +113,12 @@ def test_factorize_rejects_indefinite():
 def test_sample_requires_positive_count():
     cov = CovMatrix(entries=np.eye(2), mesh_weight=0.5)
     with pytest.raises(SamplingError):
-        sample_ensemble(cov, 0, seed=1)
+        sample_ensemble(cov, 0, seed=1, mesh=build_mesh(1, 2))
 
 
 def test_single_point_fields_are_standard_normal():
     cov = CovMatrix(entries=np.eye(1), mesh_weight=1.0)
-    ens = sample_ensemble(cov, 3, seed=7)
+    ens = sample_ensemble(cov, 3, seed=7, mesh=make_mesh(1, weight=1.0))
     assert ens.fields.shape == (3, 1)
     assert np.array_equal(ens.sups, ens.fields[:, 0])
 
@@ -142,46 +139,6 @@ def test_empirical_covariance_matches_target():
 def test_ensemble_sup_mean():
     assert ensemble_sup_mean(make_ensemble([[2.0, 1.0], [4.0, 0.0]])) == 3.0
     assert ensemble_sup_mean(make_ensemble([[0.0, 0.0, 0.0]])) == 0.0
-
-
-def test_binary_round_trip(tmp_path):
-    mesh = build_mesh(1, 12)
-    ens = sample_ensemble(covariance_matrix(se_kernel(0.2), mesh), 7, seed=55, mesh=mesh)
-    path = tmp_path / "ens.opcv"
-    write_ensemble(ens, path)
-    back = read_ensemble(path)
-    assert np.array_equal(back.fields, ens.fields)
-    assert np.array_equal(back.sups, ens.sups)
-    assert (back.mesh.d, back.mesh.m, back.N) == (1, 12, 7)
-    assert back.seed == 55
-    assert back.jitter == ens.jitter
-
-
-def test_binary_rejects_bad_magic(tmp_path):
-    path = tmp_path / "junk.opcv"
-    path.write_bytes(b"NOPE!" + bytes(40))
-    with pytest.raises(SamplingError, match="magic"):
-        read_ensemble(path)
-
-
-def test_binary_rejects_truncation(tmp_path):
-    mesh = build_mesh(1, 6)
-    ens = sample_ensemble(covariance_matrix(se_kernel(0.2), mesh), 3, seed=1, mesh=mesh)
-    path = tmp_path / "ens.opcv"
-    write_ensemble(ens, path)
-    data = path.read_bytes()
-    path.write_bytes(data[:-16])
-    with pytest.raises(SamplingError, match="truncated"):
-        read_ensemble(path)
-
-
-def test_csv_export(tmp_path):
-    ens = make_ensemble([[1.0, 2.0], [3.0, 4.0]])
-    path = tmp_path / "ens.csv"
-    ensemble_to_csv(ens, path)
-    rows = path.read_text().splitlines()
-    assert len(rows) == 2
-    assert [float(v) for v in rows[1].split(",")] == [3.0, 4.0]
 
 
 def test_substreams_are_disjoint_and_stable():

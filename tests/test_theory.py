@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from _helpers import make_ensemble, make_mesh
-from opcov.estimation import EstimationError, l1_operator_bound, sample_covariance
+from opcov.estimation import EstimationError, ThresholdRule, sample_covariance
 from opcov.kernels import eval_kernel, matern_kernel, se_kernel
 from opcov.sampling import build_mesh, covariance_matrix, factorize, sample_ensemble
 from opcov.theory import (
     ScalingReport,
     cq_constant,
-    effective_rank,
     expected_supremum_mc,
     operator_norm_asymptotic,
     scaling_report,
@@ -45,7 +44,7 @@ def gauss_legendre_radial(kernel, q, d, r_max, n):
 def test_sparsity_level_diagonal_limit():
     # off-diagonal entries underflow to machine zero: only the diagonal is left
     mesh = build_mesh(1, 4)
-    got = sparsity_level(se_kernel(1e-8), mesh, q=0.5)
+    got = sparsity_level(covariance_matrix(se_kernel(1e-8), mesh), q=0.5)
     assert got == pytest.approx(mesh.weight, abs=1e-15)
 
 
@@ -53,23 +52,24 @@ def test_sparsity_level_approaches_l1_bound_as_q_to_1():
     mesh = build_mesh(1, 200)
     kernel = se_kernel(0.05)
     cov = covariance_matrix(kernel, mesh)
-    got = sparsity_level(kernel, mesh, q=1 - 1e-7)
-    assert got == pytest.approx(l1_operator_bound(cov), abs=1e-6)
+    got = sparsity_level(cov, q=1 - 1e-7)
+    row_sum_bound = mesh.weight * float(np.max(np.sum(np.abs(cov.entries), axis=1)))
+    assert got == pytest.approx(row_sum_bound, abs=1e-6)
 
 
 def test_sparsity_level_matches_asymptotic_at_small_lengthscale():
     mesh = build_mesh(1, 1250)
     kernel = se_kernel(0.01)
-    got = sparsity_level(kernel, mesh, q=0.5)
+    got = sparsity_level(covariance_matrix(kernel, mesh), q=0.5)
     want = sparsity_asymptotic(kernel, 0.5, 1)
     assert abs(got - want) / want < 0.05
 
 
 def test_sparsity_level_rejects_bad_q():
-    mesh = build_mesh(1, 4)
+    cov = covariance_matrix(se_kernel(0.1), build_mesh(1, 4))
     for q in (0.0, 1.0, -0.5, 1.5):
         with pytest.raises(EstimationError):
-            sparsity_level(se_kernel(0.1), mesh, q)
+            sparsity_level(cov, q)
 
 
 def test_sparsity_asymptotic_closed_forms():
@@ -126,17 +126,17 @@ def test_cq_constant_matern_cross_check():
 
 
 def test_effective_rank_identity_and_rank_one():
-    from opcov.sampling import CovMatrix
-
-    assert effective_rank(CovMatrix(np.eye(9), 1 / 9)) == pytest.approx(9.0, rel=1e-9)
-    assert effective_rank(CovMatrix(np.ones((6, 6)), 1 / 6)) == pytest.approx(1.0, rel=1e-9)
-    with pytest.raises(EstimationError):
-        effective_rank(CovMatrix(np.zeros((3, 3)), 1 / 3))
+    # lambda -> 0 gives the identity (rank L), lambda -> inf the all-ones matrix
+    mesh = build_mesh(1, 9)
+    tiny = scaling_report(se_kernel(1e-8), mesh, q=0.5, M=2, seed=0)
+    assert tiny.eff_rank == pytest.approx(9.0, rel=1e-9)
+    wide = scaling_report(se_kernel(1e8), build_mesh(1, 6), q=0.5, M=2, seed=0)
+    assert wide.eff_rank == pytest.approx(1.0, rel=1e-9)
 
 
 def test_effective_rank_se_small_lengthscale():
     mesh = build_mesh(1, 1250)
-    got = effective_rank(covariance_matrix(se_kernel(0.01), mesh))
+    got = scaling_report(se_kernel(0.01), mesh, q=0.5, M=2, seed=0).eff_rank
     want = 1.0 / (0.01 * math.sqrt(2 * math.pi))
     assert abs(got - want) / want < 0.10
 
@@ -144,7 +144,7 @@ def test_effective_rank_se_small_lengthscale():
 def test_effective_rank_scales_inversely_with_lengthscale():
     mesh = build_mesh(1, 1250)
     lams = [10**-1.5, 10**-2.0, 10**-2.5, 10**-3.0]
-    ranks = [effective_rank(covariance_matrix(se_kernel(l), mesh)) for l in lams]
+    ranks = [scaling_report(se_kernel(l), mesh, q=0.5, M=2, seed=0).eff_rank for l in lams]
     slope = np.polyfit(np.log(1.0 / np.array(lams)), np.log(ranks), 1)[0]
     assert 0.9 <= slope <= 1.1
 
@@ -160,7 +160,7 @@ def test_expected_supremum_single_point_mesh():
     mesh = make_mesh(1, weight=1.0)
     factor = factorize(CovMatrix(np.eye(1), 1.0))
     M = 4000
-    mean, stderr = expected_supremum_mc(se_kernel(0.5), mesh, M, seed=5, factor=factor)
+    mean, stderr = expected_supremum_mc(factor, mesh, M, seed=5)
     assert abs(mean) <= 4.0 / math.sqrt(M)
     assert stderr == pytest.approx(1.0 / math.sqrt(M), rel=0.2)
 
@@ -171,7 +171,9 @@ def test_expected_supremum_matches_iid_oracle():
     mesh = build_mesh(1, 16)
     kernel = se_kernel(1e-8)
     assert np.array_equal(covariance_matrix(kernel, mesh).entries, np.eye(16))
-    mean, stderr = expected_supremum_mc(kernel, mesh, 20_000, seed=77)
+    mean, stderr = expected_supremum_mc(
+        factorize(covariance_matrix(kernel, mesh)), mesh, 20_000, seed=77
+    )
     rng = np.random.default_rng(123456)
     draws = rng.standard_normal((1_000_000, 16)).max(axis=1)
     oracle = draws.mean()
@@ -187,7 +189,7 @@ def test_sup_mean_of_large_ensemble_matches_mc():
     ens = sample_ensemble(factor, 500, seed=901, mesh=mesh)
     s_bar = float(ens.sups.mean())
     s_se = float(ens.sups.std(ddof=1)) / math.sqrt(500)
-    mc, mc_se = expected_supremum_mc(kernel, mesh, 2000, seed=902, factor=factor)
+    mc, mc_se = expected_supremum_mc(factor, mesh, 2000, seed=902)
     assert abs(s_bar - mc) <= 3.0 * math.hypot(s_se, mc_se)
 
 
@@ -217,7 +219,8 @@ def test_supremum_ratio_band_over_decades():
     ratios = []
     for i, lam in enumerate((1e-1, 1e-2, 1e-3)):
         kernel = se_kernel(lam)
-        mean, _ = expected_supremum_mc(kernel, mesh, 500, seed=40 + i)
+        factor = factorize(covariance_matrix(kernel, mesh))
+        mean, _ = expected_supremum_mc(factor, mesh, 500, seed=40 + i)
         ratios.append(mean / supremum_scaling_prediction(kernel, 1))
     assert all(0.7 <= r <= 1.4 for r in ratios)
 
@@ -236,12 +239,11 @@ def test_moment_bound_dominated_by_sparsity_term_at_grid_point():
     # reference-figure grid point: the exponential remainder is negligible
     lam, q = 1e-3, 0.5
     mesh = build_mesh(1, 312)
-    Rq_q = sparsity_level(se_kernel(lam), mesh, q)
+    cov = covariance_matrix(se_kernel(lam), mesh)
+    Rq_q = sparsity_level(cov, q)
     N = max(2, math.ceil(5 * math.log(1 / lam)))
-    esup, _ = expected_supremum_mc(se_kernel(lam), mesh, 500, seed=1)
-    from opcov.estimation import ThresholdRule, population_threshold
-
-    rho = population_threshold(esup, N, ThresholdRule(c0=5.0, form="simplified"))
+    esup, _ = expected_supremum_mc(factorize(cov), mesh, 500, seed=1)
+    rho = ThresholdRule(c0=5.0, form="simplified").rho(esup, N)
     total = moment_bound(Rq_q, q, rho, N, p=1.0, c=1.0)
     first = Rq_q * rho ** (1 - q)
     assert total > 0
