@@ -121,7 +121,10 @@ class ExperimentConfig:
             raise ConfigError(f"n_rule must be '5log' or 'fixed', got {self.n_rule!r}")
         if self.n_rule == "fixed" and self.n_fixed < 1:
             raise ConfigError("fixed n_rule needs n_fixed >= 1")
-        if self.log_base <= 1.0:
+        if self.experiment == "enkf-demo" and self.n_rule == "fixed" and self.n_fixed < 2:
+            # each analysis leaves one particle out of the ensemble
+            raise ConfigError(f"enkf-demo needs n_fixed >= 2 particles, got {self.n_fixed}")
+        if not (self.log_base > 1.0):
             raise ConfigError(f"log_base must be > 1, got {self.log_base}")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
@@ -607,7 +610,6 @@ def _config_from_args(args) -> ExperimentConfig:
         if name == "lambda_grid":
             value = _parse_lambda_grid(value)
         setattr(cfg, name, value)
-    cfg.validate()
     return cfg
 
 

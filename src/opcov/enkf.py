@@ -17,8 +17,15 @@ All three analysis updates share the observation y and the per-particle
 noises, which isolates the gain estimation error: the difference between two
 updates of the same particle is exactly (gain difference) applied to the
 innovation.  The mean-field update uses the population covariance; the
-stochastic and localized updates use leave-one-out sample covariances,
-computed by rank-one downdates of a single Gram accumulation.
+stochastic and localized updates use leave-one-out sample covariances.
+
+Nothing of order L x L is formed per particle.  A gain reads a covariance
+only through C A^T, i.e. through the columns of C that A touches, so the
+leave-one-out covariances are kept as those columns only: rank-one downdates
+(S[:, cols] - u_n u_n[cols]^T) / (N - 1) of the Gram columns S[:, cols],
+computed once per trial and thresholded entrywise.  The continuity check's
+||loo - C|| is taken matrix-free, as a rank-(N - 1) product minus the
+FFT matvec of the Toeplitz truth covariance.
 """
 
 from __future__ import annotations
@@ -30,16 +37,16 @@ from typing import Iterator
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .estimation import ThresholdRule, hard_threshold, spectral_norm
+from .estimation import SymmetricOperator, ThresholdRule, hard_threshold, spectral_norm
 from .kernels import KernelModel
 from .sampling import (
-    CovMatrix,
     Ensemble,
     Mesh,
     covariance_matrix,
     derive_seed,
     factorize,
     sample_ensemble,
+    stationary_matvec,
     substream,
 )
 
@@ -77,7 +84,8 @@ class ObservationModel:
     A is d_y x L acting on mesh values; Gamma must be SPD (its Cholesky
     factor is required to succeed without jitter).  ``mesh_weight`` fixes the
     weighted-norm conventions; ``gamma_inv_norm`` and ``a_op_norm`` cache
-    ||Gamma^-1|| and the weighted operator norm of A.
+    ||Gamma^-1|| and the weighted operator norm of A.  ``cols`` lists the
+    state columns A reads (the observed sites of a pointwise model).
     """
 
     A: np.ndarray
@@ -86,10 +94,15 @@ class ObservationModel:
     gamma_lower: np.ndarray
     gamma_inv_norm: float
     a_op_norm: float
+    cols: np.ndarray
 
     @property
     def d_y(self) -> int:
         return self.A.shape[0]
+
+    def cross_covariance(self, cov_cols: np.ndarray) -> np.ndarray:
+        """C A^T (L x d_y) from the columns C[:, cols] of a covariance."""
+        return cov_cols @ self.A[:, self.cols].T
 
 
 def observation_model(A, Gamma, mesh_weight: float) -> ObservationModel:
@@ -107,6 +120,7 @@ def observation_model(A, Gamma, mesh_weight: float) -> ObservationModel:
     return ObservationModel(
         A=A, Gamma=Gamma, mesh_weight=mesh_weight,
         gamma_lower=lower, gamma_inv_norm=gamma_inv_norm, a_op_norm=a_op_norm,
+        cols=np.flatnonzero(np.any(A != 0.0, axis=0)),
     )
 
 
@@ -114,7 +128,7 @@ def pointwise_observation(
     mesh: Mesh, d_y: int, noise_std: float = DEFAULT_NOISE_STD
 ) -> ObservationModel:
     """d_y pointwise evaluations at equispaced mesh sites, Gamma = noise_std^2 I."""
-    if noise_std <= 0.0:
+    if not (noise_std > 0.0):
         raise EnkfError(f"noise_std must be > 0, got {noise_std}")
     if not (1 <= d_y <= mesh.L):
         raise EnkfError(f"need 1 <= d_y <= L, got d_y={d_y}, L={mesh.L}")
@@ -124,9 +138,12 @@ def pointwise_observation(
     return observation_model(A, noise_std**2 * np.eye(d_y), mesh.weight)
 
 
-def kalman_gain(cov: CovMatrix, obs: ObservationModel) -> np.ndarray:
-    """K = C A^T (A C A^T + Gamma)^-1 via a symmetric factorization solve."""
-    CA = cov.entries @ obs.A.T
+def kalman_gain(CA: np.ndarray, obs: ObservationModel) -> np.ndarray:
+    """K = C A^T (A C A^T + Gamma)^-1 from the cross-covariance CA = C A^T.
+
+    Solved through a symmetric factorization; see
+    :meth:`ObservationModel.cross_covariance` for CA.
+    """
     S = obs.A @ CA + obs.Gamma
     S = 0.5 * (S + S.T)
     try:
@@ -148,24 +165,23 @@ def analysis_update(
 
 
 def loo_covariances(
-    ens: Ensemble, rule: ThresholdRule
-) -> Iterator[tuple[int, CovMatrix, CovMatrix, float]]:
-    """Yield (n, sample_loo, thresholded_loo, rho_loo) for each particle.
+    ens: Ensemble, rule: ThresholdRule, cols: np.ndarray
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, float]]:
+    """Yield (n, sample_loo, thresholded_loo, rho_loo) columns for each particle.
 
-    The leave-one-out sample covariance is the rank-one downdate
-    (S - u_n u_n^T) / (N - 1) of the Gram sum S; the threshold is recomputed
-    from the N - 1 remaining suprema.  Lazily generated: only one L x L pair
-    is alive at a time.
+    ``sample_loo`` holds the columns ``cols`` of the leave-one-out sample
+    covariance, the rank-one downdate (S[:, cols] - u_n u_n[cols]^T) / (N - 1)
+    of the Gram columns S[:, cols]; ``thresholded_loo`` is the same block
+    hard-thresholded (entrywise, so exactly those columns of the thresholded
+    matrix).  The threshold is recomputed from the N - 1 remaining suprema.
     """
     if ens.N < 2:
         raise EnkfError(f"leave-one-out covariances need N >= 2, got N={ens.N}")
-    S = ens.fields.T @ ens.fields
+    S_cols = ens.fields.T @ ens.fields[:, cols]
     sup_total = float(ens.sups.sum())
     for n in range(ens.N):
         u = ens.fields[n]
-        entries = (S - np.outer(u, u)) / (ens.N - 1)
-        entries = 0.5 * (entries + entries.T)
-        loo = CovMatrix(entries=entries, mesh_weight=ens.mesh.weight)
+        loo = (S_cols - np.outer(u, u[cols])) / (ens.N - 1)
         s_bar = (sup_total - float(ens.sups[n])) / (ens.N - 1)
         rho = rule.rho(s_bar, ens.N - 1)
         yield n, loo, hard_threshold(loo, rho), rho
@@ -280,7 +296,8 @@ def compare_analysis_updates(
         raise EnkfError("observation operator does not match the mesh")
     cov = covariance_matrix(kernel, mesh)
     factor = factorize(cov)
-    gain_true = kalman_gain(cov, obs)
+    cov_matvec = stationary_matvec(cov, mesh)
+    gain_true = kalman_gain(obs.cross_covariance(cov.entries[:, obs.cols]), obs)
     cov_op_norm = mesh.weight * spectral_norm(cov, seed=derive_seed(seed, 0xC0), tol=_NORM_TOL)
     w = mesh.weight
     results: list[AnalysisComparison] = []
@@ -295,19 +312,25 @@ def compare_analysis_updates(
         innov_norms = np.empty(N)
         c_consts = np.empty(N)
         continuity_ok = True
-        for n, loo, loo_thresh, _rho in loo_covariances(ens, rule):
+        for n, loo, loo_thresh, _rho in loo_covariances(ens, rule, obs.cols):
             u = ens.fields[n]
             innov = y - obs.A @ u - etas[n]
             v_star = u + gain_true @ innov
-            gain_v = kalman_gain(loo, obs)
-            gain_l = kalman_gain(loo_thresh, obs)
+            gain_v = kalman_gain(obs.cross_covariance(loo), obs)
+            gain_l = kalman_gain(obs.cross_covariance(loo_thresh), obs)
             disc_v[n] = state_norm(u + gain_v @ innov - v_star, w)
             disc_l[n] = state_norm(u + gain_l @ innov - v_star, w)
             innov_norms[n] = float(np.linalg.norm(innov))
             c_consts[n] = obs.a_op_norm * obs.gamma_inv_norm * cov_op_norm * innov_norms[n]
             if check_continuity:
+                others = np.delete(ens.fields, n, axis=0)
+                loo_minus_cov = SymmetricOperator(
+                    mesh.L,
+                    lambda v: others.T @ (others @ v) / (N - 1) - cov_matvec(v),
+                    lambda: others.T @ others / (N - 1) - cov.entries,
+                )
                 delta = w * spectral_norm(
-                    loo.entries - cov.entries, seed=derive_seed(seed, t, 2, n), tol=_NORM_TOL
+                    loo_minus_cov, seed=derive_seed(seed, t, 2, n), tol=_NORM_TOL
                 )
                 bound = gain_continuity_bound(delta, cov_op_norm, obs)
                 actual = gain_operator_norm(gain_v - gain_true, w)

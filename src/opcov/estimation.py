@@ -19,15 +19,19 @@ A spectrum the iteration cannot certify within it (small-lengthscale
 covariances, whose top eigenvalues cluster 1e-5 apart) gets the exact
 ``eigvalsh`` answer for the explicit operand: the matrix, the shifted
 ``s I - A`` of the min-eigenvalue solve, or ``est - truth``, materialized only
-then.  The worst case, a solve that would have certified just past the budget,
-costs about twice the better of the two paths.  The fallback holds one extra
-L x L copy, two when it builds the operand (+800 MB each at L = 10,000).
+then.  The worst case, a solve that would have certified just past the
+budget, costs about twice the better of the two paths.  The fallback holds
+one extra L x L copy, two when it builds the operand (+800 MB each at
+L = 10,000).  ``spectral_norm`` also takes a :class:`SymmetricOperator`, an
+operand given by its action, whose explicit matrix is built only for that
+fallback.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -38,6 +42,7 @@ __all__ = [
     "EstimatorReport",
     "EstimationError",
     "SpectralNormError",
+    "SymmetricOperator",
     "REPORT_CSV_HEADER",
     "sample_covariance",
     "threshold_parameter",
@@ -154,12 +159,19 @@ def threshold_parameter(ens: Ensemble, rule: ThresholdRule) -> float:
     return rule.rho(ensemble_sup_mean(ens), ens.N)
 
 
-def hard_threshold(cov: CovMatrix, rho: float) -> CovMatrix:
-    """Zero every entry with |entry| < rho; ties (|entry| = rho) are kept."""
+def hard_threshold(cov, rho: float):
+    """Zero every entry with |entry| < rho; ties (|entry| = rho) are kept.
+
+    Takes a CovMatrix, or a plain array such as a block of its columns
+    (thresholding is entrywise), and returns the same kind.
+    """
     if not (rho >= 0.0):
         raise EstimationError(f"threshold rho must be >= 0, got {rho!r}")
-    entries = np.where(np.abs(cov.entries) >= rho, cov.entries, 0.0)
-    return CovMatrix(entries=entries, mesh_weight=cov.mesh_weight)
+    a = _operand(cov)
+    entries = np.where(np.abs(a) >= rho, a, 0.0)
+    if isinstance(cov, CovMatrix):
+        return CovMatrix(entries=entries, mesh_weight=cov.mesh_weight)
+    return entries
 
 
 def psd_projection(cov: CovMatrix) -> CovMatrix:
@@ -190,6 +202,19 @@ _MAXITER = 10_000
 def _operand(obj):
     """The explicit matrix behind ``obj``; a CovMatrix keeps its own array."""
     return obj.entries if isinstance(obj, CovMatrix) else np.asarray(obj, dtype=float)
+
+
+@dataclass(frozen=True)
+class SymmetricOperator:
+    """A symmetric n x n matrix given by its action on vectors.
+
+    ``matvec`` applies it; ``dense`` builds it explicitly and is called only
+    when the Krylov budget runs out (see :func:`_power_spectral_norm`).
+    """
+
+    n: int
+    matvec: Callable[[np.ndarray], np.ndarray]
+    dense: Callable[[], np.ndarray]
 
 
 def _top_ritz(alpha, beta, j):
@@ -311,15 +336,17 @@ def _power_spectral_norm(matvec, n, seed, tol, maxiter, dense=None, ncv=128):
 
 
 def spectral_norm(cov, seed: int = 0, tol: float = _TOL, maxiter: int = _MAXITER) -> float:
-    """Largest absolute eigenvalue of a symmetric matrix (or CovMatrix).
+    """Largest absolute eigenvalue of a symmetric matrix, CovMatrix or SymmetricOperator.
 
     Seeded restarted Lanczos, with the dense eigensolver as the fallback for
     spectra it cannot certify cheaply; deterministic given ``seed``.  Raises
     :class:`SpectralNormError` when an explicit ``maxiter`` at or below the
     Krylov budget is exhausted, reporting the last estimate and residual.
     """
-    a = _operand(cov)
-    return _power_spectral_norm(lambda v: a @ v, a.shape[0], seed, tol, maxiter, lambda: a)
+    if not isinstance(cov, SymmetricOperator):
+        a = _operand(cov)
+        cov = SymmetricOperator(a.shape[0], lambda v: a @ v, lambda: a)
+    return _power_spectral_norm(cov.matvec, cov.n, seed, tol, maxiter, cov.dense)
 
 
 def spectral_norm_dense(cov) -> float:

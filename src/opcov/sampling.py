@@ -4,14 +4,18 @@ The mesh is cell-centered so that the quadrature weight is exactly 1/L and
 discrete sums approximate integrals over [0,1]^d with no boundary correction.
 Sampling uses a dense symmetric factorization (exact, no circulant embedding
 or truncation) with a fixed diagonal-jitter ladder; the jitter actually used
-is recorded on the ensemble.  Randomness comes from the counter-based Philox
-generator keyed through ``numpy.random.SeedSequence`` so that per-trial
-substreams are independent of execution order and thread count.
+is recorded on the ensemble.  ``stationary_matvec`` applies a covariance
+without its dense product, through the FFT of a circulant embedding; it is
+used for operator norms, not for sampling.  Randomness comes from the
+counter-based Philox generator keyed through ``numpy.random.SeedSequence`` so
+that per-trial substreams are independent of execution order and thread
+count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -28,6 +32,7 @@ __all__ = [
     "build_mesh",
     "covariance_matrix",
     "factorize",
+    "stationary_matvec",
     "sample_ensemble",
     "ensemble_sup_mean",
     "substream",
@@ -186,6 +191,36 @@ def factorize(cov: CovMatrix) -> CovFactor:
         f"Cholesky failed at maximum jitter {_JITTER_LADDER[-1]:g}; "
         "input matrix is severely indefinite"
     )
+
+
+def stationary_matvec(cov: CovMatrix, mesh: Mesh) -> Callable[[np.ndarray], np.ndarray]:
+    """v -> cov.entries @ v in O(L log L), for a stationary kernel on ``mesh``.
+
+    A stationary isotropic kernel sampled on the uniform grid gives a
+    d-level symmetric Toeplitz matrix, fixed by its first row.  Mirrored to
+    c_0 .. c_{m-1}, 0, c_{m-1} .. c_1 along every axis (2m points, an
+    FFT-friendly length), that row generates a d-level circulant whose
+    leading (m,)*d block is the covariance; the d-dimensional FFT
+    diagonalizes the circulant (Chan & Ng 1996).  Agrees with the dense
+    product to rounding.
+    """
+    if mesh.L != cov.L:
+        raise SamplingError("mesh size does not match covariance order")
+    m, d = mesh.m, mesh.d
+    shape, axes = (m,) * d, tuple(range(d))
+    size = (2 * m,) * d
+    embed = np.pad(cov.entries[0].reshape(shape), (0, 1))
+    mirror = np.r_[0 : m + 1, m - 1 : 0 : -1]
+    for axis in axes:
+        embed = np.take(embed, mirror, axis=axis)
+    eig = np.fft.rfftn(embed, axes=axes)
+    block = (slice(0, m),) * d
+
+    def matvec(v: np.ndarray) -> np.ndarray:
+        spec = np.fft.rfftn(v.reshape(shape), s=size, axes=axes)
+        return np.fft.irfftn(eig * spec, s=size, axes=axes)[block].ravel()
+
+    return matvec
 
 
 def sample_ensemble(cov: CovMatrix | CovFactor, N: int, seed: int, mesh: Mesh) -> Ensemble:

@@ -158,6 +158,9 @@ def test_full_form_with_large_c0_rejected():
     ["theory", "--esup-samples", "1"],
     ["enkf-demo", "--dy", "0"],
     ["enkf-demo", "--noise-std", "0"],
+    ["enkf-demo", "--noise-std", "nan"],
+    ["enkf-demo", "--n-rule", "fixed", "--n-fixed", "1"],  # no particle left out of one
+    ["custom", "--log-base", "nan"],
     # full form needs c0 <= sqrt(N - 1) on the N - 1 member leave-one-out ensembles
     ["enkf-demo", "--form", "full", "--c0", "3", "--lambdas", "0.3"],
     ["enkf-demo", "--form", "full", "--c0", "2.5", "--lambdas", "0.3"],  # sqrt(6) < 2.5 < sqrt(7)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from _helpers import make_ensemble
+from opcov import enkf
 from opcov.enkf import (
     EnkfError,
     analysis_update,
@@ -19,11 +20,20 @@ from opcov.enkf import (
 from opcov.estimation import (
     EstimationError,
     ThresholdRule,
+    hard_threshold,
     spectral_norm_dense,
     threshold_parameter,
 )
-from opcov.kernels import se_kernel
-from opcov.sampling import CovMatrix, build_mesh, covariance_matrix, sample_ensemble
+from opcov.kernels import matern_kernel, se_kernel
+from opcov.sampling import (
+    CovMatrix,
+    build_mesh,
+    covariance_matrix,
+    derive_seed,
+    factorize,
+    sample_ensemble,
+    substream,
+)
 
 
 def spd(rng, L, scale=1.0):
@@ -45,6 +55,7 @@ def test_pointwise_rows_are_unit_vectors():
     # orthonormal rows at distinct sites: sigma_max(A) = 1
     assert obs.a_op_norm == pytest.approx(1.0 / math.sqrt(mesh.weight), rel=1e-12)
     assert obs.gamma_inv_norm == pytest.approx(10.0, rel=1e-12)  # Gamma = 0.1 I
+    assert np.array_equal(obs.cols, np.flatnonzero(obs.A.sum(axis=0)))
 
 
 def test_observation_model_rejects_bad_gamma():
@@ -72,13 +83,13 @@ def test_observation_site_bounds():
 def test_gain_zero_covariance():
     mesh = build_mesh(1, 8)
     obs = pointwise_observation(mesh, 3)
-    gain = kalman_gain(CovMatrix(np.zeros((8, 8)), mesh.weight), obs)
+    gain = kalman_gain(obs.cross_covariance(np.zeros((8, 3))), obs)
     assert np.array_equal(gain, np.zeros((8, 3)))
 
 
 def test_gain_scalar_case():
     obs = observation_model(np.array([[1.0]]), np.array([[1.0]]), 1.0)
-    gain = kalman_gain(CovMatrix(np.array([[1.0]]), 1.0), obs)
+    gain = kalman_gain(np.array([[1.0]]), obs)
     assert gain == pytest.approx(np.array([[0.5]]))
 
 
@@ -88,7 +99,7 @@ def test_gain_residual_identity():
     C = spd(rng, L)
     A = rng.normal(size=(d_y, L))
     obs = observation_model(A, np.eye(d_y), 1.0 / L)
-    gain = kalman_gain(CovMatrix(C, 1.0 / L), obs)
+    gain = kalman_gain(obs.cross_covariance(C[:, obs.cols]), obs)
     residual = gain @ (A @ C @ A.T + np.eye(d_y)) - C @ A.T
     assert np.max(np.abs(residual)) < 1e-10
 
@@ -96,7 +107,7 @@ def test_gain_residual_identity():
 def test_gain_rejects_indefinite_inner_matrix():
     obs = observation_model(np.array([[1.0]]), np.array([[1e-6]]), 1.0)
     with pytest.raises(EnkfError, match="positive definite"):
-        kalman_gain(CovMatrix(np.array([[-1.0]]), 1.0), obs)
+        kalman_gain(np.array([[-1.0]]), obs)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +137,7 @@ def test_update_zero_innovation_fixed_point():
 
 def test_update_scalar_case():
     obs = observation_model(np.array([[1.0]]), np.array([[1.0]]), 1.0)
-    gain = kalman_gain(CovMatrix(np.array([[1.0]]), 1.0), obs)
+    gain = kalman_gain(np.array([[1.0]]), obs)
     out = analysis_update(np.zeros(1), np.zeros(1), np.array([2.0]), gain, obs)
     assert out == pytest.approx(np.array([1.0]))
 
@@ -139,11 +150,11 @@ def test_update_scalar_case():
 def test_loo_two_particles():
     ens = make_ensemble([[1.0, 2.0], [3.0, -1.0]])
     rule = ThresholdRule(c0=1.0, form="simplified")
-    items = list(loo_covariances(ens, rule))
+    items = list(loo_covariances(ens, rule, np.arange(2)))
     assert len(items) == 2
     _, loo0, _, _ = items[0]
     u2 = np.array([3.0, -1.0])
-    assert np.allclose(loo0.entries, np.outer(u2, u2), atol=1e-14)
+    assert np.allclose(loo0, np.outer(u2, u2), atol=1e-14)
 
 
 def test_loo_downdate_matches_direct_recomputation():
@@ -151,16 +162,17 @@ def test_loo_downdate_matches_direct_recomputation():
     fields = rng.normal(size=(5, 6))
     ens = make_ensemble(fields)
     rule = ThresholdRule(c0=1.0, form="simplified")
-    for n, loo, _, _ in loo_covariances(ens, rule):
+    cols = np.array([1, 4])
+    for n, loo, _, _ in loo_covariances(ens, rule, cols):
         others = np.delete(fields, n, axis=0)
         direct = others.T @ others / 4
-        assert np.max(np.abs(loo.entries - direct)) < 1e-12
+        assert np.max(np.abs(loo - direct[:, cols])) < 1e-12
 
 
 def test_loo_requires_two_particles():
     ens = make_ensemble([[1.0, 2.0]])
     with pytest.raises(EnkfError):
-        next(loo_covariances(ens, ThresholdRule()))
+        next(loo_covariances(ens, ThresholdRule(), np.arange(2)))
 
 
 def test_loo_full_form_needs_c0_within_sqrt_n_minus_one():
@@ -170,7 +182,7 @@ def test_loo_full_form_needs_c0_within_sqrt_n_minus_one():
     rule = ThresholdRule(c0=2.1, form="full")
     threshold_parameter(ens, rule)
     with pytest.raises(EstimationError, match="sqrt"):
-        next(loo_covariances(ens, rule))
+        next(loo_covariances(ens, rule, np.arange(5)))
 
 
 def test_loo_threshold_close_to_full_threshold():
@@ -179,7 +191,7 @@ def test_loo_threshold_close_to_full_threshold():
     ens = sample_ensemble(cov, 100, seed=3, mesh=mesh)
     rule = ThresholdRule(c0=1.0, form="simplified")
     rho_full = threshold_parameter(ens, rule)
-    rhos = np.array([rho for _, _, _, rho in loo_covariances(ens, rule)])
+    rhos = np.array([rho for _, _, _, rho in loo_covariances(ens, rule, np.arange(32))])
     assert np.max(np.abs(rhos - rho_full)) <= 10.0 * rho_full / 100.0
 
 
@@ -203,11 +215,11 @@ def test_continuity_bound_never_violated_on_spd_perturbations():
     mesh = build_mesh(1, L)
     obs = pointwise_observation(mesh, d_y)
     C = spd(rng, L)
-    gain_ref = kalman_gain(CovMatrix(C, w), obs)
+    gain_ref = kalman_gain(obs.cross_covariance(C[:, obs.cols]), obs)
     c_norm = w * spectral_norm_dense(C)
     for _ in range(200):
         Chat = spd(rng, L, scale=float(rng.uniform(0.2, 3.0)))
-        gain_hat = kalman_gain(CovMatrix(Chat, w), obs)
+        gain_hat = kalman_gain(obs.cross_covariance(Chat[:, obs.cols]), obs)
         actual = gain_operator_norm(gain_hat - gain_ref, w)
         bound = gain_continuity_bound(w * spectral_norm_dense(Chat - C), c_norm, obs)
         assert actual <= bound * (1 + 1e-9)
@@ -225,8 +237,8 @@ def test_shared_noise_coupling_identity():
     u = rng.normal(size=L)
     eta = rng.normal(size=d_y)
     y = rng.normal(size=d_y)
-    g_true = kalman_gain(CovMatrix(C, mesh.weight), obs)
-    g_hat = kalman_gain(CovMatrix(Chat, mesh.weight), obs)
+    g_true = kalman_gain(obs.cross_covariance(C[:, obs.cols]), obs)
+    g_hat = kalman_gain(obs.cross_covariance(Chat[:, obs.cols]), obs)
     v_star = analysis_update(u, eta, y, g_true, obs)
     v_hat = analysis_update(u, eta, y, g_hat, obs)
     innovation = y - obs.A @ u - eta
@@ -245,9 +257,9 @@ def test_degenerate_rank_one_loo_gives_finite_updates():
     mesh = build_mesh(1, 8)
     obs = pointwise_observation(mesh, 3)
     rule = ThresholdRule(c0=1.0, form="simplified")
-    for _, loo, loo_t, _ in loo_covariances(ens, rule):
+    for _, loo, loo_t, _ in loo_covariances(ens, rule, obs.cols):
         for est in (loo, loo_t):
-            gain = kalman_gain(est, obs)
+            gain = kalman_gain(obs.cross_covariance(est), obs)
             out = analysis_update(field, np.zeros(3), np.ones(3), gain, obs)
             assert np.all(np.isfinite(out))
 
@@ -271,6 +283,78 @@ def test_comparison_structure_and_determinism():
         "localized_q50", "localized_q90", "localized_q99",
     }
     assert a.continuity_all_ok
+
+
+def _dense_comparison(kernel, mesh, obs, N, rule, trials, seed):
+    """The per-particle dense formulation: an L x L leave-one-out matrix,
+    thresholded whole, gains from the full C A^T, exact ||loo - C||."""
+    cov = covariance_matrix(kernel, mesh)
+    factor = factorize(cov)
+    w = mesh.weight
+    gain_true = kalman_gain(cov.entries @ obs.A.T, obs)
+    cov_norm = w * spectral_norm_dense(cov)
+    out = []
+    for t in range(trials):
+        ens = sample_ensemble(factor, N, derive_seed(seed, t, 0), mesh)
+        rng = substream(seed, t, 1)
+        u_truth = factor.lower @ rng.standard_normal(mesh.L)
+        y = obs.A @ u_truth + obs.gamma_lower @ rng.standard_normal(obs.d_y)
+        etas = rng.standard_normal((N, obs.d_y)) @ obs.gamma_lower.T
+        S = ens.fields.T @ ens.fields
+        disc_v, disc_l, innov_norms, deltas, ok = [], [], [], [], True
+        for n in range(N):
+            u = ens.fields[n]
+            loo = CovMatrix((S - np.outer(u, u)) / (N - 1), w)
+            s_bar = (ens.sups.sum() - ens.sups[n]) / (N - 1)
+            thresh = hard_threshold(loo, rule.rho(s_bar, N - 1))
+            innov = y - obs.A @ u - etas[n]
+            v_star = u + gain_true @ innov
+            gain_v = kalman_gain(loo.entries @ obs.A.T, obs)
+            gain_l = kalman_gain(thresh.entries @ obs.A.T, obs)
+            disc_v.append(state_norm(u + gain_v @ innov - v_star, w))
+            disc_l.append(state_norm(u + gain_l @ innov - v_star, w))
+            innov_norms.append(np.linalg.norm(innov))
+            deltas.append(spectral_norm_dense(loo.entries - cov.entries))
+            bound = gain_continuity_bound(w * deltas[-1], cov_norm, obs)
+            ok &= gain_operator_norm(gain_v - gain_true, w) <= bound * (1.0 + 1e-6)
+        out.append((np.array(disc_v), np.array(disc_l), np.array(innov_norms),
+                    np.array(deltas), ok))
+    return out
+
+
+@pytest.mark.parametrize("d,m,kernel", [
+    (1, 48, se_kernel(0.05)),
+    (1, 47, matern_kernel(0.1, 1.5)),
+    (2, 8, se_kernel(0.2)),
+    (2, 9, matern_kernel(0.3, 1.5)),
+])
+def test_comparison_matches_dense_leave_one_out_formulation(d, m, kernel, monkeypatch):
+    mesh = build_mesh(d, m)
+    # c0 = 1 keeps part of each leave-one-out column block, so the localized
+    # gain differs from the stochastic one; Gamma = I keeps A C A^T + Gamma
+    # positive definite for these indefinite thresholded blocks
+    obs = pointwise_observation(mesh, 4, noise_std=1.0)
+    rule = ThresholdRule(c0=1.0, form="simplified")
+    # the matrix-free ||loo - C|| behind each continuity check, in call order
+    # after the truth norm
+    norms = []
+    inner = enkf.spectral_norm
+
+    def recording(*args, **kwargs):
+        norms.append(inner(*args, **kwargs))
+        return norms[-1]
+
+    monkeypatch.setattr(enkf, "spectral_norm", recording)
+    got = compare_analysis_updates(kernel, mesh, obs, N=8, rule=rule, trials=3, seed=29)
+    want = _dense_comparison(kernel, mesh, obs, 8, rule, 3, 29)
+    # ten times the solver's 1e-7 certificate
+    np.testing.assert_allclose(norms[1:], np.concatenate([w[3] for w in want]), rtol=1e-6)
+    for comp, (disc_v, disc_l, innov_norms, _, ok) in zip(got.trials, want):
+        np.testing.assert_allclose(comp.disc_vanilla, disc_v, rtol=1e-12)
+        np.testing.assert_allclose(comp.disc_localized, disc_l, rtol=1e-12)
+        np.testing.assert_allclose(comp.innovation_norms, innov_norms, rtol=1e-12)
+        assert comp.continuity_ok == ok
+        assert not np.allclose(disc_l, disc_v) and np.all(disc_l > 0)
 
 
 def test_comparison_vanilla_discrepancy_shrinks_at_root_n_rate():

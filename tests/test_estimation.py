@@ -10,6 +10,7 @@ from opcov.estimation import (
     EstimationError,
     EstimatorReport,
     SpectralNormError,
+    SymmetricOperator,
     ThresholdRule,
     _power_spectral_norm,
     estimate_and_report,
@@ -159,6 +160,8 @@ def test_hard_threshold_idempotent_and_symmetric(seed, rho):
     twice = hard_threshold(once, rho)
     assert np.array_equal(once.entries, twice.entries)
     assert np.array_equal(once.entries, once.entries.T)
+    # entrywise: a block of columns thresholds to those columns of the result
+    assert np.array_equal(hard_threshold(x.entries[:, [0, 3]], rho), once.entries[:, [0, 3]])
 
 
 @settings(max_examples=40, deadline=None)
@@ -229,6 +232,9 @@ def test_spectral_norm_examples():
     assert spectral_norm(cov(np.diag([3.0, -5.0, 1.0]))) == pytest.approx(5.0, rel=1e-12)
     assert spectral_norm(cov(np.eye(17))) == pytest.approx(1.0, rel=1e-12)
     assert spectral_norm(cov(np.zeros((4, 4)))) == 0.0
+    diag = np.array([3.0, -5.0, 1.0])
+    op = SymmetricOperator(3, lambda v: diag * v, lambda: pytest.fail("dense operand built"))
+    assert spectral_norm(op) == pytest.approx(5.0, rel=1e-12)
 
 
 def test_spectral_norm_matches_dense_oracle():
@@ -277,6 +283,12 @@ def test_clustered_spectrum_falls_back_to_dense():
     assert _power_spectral_norm(matvec, L, 0, 1e-9, 10_000, lambda: sym) == spectral_norm_dense(sym)
     assert len(calls) == 128
     assert spectral_norm(sym) == spectral_norm_dense(sym)
+    # a matrix-free operand has the same budget; its matrix is built only then
+    calls.clear()
+    built = []
+    op = SymmetricOperator(L, matvec, lambda: built.append(1) or sym)
+    assert spectral_norm(op) == spectral_norm_dense(sym)
+    assert (len(calls), len(built)) == (128, 1)
     assert min_eigenvalue(sym) == pytest.approx(np.min(np.linalg.eigvalsh(sym)), rel=1e-12)
     half = 0.5 * np.eye(L)
     got = relative_error(cov(sym), cov(half), truth_norm=0.5)

@@ -15,6 +15,7 @@ from opcov.sampling import (
     ensemble_sup_mean,
     factorize,
     sample_ensemble,
+    stationary_matvec,
     substream,
 )
 
@@ -149,3 +150,22 @@ def test_substreams_are_disjoint_and_stable():
     assert not np.array_equal(a, c)
     assert derive_seed(7, 1, 2) == derive_seed(7, 1, 2)
     assert derive_seed(7, 1, 2) != derive_seed(7, 2, 1)
+
+
+@pytest.mark.parametrize("d,m", [(1, 40), (1, 41), (2, 8), (2, 9), (3, 4), (3, 5)])
+@pytest.mark.parametrize("kernel", [se_kernel(0.1), se_kernel(0.01), matern_kernel(0.2, 1.5)],
+                         ids=["se-0.1", "se-0.01", "matern-0.2"])
+def test_stationary_matvec_matches_dense_product(d, m, kernel):
+    mesh = build_mesh(d, m)
+    cov = covariance_matrix(kernel, mesh)
+    matvec = stationary_matvec(cov, mesh)
+    rng = np.random.default_rng(m)
+    for v in (rng.standard_normal(mesh.L), np.eye(mesh.L)[-1]):
+        want = cov.entries @ v
+        assert np.max(np.abs(matvec(v) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_stationary_matvec_rejects_other_mesh():
+    cov = covariance_matrix(se_kernel(0.1), build_mesh(1, 8))
+    with pytest.raises(SamplingError):
+        stationary_matvec(cov, build_mesh(1, 9))
