@@ -478,6 +478,8 @@ def run_enkf_demo(cfg: ExperimentConfig) -> list[dict]:
         summary_rows.append(record)
         for key, value in record.items():
             kv_lines.append(f"lambda_{lam_idx}.{key} = {value!r}")
+        # Not a CSV column: the CSV schema predates the indefinite solve.
+        kv_lines.append(f"lambda_{lam_idx}.indefinite_gains = {summary.indefinite_gains!r}")
     with open(out_dir / "enkf_demo_trials.csv", "w", newline="") as fh:
         fh.write(_timestamp_line() + "\n")
         fh.write(enkf_mod.TRIAL_CSV_HEADER + "\n")

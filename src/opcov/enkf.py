@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve
 
 from .estimation import SymmetricOperator, ThresholdRule, hard_threshold, spectral_norm
 from .kernels import KernelModel
@@ -43,10 +43,10 @@ from .sampling import (
     Ensemble,
     Mesh,
     covariance_matrix,
+    covariance_matvec,
     derive_seed,
     factorize,
     sample_ensemble,
-    stationary_matvec,
     substream,
 )
 
@@ -138,22 +138,42 @@ def pointwise_observation(
     return observation_model(A, noise_std**2 * np.eye(d_y), mesh.weight)
 
 
+def _innovation(CA: np.ndarray, obs: ObservationModel) -> np.ndarray:
+    """The innovation matrix S = A C A^T + Gamma from CA = C A^T, exactly symmetric."""
+    S = obs.A @ CA + obs.Gamma
+    return 0.5 * (S + S.T)
+
+
+def _is_positive_definite(S: np.ndarray) -> bool:
+    """Whether S has the Cholesky factor that :func:`kalman_gain` tries first."""
+    try:
+        cho_factor(S, lower=True)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def kalman_gain(CA: np.ndarray, obs: ObservationModel) -> np.ndarray:
     """K = C A^T (A C A^T + Gamma)^-1 from the cross-covariance CA = C A^T.
 
-    Solved through a symmetric factorization; see
+    The gain needs only an invertible innovation matrix S = A C A^T + Gamma.
+    S is solved through its Cholesky factor; a hard-thresholded covariance
+    can make S indefinite, and then a symmetric-indefinite solve takes over.
+    A singular or numerically singular S (condition number beyond
+    1 / (d_y eps)) raises :class:`EnkfError`.  See
     :meth:`ObservationModel.cross_covariance` for CA.
     """
-    S = obs.A @ CA + obs.Gamma
-    S = 0.5 * (S + S.T)
+    S = _innovation(CA, obs)
     try:
-        factor = cho_factor(S, lower=True)
-    except np.linalg.LinAlgError as exc:
+        return cho_solve(cho_factor(S, lower=True), CA.T).T
+    except np.linalg.LinAlgError:
+        pass
+    eig = np.abs(np.linalg.eigvalsh(S))
+    if not (np.min(eig) * S.shape[0] > np.finfo(float).eps * np.max(eig)):
         raise EnkfError(
-            "innovation covariance A C A^T + Gamma is not positive definite "
-            "(indefinite covariance with too-small Gamma)"
-        ) from exc
-    return cho_solve(factor, CA.T).T
+            "innovation covariance A C A^T + Gamma is singular or numerically singular"
+        )
+    return solve(S, CA.T, assume_a="sym").T
 
 
 def analysis_update(
@@ -217,7 +237,9 @@ class AnalysisComparison:
     ``c_consts`` holds the per-particle conditioning constants
     ||A|| ||Gamma^-1|| ||C|| |y - A u_n - eta_n|; ``continuity_ok`` records
     whether the gain-continuity inequality held for every (PSD) leave-one-out
-    sample covariance of the trial.
+    sample covariance of the trial.  ``indefinite_gains`` counts the particles
+    whose localized gain had an indefinite innovation matrix, solved by the
+    symmetric-indefinite path of :func:`kalman_gain` instead of Cholesky.
     """
 
     disc_vanilla: np.ndarray
@@ -225,6 +247,7 @@ class AnalysisComparison:
     innovation_norms: np.ndarray
     c_consts: np.ndarray
     continuity_ok: bool
+    indefinite_gains: int = 0
 
     @property
     def mean_vanilla(self) -> float:
@@ -244,6 +267,7 @@ class AnalysisComparisonSummary:
     mean_localized: float
     frac_localized_better: float
     continuity_all_ok: bool
+    indefinite_gains: int = 0
 
     def pooled_quantiles(self) -> dict[str, float]:
         van = np.concatenate([t.disc_vanilla for t in self.trials])
@@ -296,7 +320,7 @@ def compare_analysis_updates(
         raise EnkfError("observation operator does not match the mesh")
     cov = covariance_matrix(kernel, mesh)
     factor = factorize(cov)
-    cov_matvec = stationary_matvec(cov, mesh)
+    cov_matvec = covariance_matvec(cov)
     gain_true = kalman_gain(obs.cross_covariance(cov.entries[:, obs.cols]), obs)
     cov_op_norm = mesh.weight * spectral_norm(cov, seed=derive_seed(seed, 0xC0), tol=_NORM_TOL)
     w = mesh.weight
@@ -312,12 +336,15 @@ def compare_analysis_updates(
         innov_norms = np.empty(N)
         c_consts = np.empty(N)
         continuity_ok = True
+        indefinite = 0
         for n, loo, loo_thresh, _rho in loo_covariances(ens, rule, obs.cols):
             u = ens.fields[n]
             innov = y - obs.A @ u - etas[n]
             v_star = u + gain_true @ innov
             gain_v = kalman_gain(obs.cross_covariance(loo), obs)
-            gain_l = kalman_gain(obs.cross_covariance(loo_thresh), obs)
+            CA_l = obs.cross_covariance(loo_thresh)
+            gain_l = kalman_gain(CA_l, obs)
+            indefinite += not _is_positive_definite(_innovation(CA_l, obs))
             disc_v[n] = state_norm(u + gain_v @ innov - v_star, w)
             disc_l[n] = state_norm(u + gain_l @ innov - v_star, w)
             innov_norms[n] = float(np.linalg.norm(innov))
@@ -339,7 +366,7 @@ def compare_analysis_updates(
         results.append(AnalysisComparison(
             disc_vanilla=disc_v, disc_localized=disc_l,
             innovation_norms=innov_norms, c_consts=c_consts,
-            continuity_ok=continuity_ok,
+            continuity_ok=continuity_ok, indefinite_gains=indefinite,
         ))
     mean_v = float(np.mean([r.mean_vanilla for r in results]))
     mean_l = float(np.mean([r.mean_localized for r in results]))
@@ -350,4 +377,5 @@ def compare_analysis_updates(
         mean_localized=mean_l,
         frac_localized_better=frac,
         continuity_all_ok=all(r.continuity_ok for r in results),
+        indefinite_gains=sum(r.indefinite_gains for r in results),
     )

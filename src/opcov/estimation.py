@@ -11,7 +11,16 @@ extraction over a small Krylov basis (restarted Lanczos).  One matrix
 application per step, a residual-certified stopping rule, and restarts on
 stagnation; the subspace extraction is what lets the estimate converge when
 the largest and smallest eigenvalues nearly tie in magnitude, where a bare
-power iteration stalls.  Error norms use matrix-free products.
+power iteration stalls.
+
+A figure trial (:func:`estimate_and_report`) forms no L x L matrix unless
+every row of its thresholded estimate can hold a surviving entry.  The sample
+error is applied as the rank-N product F^T (F v) / N minus the truth, which an
+assembled (Toeplitz) covariance applies by FFT.  The thresholded estimate is
+exactly zero when the threshold exceeds every diagonal entry of the sample
+covariance (and hence, by Cauchy-Schwarz, every entry); that costs one O(NL)
+pass.  Otherwise it is formed and thresholded densely, but only on the rows
+and columns that Cauchy-Schwarz leaves able to hold a surviving entry.
 
 Every norm has a budget of max(128, L // 6) matrix applications, where the
 Krylov work on one BLAS thread costs as much as a dense symmetric eigensolve.
@@ -22,9 +31,9 @@ covariances, whose top eigenvalues cluster 1e-5 apart) gets the exact
 then.  The worst case, a solve that would have certified just past the
 budget, costs about twice the better of the two paths.  The fallback holds
 one extra L x L copy, two when it builds the operand (+800 MB each at
-L = 10,000).  ``spectral_norm`` also takes a :class:`SymmetricOperator`, an
-operand given by its action, whose explicit matrix is built only for that
-fallback.
+L = 10,000).  ``spectral_norm``, ``min_eigenvalue`` and ``relative_error``
+also take a :class:`SymmetricOperator`, an operand given by its action, whose
+explicit matrix is built only for that fallback.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from typing import Callable
 
 import numpy as np
 
-from .sampling import CovMatrix, Ensemble, ensemble_sup_mean, substream
+from .sampling import CovMatrix, Ensemble, covariance_matvec, ensemble_sup_mean, substream
 
 __all__ = [
     "ThresholdRule",
@@ -159,6 +168,11 @@ def threshold_parameter(ens: Ensemble, rule: ThresholdRule) -> float:
     return rule.rho(ensemble_sup_mean(ens), ens.N)
 
 
+def _survivors(a: np.ndarray, rho: float) -> np.ndarray:
+    """The keep-ties indicator |a| >= rho of hard thresholding."""
+    return np.abs(a) >= rho
+
+
 def hard_threshold(cov, rho: float):
     """Zero every entry with |entry| < rho; ties (|entry| = rho) are kept.
 
@@ -168,7 +182,7 @@ def hard_threshold(cov, rho: float):
     if not (rho >= 0.0):
         raise EstimationError(f"threshold rho must be >= 0, got {rho!r}")
     a = _operand(cov)
-    entries = np.where(np.abs(a) >= rho, a, 0.0)
+    entries = np.where(_survivors(a, rho), a, 0.0)
     if isinstance(cov, CovMatrix):
         return CovMatrix(entries=entries, mesh_weight=cov.mesh_weight)
     return entries
@@ -215,6 +229,14 @@ class SymmetricOperator:
     n: int
     matvec: Callable[[np.ndarray], np.ndarray]
     dense: Callable[[], np.ndarray]
+
+
+def _as_operator(obj) -> SymmetricOperator:
+    """``obj`` as a SymmetricOperator; an explicit matrix keeps its own storage."""
+    if isinstance(obj, SymmetricOperator):
+        return obj
+    a = _operand(obj)
+    return SymmetricOperator(a.shape[0], lambda v: a @ v, lambda: a)
 
 
 def _top_ritz(alpha, beta, j):
@@ -343,10 +365,8 @@ def spectral_norm(cov, seed: int = 0, tol: float = _TOL, maxiter: int = _MAXITER
     :class:`SpectralNormError` when an explicit ``maxiter`` at or below the
     Krylov budget is exhausted, reporting the last estimate and residual.
     """
-    if not isinstance(cov, SymmetricOperator):
-        a = _operand(cov)
-        cov = SymmetricOperator(a.shape[0], lambda v: a @ v, lambda: a)
-    return _power_spectral_norm(cov.matvec, cov.n, seed, tol, maxiter, cov.dense)
+    op = _as_operator(cov)
+    return _power_spectral_norm(op.matvec, op.n, seed, tol, maxiter, op.dense)
 
 
 def spectral_norm_dense(cov) -> float:
@@ -355,38 +375,72 @@ def spectral_norm_dense(cov) -> float:
 
 
 def min_eigenvalue(cov, seed: int = 0, tol: float = _TOL, maxiter: int = _MAXITER) -> float:
-    """Smallest eigenvalue via two spectral norms (shift by the norm)."""
-    a = _operand(cov)
-    n = a.shape[0]
-    s = _power_spectral_norm(lambda v: a @ v, n, seed, tol, maxiter, lambda: a)
+    """Smallest eigenvalue via two spectral norms (shift by the norm).
+
+    Takes anything :func:`spectral_norm` takes.
+    """
+    op = _as_operator(cov)
+    n = op.n
+    s = _power_spectral_norm(op.matvec, n, seed, tol, maxiter, op.dense)
     if s == 0.0:
         return 0.0
-    t = _power_spectral_norm(lambda v: s * v - a @ v, n, seed + 1, tol, maxiter,
-                             lambda: s * np.eye(n) - a)
+    t = _power_spectral_norm(lambda v: s * v - op.matvec(v), n, seed + 1, tol, maxiter,
+                             lambda: s * np.eye(n) - op.dense())
     return s - t
 
 
-def relative_error(est: CovMatrix, truth: CovMatrix, seed: int = 0,
+def relative_error(est, truth: CovMatrix, seed: int = 0,
                    truth_norm: float | None = None) -> float:
     """Relative spectral error ||est - truth|| / ||truth||.
 
-    Quadrature weights cancel in the ratio, so plain matrix norms are used.
-    The difference is applied matrix-free (two matrix products per
-    iteration); it is materialized only if the dense fallback is taken.
+    ``est`` is anything :func:`spectral_norm` takes: a CovMatrix, an array
+    or a :class:`SymmetricOperator` giving the estimate's action.  Quadrature
+    weights cancel in the ratio, so plain matrix norms are used.  The
+    difference is applied matrix-free, the truth through
+    :func:`covariance_matvec` (by FFT when it records its mesh); it is
+    materialized only if the dense fallback is taken.  An explicit estimate
+    with no nonzero entry has error exactly 1.
     """
-    if est.L != truth.L:
-        raise EstimationError(f"order mismatch: est {est.L} vs truth {truth.L}")
+    op = _as_operator(est)
+    if op.n != truth.L:
+        raise EstimationError(f"order mismatch: est {op.n} vs truth {truth.L}")
     if truth_norm is None:
         truth_norm = spectral_norm(truth, seed=seed)
     if truth_norm == 0.0:
         raise EstimationError("relative_error is undefined for a zero truth matrix")
-    if not np.any(est.entries):
+    if not isinstance(est, SymmetricOperator) and not np.any(_operand(est)):
         # A fully thresholded estimate: the difference is -truth exactly.
         return 1.0
-    a, b = est.entries, truth.entries
-    diff_norm = _power_spectral_norm(lambda v: a @ v - b @ v, est.L, seed, _TOL, _MAXITER,
-                                     lambda: a - b)
+    truth_matvec = covariance_matvec(truth)
+    diff_norm = _power_spectral_norm(lambda v: op.matvec(v) - truth_matvec(v), op.n, seed,
+                                     _TOL, _MAXITER, lambda: op.dense() - truth.entries)
     return diff_norm / truth_norm
+
+
+def _thresholded_block(ens: Ensemble, rho: float):
+    """The hard-thresholded sample covariance as its principal block on ``idx``.
+
+    With d the diagonal of the sample covariance S, |S_ij| <= sqrt(d_i d_j)
+    (Cauchy-Schwarz), so an entry can survive only in a row and a column
+    with d_i max(d) >= rho^2; a margin of a few N eps covers the rounding of
+    the N-term sums.  Returns those indices ``idx``, the thresholded block
+    S[idx, idx], formed as :func:`sample_covariance` forms S (so exactly
+    symmetric), and its number of surviving entries.  A threshold above
+    max(d) leaves no index: the estimate is the zero matrix, the block is
+    None and no product is formed.
+    """
+    F, N = ens.fields, ens.N
+    diag = np.einsum("ni,ni->i", F, F) / N
+    margin = 1.0 + 4.0 * N * np.finfo(float).eps
+    idx = np.flatnonzero(diag * (np.max(diag) * margin * margin) >= rho * rho)
+    if idx.size == 0:
+        return idx, None, 0
+    G = F[:, idx]
+    block = G.T @ G
+    block /= N
+    block = 0.5 * (block + block.T)
+    nnz = int(np.count_nonzero(_survivors(block, rho)))
+    return idx, hard_threshold(block, rho), nnz
 
 
 def estimate_and_report(
@@ -399,23 +453,47 @@ def estimate_and_report(
     """Run the full estimator pipeline for one ensemble and report errors.
 
     ``truth_norm`` may be passed to reuse ||truth|| across trials on the same
-    lengthscale; it is recomputed otherwise.
+    lengthscale; it is recomputed otherwise.  No L x L matrix is formed
+    unless every row can hold a surviving entry: the sample error is applied
+    as F^T (F v) / N - C v, with C v by FFT for an assembled truth, and the
+    thresholded estimate is its principal block on the rows that can
+    (:func:`_thresholded_block`; none when the threshold exceeds every
+    diagonal entry, and then the estimate is exactly zero).
     """
-    if ens.mesh.L != truth.L:
+    L = truth.L
+    if ens.mesh.L != L:
         raise EstimationError("ensemble and truth live on different meshes")
     if truth_norm is None:
         truth_norm = spectral_norm(truth, seed=seed)
-    sample = sample_covariance(ens)
+    F, N = ens.fields, ens.N
     rho_hat = threshold_parameter(ens, rule)
-    thresh = hard_threshold(sample, rho_hat)
-    eps_sample = relative_error(sample, truth, seed=seed, truth_norm=truth_norm)
-    eps_thresh = relative_error(thresh, truth, seed=seed, truth_norm=truth_norm)
-    nnz = float(np.count_nonzero(np.abs(sample.entries) >= rho_hat)) / sample.L**2
-    min_eig = min_eigenvalue(thresh, seed=seed)
+    if np.any(F):
+        sample = SymmetricOperator(L, lambda v: F.T @ (F @ v) / N,
+                                   lambda: sample_covariance(ens).entries)
+        eps_sample = relative_error(sample, truth, seed=seed, truth_norm=truth_norm)
+    else:
+        eps_sample = 1.0  # the zero sample covariance: the difference is -truth
+    idx, block, nnz = _thresholded_block(ens, rho_hat)
+    if nnz == 0:
+        eps_thresh, min_eig = 1.0, 0.0
+    else:
+        def thresh_matvec(v):
+            out = np.zeros(L)
+            out[idx] = block @ v[idx]
+            return out
+
+        def thresh_dense():
+            out = np.zeros((L, L))
+            out[np.ix_(idx, idx)] = block
+            return out
+
+        thresh = block if idx.size == L else SymmetricOperator(L, thresh_matvec, thresh_dense)
+        eps_thresh = relative_error(thresh, truth, seed=seed, truth_norm=truth_norm)
+        min_eig = min_eigenvalue(thresh, seed=seed)
     return EstimatorReport(
         rho_hat=rho_hat,
         eps_sample=eps_sample,
         eps_thresh=eps_thresh,
-        nnz_fraction=nnz,
+        nnz_fraction=float(nnz) / L**2,
         psd_min_eig=min(0.0, min_eig),
     )

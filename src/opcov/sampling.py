@@ -6,7 +6,9 @@ Sampling uses a dense symmetric factorization (exact, no circulant embedding
 or truncation) with a fixed diagonal-jitter ladder; the jitter actually used
 is recorded on the ensemble.  ``stationary_matvec`` applies a covariance
 without its dense product, through the FFT of a circulant embedding; it is
-used for operator norms, not for sampling.  Randomness comes from the
+used for operator norms, not for sampling.  ``covariance_matvec`` picks it
+for an assembled covariance, which records its mesh, and the dense product
+for any other matrix.  Randomness comes from the
 counter-based Philox generator keyed through ``numpy.random.SeedSequence`` so
 that per-trial substreams are independent of execution order and thread
 count.
@@ -33,6 +35,7 @@ __all__ = [
     "covariance_matrix",
     "factorize",
     "stationary_matvec",
+    "covariance_matvec",
     "sample_ensemble",
     "ensemble_sup_mean",
     "substream",
@@ -89,11 +92,15 @@ class CovMatrix:
     """Symmetric L x L covariance matrix sampled on a mesh.
 
     ``mesh_weight`` is carried along so operator norms can be formed as
-    weight * (matrix spectral norm) without re-deriving the mesh.
+    weight * (matrix spectral norm) without re-deriving the mesh.  ``mesh``
+    is set only by :func:`covariance_matrix`: it marks the matrix as a
+    stationary kernel sampled on that uniform mesh, i.e. multilevel Toeplitz,
+    which :func:`covariance_matvec` applies through the FFT.
     """
 
     entries: np.ndarray
     mesh_weight: float
+    mesh: Mesh | None = None
 
     @property
     def L(self) -> int:
@@ -167,7 +174,22 @@ def covariance_matrix(kernel: KernelModel, mesh: Mesh) -> CovMatrix:
         ) from exc
     entries = 0.5 * (entries + entries.T)
     np.fill_diagonal(entries, 1.0)
-    return CovMatrix(entries=entries, mesh_weight=mesh.weight)
+    return CovMatrix(entries=entries, mesh_weight=mesh.weight, mesh=mesh)
+
+
+# Tile edge of the exact symmetry check: a tile and its mirror stay in cache.
+_SYMMETRY_TILE = 256
+
+
+def _exactly_symmetric(a: np.ndarray) -> bool:
+    """a == a.T bit for bit, compared tile by tile; NaN never compares equal."""
+    n = a.shape[0]
+    for i in range(0, n, _SYMMETRY_TILE):
+        for j in range(i, n, _SYMMETRY_TILE):
+            tile = a[i : i + _SYMMETRY_TILE, j : j + _SYMMETRY_TILE]
+            if not np.array_equal(tile, a[j : j + _SYMMETRY_TILE, i : i + _SYMMETRY_TILE].T):
+                return False
+    return True
 
 
 def factorize(cov: CovMatrix) -> CovFactor:
@@ -178,10 +200,13 @@ def factorize(cov: CovMatrix) -> CovFactor:
     the matrix is still not factorizable at the top rung.
     """
     entries = cov.entries
-    if not np.allclose(entries, entries.T, rtol=0.0, atol=0.0):
+    if not _exactly_symmetric(entries):
         raise SamplingError("covariance matrix must be exactly symmetric")
     for jitter in _JITTER_LADDER:
-        shifted = entries if jitter == 0.0 else entries + jitter * np.eye(cov.L)
+        shifted = entries
+        if jitter != 0.0:
+            shifted = entries.copy()
+            shifted.flat[:: cov.L + 1] += jitter
         try:
             lower = np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
@@ -221,6 +246,19 @@ def stationary_matvec(cov: CovMatrix, mesh: Mesh) -> Callable[[np.ndarray], np.n
         return np.fft.irfftn(eig * spec, s=size, axes=axes)[block].ravel()
 
     return matvec
+
+
+def covariance_matvec(cov: CovMatrix) -> Callable[[np.ndarray], np.ndarray]:
+    """v -> cov.entries @ v: by FFT when ``cov`` records its mesh, densely otherwise.
+
+    Only :func:`covariance_matrix` records a mesh, so a hand-built or
+    estimated matrix, which need not be Toeplitz, always gets the dense
+    product.
+    """
+    if cov.mesh is None:
+        entries = cov.entries
+        return lambda v: entries @ v
+    return stationary_matvec(cov, cov.mesh)
 
 
 def sample_ensemble(cov: CovMatrix | CovFactor, N: int, seed: int, mesh: Mesh) -> Ensemble:

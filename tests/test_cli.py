@@ -290,6 +290,22 @@ def test_enkf_demo_rerun_identical(tmp_path):
         strip_timestamp(tmp_path / "b" / "enkf_demo_trials.csv")
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_enkf_demo_small_ensemble_does_not_fail_by_seed(seed, tmp_path):
+    # at c0 = 1 and N = 8 the thresholded leave-one-out covariance makes
+    # A C A^T + Gamma indefinite for some seeds; the gain must still be formed,
+    # and the summary records how many localized gains needed that solve
+    assert main([
+        "enkf-demo", "--c0", "1", "--m", "48", "--lambdas", "0.05", "--n-rule", "fixed",
+        "--n-fixed", "8", "--trials", "3", "--dy", "4", "--seed", str(seed),
+        "--out", str(tmp_path / "o"),
+    ]) == 0
+    lines = (tmp_path / "o" / "enkf_demo_summary.txt").read_text().splitlines()
+    count = int(next(ln for ln in lines if ln.startswith("lambda_0.indefinite_gains = "))
+                .split(" = ")[1])
+    assert (count > 0) == (seed in (1, 3, 4))
+
+
 def test_theory_sweep_csv(tmp_path):
     out = tmp_path / "o"
     assert main([

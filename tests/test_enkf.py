@@ -105,9 +105,24 @@ def test_gain_residual_identity():
 
 
 def test_gain_rejects_indefinite_inner_matrix():
+    # an indefinite but invertible S = A C A^T + Gamma has no Cholesky factor;
+    # the symmetric-indefinite solve gives the exact gain, and only a
+    # singular S is rejected
     obs = observation_model(np.array([[1.0]]), np.array([[1e-6]]), 1.0)
-    with pytest.raises(EnkfError, match="positive definite"):
-        kalman_gain(np.array([[-1.0]]), obs)
+    gain = kalman_gain(np.array([[-1.0]]), obs)
+    assert gain == pytest.approx(np.array([[-1.0 / (-1.0 + 1e-6)]]), rel=1e-15)
+    with pytest.raises(EnkfError, match="singular"):
+        kalman_gain(np.array([[-1e-6]]), obs)  # S = 0 exactly
+    obs2 = observation_model(np.eye(2), np.diag([1.0, 1e-20]), 1.0)
+    with pytest.raises(EnkfError, match="singular"):
+        kalman_gain(np.diag([-2.0, 0.0]), obs2)  # S = diag(-1, 1e-20): condition 1e20
+    # A C A^T = diag(-2, 1, 3): S = A C A^T + 0.01 I is indefinite, K S = C A^T
+    A = np.random.default_rng(12).normal(size=(3, 6))
+    obs3 = observation_model(A, 0.01 * np.eye(3), 1.0 / 6)
+    CA = np.linalg.pinv(A) @ np.diag([-2.0, 1.0, 3.0])
+    S = obs3.A @ CA + obs3.Gamma
+    assert np.min(np.linalg.eigvalsh(S)) < 0.0 < np.max(np.linalg.eigvalsh(S))
+    assert np.max(np.abs(kalman_gain(CA, obs3) @ S - CA)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

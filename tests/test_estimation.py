@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import make_ensemble
+from opcov import estimation, sampling
 from opcov.estimation import (
     EstimationError,
     EstimatorReport,
@@ -24,8 +25,8 @@ from opcov.estimation import (
     spectral_norm_dense,
     threshold_parameter,
 )
-from opcov.kernels import se_kernel
-from opcov.sampling import CovMatrix, build_mesh, covariance_matrix, sample_ensemble
+from opcov.kernels import matern_kernel, se_kernel
+from opcov.sampling import CovMatrix, build_mesh, covariance_matrix, factorize, sample_ensemble
 
 
 def cov(entries, weight=1.0):
@@ -400,6 +401,130 @@ def test_report_thresholding_beats_sample_for_identity_truth():
         report = estimate_and_report(ens, truth, rule, seed=seed, truth_norm=truth_norm)
         wins += report.eps_thresh <= report.eps_sample
     assert wins > seeds // 2
+
+
+def _dense_report(ens, truth, rho, truth_norm):
+    """The former dense formulation at threshold ``rho``: the L x L sample
+    covariance, thresholded whole, and exact norms and eigenvalues."""
+    F = ens.fields
+    S = F.T @ F / ens.N
+    S = 0.5 * (S + S.T)
+    T = hard_threshold(S, rho)
+    C = truth.entries
+    return EstimatorReport(
+        rho_hat=rho,
+        eps_sample=spectral_norm_dense(S - C) / truth_norm,
+        eps_thresh=spectral_norm_dense(T - C) / truth_norm if np.any(T) else 1.0,
+        nnz_fraction=float(np.count_nonzero(np.abs(S) >= rho)) / S.size,
+        psd_min_eig=min(0.0, float(np.linalg.eigvalsh(T)[0])),
+    )
+
+
+def _assert_reports_agree(got, want):
+    assert got.rho_hat == want.rho_hat
+    assert got.nnz_fraction == want.nnz_fraction
+    assert got.eps_sample == pytest.approx(want.eps_sample, rel=1e-12)
+    assert got.eps_thresh == pytest.approx(want.eps_thresh, rel=1e-12)
+    assert got.psd_min_eig == pytest.approx(want.psd_min_eig, abs=1e-9)
+
+
+@pytest.mark.parametrize("d,m,kernels", [
+    (1, 60, [se_kernel(0.5), se_kernel(0.05), matern_kernel(0.5, 1.5), matern_kernel(0.05, 1.5)]),
+    (2, 8, [se_kernel(0.5), se_kernel(0.1), matern_kernel(0.5, 1.5), matern_kernel(0.1, 1.5)]),
+])
+def test_report_matches_dense_formulation(d, m, kernels, monkeypatch):
+    # rho_hat and nnz are equal and the errors agree to rounding whether the
+    # estimate is zero, a principal block or the whole matrix; each must occur
+    block_orders = []
+    real_hard_threshold = estimation.hard_threshold
+    monkeypatch.setattr(estimation, "hard_threshold",
+                        lambda a, rho: block_orders.append(len(a)) or real_hard_threshold(a, rho))
+    mesh = build_mesh(d, m)
+    sides = set()
+    for kernel in kernels:
+        truth = covariance_matrix(kernel, mesh)
+        factor = factorize(truth)
+        truth_norm = spectral_norm_dense(truth)
+        N = max(2, math.ceil(5 * d * math.log(1.0 / kernel.lam)))
+        for c0 in (1.0, 5.0):
+            rule = ThresholdRule(c0=c0, form="simplified")
+            for seed in range(3):
+                ens = sample_ensemble(factor, N, seed, mesh)
+                block_orders.clear()
+                got = estimate_and_report(ens, truth, rule, seed=seed, truth_norm=truth_norm)
+                want = _dense_report(ens, truth, threshold_parameter(ens, rule), truth_norm)
+                _assert_reports_agree(got, want)
+                if not block_orders:
+                    sides.add("zero")
+                    assert got.nnz_fraction == 0.0
+                else:
+                    sides.add("block" if block_orders[0] < mesh.L else "whole")
+    assert sides == {"zero", "block", "whole"}
+
+
+def test_report_dense_fallback_builds_each_operand(monkeypatch):
+    # every norm takes its dense fallback: the explicit sample covariance,
+    # the principal block embedded at its rows, and the shifted block of the
+    # min-eigenvalue solve must reproduce the dense formulation
+    mesh = build_mesh(1, 60)
+    truth = covariance_matrix(se_kernel(0.05), mesh)
+    ens = sample_ensemble(truth, 4, seed=5, mesh=mesh)
+    truth_norm = spectral_norm_dense(truth)
+    rho = 0.6 * float(np.max(np.einsum("ni,ni->i", ens.fields, ens.fields))) / ens.N
+    want = _dense_report(ens, truth, rho, truth_norm)
+    monkeypatch.setattr(estimation, "threshold_parameter", lambda ens, rule: rho)
+    monkeypatch.setattr(estimation, "_power_spectral_norm",
+                        lambda *args, dense=None, **kw: spectral_norm_dense(args[5]()))
+    block_orders = []
+    real_hard_threshold = estimation.hard_threshold
+    monkeypatch.setattr(estimation, "hard_threshold",
+                        lambda a, rho: block_orders.append(len(a)) or real_hard_threshold(a, rho))
+    got = estimate_and_report(ens, truth, ThresholdRule(c0=5.0, form="simplified"),
+                              seed=1, truth_norm=truth_norm)
+    assert 0 < block_orders[0] < mesh.L
+    assert got.psd_min_eig < 0.0
+    _assert_reports_agree(got, want)
+
+
+def test_report_zero_shortcut_boundary(monkeypatch):
+    # a threshold just below the largest diagonal entry keeps it; just above,
+    # the estimate is exactly zero and no Gram product is formed
+    mesh = build_mesh(1, 50)
+    truth = covariance_matrix(se_kernel(0.05), mesh)
+    ens = sample_ensemble(truth, 6, seed=3, mesh=mesh)
+    rule = ThresholdRule(c0=5.0, form="simplified")
+    truth_norm = spectral_norm_dense(truth)
+    diag_max = float(np.max(np.einsum("ni,ni->i", ens.fields, ens.fields))) / ens.N
+    for rho in (diag_max * (1.0 - 1e-9), diag_max):
+        monkeypatch.setattr(estimation, "threshold_parameter", lambda ens, rule: rho)
+        got = estimate_and_report(ens, truth, rule, seed=1, truth_norm=truth_norm)
+        assert got.nnz_fraction > 0.0
+        _assert_reports_agree(got, _dense_report(ens, truth, rho, truth_norm))
+    rho = diag_max * (1.0 + 1e-9)
+    monkeypatch.setattr(estimation, "threshold_parameter", lambda ens, rule: rho)
+    real_survivors = estimation._survivors
+    monkeypatch.setattr(estimation, "_survivors",
+                        lambda *a: pytest.fail("Gram block formed") or real_survivors(*a))
+    got = estimate_and_report(ens, truth, rule, seed=1, truth_norm=truth_norm)
+    assert (got.rho_hat, got.eps_thresh, got.nnz_fraction, got.psd_min_eig) == (rho, 1.0, 0.0, 0.0)
+    assert got.eps_sample == pytest.approx(
+        spectral_norm_dense(sample_covariance(ens).entries - truth.entries) / truth_norm, rel=1e-12)
+
+
+def test_report_never_takes_the_fft_for_a_hand_made_truth(monkeypatch):
+    mesh = build_mesh(1, 40)
+    assembled = covariance_matrix(se_kernel(0.1), mesh)
+    assert assembled.mesh is mesh
+    ens = sample_ensemble(assembled, 8, seed=2, mesh=mesh)
+    rule = ThresholdRule(c0=1.0, form="simplified")
+    want = estimate_and_report(ens, assembled, rule, seed=4)
+    monkeypatch.setattr(sampling, "stationary_matvec", lambda *a: pytest.fail("FFT taken"))
+    hand_made = CovMatrix(assembled.entries.copy(), assembled.mesh_weight)
+    got = estimate_and_report(ens, hand_made, rule, seed=4)
+    assert got.nnz_fraction == want.nnz_fraction > 0.0
+    assert got.eps_thresh == pytest.approx(want.eps_thresh, rel=1e-12)
+    with pytest.raises(pytest.fail.Exception, match="FFT taken"):
+        estimate_and_report(ens, assembled, rule, seed=4)
 
 
 def test_report_csv_row_round_trips():

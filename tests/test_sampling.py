@@ -105,6 +105,30 @@ def test_jitter_ladder_recorded():
     assert ens.jitter == factor.jitter
 
 
+@pytest.mark.parametrize("L", [3, 300, 600])
+def test_factorize_rejects_inexact_symmetry(L):
+    # 300 and 600 put the bad pair off the diagonal tiles of the check
+    base = covariance_matrix(se_kernel(0.1), build_mesh(1, L)).entries
+    for value in (np.nextafter(base[L - 1, 1], 2.0), math.nan):
+        bad = base.copy()
+        bad[L - 1, 1] = value
+        with pytest.raises(SamplingError, match="exactly symmetric"):
+            factorize(CovMatrix(bad, 1.0 / L))
+    nan_pair = base.copy()
+    nan_pair[L - 1, 1] = nan_pair[1, L - 1] = math.nan
+    with pytest.raises(SamplingError, match="exactly symmetric"):
+        factorize(CovMatrix(nan_pair, 1.0 / L))
+
+
+def test_jittered_factor_is_the_shifted_matrix_factor():
+    # SE at a long lengthscale needs the first jitter rung
+    cov = covariance_matrix(se_kernel(0.5), build_mesh(1, 200))
+    factor = factorize(cov)
+    assert factor.jitter == 1e-12
+    want = np.linalg.cholesky(cov.entries + factor.jitter * np.eye(cov.L))
+    assert np.array_equal(factor.lower, want)
+
+
 def test_factorize_rejects_indefinite():
     bad = CovMatrix(entries=np.diag([1.0, -1.0]), mesh_weight=0.5)
     with pytest.raises(SamplingError, match="jitter"):
