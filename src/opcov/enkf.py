@@ -23,9 +23,12 @@ Nothing of order L x L is formed per particle.  A gain reads a covariance
 only through C A^T, i.e. through the columns of C that A touches, so the
 leave-one-out covariances are kept as those columns only: rank-one downdates
 (S[:, cols] - u_n u_n[cols]^T) / (N - 1) of the Gram columns S[:, cols],
-computed once per trial and thresholded entrywise.  The continuity check's
-||loo - C|| is taken matrix-free, as a rank-(N - 1) product minus the
-FFT matvec of the Toeplitz truth covariance.
+computed once per trial and thresholded entrywise.  Every covariance norm
+goes through :func:`opcov.estimation.spectral_norm` (ARPACK) without a dense
+product: the truth norm ||C|| behind c_const and the continuity bound is
+applied by FFT of the Toeplitz truth, and the continuity check's
+||loo - C|| is a ``LinearOperator``, a rank-(N - 1) product minus that FFT
+matvec.
 """
 
 from __future__ import annotations
@@ -36,8 +39,9 @@ from typing import Iterator
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve
+from scipy.sparse.linalg import LinearOperator
 
-from .estimation import SymmetricOperator, ThresholdRule, hard_threshold, spectral_norm
+from .estimation import ThresholdRule, hard_threshold, spectral_norm
 from .kernels import KernelModel
 from .sampling import (
     Ensemble,
@@ -351,10 +355,10 @@ def compare_analysis_updates(
             c_consts[n] = obs.a_op_norm * obs.gamma_inv_norm * cov_op_norm * innov_norms[n]
             if check_continuity:
                 others = np.delete(ens.fields, n, axis=0)
-                loo_minus_cov = SymmetricOperator(
-                    mesh.L,
-                    lambda v: others.T @ (others @ v) / (N - 1) - cov_matvec(v),
-                    lambda: others.T @ others / (N - 1) - cov.entries,
+                loo_minus_cov = LinearOperator(
+                    (mesh.L, mesh.L),
+                    matvec=lambda v: others.T @ (others @ v) / (N - 1) - cov_matvec(v),
+                    dtype=float,
                 )
                 delta = w * spectral_norm(
                     loo_minus_cov, seed=derive_seed(seed, t, 2, n), tol=_NORM_TOL

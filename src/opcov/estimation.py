@@ -6,12 +6,19 @@ per-field suprema, hard thresholding with the keep-ties convention
 |entry| >= rho, and optional eigenvalue clipping to restore positive
 semi-definiteness (which at most doubles the spectral estimation error).
 
-Spectral norms are computed by seeded power iteration with Rayleigh-Ritz
-extraction over a small Krylov basis (restarted Lanczos).  One matrix
-application per step, a residual-certified stopping rule, and restarts on
-stagnation; the subspace extraction is what lets the estimate converge when
-the largest and smallest eigenvalues nearly tie in magnitude, where a bare
-power iteration stalls.
+Spectral norms come from one helper around ARPACK's implicitly restarted
+Lanczos (``scipy.sparse.linalg.eigsh``, k=1, a seeded start vector):
+``which="LM"`` for norms and ``which="SA"`` for the smallest eigenvalue.
+Its stopping rule certifies the residual ||A x - theta x|| <= tol |theta|,
+with no matvec budget and no dense fallback; non-convergence raises
+:class:`SpectralNormError`.  Operands are ``scipy.sparse.linalg.LinearOperator``
+objects or explicit matrices; a CovMatrix that records its mesh (an
+assembled truth) is applied by FFT, so no norm takes a dense product of the
+truth.  The Krylov basis is picked from the operand: wide (64) for an
+FFT-applied truth, whose top eigenvalues cluster about 1e-5 apart at small
+lengthscales, and narrow (12) for everything else, whose top eigenvalue is
+separated.  Operators of order at most 64 are built from their columns and
+solved by ``eigvalsh``.
 
 A figure trial (:func:`estimate_and_report`) forms no L x L matrix unless
 every row of its thresholded estimate can hold a surviving entry.  The sample
@@ -21,28 +28,22 @@ exactly zero when the threshold exceeds every diagonal entry of the sample
 covariance (and hence, by Cauchy-Schwarz, every entry); that costs one O(NL)
 pass.  Otherwise it is formed and thresholded densely, but only on the rows
 and columns that Cauchy-Schwarz leaves able to hold a surviving entry.
-
-Every norm has a budget of max(128, L // 6) matrix applications, where the
-Krylov work on one BLAS thread costs as much as a dense symmetric eigensolve.
-A spectrum the iteration cannot certify within it (small-lengthscale
-covariances, whose top eigenvalues cluster 1e-5 apart) gets the exact
-``eigvalsh`` answer for the explicit operand: the matrix, the shifted
-``s I - A`` of the min-eigenvalue solve, or ``est - truth``, materialized only
-then.  The worst case, a solve that would have certified just past the
-budget, costs about twice the better of the two paths.  The fallback holds
-one extra L x L copy, two when it builds the operand (+800 MB each at
-L = 10,000).  ``spectral_norm``, ``min_eigenvalue`` and ``relative_error``
-also take a :class:`SymmetricOperator`, an operand given by its action, whose
-explicit matrix is built only for that fallback.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
+from scipy.sparse.linalg import (
+    ArpackError,
+    ArpackNoConvergence,
+    LinearOperator,
+    aslinearoperator,
+    eigsh,
+)
 
 from .sampling import CovMatrix, Ensemble, covariance_matvec, ensemble_sup_mean, substream
 
@@ -51,14 +52,12 @@ __all__ = [
     "EstimatorReport",
     "EstimationError",
     "SpectralNormError",
-    "SymmetricOperator",
     "REPORT_CSV_HEADER",
     "sample_covariance",
     "threshold_parameter",
     "hard_threshold",
     "psd_projection",
     "spectral_norm",
-    "spectral_norm_dense",
     "min_eigenvalue",
     "relative_error",
     "estimate_and_report",
@@ -70,13 +69,7 @@ class EstimationError(ValueError):
 
 
 class SpectralNormError(RuntimeError):
-    """Power iteration failed to converge; carries the last iterate."""
-
-    def __init__(self, message: str, estimate: float, residual: float, iterations: int):
-        super().__init__(message)
-        self.estimate = estimate
-        self.residual = residual
-        self.iterations = iterations
+    """The eigensolver did not converge."""
 
 
 @dataclass(frozen=True)
@@ -208,9 +201,22 @@ def psd_projection(cov: CovMatrix) -> CovMatrix:
 # ---------------------------------------------------------------------------
 
 
-# Defaults shared by every norm entry point.
+# Defaults shared by every norm entry point: ARPACK's relative accuracy of the
+# Ritz value, and its cap on implicit restarts.
 _TOL = 1e-9
 _MAXITER = 10_000
+# At or below this order the operator is applied to the identity's columns
+# and the explicit matrix goes to eigvalsh (a size rule, not a fallback).
+_SMALL = 64
+# Krylov basis sizes.  The top eigenvalues of an FFT-applied truth cluster
+# about 1e-5 apart at small lengthscales and need a wide basis; every other
+# operand (a rank-N difference, a thresholded block, an explicit array) has a
+# separated top eigenvalue, where a narrow basis restarts cheaply.
+_NCV_TRUTH = 64
+_NCV = 12
+# ARPACK asks for a random vector after it finds an invariant subspace; an
+# eigsh that takes ``rng`` draws it from the seeded stream.
+_EIGSH_TAKES_RNG = "rng" in inspect.signature(eigsh).parameters
 
 
 def _operand(obj):
@@ -218,175 +224,61 @@ def _operand(obj):
     return obj.entries if isinstance(obj, CovMatrix) else np.asarray(obj, dtype=float)
 
 
-@dataclass(frozen=True)
-class SymmetricOperator:
-    """A symmetric n x n matrix given by its action on vectors.
-
-    ``matvec`` applies it; ``dense`` builds it explicitly and is called only
-    when the Krylov budget runs out (see :func:`_power_spectral_norm`).
-    """
-
-    n: int
-    matvec: Callable[[np.ndarray], np.ndarray]
-    dense: Callable[[], np.ndarray]
-
-
-def _as_operator(obj) -> SymmetricOperator:
-    """``obj`` as a SymmetricOperator; an explicit matrix keeps its own storage."""
-    if isinstance(obj, SymmetricOperator):
+def _as_operator(obj) -> LinearOperator:
+    """``obj`` as a LinearOperator; a CovMatrix acts through :func:`covariance_matvec`."""
+    if isinstance(obj, LinearOperator):
         return obj
-    a = _operand(obj)
-    return SymmetricOperator(a.shape[0], lambda v: a @ v, lambda: a)
+    if isinstance(obj, CovMatrix):
+        return LinearOperator((obj.L, obj.L), matvec=covariance_matvec(obj), dtype=float)
+    return aslinearoperator(_operand(obj))
 
 
-def _top_ritz(alpha, beta, j):
-    """Largest-|value| eigenpair of the j-step Lanczos tridiagonal."""
-    T = np.zeros((j, j))
-    T[np.arange(j), np.arange(j)] = alpha[:j]
-    if j > 1:
-        T[np.arange(j - 1), np.arange(1, j)] = beta[: j - 1]
-        T[np.arange(1, j), np.arange(j - 1)] = beta[: j - 1]
-    vals, vecs = np.linalg.eigh(T)
-    top = int(np.argmax(np.abs(vals)))
-    return float(vals[top]), vecs[:, top]
+def _extreme_eigenvalue(obj, which: str, seed: int, tol: float, maxiter: int) -> float:
+    """The eigenvalue of largest magnitude (``which="LM"``) or the smallest ("SA").
 
-
-def _lanczos_sweep(matvec, start, ncv, budget, tol):
-    """One Lanczos sweep with full reorthogonalization from a unit start vector.
-
-    Checks convergence after every step and exits as soon as the Ritz pair of
-    largest |value| is certified: its residual norm ||A y - theta y||, which
-    equals beta_j * |last component of y| exactly (the reorthogonalization
-    keeps the formula trustworthy), drops to tol * |theta|.  Returns
-    (theta, ritz_vector, residual, matvecs_used).
+    ARPACK's implicitly restarted Lanczos (``eigsh``, k=1) from a start vector
+    seeded by ``seed``; ``tol`` bounds the residual ||A x - theta x|| by
+    tol |theta| and ``maxiter`` caps the restarts.  An FFT-applied truth gets
+    the wide Krylov basis, every other operand the narrow one.  An operator
+    of order at most 64 is built from its columns and solved by eigvalsh.
+    Raises :class:`SpectralNormError` when ARPACK does not converge.
     """
-    n = start.size
-    steps = min(ncv, n, budget)
-    V = np.empty((steps, n))
-    alpha = np.empty(steps)
-    beta = np.empty(steps)
-    V[0] = start
-    used = 0
-    j = 0
-    exhausted = False
-    while j < steps:
-        w = matvec(V[j])
-        used += 1
-        alpha[j] = float(V[j] @ w)
-        w = w - alpha[j] * V[j]
-        if j > 0:
-            w = w - beta[j - 1] * V[j - 1]
-        w = w - V[: j + 1].T @ (V[: j + 1] @ w)
-        beta[j] = float(np.linalg.norm(w))
-        j += 1
-        theta, y = _top_ritz(alpha, beta, j)
-        resid = beta[j - 1] * abs(float(y[-1]))
-        if beta[j - 1] < 1e-300:
-            exhausted = True  # invariant subspace: Ritz values are exact
-            break
-        if resid <= tol * abs(theta):
-            break
-        if j < steps:
-            V[j] = w / beta[j - 1]
-    ritz = V[:j].T @ y
-    nrm = float(np.linalg.norm(ritz))
-    if nrm > 0.0:
-        ritz /= nrm
-    if exhausted:
-        resid = 0.0
-    return theta, ritz, resid, used
-
-
-def _power_spectral_norm(matvec, n, seed, tol, maxiter, dense=None, ncv=128):
-    """Largest |eigenvalue| of a symmetric operator by restarted Krylov iteration.
-
-    Power iteration with Rayleigh-Ritz extraction over a small Krylov basis,
-    restarted from the best Ritz vector; one operator application per step,
-    ``maxiter`` caps the total number of applications.  Plain power iteration
-    stalls beyond recovery when the two largest |eigenvalues| nearly tie
-    (covariances of small-lengthscale kernels have top gaps of order 1e-5);
-    the subspace extraction converges through such clusters while keeping the
-    same certificate: an exact residual norm below tol * |estimate|.
-
-    ``dense`` returns the operator as an explicit n x n matrix; it is called
-    only when the certificate is not met within max(ncv, n // 6) applications,
-    the measured point where Krylov work on one BLAS thread costs as much as a
-    dense symmetric eigensolve, and the exact ``eigvalsh`` answer is returned
-    instead.  Without ``dense``, or with ``maxiter`` at or below that budget,
-    the iteration runs to ``maxiter`` and raises :class:`SpectralNormError`.
-    """
-    limit = maxiter if dense is None else min(maxiter, max(ncv, n // 6))
+    op = _as_operator(obj)
+    n = op.shape[0]
+    if n <= _SMALL:
+        vals = np.linalg.eigvalsh(np.stack([op.matvec(e) for e in np.eye(n)], axis=1))
+        return float(vals[np.argmax(np.abs(vals))] if which == "LM" else vals[0])
     rng = substream(seed, 0x5E07)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    used = 0
-    best = (math.inf, 0.0)  # (relative residual, |theta|)
-    last_rel = math.inf
-    stagnant = 0
-    while used < limit:
-        theta, ritz, resid, sweep_used = _lanczos_sweep(matvec, v, ncv, limit - used, tol)
-        used += sweep_used
-        scale = abs(theta)
-        if scale == 0.0 and resid == 0.0:
-            return 0.0
-        rel = resid / max(scale, 1e-300)
-        if rel < best[0]:
-            best = (rel, scale)
-        if rel <= tol:
-            return scale
-        # Restart on stagnation: a sweep that failed to cut the residual
-        # meaningfully gets a fresh random direction mixed in.
-        if rel > 0.9 * last_rel:
-            stagnant += 1
-        else:
-            stagnant = 0
-        last_rel = rel
-        if stagnant >= 3:
-            stagnant = 0
-            fresh = rng.standard_normal(n)
-            v = ritz + fresh / np.linalg.norm(fresh)
-            v /= np.linalg.norm(v)
-        else:
-            v = ritz
-    if limit < maxiter:
-        return spectral_norm_dense(dense())
-    raise SpectralNormError(
-        f"spectral norm iteration did not reach tol={tol:g} within {maxiter} "
-        f"matrix applications (best estimate {best[1]!r}, relative residual {best[0]:.3e})",
-        estimate=best[1], residual=best[0], iterations=used,
-    )
+    v0 = rng.standard_normal(n)
+    ncv = _NCV_TRUTH if isinstance(obj, CovMatrix) and obj.mesh is not None else _NCV
+    try:
+        (theta,) = eigsh(op, k=1, which=which, v0=v0, ncv=ncv, tol=tol, maxiter=maxiter,
+                         return_eigenvectors=False,
+                         **({"rng": rng} if _EIGSH_TAKES_RNG else {}))
+    except ArpackError as exc:
+        # ARPACK rejects a start vector that the operator maps to zero; for
+        # a random v0 that is the zero operator, whose eigenvalues are all 0.
+        if isinstance(exc, ArpackNoConvergence) or np.any(op.matvec(v0)):
+            raise SpectralNormError(
+                f"ARPACK ({which}) did not reach tol={tol:g} within {maxiter} restarts "
+                f"on an operator of order {n}: {exc}"
+            ) from exc
+        return 0.0
+    return float(theta)
 
 
 def spectral_norm(cov, seed: int = 0, tol: float = _TOL, maxiter: int = _MAXITER) -> float:
-    """Largest absolute eigenvalue of a symmetric matrix, CovMatrix or SymmetricOperator.
+    """Largest absolute eigenvalue of a symmetric matrix, CovMatrix or LinearOperator.
 
-    Seeded restarted Lanczos, with the dense eigensolver as the fallback for
-    spectra it cannot certify cheaply; deterministic given ``seed``.  Raises
-    :class:`SpectralNormError` when an explicit ``maxiter`` at or below the
-    Krylov budget is exhausted, reporting the last estimate and residual.
+    Deterministic given ``seed``.  A CovMatrix that records its mesh is
+    applied by FFT, so an assembled truth takes no dense product.
     """
-    op = _as_operator(cov)
-    return _power_spectral_norm(op.matvec, op.n, seed, tol, maxiter, op.dense)
-
-
-def spectral_norm_dense(cov) -> float:
-    """Dense eigensolver path: the solver's fallback and the test oracle."""
-    return float(np.max(np.abs(np.linalg.eigvalsh(_operand(cov)))))
+    return abs(_extreme_eigenvalue(cov, "LM", seed, tol, maxiter))
 
 
 def min_eigenvalue(cov, seed: int = 0, tol: float = _TOL, maxiter: int = _MAXITER) -> float:
-    """Smallest eigenvalue via two spectral norms (shift by the norm).
-
-    Takes anything :func:`spectral_norm` takes.
-    """
-    op = _as_operator(cov)
-    n = op.n
-    s = _power_spectral_norm(op.matvec, n, seed, tol, maxiter, op.dense)
-    if s == 0.0:
-        return 0.0
-    t = _power_spectral_norm(lambda v: s * v - op.matvec(v), n, seed + 1, tol, maxiter,
-                             lambda: s * np.eye(n) - op.dense())
-    return s - t
+    """Smallest eigenvalue; takes anything :func:`spectral_norm` takes."""
+    return _extreme_eigenvalue(cov, "SA", seed, tol, maxiter)
 
 
 def relative_error(est, truth: CovMatrix, seed: int = 0,
@@ -394,27 +286,26 @@ def relative_error(est, truth: CovMatrix, seed: int = 0,
     """Relative spectral error ||est - truth|| / ||truth||.
 
     ``est`` is anything :func:`spectral_norm` takes: a CovMatrix, an array
-    or a :class:`SymmetricOperator` giving the estimate's action.  Quadrature
-    weights cancel in the ratio, so plain matrix norms are used.  The
-    difference is applied matrix-free, the truth through
-    :func:`covariance_matvec` (by FFT when it records its mesh); it is
-    materialized only if the dense fallback is taken.  An explicit estimate
-    with no nonzero entry has error exactly 1.
+    or a LinearOperator giving the estimate's action.  Quadrature weights
+    cancel in the ratio, so plain matrix norms are used.  The difference is
+    applied matrix-free, the truth through :func:`covariance_matvec` (by FFT
+    when it records its mesh).  An explicit estimate with no nonzero entry
+    has error exactly 1.
     """
     op = _as_operator(est)
-    if op.n != truth.L:
-        raise EstimationError(f"order mismatch: est {op.n} vs truth {truth.L}")
+    n = op.shape[0]
+    if n != truth.L:
+        raise EstimationError(f"order mismatch: est {n} vs truth {truth.L}")
     if truth_norm is None:
         truth_norm = spectral_norm(truth, seed=seed)
     if truth_norm == 0.0:
         raise EstimationError("relative_error is undefined for a zero truth matrix")
-    if not isinstance(est, SymmetricOperator) and not np.any(_operand(est)):
+    if not isinstance(est, LinearOperator) and not np.any(_operand(est)):
         # A fully thresholded estimate: the difference is -truth exactly.
         return 1.0
     truth_matvec = covariance_matvec(truth)
-    diff_norm = _power_spectral_norm(lambda v: op.matvec(v) - truth_matvec(v), op.n, seed,
-                                     _TOL, _MAXITER, lambda: op.dense() - truth.entries)
-    return diff_norm / truth_norm
+    diff = LinearOperator((n, n), matvec=lambda v: op.matvec(v) - truth_matvec(v), dtype=float)
+    return abs(_extreme_eigenvalue(diff, "LM", seed, _TOL, _MAXITER)) / truth_norm
 
 
 def _thresholded_block(ens: Ensemble, rho: float):
@@ -468,8 +359,7 @@ def estimate_and_report(
     F, N = ens.fields, ens.N
     rho_hat = threshold_parameter(ens, rule)
     if np.any(F):
-        sample = SymmetricOperator(L, lambda v: F.T @ (F @ v) / N,
-                                   lambda: sample_covariance(ens).entries)
+        sample = LinearOperator((L, L), matvec=lambda v: F.T @ (F @ v) / N, dtype=float)
         eps_sample = relative_error(sample, truth, seed=seed, truth_norm=truth_norm)
     else:
         eps_sample = 1.0  # the zero sample covariance: the difference is -truth
@@ -482,14 +372,12 @@ def estimate_and_report(
             out[idx] = block @ v[idx]
             return out
 
-        def thresh_dense():
-            out = np.zeros((L, L))
-            out[np.ix_(idx, idx)] = block
-            return out
-
-        thresh = block if idx.size == L else SymmetricOperator(L, thresh_matvec, thresh_dense)
+        thresh = block if idx.size == L else LinearOperator((L, L), matvec=thresh_matvec,
+                                                            dtype=float)
         eps_thresh = relative_error(thresh, truth, seed=seed, truth_norm=truth_norm)
-        min_eig = min_eigenvalue(thresh, seed=seed)
+        # the zero rows and columns off ``idx`` add only the eigenvalue 0,
+        # which psd_min_eig clips to anyway
+        min_eig = min_eigenvalue(block, seed=seed)
     return EstimatorReport(
         rho_hat=rho_hat,
         eps_sample=eps_sample,

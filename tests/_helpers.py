@@ -1,8 +1,9 @@
-"""Shared test utilities: hand-built ensembles and meshes for edge cases."""
+"""Shared test utilities: hand-built ensembles and meshes for edge cases, and
+the dense spectral-norm oracle."""
 
 import numpy as np
 
-from opcov.sampling import Ensemble, Mesh
+from opcov.sampling import CovMatrix, Ensemble, Mesh
 
 
 def make_mesh(L: int, weight: float | None = None) -> Mesh:
@@ -16,3 +17,9 @@ def make_ensemble(fields, weight: float | None = None) -> Ensemble:
     mesh = make_mesh(L, weight)
     return Ensemble(mesh=mesh, N=N, fields=fields, sups=fields.max(axis=1),
                     seed=0, jitter=0.0)
+
+
+def spectral_norm_dense(cov) -> float:
+    """Largest |eigenvalue| of a CovMatrix or array by the dense eigensolver."""
+    a = cov.entries if isinstance(cov, CovMatrix) else np.asarray(cov, dtype=float)
+    return float(np.max(np.abs(np.linalg.eigvalsh(a))))

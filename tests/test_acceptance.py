@@ -12,15 +12,16 @@ import time
 import numpy as np
 import pytest
 
+from _helpers import spectral_norm_dense
 from opcov.cli import ExperimentConfig, fig1_config, run_figure
 from opcov.enkf import pointwise_observation, compare_analysis_updates
 from opcov.estimation import (
     ThresholdRule,
-    _power_spectral_norm,
+    _SMALL,
+    _extreme_eigenvalue,
     estimate_and_report,
     psd_projection,
     spectral_norm,
-    spectral_norm_dense,
 )
 from opcov.kernels import se_kernel
 from opcov.sampling import CovMatrix, build_mesh, covariance_matrix, factorize, sample_ensemble
@@ -131,16 +132,17 @@ def test_criterion_04_psd_projection_factor_two():
 
 
 def test_criterion_05_spectral_norm_oracle_equivalence():
-    """Iterative spectral norm matches the dense eigensolver to 1e-8.
+    """The ARPACK spectral norm matches the dense eigensolver to 1e-8.
 
-    The matrices go through the Krylov solver with no dense operand, at the
-    defaults of ``spectral_norm``, so the dense fallback cannot answer for it.
+    Every matrix is larger than the order below which the norm helper takes
+    ``eigvalsh`` itself, so each one goes through ARPACK at the defaults of
+    ``spectral_norm``.
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(5)
     worst = 0.0
     for trial in range(200):
-        L = int(rng.integers(4, 257))
+        L = int(rng.integers(_SMALL + 1, 257))
         kind = trial % 3
         if kind == 0:  # dense Gaussian symmetric
             a = rng.normal(size=(L, L))
@@ -156,7 +158,7 @@ def test_criterion_05_spectral_norm_oracle_equivalence():
             sym = (q * vals) @ q.T
             sym = 0.5 * (sym + sym.T)
         want = spectral_norm_dense(sym)
-        got = _power_spectral_norm(lambda v: sym @ v, L, trial, 1e-9, 10_000)
+        got = abs(_extreme_eigenvalue(sym, "LM", trial, 1e-9, 10_000))
         worst = max(worst, abs(got - want) / want)
     ok = worst <= 1e-8
     assert report(5, ok, f"worst relative error {worst:.2e} <= 1e-8 over 200 matrices", t0)

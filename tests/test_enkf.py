@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from _helpers import make_ensemble
+from _helpers import make_ensemble, spectral_norm_dense
 from opcov import enkf
 from opcov.enkf import (
     EnkfError,
@@ -21,7 +21,6 @@ from opcov.estimation import (
     EstimationError,
     ThresholdRule,
     hard_threshold,
-    spectral_norm_dense,
     threshold_parameter,
 )
 from opcov.kernels import matern_kernel, se_kernel

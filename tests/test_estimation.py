@@ -1,19 +1,21 @@
+import dataclasses
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import make_ensemble
+from scipy.sparse.linalg import LinearOperator
+
+from _helpers import make_ensemble, spectral_norm_dense
 from opcov import estimation, sampling
 from opcov.estimation import (
     EstimationError,
     EstimatorReport,
     SpectralNormError,
-    SymmetricOperator,
     ThresholdRule,
-    _power_spectral_norm,
     estimate_and_report,
     hard_threshold,
     min_eigenvalue,
@@ -22,7 +24,6 @@ from opcov.estimation import (
     report_csv_row,
     sample_covariance,
     spectral_norm,
-    spectral_norm_dense,
     threshold_parameter,
 )
 from opcov.kernels import matern_kernel, se_kernel
@@ -233,9 +234,29 @@ def test_spectral_norm_examples():
     assert spectral_norm(cov(np.diag([3.0, -5.0, 1.0]))) == pytest.approx(5.0, rel=1e-12)
     assert spectral_norm(cov(np.eye(17))) == pytest.approx(1.0, rel=1e-12)
     assert spectral_norm(cov(np.zeros((4, 4)))) == 0.0
-    diag = np.array([3.0, -5.0, 1.0])
-    op = SymmetricOperator(3, lambda v: diag * v, lambda: pytest.fail("dense operand built"))
-    assert spectral_norm(op) == pytest.approx(5.0, rel=1e-12)
+    for n in (3, 100):  # eigvalsh of the built columns, then ARPACK
+        diag = np.resize([3.0, -5.0, 1.0], n)
+        op = LinearOperator((n, n), matvec=lambda v: diag * v, dtype=float)
+        assert spectral_norm(op) == pytest.approx(5.0, rel=1e-12)
+        assert min_eigenvalue(op) == pytest.approx(-5.0, rel=1e-12)
+
+
+def test_zero_operand_at_arpack_size():
+    # ARPACK rejects a start vector the operator maps to zero; the answers
+    # stay exact
+    n = 100
+    truth = covariance_matrix(se_kernel(0.05), build_mesh(1, n))
+    zero_op = LinearOperator((n, n), matvec=lambda v: np.zeros(n), dtype=float)
+    for zero in (np.zeros((n, n)), cov(np.zeros((n, n))), zero_op):
+        assert spectral_norm(zero, seed=3) == 0.0
+        assert min_eigenvalue(zero, seed=3) == 0.0
+    assert relative_error(np.zeros((n, n)), truth) == 1.0
+    assert relative_error(cov(np.zeros((n, n))), truth) == 1.0
+    # est = truth makes the difference operator zero
+    assert relative_error(truth, truth) == 0.0
+    assert relative_error(truth.entries, cov(truth.entries)) == 0.0
+    same = LinearOperator((n, n), matvec=lambda v: truth.entries @ v, dtype=float)
+    assert relative_error(same, cov(truth.entries)) == 0.0
 
 
 def test_spectral_norm_matches_dense_oracle():
@@ -257,63 +278,94 @@ def test_spectral_norm_deterministic_given_seed():
 
 
 def test_spectral_norm_nonconvergence_reports_state():
-    # a clustered spectrum with an absurdly small matvec budget
+    # a clustered spectrum with an absurdly small restart cap; the error
+    # names the solve, the tolerance, the cap and the order
     rng = np.random.default_rng(1)
-    q, _ = np.linalg.qr(rng.normal(size=(50, 50)))
-    vals = np.linspace(0.99999, 1.0, 50)
+    q, _ = np.linalg.qr(rng.normal(size=(100, 100)))
+    vals = np.linspace(0.99999, 1.0, 100)
     sym = (q * vals) @ q.T
-    with pytest.raises(SpectralNormError) as err:
-        spectral_norm(0.5 * (sym + sym.T), seed=0, maxiter=3)
-    assert err.value.estimate > 0.9
-    assert err.value.iterations <= 3
-    assert math.isfinite(err.value.residual)
+    with pytest.raises(SpectralNormError, match=r"\(LM\).*tol=1e-09 within 1 restarts.*order 100"):
+        spectral_norm(0.5 * (sym + sym.T), seed=0, maxiter=1)
 
 
-def test_clustered_spectrum_falls_back_to_dense():
-    # a small-lengthscale truth: its top eigenvalues cluster, the 1e-9
-    # certificate takes ~650 matvecs, past the max(128, L // 6) budget, so
-    # every entry point answers with the dense eigensolver
+def test_clustered_spectrum_converges_without_dense():
+    # a small-lengthscale truth: its top eigenvalues cluster, and the 1e-9
+    # certificate takes far more matvecs than the former 128-matvec budget;
+    # ARPACK certifies it from the operator's action alone
     L = 300
-    sym = covariance_matrix(se_kernel(1e-3), build_mesh(1, L)).entries
+    truth = covariance_matrix(se_kernel(1e-3), build_mesh(1, L))
+    sym = truth.entries
+    vals = np.linalg.eigvalsh(sym)
+    want = float(np.max(np.abs(vals)))
     calls = []
-
-    def matvec(v):
-        calls.append(1)
-        return sym @ v
-
-    assert _power_spectral_norm(matvec, L, 0, 1e-9, 10_000, lambda: sym) == spectral_norm_dense(sym)
-    assert len(calls) == 128
-    assert spectral_norm(sym) == spectral_norm_dense(sym)
-    # a matrix-free operand has the same budget; its matrix is built only then
-    calls.clear()
-    built = []
-    op = SymmetricOperator(L, matvec, lambda: built.append(1) or sym)
-    assert spectral_norm(op) == spectral_norm_dense(sym)
-    assert (len(calls), len(built)) == (128, 1)
-    assert min_eigenvalue(sym) == pytest.approx(np.min(np.linalg.eigvalsh(sym)), rel=1e-12)
+    op = LinearOperator((L, L), matvec=lambda v: calls.append(1) or sym @ v, dtype=float)
+    assert abs(spectral_norm(op) - want) <= 1e-12 * want
+    assert len(calls) > 128
+    assert abs(spectral_norm(truth) - want) <= 1e-12 * want
+    assert min_eigenvalue(sym) == pytest.approx(vals[0], rel=1e-12)
     half = 0.5 * np.eye(L)
     got = relative_error(cov(sym), cov(half), truth_norm=0.5)
-    assert got == spectral_norm_dense(sym - half) / 0.5
-    with pytest.raises(SpectralNormError):
-        spectral_norm(sym, maxiter=128)
+    assert got == pytest.approx(spectral_norm_dense(sym - half) / 0.5, rel=1e-12)
 
 
-@pytest.mark.parametrize("seed", [1, 2, 5])
-def test_small_lengthscale_truth_norm_is_exact(seed):
-    # these seeds exhausted 10_000 Lanczos matvecs before the dense fallback
-    truth = covariance_matrix(se_kernel(5e-4), build_mesh(1, 1250))
-    want = spectral_norm_dense(truth)
-    assert abs(spectral_norm(truth, seed=seed) - want) <= 1e-12 * want
+@pytest.fixture(scope="module")
+def small_lengthscale_truths():
+    out = []
+    for kernel in (se_kernel(5e-4), matern_kernel(5e-4, 1.5)):
+        truth = covariance_matrix(kernel, build_mesh(1, 1250))
+        out.append((truth, spectral_norm_dense(truth)))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_small_lengthscale_truth_norm_is_exact(seed, small_lengthscale_truths):
+    # seeds 1, 2 and 5 once exhausted 10_000 Lanczos matvecs on the SE truth
+    for truth, want in small_lengthscale_truths:
+        assert abs(spectral_norm(truth, seed=seed) - want) <= 1e-12 * want
+
+
+def test_mesh_truth_norm_takes_no_dense_product():
+    class NoMatmul(np.ndarray):
+        def __matmul__(self, other):
+            raise AssertionError("dense product with the truth")
+
+        __rmatmul__ = __matmul__
+
+    for d, m, kernel in ((1, 200, se_kernel(0.01)), (2, 12, matern_kernel(0.1, 1.5))):
+        truth = covariance_matrix(kernel, build_mesh(d, m))
+        want = spectral_norm_dense(truth)
+        guarded = dataclasses.replace(truth, entries=truth.entries.view(NoMatmul))
+        with pytest.raises(AssertionError, match="dense product"):
+            guarded.entries @ np.ones(truth.L)
+        assert abs(spectral_norm(guarded, seed=2) - want) <= 1e-12 * want
+
+
+def test_spectral_norm_in_threads_matches_serial():
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(150, 150))
+    sym = 0.5 * (a + a.T)
+    truth = covariance_matrix(se_kernel(2e-3), build_mesh(1, 400))
+    F = rng.normal(size=(9, 400))
+    truth_matvec = sampling.covariance_matvec(truth)
+    sample_minus_truth = LinearOperator(
+        (400, 400), matvec=lambda v: F.T @ (F @ v) / 9 - truth_matvec(v), dtype=float)
+    operands = [truth, sym, sample_minus_truth, truth, sym, sample_minus_truth,
+                cov(np.diag(np.arange(1.0, 81.0))), truth]
+    serial = [spectral_norm(obj, seed=s) for s, obj in enumerate(operands)]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        threaded = list(pool.map(lambda s: spectral_norm(operands[s], seed=s), range(8)))
+    assert threaded == serial
 
 
 def test_min_eigenvalue_matches_dense():
     rng = np.random.default_rng(8)
     for trial in range(10):
-        a = rng.normal(size=(30, 30))
-        sym = 0.5 * (a + a.T)
-        want = float(np.min(np.linalg.eigvalsh(sym)))
-        got = min_eigenvalue(sym, seed=trial)
-        assert got == pytest.approx(want, rel=1e-8, abs=1e-9)
+        for L in (30, 120):  # eigvalsh of the built columns, then ARPACK
+            a = rng.normal(size=(L, L))
+            sym = 0.5 * (a + a.T)
+            want = float(np.min(np.linalg.eigvalsh(sym)))
+            got = min_eigenvalue(sym, seed=trial)
+            assert got == pytest.approx(want, rel=1e-8, abs=1e-9)
     assert min_eigenvalue(np.diag([1.0, -0.5])) == pytest.approx(-0.5, rel=1e-10)
     assert min_eigenvalue(np.zeros((3, 3))) == 0.0
 
@@ -431,6 +483,8 @@ def _assert_reports_agree(got, want):
 @pytest.mark.parametrize("d,m,kernels", [
     (1, 60, [se_kernel(0.5), se_kernel(0.05), matern_kernel(0.5, 1.5), matern_kernel(0.05, 1.5)]),
     (2, 8, [se_kernel(0.5), se_kernel(0.1), matern_kernel(0.5, 1.5), matern_kernel(0.1, 1.5)]),
+    # above the order where the norm helper builds columns, so ARPACK runs
+    (1, 100, [se_kernel(0.5), se_kernel(0.05), matern_kernel(0.5, 1.5), matern_kernel(0.05, 1.5)]),
 ])
 def test_report_matches_dense_formulation(d, m, kernels, monkeypatch):
     # rho_hat and nnz are equal and the errors agree to rounding whether the
@@ -462,19 +516,18 @@ def test_report_matches_dense_formulation(d, m, kernels, monkeypatch):
     assert sides == {"zero", "block", "whole"}
 
 
-def test_report_dense_fallback_builds_each_operand(monkeypatch):
-    # every norm takes its dense fallback: the explicit sample covariance,
-    # the principal block embedded at its rows, and the shifted block of the
-    # min-eigenvalue solve must reproduce the dense formulation
-    mesh = build_mesh(1, 60)
+@pytest.mark.parametrize("m", [60, 120])
+def test_report_block_operands_match_dense(m, monkeypatch):
+    # a principal block of fewer than L rows with a negative eigenvalue: the
+    # sample and block operands, built from their columns (m = 60) or taken
+    # by ARPACK (m = 120), must reproduce the dense formulation
+    mesh = build_mesh(1, m)
     truth = covariance_matrix(se_kernel(0.05), mesh)
     ens = sample_ensemble(truth, 4, seed=5, mesh=mesh)
     truth_norm = spectral_norm_dense(truth)
     rho = 0.6 * float(np.max(np.einsum("ni,ni->i", ens.fields, ens.fields))) / ens.N
     want = _dense_report(ens, truth, rho, truth_norm)
     monkeypatch.setattr(estimation, "threshold_parameter", lambda ens, rule: rho)
-    monkeypatch.setattr(estimation, "_power_spectral_norm",
-                        lambda *args, dense=None, **kw: spectral_norm_dense(args[5]()))
     block_orders = []
     real_hard_threshold = estimation.hard_threshold
     monkeypatch.setattr(estimation, "hard_threshold",
