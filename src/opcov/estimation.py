@@ -349,7 +349,8 @@ def estimate_and_report(
     as F^T (F v) / N - C v, with C v by FFT for an assembled truth, and the
     thresholded estimate is its principal block on the rows that can
     (:func:`_thresholded_block`; none when the threshold exceeds every
-    diagonal entry, and then the estimate is exactly zero).
+    diagonal entry, and then the estimate is exactly zero).  When every entry
+    survives, the estimate is the sample covariance and shares its error.
     """
     L = truth.L
     if ens.mesh.L != L:
@@ -366,6 +367,10 @@ def estimate_and_report(
     idx, block, nnz = _thresholded_block(ens, rho_hat)
     if nnz == 0:
         eps_thresh, min_eig = 1.0, 0.0
+    elif nnz == L * L:
+        # nothing is thresholded away: the estimate is the sample covariance,
+        # a Gram matrix and so PSD
+        eps_thresh, min_eig = eps_sample, 0.0
     else:
         def thresh_matvec(v):
             out = np.zeros(L)

@@ -539,6 +539,31 @@ def test_report_block_operands_match_dense(m, monkeypatch):
     _assert_reports_agree(got, want)
 
 
+@pytest.mark.parametrize("keep", ["every entry", "most entries"])
+def test_report_whole_matrix_matches_dense(keep, monkeypatch):
+    # every row qualifies, so the block is the whole matrix (m = 100 takes
+    # ARPACK); with nothing thresholded away the estimate is the sample
+    # covariance, which shares its error and is PSD without a solve
+    mesh = build_mesh(1, 100)
+    truth = covariance_matrix(se_kernel(0.3), mesh)
+    ens = sample_ensemble(truth, 7, seed=2, mesh=mesh)
+    truth_norm = spectral_norm_dense(truth)
+    S = sample_covariance(ens).entries
+    rho = 0.0 if keep == "every entry" else float(np.quantile(np.abs(S), 0.2))
+    monkeypatch.setattr(estimation, "threshold_parameter", lambda ens, rule: rho)
+    if keep == "every entry":
+        monkeypatch.setattr(estimation, "min_eigenvalue",
+                            lambda *a, **k: pytest.fail("min-eigenvalue solve run"))
+    got = estimate_and_report(ens, truth, ThresholdRule(c0=5.0, form="simplified"),
+                              seed=3, truth_norm=truth_norm)
+    _assert_reports_agree(got, _dense_report(ens, truth, rho, truth_norm))
+    if keep == "every entry":
+        assert got.nnz_fraction == 1.0
+        assert (got.eps_thresh, got.psd_min_eig) == (got.eps_sample, 0.0)
+    else:
+        assert 0.5 < got.nnz_fraction < 1.0 and got.psd_min_eig < 0.0
+
+
 def test_report_zero_shortcut_boundary(monkeypatch):
     # a threshold just below the largest diagonal entry keeps it; just above,
     # the estimate is exactly zero and no Gram product is formed
