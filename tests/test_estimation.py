@@ -286,12 +286,15 @@ def test_spectral_norm_nonconvergence_reports_state():
     sym = (q * vals) @ q.T
     with pytest.raises(SpectralNormError, match=r"\(LM\).*tol=1e-09 within 1 restarts.*order 100"):
         spectral_norm(0.5 * (sym + sym.T), seed=0, maxiter=1)
+    # at order 64 and below the built matrix goes to eigvalsh, which has no cap
+    small = 0.5 * (sym[:64, :64] + sym[:64, :64].T)
+    assert spectral_norm(small, seed=0, maxiter=1) == spectral_norm_dense(small)
 
 
 def test_clustered_spectrum_converges_without_dense():
     # a small-lengthscale truth: its top eigenvalues cluster, and the 1e-9
-    # certificate takes far more matvecs than the former 128-matvec budget;
-    # ARPACK certifies it from the operator's action alone
+    # certificate takes hundreds of matvecs; ARPACK reaches it from the
+    # operator's action alone
     L = 300
     truth = covariance_matrix(se_kernel(1e-3), build_mesh(1, L))
     sym = truth.entries
@@ -319,7 +322,7 @@ def small_lengthscale_truths():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_small_lengthscale_truth_norm_is_exact(seed, small_lengthscale_truths):
-    # seeds 1, 2 and 5 once exhausted 10_000 Lanczos matvecs on the SE truth
+    # lambda = 5e-4 clusters the top eigenvalues about 1e-5 apart
     for truth, want in small_lengthscale_truths:
         assert abs(spectral_norm(truth, seed=seed) - want) <= 1e-12 * want
 
