@@ -355,7 +355,8 @@ def _run_kernel_sweep(cfg: ExperimentConfig, kernel_idx: int, template: str, out
             frac_thresh_worse=float(np.mean(eps_t >= eps_s)),
         ))
         trial_s = sum(dt for _, _, dt in results)
-        timings.append(f"{name_prefix} lambda={lam!r} setup_s={setup_s:.3f} trials_s={trial_s:.3f}")
+        timings.append(f"{name_prefix} lambda={lam!r} setup_s={setup_s:.3f} trials_s={trial_s:.3f} "
+                       f"sampler={factor.sampler} jitter={factor.jitter:g}")
 
     trials_path = out_dir / f"{name_prefix}_trials.csv"
     with open(trials_path, "w", newline="") as fh:
@@ -478,8 +479,10 @@ def run_enkf_demo(cfg: ExperimentConfig) -> list[dict]:
         summary_rows.append(record)
         for key, value in record.items():
             kv_lines.append(f"lambda_{lam_idx}.{key} = {value!r}")
-        # Not a CSV column: the CSV schema predates the indefinite solve.
+        # Not CSV columns: the CSV schema predates the indefinite solve and
+        # the circulant sampler.
         kv_lines.append(f"lambda_{lam_idx}.indefinite_gains = {summary.indefinite_gains!r}")
+        kv_lines.append(f"lambda_{lam_idx}.sampler = {summary.sampler!r}")
     with open(out_dir / "enkf_demo_trials.csv", "w", newline="") as fh:
         fh.write(_timestamp_line() + "\n")
         fh.write(enkf_mod.TRIAL_CSV_HEADER + "\n")

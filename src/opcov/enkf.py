@@ -23,12 +23,12 @@ Nothing of order L x L is formed per particle.  A gain reads a covariance
 only through C A^T, i.e. through the columns of C that A touches, so the
 leave-one-out covariances are kept as those columns only: rank-one downdates
 (S[:, cols] - u_n u_n[cols]^T) / (N - 1) of the Gram columns S[:, cols],
-computed once per trial and thresholded entrywise.  Every covariance norm
-goes through :func:`opcov.estimation.spectral_norm` (ARPACK) without a dense
-product: the truth norm ||C|| behind c_const and the continuity bound is
-applied by FFT of the Toeplitz truth, and the continuity check's
-||loo - C|| is a ``LinearOperator``, a rank-(N - 1) product minus that FFT
-matvec.
+computed once per trial and thresholded entrywise; the mean-field gain reads
+the same columns of the truth, gathered from its first row.  Every covariance
+norm goes through :func:`opcov.estimation.spectral_norm` (ARPACK) without a
+dense product: the truth norm ||C|| behind c_const and the continuity bound is
+applied by FFT of the Toeplitz truth, and the continuity check's ||loo - C||
+is a ``LinearOperator``, a rank-(N - 1) product minus that FFT matvec.
 """
 
 from __future__ import annotations
@@ -264,7 +264,11 @@ class AnalysisComparison:
 
 @dataclass(frozen=True)
 class AnalysisComparisonSummary:
-    """Aggregate of the three-way analysis comparison over independent trials."""
+    """Aggregate of the three-way analysis comparison over independent trials.
+
+    ``sampler`` names how the forecast and truth fields were drawn
+    (:attr:`opcov.sampling.CovFactor.sampler`).
+    """
 
     trials: list[AnalysisComparison]
     mean_vanilla: float
@@ -272,6 +276,7 @@ class AnalysisComparisonSummary:
     frac_localized_better: float
     continuity_all_ok: bool
     indefinite_gains: int = 0
+    sampler: str = "cholesky"
 
     def pooled_quantiles(self) -> dict[str, float]:
         van = np.concatenate([t.disc_vanilla for t in self.trials])
@@ -325,14 +330,14 @@ def compare_analysis_updates(
     cov = covariance_matrix(kernel, mesh)
     factor = factorize(cov)
     cov_matvec = covariance_matvec(cov)
-    gain_true = kalman_gain(obs.cross_covariance(cov.entries[:, obs.cols]), obs)
+    gain_true = kalman_gain(obs.cross_covariance(cov.columns(obs.cols)), obs)
     cov_op_norm = mesh.weight * spectral_norm(cov, seed=derive_seed(seed, 0xC0), tol=_NORM_TOL)
     w = mesh.weight
     results: list[AnalysisComparison] = []
     for t in range(trials):
         ens = sample_ensemble(factor, N, derive_seed(seed, t, 0), mesh)
+        u_truth = sample_ensemble(factor, 1, derive_seed(seed, t, 3), mesh).fields[0]
         rng = substream(seed, t, 1)
-        u_truth = factor.lower @ rng.standard_normal(mesh.L)
         y = obs.A @ u_truth + obs.gamma_lower @ rng.standard_normal(obs.d_y)
         etas = rng.standard_normal((N, obs.d_y)) @ obs.gamma_lower.T
         disc_v = np.empty(N)
@@ -344,13 +349,13 @@ def compare_analysis_updates(
         for n, loo, loo_thresh, _rho in loo_covariances(ens, rule, obs.cols):
             u = ens.fields[n]
             innov = y - obs.A @ u - etas[n]
-            v_star = u + gain_true @ innov
+            v_star = analysis_update(u, etas[n], y, gain_true, obs)
             gain_v = kalman_gain(obs.cross_covariance(loo), obs)
             CA_l = obs.cross_covariance(loo_thresh)
             gain_l = kalman_gain(CA_l, obs)
             indefinite += not _is_positive_definite(_innovation(CA_l, obs))
-            disc_v[n] = state_norm(u + gain_v @ innov - v_star, w)
-            disc_l[n] = state_norm(u + gain_l @ innov - v_star, w)
+            disc_v[n] = state_norm(analysis_update(u, etas[n], y, gain_v, obs) - v_star, w)
+            disc_l[n] = state_norm(analysis_update(u, etas[n], y, gain_l, obs) - v_star, w)
             innov_norms[n] = float(np.linalg.norm(innov))
             c_consts[n] = obs.a_op_norm * obs.gamma_inv_norm * cov_op_norm * innov_norms[n]
             if check_continuity:
@@ -382,4 +387,5 @@ def compare_analysis_updates(
         frac_localized_better=frac,
         continuity_all_ok=all(r.continuity_ok for r in results),
         indefinite_gains=sum(r.indefinite_gains for r in results),
+        sampler=factor.sampler,
     )

@@ -12,9 +12,9 @@ Lanczos (``scipy.sparse.linalg.eigsh``, k=1, a seeded start vector):
 Its stopping rule certifies the residual ||A x - theta x|| <= tol |theta|,
 with no matvec budget and no dense fallback; non-convergence raises
 :class:`SpectralNormError`.  Operands are ``scipy.sparse.linalg.LinearOperator``
-objects or explicit matrices; a CovMatrix that records its mesh (an
-assembled truth) is applied by FFT, so no norm takes a dense product of the
-truth.  The Krylov basis is picked from the operand: wide (64) for an
+objects or explicit matrices; a CovMatrix that records its first row (an
+assembled truth, which holds no matrix) is applied by FFT, so no norm takes a
+dense product of the truth.  The Krylov basis is picked from the operand: wide (64) for an
 FFT-applied truth, whose top eigenvalues cluster about 1e-5 apart at small
 lengthscales, and narrow (12) for everything else, whose top eigenvalue is
 separated.  Operators of order at most 64 are built from their columns and
@@ -220,7 +220,12 @@ _EIGSH_TAKES_RNG = "rng" in inspect.signature(eigsh).parameters
 
 
 def _operand(obj):
-    """The explicit matrix behind ``obj``; a CovMatrix keeps its own array."""
+    """The explicit matrix behind ``obj``.
+
+    A CovMatrix gives its ``entries``, which an assembled truth gathers from
+    its first row on each read; the norm and trial paths never call this on
+    a truth.
+    """
     return obj.entries if isinstance(obj, CovMatrix) else np.asarray(obj, dtype=float)
 
 
@@ -250,7 +255,7 @@ def _extreme_eigenvalue(obj, which: str, seed: int, tol: float, maxiter: int) ->
         return float(vals[np.argmax(np.abs(vals))] if which == "LM" else vals[0])
     rng = substream(seed, 0x5E07)
     v0 = rng.standard_normal(n)
-    ncv = _NCV_TRUTH if isinstance(obj, CovMatrix) and obj.mesh is not None else _NCV
+    ncv = _NCV_TRUTH if isinstance(obj, CovMatrix) and obj.row is not None else _NCV
     try:
         (theta,) = eigsh(op, k=1, which=which, v0=v0, ncv=ncv, tol=tol, maxiter=maxiter,
                          return_eigenvectors=False,
@@ -270,7 +275,7 @@ def _extreme_eigenvalue(obj, which: str, seed: int, tol: float, maxiter: int) ->
 def spectral_norm(cov, seed: int = 0, tol: float = _TOL, maxiter: int = _MAXITER) -> float:
     """Largest absolute eigenvalue of a symmetric matrix, CovMatrix or LinearOperator.
 
-    Deterministic given ``seed``.  A CovMatrix that records its mesh is
+    Deterministic given ``seed``.  A CovMatrix that records its first row is
     applied by FFT, so an assembled truth takes no dense product.
     """
     return abs(_extreme_eigenvalue(cov, "LM", seed, tol, maxiter))
@@ -289,7 +294,7 @@ def relative_error(est, truth: CovMatrix, seed: int = 0,
     or a LinearOperator giving the estimate's action.  Quadrature weights
     cancel in the ratio, so plain matrix norms are used.  The difference is
     applied matrix-free, the truth through :func:`covariance_matvec` (by FFT
-    when it records its mesh).  An explicit estimate with no nonzero entry
+    when it records its first row).  An explicit estimate with no nonzero entry
     has error exactly 1.
     """
     op = _as_operator(est)

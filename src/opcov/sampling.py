@@ -1,14 +1,25 @@
-"""Meshes on the unit cube, discretized covariance matrices, exact Gaussian draws.
+"""Meshes on the unit cube, stationary covariances held as their first row, exact Gaussian draws.
 
 The mesh is cell-centered so that the quadrature weight is exactly 1/L and
 discrete sums approximate integrals over [0,1]^d with no boundary correction.
-Sampling uses a dense symmetric factorization (exact, no circulant embedding
-or truncation) with a fixed diagonal-jitter ladder; the jitter actually used
-is recorded on the ensemble.  ``stationary_matvec`` applies a covariance
-without its dense product, through the FFT of a circulant embedding; it is
-used for operator norms, not for sampling.  ``covariance_matvec`` picks it
-for an assembled covariance, which records its mesh, and the dense product
-for any other matrix.  Randomness comes from the
+
+A stationary isotropic kernel sampled on the uniform mesh is a d-level
+symmetric Toeplitz matrix, fixed by its first row, so :func:`covariance_matrix`
+records the mesh, the kernel and that row and no L x L array.  Entries are
+gathered from the row on request (exactly symmetric and Toeplitz) and never
+kept.  ``stationary_matvec`` applies the covariance through the FFT of a
+circulant embedding of the row; ``covariance_matvec`` picks it for such a
+covariance and the dense product for any other matrix.
+
+Draws are exact in distribution up to a recorded ``jitter``.  :func:`factorize`
+takes the minimal circulant embedding (2m points per axis, the kernel at the
+middle) and, when its eigenvalues are nonnegative up to rounding
+(lambda_min >= -64 eps lambda_max), draws through its FFT, two fields per
+complex transform (Dietrich & Newsam 1997; Wood & Chan 1994); the clipped
+|lambda_min| is the jitter, a bound on the spectral norm of the difference
+between the drawn covariance and the matrix.  Otherwise the gathered matrix
+gets a dense Cholesky factor with a fixed diagonal-jitter ladder, and the
+jitter is the diagonal shift used, the same bound.  Randomness comes from the
 counter-based Philox generator keyed through ``numpy.random.SeedSequence`` so
 that per-trial substreams are independent of execution order and thread
 count.
@@ -20,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .kernels import KernelModel, eval_kernel
 
@@ -42,11 +52,21 @@ __all__ = [
     "derive_seed",
 ]
 
-# Dense L x L storage caps the mesh size; 12,500 points (~1.25 GB per matrix
-# at float64) is the desk-scale limit for every supported dimension.
+# A covariance is held as its first row, but a Cholesky-path truth (large
+# lengthscales) still factors the L x L matrix, and the figure trials form an
+# L x L block when every row can keep an entry; 12,500 points (~1.25 GB per
+# matrix at float64) is the desk-scale limit for every supported dimension.
 MAX_MESH_POINTS = 12_500
 
 _JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
+
+# The circulant embedding draws by FFT when lambda_min >= -_CIRCULANT_TOL *
+# lambda_max: rounding-level negatives are at most 1.6e-16 relative on the
+# reference grids, real ones at least 2e-5.
+_CIRCULANT_TOL = 64 * np.finfo(float).eps
+# Complex entries per block of FFT draws, so a draw's temporaries stay small
+# next to its N x L output.
+_DRAW_CHUNK = 1 << 16
 
 
 class SamplingError(RuntimeError):
@@ -87,37 +107,99 @@ class Mesh:
     weight: float
 
 
-@dataclass(frozen=True)
+def _toeplitz_gather(row: np.ndarray, mesh: Mesh, cols=None) -> np.ndarray:
+    """Entries C[i, j] = row[|i - j|] (per axis) of a d-level Toeplitz matrix.
+
+    Every row and the columns ``cols`` (every column when None).  The full
+    matrix is indexed as an (m,)*2d array whose axis a pairs with axis d + a,
+    so the index arrays are m x m and broadcast, never L x L.
+    """
+    m, d = mesh.m, mesh.d
+    first = row.reshape((m,) * d)
+    if cols is None:
+        ax = np.arange(m)
+        gap = np.abs(ax[:, None] - ax[None, :])
+        index = tuple(gap.reshape((1,) * a + (m,) + (1,) * (d - 1) + (m,) + (1,) * (d - 1 - a))
+                      for a in range(d))
+        return first[index].reshape(mesh.L, mesh.L)
+    rows = np.unravel_index(np.arange(mesh.L), first.shape)
+    picked = np.unravel_index(np.asarray(cols), first.shape)
+    return first[tuple(np.abs(i[:, None] - j[None, :]) for i, j in zip(rows, picked))]
+
+
+class _DenseOnRequest:
+    """The ``entries`` field of :class:`CovMatrix`.
+
+    Stores what was passed.  A covariance that records its first row stores
+    None and answers a read with the matrix gathered from that row afresh,
+    so the L x L array lives only as long as the caller keeps it.
+    """
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError("entries has no default")  # a required field
+        stored = obj.__dict__[self.slot]
+        if stored is None and obj.row is not None:
+            return _toeplitz_gather(obj.row, obj.mesh)
+        return stored
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.slot] = value
+
+
+@dataclass(frozen=True, repr=False, eq=False)  # both would read ``entries``
 class CovMatrix:
     """Symmetric L x L covariance matrix sampled on a mesh.
 
     ``mesh_weight`` is carried along so operator norms can be formed as
-    weight * (matrix spectral norm) without re-deriving the mesh.  ``mesh``
-    is set only by :func:`covariance_matrix`: it marks the matrix as a
-    stationary kernel sampled on that uniform mesh, i.e. multilevel Toeplitz,
-    which :func:`covariance_matvec` applies through the FFT.
+    weight * (matrix spectral norm) without re-deriving the mesh.  ``mesh``,
+    ``kernel`` and ``row`` are set only by :func:`covariance_matrix`: they mark
+    the matrix as the stationary ``kernel`` sampled on that uniform mesh,
+    i.e. multilevel Toeplitz with first row ``row``, which
+    :func:`covariance_matvec` applies through the FFT.  Such a covariance is
+    built with ``entries=None`` and reading ``entries`` gathers the matrix
+    anew; code that only needs products, columns or the row reads neither.
     """
 
-    entries: np.ndarray
+    entries: np.ndarray | None = _DenseOnRequest()
     mesh_weight: float
     mesh: Mesh | None = None
+    kernel: KernelModel | None = None
+    row: np.ndarray | None = None
 
     @property
     def L(self) -> int:
-        return self.entries.shape[0]
+        return self.mesh.L if self.row is not None else self.entries.shape[0]
+
+    def columns(self, cols) -> np.ndarray:
+        """The L x k block of columns ``cols``, gathered from the row when there is one."""
+        if self.row is not None:
+            return _toeplitz_gather(self.row, self.mesh, cols)
+        return self.entries[:, cols]
 
 
 @dataclass(frozen=True)
 class CovFactor:
-    """Cached lower-triangular factor of a covariance matrix plus jitter used.
+    """How to draw from a covariance, computed once and reused for every draw.
 
-    Factor once per covariance, then draw any number of ensembles from it;
-    this is the hot path for repeated-trial experiments.
+    Exactly one of ``spectrum`` and ``lower`` is set.  ``spectrum`` holds
+    sqrt(max(eig, 0) / n) for the n = (2m)^d eigenvalues of the circulant
+    embedding (the FFT sampler); ``lower`` is the Cholesky factor of the
+    matrix plus ``jitter`` on the diagonal.  ``jitter`` bounds the spectral
+    norm of the difference between the drawn covariance and the matrix.
     """
 
     cov: CovMatrix
-    lower: np.ndarray
     jitter: float
+    lower: np.ndarray | None = None
+    spectrum: np.ndarray | None = None
+
+    @property
+    def sampler(self) -> str:
+        return "circulant" if self.spectrum is not None else "cholesky"
 
 
 @dataclass
@@ -157,24 +239,18 @@ def build_mesh(d: int, m: int) -> Mesh:
 def covariance_matrix(kernel: KernelModel, mesh: Mesh) -> CovMatrix:
     """Discretize the covariance operator: entries[i, j] = k(|x_i - x_j|).
 
-    Symmetric by construction with a unit diagonal.  Rejects meshes beyond
-    the dense-storage limit before allocating.
+    Records the first row, k of the distances from point 0, with a unit
+    diagonal entry; every other entry is that row at |i - j| per axis.
+    Rejects meshes beyond the dense-storage limit.
     """
     if mesh.L > MAX_MESH_POINTS:
         raise SamplingError(
             f"covariance matrix of order {mesh.L} exceeds the dense-storage "
-            f"limit {MAX_MESH_POINTS}; refusing to allocate {mesh.L}x{mesh.L}"
+            f"limit {MAX_MESH_POINTS}"
         )
-    try:
-        dist = cdist(mesh.coords, mesh.coords)
-        entries = eval_kernel(kernel, dist)
-    except MemoryError as exc:  # pragma: no cover - depends on host memory
-        raise SamplingError(
-            f"allocation of the {mesh.L}x{mesh.L} covariance matrix failed: {exc}"
-        ) from exc
-    entries = 0.5 * (entries + entries.T)
-    np.fill_diagonal(entries, 1.0)
-    return CovMatrix(entries=entries, mesh_weight=mesh.weight, mesh=mesh)
+    row = eval_kernel(kernel, np.sqrt(np.sum((mesh.coords - mesh.coords[0]) ** 2, axis=1)))
+    row[0] = 1.0
+    return CovMatrix(entries=None, mesh_weight=mesh.weight, mesh=mesh, kernel=kernel, row=row)
 
 
 # Tile edge of the exact symmetry check: a tile and its mirror stay in cache.
@@ -192,40 +268,90 @@ def _exactly_symmetric(a: np.ndarray) -> bool:
     return True
 
 
-def factorize(cov: CovMatrix) -> CovFactor:
-    """Lower Cholesky factor of cov, escalating diagonal jitter on failure.
+def _mirror(block: np.ndarray, m: int) -> np.ndarray:
+    """Extend offsets 0..m on every axis to the 2m-periodic even sequence."""
+    mirror = np.r_[0 : m + 1, m - 1 : 0 : -1]
+    for axis in range(block.ndim):
+        block = np.take(block, mirror, axis=axis)
+    return block
 
-    The jitter ladder is fixed at {0, 1e-12, 1e-10, 1e-8}; the rung that
-    succeeded is recorded for reproducibility.  Raises ``SamplingError`` if
-    the matrix is still not factorizable at the top rung.
+
+def _embedding_eigenvalues(cov: CovMatrix) -> np.ndarray:
+    """Eigenvalues of the minimal circulant embedding, on the (2m,)*d grid.
+
+    The embedding's first row is the kernel at offsets min(k, 2m - k) h per
+    axis (h = 1/m), the covariance's own row where every offset is below m.
     """
-    entries = cov.entries
-    if not _exactly_symmetric(entries):
-        raise SamplingError("covariance matrix must be exactly symmetric")
+    mesh = cov.mesh
+    m, d = mesh.m, mesh.d
+    offsets = np.arange(m + 1) / m
+    grids = np.meshgrid(*([offsets] * d), indexing="ij")
+    block = eval_kernel(cov.kernel, np.sqrt(sum(g * g for g in grids)))
+    block[(slice(0, m),) * d] = cov.row.reshape((m,) * d)
+    return np.fft.fftn(_mirror(block, m)).real
+
+
+def _cholesky_ladder(cov: CovMatrix) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of cov plus the smallest jitter rung that factors.
+
+    A truth's matrix is gathered afresh, so a jitter rung sets its diagonal
+    in place; explicit entries are copied once before the first change.
+    """
+    try:
+        a = cov.entries
+    except MemoryError as exc:  # pragma: no cover - depends on host memory
+        raise SamplingError(
+            f"allocation of the {cov.L}x{cov.L} covariance matrix failed: {exc}"
+        ) from exc
+    owned = cov.row is not None
+    diag = a.diagonal().copy()
     for jitter in _JITTER_LADDER:
-        shifted = entries
         if jitter != 0.0:
-            shifted = entries.copy()
-            shifted.flat[:: cov.L + 1] += jitter
+            if not owned:
+                a, owned = a.copy(), True
+            a.flat[:: cov.L + 1] = diag + jitter
         try:
-            lower = np.linalg.cholesky(shifted)
+            return np.linalg.cholesky(a), jitter
         except np.linalg.LinAlgError:
             continue
-        return CovFactor(cov=cov, lower=lower, jitter=jitter)
     raise SamplingError(
         f"Cholesky failed at maximum jitter {_JITTER_LADDER[-1]:g}; "
         "input matrix is severely indefinite"
     )
 
 
+def factorize(cov: CovMatrix) -> CovFactor:
+    """Prepare draws from cov: by circulant embedding when it is nonnegative, else Cholesky.
+
+    A covariance that records its first row takes the FFT sampler when the
+    eigenvalues of its minimal circulant embedding satisfy lambda_min >=
+    -64 eps lambda_max; negatives are clipped and |lambda_min| is recorded as
+    ``jitter``.  Otherwise, and for any explicit matrix, the matrix is
+    Cholesky-factored with a fixed diagonal-jitter ladder {0, 1e-12, 1e-10,
+    1e-8}; the rung that succeeded is recorded.  Raises ``SamplingError`` for
+    an explicit matrix that is not exactly symmetric, or one still not
+    factorizable at the top rung.
+    """
+    if cov.row is not None:
+        eig = _embedding_eigenvalues(cov)
+        low, high = float(eig.min()), float(eig.max())
+        if low >= -_CIRCULANT_TOL * high:
+            spectrum = np.sqrt(np.maximum(eig, 0.0) / eig.size)
+            return CovFactor(cov=cov, jitter=max(0.0, -low), spectrum=spectrum)
+    elif not _exactly_symmetric(cov.entries):
+        raise SamplingError("covariance matrix must be exactly symmetric")
+    lower, jitter = _cholesky_ladder(cov)
+    return CovFactor(cov=cov, jitter=jitter, lower=lower)
+
+
 def stationary_matvec(cov: CovMatrix, mesh: Mesh) -> Callable[[np.ndarray], np.ndarray]:
     """v -> cov.entries @ v in O(L log L), for a stationary kernel on ``mesh``.
 
     A stationary isotropic kernel sampled on the uniform grid gives a
-    d-level symmetric Toeplitz matrix, fixed by its first row.  Mirrored to
-    c_0 .. c_{m-1}, 0, c_{m-1} .. c_1 along every axis (2m points, an
-    FFT-friendly length), that row generates a d-level circulant whose
-    leading (m,)*d block is the covariance; the d-dimensional FFT
+    d-level symmetric Toeplitz matrix, fixed by its first row ``cov.row``.
+    Mirrored to c_0 .. c_{m-1}, 0, c_{m-1} .. c_1 along every axis (2m
+    points, an FFT-friendly length), that row generates a d-level circulant
+    whose leading (m,)*d block is the covariance; the d-dimensional FFT
     diagonalizes the circulant (Chan & Ng 1996).  Agrees with the dense
     product to rounding.
     """
@@ -234,11 +360,7 @@ def stationary_matvec(cov: CovMatrix, mesh: Mesh) -> Callable[[np.ndarray], np.n
     m, d = mesh.m, mesh.d
     shape, axes = (m,) * d, tuple(range(d))
     size = (2 * m,) * d
-    embed = np.pad(cov.entries[0].reshape(shape), (0, 1))
-    mirror = np.r_[0 : m + 1, m - 1 : 0 : -1]
-    for axis in axes:
-        embed = np.take(embed, mirror, axis=axis)
-    eig = np.fft.rfftn(embed, axes=axes)
+    eig = np.fft.rfftn(_mirror(np.pad(cov.row.reshape(shape), (0, 1)), m), axes=axes)
     block = (slice(0, m),) * d
 
     def matvec(v: np.ndarray) -> np.ndarray:
@@ -249,23 +371,52 @@ def stationary_matvec(cov: CovMatrix, mesh: Mesh) -> Callable[[np.ndarray], np.n
 
 
 def covariance_matvec(cov: CovMatrix) -> Callable[[np.ndarray], np.ndarray]:
-    """v -> cov.entries @ v: by FFT when ``cov`` records its mesh, densely otherwise.
+    """v -> cov.entries @ v: by FFT when ``cov`` records its row, densely otherwise.
 
-    Only :func:`covariance_matrix` records a mesh, so a hand-built or
+    Only :func:`covariance_matrix` records a row, so a hand-built or
     estimated matrix, which need not be Toeplitz, always gets the dense
     product.
     """
-    if cov.mesh is None:
+    if cov.row is None:
         entries = cov.entries
         return lambda v: entries @ v
     return stationary_matvec(cov, cov.mesh)
+
+
+def _circulant_fields(factor: CovFactor, N: int, rng: np.random.Generator) -> np.ndarray:
+    """N fields from the circulant embedding, two per complex FFT.
+
+    Pair k takes the next (2m)^d complex standard normals z from ``rng``; the
+    real and imaginary parts of FFT(spectrum * z), cut to the mesh block, are
+    fields 2k and 2k + 1, independent with the embedded covariance.  Pairs are
+    drawn in blocks of fixed size, in order, so the first N fields of a
+    larger draw are the N-field draw.
+    """
+    mesh = factor.cov.mesh
+    m, d, L = mesh.m, mesh.d, mesh.L
+    spectrum = factor.spectrum
+    axes = tuple(range(1, d + 1))
+    block = (slice(None),) + (slice(0, m),) * d
+    per_chunk = max(1, _DRAW_CHUNK // spectrum.size)
+    pairs = (N + 1) // 2
+    fields = np.empty((N, L))
+    for first in range(0, pairs, per_chunk):
+        p = min(per_chunk, pairs - first)
+        z = rng.standard_normal((p,) + spectrum.shape + (2,)).view(complex)[..., 0]
+        z *= spectrum
+        y = np.fft.fftn(z, axes=axes)[block].reshape(p, L)
+        fields[2 * first : 2 * (first + p) : 2] = y.real
+        odd = fields[2 * first + 1 : 2 * (first + p) : 2]
+        odd[...] = y.imag[: odd.shape[0]]
+    return fields
 
 
 def sample_ensemble(cov: CovMatrix | CovFactor, N: int, seed: int, mesh: Mesh) -> Ensemble:
     """Draw N i.i.d. fields ~ N(0, cov) on the mesh.
 
     Deterministic given (cov, N, seed): the same inputs give bit-identical
-    ensembles on any machine and under any thread count.  Pass a
+    ensembles on any machine and under any thread count; on the circulant
+    path the first N fields of a larger draw equal the N-field draw.  Pass a
     :class:`CovFactor` to reuse a factorization across many draws.
     """
     if N < 1:
@@ -274,8 +425,11 @@ def sample_ensemble(cov: CovMatrix | CovFactor, N: int, seed: int, mesh: Mesh) -
     if mesh.L != factor.cov.L:
         raise SamplingError("mesh size does not match covariance order")
     rng = substream(seed)
-    z = rng.standard_normal((N, factor.cov.L))
-    fields = z @ factor.lower.T
+    if factor.spectrum is not None:
+        fields = _circulant_fields(factor, N, rng)
+    else:
+        z = rng.standard_normal((N, factor.cov.L))
+        fields = z @ factor.lower.T
     sups = fields.max(axis=1)
     return Ensemble(mesh=mesh, N=N, fields=fields, sups=sups, seed=int(seed), jitter=factor.jitter)
 

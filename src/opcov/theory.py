@@ -39,14 +39,12 @@ __all__ = [
     "ScalingReport",
     "SupNormSummary",
     "ThresholdConcentrationSummary",
-    "SPHERE_AREA",
     "sparsity_level",
     "sparsity_asymptotic",
     "operator_norm_asymptotic",
     "expected_supremum_mc",
     "supremum_scaling_prediction",
     "cq_constant",
-    "moment_bound",
     "scaling_report",
     "supnorm_error_experiment",
     "threshold_concentration_experiment",
@@ -70,9 +68,19 @@ def sparsity_level(cov: CovMatrix, q: float) -> float:
     """Discretized R_q^q: max_i weight * sum_j |k(x_i, x_j)|^q.
 
     Returned as R_q^q (not R_q); callers exponentiate if they need R_q.
+    Takes an assembled covariance (:func:`opcov.sampling.covariance_matrix`)
+    and works from its first row w = |row|^q: the row sums of a multilevel
+    Toeplitz matrix are sum_j w[|i - j|], one axis at a time, and along one
+    axis that is cs[i] + cs[m - 1 - i] - w[0] with cs the running sum of w.
     """
     _check_q(q)
-    return cov.mesh_weight * float(np.max(np.sum(np.abs(cov.entries) ** q, axis=1)))
+    if cov.row is None:
+        raise EstimationError("sparsity_level needs a covariance that records its first row")
+    sums = (np.abs(cov.row) ** q).reshape((cov.mesh.m,) * cov.mesh.d)
+    for axis in range(sums.ndim):
+        cs = np.cumsum(sums, axis=axis)
+        sums = cs + np.flip(cs, axis=axis) - np.take(sums, [0], axis=axis)
+    return cov.mesh_weight * float(np.max(sums))
 
 
 def _radial_integral(kernel: KernelModel, q: float, d: int, epsrel: float = 1e-10) -> float:
@@ -164,25 +172,6 @@ def cq_constant(kernel: KernelModel, q: float, d: int) -> float:
     return _radial_integral(kernel, q, d) / _radial_integral(kernel, 1.0, d)
 
 
-def moment_bound(Rq_q: float, q: float, rho: float, N: int, p: float = 1.0, c: float = 1.0) -> float:
-    """Right side of the moment bound: Rq_q rho^(1-q) + rho exp(-(c/p) N min(rho, rho^2)).
-
-    The universal constant c is exposed as a parameter (default 1); the bound
-    is meaningful for plotting against empirical errors, never as an exact
-    assertion.
-    """
-    _check_q(q)
-    if N < 1:
-        raise EstimationError(f"sample size N must be >= 1, got {N}")
-    if p < 1.0:
-        raise EstimationError(f"moment order p must be >= 1, got {p}")
-    if c <= 0.0:
-        raise EstimationError(f"constant c must be > 0, got {c}")
-    if rho < 0.0:
-        raise EstimationError(f"threshold rho must be >= 0, got {rho}")
-    return Rq_q * rho ** (1.0 - q) + rho * math.exp(-(c / p) * N * min(rho, rho * rho))
-
-
 @dataclass(frozen=True)
 class ScalingReport:
     """Discretized vs asymptotic scaling quantities at one lengthscale.
@@ -215,7 +204,8 @@ def scaling_report(
     """Assemble every scaling quantity for one (kernel, mesh) pair.
 
     One covariance assembly and one spectral norm serve R_q^q, the operator
-    norm and the effective rank r(C) = Tr / norm (weights cancel in the ratio).
+    norm and the effective rank r(C) = Tr / norm (weights cancel in the ratio;
+    the unit diagonal makes the trace L).
     """
     cov = covariance_matrix(kernel, mesh)
     Rq_q = sparsity_level(cov, q)
@@ -232,7 +222,7 @@ def scaling_report(
         Rq_q_asymptotic=sparsity_asymptotic(kernel, q, mesh.d),
         op_norm=mesh.weight * mat_norm,
         op_norm_asymptotic=operator_norm_asymptotic(kernel, mesh.d),
-        eff_rank=float(np.trace(cov.entries)) / mat_norm,
+        eff_rank=float(mesh.L) / mat_norm,
         esup_mc=esup,
         esup_prediction=prediction,
     )
@@ -297,11 +287,12 @@ def supnorm_error_experiment(
     esup, esup_se = expected_supremum_mc(factor, mesh, esup_samples, derive_seed(seed, 0xE5))
     rho_N = ThresholdRule(c0=1.0, form="full").rho(esup, N)
     ref_col = mesh.L // 2
+    truth = cov.entries  # gathered once: the sample covariance is L x L anyway
     max_all = np.empty(trials)
     max_col = np.empty(trials)
     for t in range(trials):
         ens = sample_ensemble(factor, N, derive_seed(seed, t), mesh)
-        err = np.abs(sample_covariance(ens).entries - cov.entries)
+        err = np.abs(sample_covariance(ens).entries - truth)
         max_all[t] = err.max() / rho_N
         max_col[t] = err[:, ref_col].max() / rho_N
     summary = SupNormSummary(

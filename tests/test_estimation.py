@@ -623,3 +623,28 @@ def test_report_mismatched_mesh_rejected():
     ens = make_ensemble(np.zeros((2, 4)))
     with pytest.raises(EstimationError):
         estimate_and_report(ens, cov(np.eye(5)), ThresholdRule())
+
+
+def test_reference_mesh_fig_trial_forms_no_square_matrix():
+    # one fig2 trial on the reference mesh (d = 2, m = 100) under the
+    # reference rule c0 = 5: set-up, draw and report; the truth is its first
+    # row, drawn by FFT, so nothing of order L x L is allocated
+    import tracemalloc
+
+    mesh = build_mesh(2, 100)
+    lam = 0.02
+    N = math.ceil(5 * 2 * math.log(1 / lam))
+    tracemalloc.start()
+    try:
+        truth = covariance_matrix(se_kernel(lam), mesh)
+        factor = factorize(truth)
+        truth_norm = spectral_norm(truth, seed=1)
+        ens = sample_ensemble(factor, N, seed=2, mesh=mesh)
+        report = estimate_and_report(ens, truth, ThresholdRule(c0=5.0, form="simplified"),
+                                     seed=2, truth_norm=truth_norm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert factor.sampler == "circulant"
+    assert math.isfinite(report.eps_sample) and report.eps_sample > 0.0
+    assert peak < 0.1 * 8 * mesh.L**2

@@ -193,3 +193,126 @@ def test_stationary_matvec_rejects_other_mesh():
     cov = covariance_matrix(se_kernel(0.1), build_mesh(1, 8))
     with pytest.raises(SamplingError):
         stationary_matvec(cov, build_mesh(1, 9))
+
+
+# ---------------------------------------------------------------------------
+# first-row truths and the circulant sampler
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d,m", [(1, 50), (1, 51), (2, 8), (2, 13), (3, 5)])
+@pytest.mark.parametrize("kernel", [se_kernel(0.1), se_kernel(0.01), matern_kernel(0.2, 1.5)],
+                         ids=["se-0.1", "se-0.01", "matern-0.2"])
+def test_gathered_entries_match_pairwise_distances(d, m, kernel):
+    from scipy.spatial.distance import cdist
+
+    from opcov.kernels import eval_kernel
+
+    mesh = build_mesh(d, m)
+    cov = covariance_matrix(kernel, mesh)
+    want = eval_kernel(kernel, cdist(mesh.coords, mesh.coords))
+    np.fill_diagonal(want, 1.0)
+    got = cov.entries
+    assert np.max(np.abs(got - want)) <= 1e-14
+    assert np.array_equal(got, got.T)
+    # exactly Toeplitz: every entry is the first row at |i - j| per axis
+    idx = np.array(np.unravel_index(np.arange(mesh.L), (m,) * d)).T
+    gap = np.abs(idx[:, None, :] - idx[None, :, :])
+    flat = np.ravel_multi_index(tuple(np.moveaxis(gap, -1, 0)), (m,) * d)
+    assert np.array_equal(got, cov.row[flat])
+    cols = [0, mesh.L // 2, mesh.L - 1]
+    assert np.array_equal(cov.columns(cols), got[:, cols])
+
+
+def test_truth_holds_its_row_not_a_matrix():
+    mesh = build_mesh(2, 40)
+    cov = covariance_matrix(se_kernel(0.05), mesh)
+    held = [v for v in vars(cov).values() if isinstance(v, np.ndarray)]
+    assert sum(a.nbytes for a in held) == cov.row.nbytes == 8 * mesh.L
+    assert cov.L == mesh.L
+    # every read gathers afresh, so a caller's changes never reach the truth
+    first = cov.entries
+    first[0, 0] = 7.0
+    assert cov.entries[0, 0] == 1.0
+
+
+def _minimal_embedding_eigenvalues(kernel, m):
+    """d = 1: the row c_0 .. c_{m-1}, k(1), c_{m-1} .. c_1 and its DFT."""
+    from scipy.spatial.distance import cdist
+
+    from opcov.kernels import eval_kernel
+
+    mesh = build_mesh(1, m)
+    row = eval_kernel(kernel, cdist(mesh.coords[:1], mesh.coords)[0])
+    row[0] = 1.0
+    return np.fft.fft(np.r_[row, eval_kernel(kernel, 1.0), row[:0:-1]]).real
+
+
+def test_sampler_routing():
+    # SE lambda = 0.3 at d = 2 has a clearly negative embedding (-2.5e-4
+    # relative) and keeps the Cholesky factor at the rung it took before
+    factor = factorize(covariance_matrix(se_kernel(0.3), build_mesh(2, 64)))
+    assert factor.sampler == "cholesky" and factor.spectrum is None
+    assert factor.jitter == 1e-12
+    # SE lambda = 0.01 at d = 1 is negative only at rounding level: the FFT
+    # sampler, with the clipped |lambda_min| recorded as the jitter
+    kernel = se_kernel(0.01)
+    factor = factorize(covariance_matrix(kernel, build_mesh(1, 1250)))
+    eig = _minimal_embedding_eigenvalues(kernel, 1250)
+    assert factor.sampler == "circulant" and factor.lower is None
+    assert eig.min() < 0.0
+    assert factor.jitter == pytest.approx(-eig.min(), rel=1e-6, abs=1e-16)
+    assert factor.jitter <= 64 * np.finfo(float).eps * eig.max()
+    # a nonnegative embedding draws with no jitter at all
+    assert factorize(covariance_matrix(se_kernel(1e-3), build_mesh(1, 1250))).jitter == 0.0
+    # an explicit matrix always takes Cholesky
+    assert factorize(CovMatrix(np.eye(3), 1.0 / 3.0)).sampler == "cholesky"
+
+
+@pytest.mark.parametrize("d,m,kernel,sampler", [
+    (1, 12, se_kernel(0.1), "circulant"),
+    (2, 6, se_kernel(0.15), "circulant"),
+    (3, 3, se_kernel(0.3), "circulant"),
+    (2, 5, se_kernel(0.3), "cholesky"),
+])
+def test_empirical_covariance_matches_target_on_each_sampler(d, m, kernel, sampler):
+    # criterion 06's protocol: 2e5 draws, 5 standard errors per entry
+    mesh = build_mesh(d, m)
+    cov = covariance_matrix(kernel, mesh)
+    factor = factorize(cov)
+    assert factor.sampler == sampler
+    N = 200_000
+    ens = sample_ensemble(factor, N, seed=606, mesh=mesh)
+    emp = ens.fields.T @ ens.fields / N
+    C = cov.entries
+    sigma = np.sqrt((np.outer(np.diag(C), np.diag(C)) + C**2) / N)
+    assert np.max(np.abs(emp - C) / sigma) <= 5.0
+
+
+@pytest.mark.parametrize("d,m,lam", [(1, 1250, 0.01), (2, 64, 0.02), (3, 6, 0.05)])
+def test_larger_circulant_draw_extends_smaller_draw(d, m, lam):
+    # (1, 1250) holds 26 pairs per FFT block, so 61 fields cross a block edge.
+    # (The Cholesky path's product z @ lower.T rounds differently per N.)
+    mesh = build_mesh(d, m)
+    factor = factorize(covariance_matrix(se_kernel(lam), mesh))
+    assert factor.sampler == "circulant"
+    big = sample_ensemble(factor, 61, seed=3, mesh=mesh).fields
+    for N in (1, 2, 7, 52, 53):
+        assert np.array_equal(sample_ensemble(factor, N, seed=3, mesh=mesh).fields, big[:N])
+
+
+def test_draws_in_threads_match_serial():
+    from concurrent.futures import ThreadPoolExecutor
+
+    mesh = build_mesh(2, 32)
+    factors = [factorize(covariance_matrix(se_kernel(lam), mesh)) for lam in (0.02, 0.3)]
+    assert [f.sampler for f in factors] == ["circulant", "cholesky"]
+    jobs = [(f, seed) for f in factors for seed in range(6)]
+
+    def draw(job):
+        return sample_ensemble(job[0], 9, seed=job[1], mesh=mesh).fields
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        threaded = list(pool.map(draw, jobs))
+    for job, got in zip(jobs, threaded):
+        assert np.array_equal(got, draw(job))

@@ -17,7 +17,6 @@ from opcov.theory import (
     sparsity_level,
     supnorm_error_experiment,
     supremum_scaling_prediction,
-    moment_bound,
     threshold_concentration_experiment,
 )
 
@@ -63,6 +62,17 @@ def test_sparsity_level_matches_asymptotic_at_small_lengthscale():
     got = sparsity_level(covariance_matrix(kernel, mesh), q=0.5)
     want = sparsity_asymptotic(kernel, 0.5, 1)
     assert abs(got - want) / want < 0.05
+
+
+@pytest.mark.parametrize("d,m", [(1, 40), (1, 41), (2, 9), (2, 12), (3, 5)])
+@pytest.mark.parametrize("kernel", [se_kernel(0.1), se_kernel(0.02), matern_kernel(0.2, 1.5)],
+                         ids=["se-0.1", "se-0.02", "matern-0.2"])
+@pytest.mark.parametrize("q", [0.1, 0.5, 0.9])
+def test_sparsity_level_matches_dense_row_sums(d, m, kernel, q):
+    mesh = build_mesh(d, m)
+    cov = covariance_matrix(kernel, mesh)
+    want = mesh.weight * float(np.max(np.sum(np.abs(cov.entries) ** q, axis=1)))
+    assert sparsity_level(cov, q) == pytest.approx(want, rel=1e-12)
 
 
 def test_sparsity_level_rejects_bad_q():
@@ -223,44 +233,6 @@ def test_supremum_ratio_band_over_decades():
         mean, _ = expected_supremum_mc(factor, mesh, 500, seed=40 + i)
         ratios.append(mean / supremum_scaling_prediction(kernel, 1))
     assert all(0.7 <= r <= 1.4 for r in ratios)
-
-
-# ---------------------------------------------------------------------------
-# moment bound
-# ---------------------------------------------------------------------------
-
-
-def test_moment_bound_values():
-    assert moment_bound(1.0, 0.5, 0.0, 10) == 0.0
-    assert moment_bound(1.0, 0.5, 1.0, 1, p=1.0, c=1.0) == pytest.approx(1 + math.exp(-1))
-
-
-def test_moment_bound_dominated_by_sparsity_term_at_grid_point():
-    # reference-figure grid point: the exponential remainder is negligible
-    lam, q = 1e-3, 0.5
-    mesh = build_mesh(1, 312)
-    cov = covariance_matrix(se_kernel(lam), mesh)
-    Rq_q = sparsity_level(cov, q)
-    N = max(2, math.ceil(5 * math.log(1 / lam)))
-    esup, _ = expected_supremum_mc(factorize(cov), mesh, 500, seed=1)
-    rho = ThresholdRule(c0=5.0, form="simplified").rho(esup, N)
-    total = moment_bound(Rq_q, q, rho, N, p=1.0, c=1.0)
-    first = Rq_q * rho ** (1 - q)
-    assert total > 0
-    assert first / total > 0.99
-
-
-def test_moment_bound_validation():
-    with pytest.raises(EstimationError):
-        moment_bound(1.0, 0.5, 1.0, 0)
-    with pytest.raises(EstimationError):
-        moment_bound(1.0, 1.5, 1.0, 2)
-    with pytest.raises(EstimationError):
-        moment_bound(1.0, 0.5, -1.0, 2)
-    with pytest.raises(EstimationError):
-        moment_bound(1.0, 0.5, 1.0, 2, p=0.5)
-    with pytest.raises(EstimationError):
-        moment_bound(1.0, 0.5, 1.0, 2, c=0.0)
 
 
 # ---------------------------------------------------------------------------
