@@ -45,6 +45,7 @@ from .estimation import (
 )
 from .kernels import KernelError, KernelModel, parse_kernel
 from .sampling import (
+    Mesh,
     SamplingError,
     build_mesh,
     covariance_matrix,
@@ -309,6 +310,35 @@ def _summary_row(s: LambdaSummary) -> str:
     ])
 
 
+def _lengthscale_trials(cfg: ExperimentConfig, mesh: Mesh, rule: ThresholdRule,
+                        kernel: KernelModel, N: int, kernel_idx: int, lam_idx: int):
+    """Set up one lengthscale and run its trials.
+
+    Returns the (report, seed, seconds) triples, the set-up seconds and the
+    factor's sampler and jitter.  The truth and its factor die with this call,
+    so a Cholesky factor is released before the next lengthscale factorizes.
+    """
+    t_setup = time.perf_counter()
+    cov = covariance_matrix(kernel, mesh)
+    factor = factorize(cov)
+    truth_norm = spectral_norm(cov, seed=derive_seed(cfg.master_seed, 0xA0, kernel_idx, lam_idx))
+    setup_s = time.perf_counter() - t_setup
+
+    def one_trial(trial: int):
+        t0 = time.perf_counter()
+        seed = derive_seed(cfg.master_seed, kernel_idx, lam_idx, trial)
+        ens = sample_ensemble(factor, N, seed, mesh)
+        report = estimate_and_report(ens, cov, rule, seed=seed, truth_norm=truth_norm)
+        return report, seed, time.perf_counter() - t0
+
+    if cfg.threads > 1:
+        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+            results = list(pool.map(one_trial, range(cfg.trials)))
+    else:
+        results = [one_trial(t) for t in range(cfg.trials)]
+    return results, setup_s, factor.sampler, factor.jitter
+
+
 def _run_kernel_sweep(cfg: ExperimentConfig, kernel_idx: int, template: str, out_dir: Path,
                       name_prefix: str):
     """All (lambda, trial) cells for one kernel family; returns summaries."""
@@ -318,26 +348,10 @@ def _run_kernel_sweep(cfg: ExperimentConfig, kernel_idx: int, template: str, out
     summaries: list[LambdaSummary] = []
     timings: list[str] = []
     for lam_idx, lam in enumerate(cfg.lambda_grid):
-        kernel = _kernel_at(template, lam, cfg)
         N = sample_size(lam, cfg)
-        t_setup = time.perf_counter()
-        cov = covariance_matrix(kernel, mesh)
-        factor = factorize(cov)
-        truth_norm = spectral_norm(cov, seed=derive_seed(cfg.master_seed, 0xA0, kernel_idx, lam_idx))
-        setup_s = time.perf_counter() - t_setup
-
-        def one_trial(trial: int):
-            t0 = time.perf_counter()
-            seed = derive_seed(cfg.master_seed, kernel_idx, lam_idx, trial)
-            ens = sample_ensemble(factor, N, seed, mesh)
-            report = estimate_and_report(ens, cov, rule, seed=seed, truth_norm=truth_norm)
-            return report, seed, time.perf_counter() - t0
-
-        if cfg.threads > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                results = list(pool.map(one_trial, range(cfg.trials)))
-        else:
-            results = [one_trial(t) for t in range(cfg.trials)]
+        results, setup_s, sampler, jitter = _lengthscale_trials(
+            cfg, mesh, rule, _kernel_at(template, lam, cfg), N, kernel_idx, lam_idx
+        )
         eps_s = np.array([r.eps_sample for r, _, _ in results])
         eps_t = np.array([r.eps_thresh for r, _, _ in results])
         for trial, (report, seed, _) in enumerate(results):
@@ -356,7 +370,7 @@ def _run_kernel_sweep(cfg: ExperimentConfig, kernel_idx: int, template: str, out
         ))
         trial_s = sum(dt for _, _, dt in results)
         timings.append(f"{name_prefix} lambda={lam!r} setup_s={setup_s:.3f} trials_s={trial_s:.3f} "
-                       f"sampler={factor.sampler} jitter={factor.jitter:g}")
+                       f"sampler={sampler} jitter={jitter:g}")
 
     trials_path = out_dir / f"{name_prefix}_trials.csv"
     with open(trials_path, "w", newline="") as fh:
@@ -479,10 +493,14 @@ def run_enkf_demo(cfg: ExperimentConfig) -> list[dict]:
         summary_rows.append(record)
         for key, value in record.items():
             kv_lines.append(f"lambda_{lam_idx}.{key} = {value!r}")
-        # Not CSV columns: the CSV schema predates the indefinite solve and
-        # the circulant sampler.
+        # Not CSV columns: the CSV schema predates the indefinite solve, the
+        # circulant sampler and the continuity certificate.
         kv_lines.append(f"lambda_{lam_idx}.indefinite_gains = {summary.indefinite_gains!r}")
         kv_lines.append(f"lambda_{lam_idx}.sampler = {summary.sampler!r}")
+        kv_lines.append(f"lambda_{lam_idx}.continuity_full_solves = "
+                        f"{summary.continuity_full_solves!r}")
+        kv_lines.append(f"lambda_{lam_idx}.continuity_min_margin = "
+                        f"{summary.continuity_min_margin!r}")
     with open(out_dir / "enkf_demo_trials.csv", "w", newline="") as fh:
         fh.write(_timestamp_line() + "\n")
         fh.write(enkf_mod.TRIAL_CSV_HEADER + "\n")

@@ -148,6 +148,25 @@ def test_timing_names_the_sampler(tmp_path):
     assert all(" jitter=" in ln for ln in lines)
 
 
+def test_sweep_releases_each_cholesky_factor_before_the_next(tmp_path):
+    # SE at d = 2, m = 24 factorizes both lengthscales by Cholesky; a cell's
+    # set-up holds the gathered matrix and its factor (numpy's LAPACK work
+    # copy is not traced), so holding the previous factor as well would reach
+    # three L x L arrays
+    import tracemalloc
+
+    cfg = fig2_config(m=24, lambda_grid=[0.3, 0.2], trials=1, output_dir=str(tmp_path))
+    tracemalloc.start()
+    try:
+        run_figure(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lines = (tmp_path / "fig2_timing.txt").read_text().splitlines()[1:3]
+    assert all(ln.startswith("fig2_se ") and " sampler=cholesky " in ln for ln in lines)
+    assert peak < 2.5 * 8 * (24 * 24) ** 2
+
+
 def test_full_form_with_large_c0_rejected():
     code = main([
         "custom", "--kernel", "se:lambda=0.2", "--m", "16", "--lambdas", "0.2",
@@ -288,6 +307,11 @@ def test_enkf_demo_emits_summary_rows(tmp_path):
     assert len(trials) == 2 * (n_small + n_large)
     kv = (out / "enkf_demo_summary.txt").read_text()
     assert "mean_disc_localized" in kv
+    values = dict(ln.split(" = ") for ln in kv.splitlines()[1:])
+    for i in range(2):
+        # the one-matvec certificate passes every particle of this run
+        assert values[f"lambda_{i}.continuity_full_solves"] == "0"
+        assert 1.0 <= float(values[f"lambda_{i}.continuity_min_margin"]) < math.inf
 
 
 def test_enkf_demo_rerun_identical(tmp_path):

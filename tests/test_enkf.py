@@ -301,7 +301,11 @@ def test_comparison_structure_and_determinism():
 
 def _dense_comparison(kernel, mesh, obs, N, rule, trials, seed):
     """The per-particle dense formulation: an L x L leave-one-out matrix,
-    thresholded whole, gains from the full C A^T, exact ||loo - C||."""
+    thresholded whole, gains from the full C A^T, exact ||loo - C||.
+
+    Per trial: disc_vanilla, disc_localized, innovation norms, ||loo - C||,
+    ||(loo - C) v|| / ||v|| for the particle's Gaussian v, the gain
+    differences ||gain_v - gain_true|| and the continuity flag."""
     cov = covariance_matrix(kernel, mesh)
     factor = factorize(cov)
     w = mesh.weight
@@ -316,7 +320,7 @@ def _dense_comparison(kernel, mesh, obs, N, rule, trials, seed):
         y = obs.A @ u_truth + obs.gamma_lower @ rng.standard_normal(obs.d_y)
         etas = rng.standard_normal((N, obs.d_y)) @ obs.gamma_lower.T
         S = ens.fields.T @ ens.fields
-        disc_v, disc_l, innov_norms, deltas, ok = [], [], [], [], True
+        disc_v, disc_l, innov_norms, deltas, along_v, actuals, ok = [], [], [], [], [], [], True
         for n in range(N):
             u = ens.fields[n]
             loo = CovMatrix((S - np.outer(u, u)) / (N - 1), w)
@@ -330,46 +334,118 @@ def _dense_comparison(kernel, mesh, obs, N, rule, trials, seed):
             disc_l.append(state_norm(u + gain_l @ innov - v_star, w))
             innov_norms.append(np.linalg.norm(innov))
             deltas.append(spectral_norm_dense(loo.entries - C))
+            v = substream(seed, t, 2, n).standard_normal(mesh.L)
+            along_v.append(np.linalg.norm((loo.entries - C) @ v) / np.linalg.norm(v))
+            actuals.append(gain_operator_norm(gain_v - gain_true, w))
             bound = gain_continuity_bound(w * deltas[-1], cov_norm, obs)
-            ok &= gain_operator_norm(gain_v - gain_true, w) <= bound * (1.0 + 1e-6)
+            ok &= actuals[-1] <= bound * (1.0 + 1e-6)
         out.append((np.array(disc_v), np.array(disc_l), np.array(innov_norms),
-                    np.array(deltas), ok))
+                    np.array(deltas), np.array(along_v), np.array(actuals), ok))
     return out
 
 
-@pytest.mark.parametrize("d,m,kernel", [
+_DENSE_CASES = pytest.mark.parametrize("d,m,kernel", [
     (1, 48, se_kernel(0.05)),
     (1, 47, matern_kernel(0.1, 1.5)),
     (2, 8, se_kernel(0.2)),
     (2, 9, matern_kernel(0.3, 1.5)),
 ])
-def test_comparison_matches_dense_leave_one_out_formulation(d, m, kernel, monkeypatch):
-    mesh = build_mesh(d, m)
+
+
+def _dense_case_obs(mesh):
     # c0 = 1 keeps part of each leave-one-out column block, so the localized
     # gain differs from the stochastic one; Gamma = I keeps A C A^T + Gamma
     # positive definite for these indefinite thresholded blocks
-    obs = pointwise_observation(mesh, 4, noise_std=1.0)
-    rule = ThresholdRule(c0=1.0, form="simplified")
-    # the matrix-free ||loo - C|| behind each continuity check, in call order
-    # after the truth norm
-    norms = []
+    return pointwise_observation(mesh, 4, noise_std=1.0), ThresholdRule(c0=1.0, form="simplified")
+
+
+def _record_norms(monkeypatch):
+    """Record every ARPACK norm compare_analysis_updates takes, in call order:
+    the truth norm, then one ||loo - C|| per particle that reaches the solve."""
+    norms, seeds = [], []
     inner = enkf.spectral_norm
 
     def recording(*args, **kwargs):
+        seeds.append(kwargs["seed"])
         norms.append(inner(*args, **kwargs))
         return norms[-1]
 
     monkeypatch.setattr(enkf, "spectral_norm", recording)
+    return norms, seeds
+
+
+@_DENSE_CASES
+def test_comparison_matches_dense_leave_one_out_formulation(d, m, kernel, monkeypatch):
+    mesh = build_mesh(d, m)
+    obs, rule = _dense_case_obs(mesh)
+    # nothing is certified, so every particle's ||loo - C|| takes the full solve
+    monkeypatch.setattr(enkf, "_norm_lower_bound", lambda op, rng: 0.0)
+    norms, _ = _record_norms(monkeypatch)
     got = compare_analysis_updates(kernel, mesh, obs, N=8, rule=rule, trials=3, seed=29)
     want = _dense_comparison(kernel, mesh, obs, 8, rule, 3, 29)
     # ten times the solver's 1e-7 certificate
     np.testing.assert_allclose(norms[1:], np.concatenate([w[3] for w in want]), rtol=1e-6)
-    for comp, (disc_v, disc_l, innov_norms, _, ok) in zip(got.trials, want):
+    assert got.continuity_full_solves == 3 * 8
+    for comp, (disc_v, disc_l, innov_norms, _, _, _, ok) in zip(got.trials, want):
         np.testing.assert_allclose(comp.disc_vanilla, disc_v, rtol=1e-12)
         np.testing.assert_allclose(comp.disc_localized, disc_l, rtol=1e-12)
         np.testing.assert_allclose(comp.innovation_norms, innov_norms, rtol=1e-12)
         assert comp.continuity_ok == ok
         assert not np.allclose(disc_l, disc_v) and np.all(disc_l > 0)
+
+
+@_DENSE_CASES
+def test_continuity_certificate_is_a_lower_bound_on_the_dense_norm(d, m, kernel, monkeypatch):
+    mesh = build_mesh(d, m)
+    obs, rule = _dense_case_obs(mesh)
+    lower = []
+    inner = enkf._norm_lower_bound
+
+    def recording(op, rng):
+        lower.append(inner(op, rng))
+        return lower[-1]
+
+    monkeypatch.setattr(enkf, "_norm_lower_bound", recording)
+    norms, _ = _record_norms(monkeypatch)
+    got = compare_analysis_updates(kernel, mesh, obs, N=8, rule=rule, trials=3, seed=29)
+    want = _dense_comparison(kernel, mesh, obs, 8, rule, 3, 29)
+    dense = np.concatenate([w[3] for w in want])
+    # one product with the particle's own Gaussian, applied to loo - C
+    np.testing.assert_allclose(lower, np.concatenate([w[4] for w in want]), rtol=1e-12)
+    assert np.all(np.array(lower) <= dense * (1.0 + 1e-12))
+    # every particle of these cases is certified: only the truth norm is solved
+    assert len(norms) == 1 and got.continuity_full_solves == 0
+    assert 1.0 <= got.continuity_min_margin < math.inf
+    assert got.continuity_min_margin == min(c.continuity_min_margin for c in got.trials)
+    assert [c.continuity_ok for c in got.trials] == [w[6] for w in want]
+
+
+@_DENSE_CASES
+def test_uncertified_particle_takes_the_full_solve(d, m, kernel, monkeypatch):
+    # odd particles get a lower bound whose continuity bound falls 1e-7
+    # relative short of their gain difference: below it, yet inside the full
+    # solve's 1e-6 slack, so only a certificate without that slack sends them
+    # to ARPACK; even particles keep the real certificate
+    mesh = build_mesh(d, m)
+    obs, rule = _dense_case_obs(mesh)
+    want = _dense_comparison(kernel, mesh, obs, 8, rule, 3, 29)
+    norms, seeds = _record_norms(monkeypatch)
+    keys = iter([(t, n) for t in range(3) for n in range(8)])
+    inner = enkf._norm_lower_bound
+
+    def short_on_odd(op, rng):
+        t, n = next(keys)
+        if n % 2 == 0:
+            return inner(op, rng)
+        slope = mesh.weight * gain_continuity_bound(1.0, mesh.weight * norms[0], obs)
+        return want[t][5][n] / slope / (1.0 + 1e-7)
+
+    monkeypatch.setattr(enkf, "_norm_lower_bound", short_on_odd)
+    got = compare_analysis_updates(kernel, mesh, obs, N=8, rule=rule, trials=3, seed=29)
+    assert [c.continuity_full_solves for c in got.trials] == [4, 4, 4]
+    assert seeds[1:] == [derive_seed(29, t, 2, n) for t in range(3) for n in range(1, 8, 2)]
+    np.testing.assert_allclose(norms[1:], np.concatenate([w[3][1::2] for w in want]), rtol=1e-6)
+    assert [c.continuity_ok for c in got.trials] == [w[6] for w in want]
 
 
 def test_comparison_vanilla_discrepancy_shrinks_at_root_n_rate():
