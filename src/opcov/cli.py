@@ -260,26 +260,22 @@ def load_config_file(path) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _timestamp_line() -> str:
-    return f"# generated {datetime.now(timezone.utc).isoformat()}"
+def _write_stamped(path: Path, lines: list[str]) -> None:
+    """Write the ``# generated <timestamp>`` line, then ``lines``, one per line."""
+    stamp = f"# generated {datetime.now(timezone.utc).isoformat()}"
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join([stamp, *lines]) + "\n")
 
 
-def _figure_kernels(cfg: ExperimentConfig) -> list[tuple[str, str]]:
-    """(name, family template) pairs; fig runs cover both reference families."""
+def _figure_kernels(cfg: ExperimentConfig) -> list[KernelModel]:
+    """The base kernels of a figure run, each stepped to every lengthscale.
+
+    fig1 and fig2 cover both reference families (Matern at nu = 1.5);
+    custom runs its one ``--kernel``.
+    """
     if cfg.experiment in ("fig1", "fig2"):
-        return [("se", "se"), ("matern", "matern")]
-    kern = parse_kernel(cfg.kernel)
-    return [(kern.family, kern.family)]
-
-
-def _kernel_at(template: str, lam: float, cfg: ExperimentConfig) -> KernelModel:
-    if template == "se":
-        return KernelModel("se", lam)
-    if template == "matern":
-        base = parse_kernel(cfg.kernel) if cfg.experiment == "custom" else None
-        nu = base.nu if base is not None and base.nu is not None else 1.5
-        return KernelModel("matern", lam, nu)
-    raise ConfigError(f"unknown kernel template {template!r}")
+        return [KernelModel("se", 1.0), KernelModel("matern", 1.0, 1.5)]
+    return [parse_kernel(cfg.kernel)]
 
 
 @dataclass
@@ -339,7 +335,7 @@ def _lengthscale_trials(cfg: ExperimentConfig, mesh: Mesh, rule: ThresholdRule,
     return results, setup_s, factor.sampler, factor.jitter
 
 
-def _run_kernel_sweep(cfg: ExperimentConfig, kernel_idx: int, template: str, out_dir: Path,
+def _run_kernel_sweep(cfg: ExperimentConfig, kernel_idx: int, base: KernelModel, out_dir: Path,
                       name_prefix: str):
     """All (lambda, trial) cells for one kernel family; returns summaries."""
     mesh = build_mesh(cfg.d, cfg.m)
@@ -350,7 +346,7 @@ def _run_kernel_sweep(cfg: ExperimentConfig, kernel_idx: int, template: str, out
     for lam_idx, lam in enumerate(cfg.lambda_grid):
         N = sample_size(lam, cfg)
         results, setup_s, sampler, jitter = _lengthscale_trials(
-            cfg, mesh, rule, _kernel_at(template, lam, cfg), N, kernel_idx, lam_idx
+            cfg, mesh, rule, KernelModel(base.family, lam, base.nu), N, kernel_idx, lam_idx
         )
         eps_s = np.array([r.eps_sample for r, _, _ in results])
         eps_t = np.array([r.eps_thresh for r, _, _ in results])
@@ -372,16 +368,10 @@ def _run_kernel_sweep(cfg: ExperimentConfig, kernel_idx: int, template: str, out
         timings.append(f"{name_prefix} lambda={lam!r} setup_s={setup_s:.3f} trials_s={trial_s:.3f} "
                        f"sampler={sampler} jitter={jitter:g}")
 
-    trials_path = out_dir / f"{name_prefix}_trials.csv"
-    with open(trials_path, "w", newline="") as fh:
-        fh.write(_timestamp_line() + "\n")
-        fh.write(REPORT_CSV_HEADER + ",trial\n")
-        fh.write("\n".join(trial_lines) + "\n")
-    summary_path = out_dir / f"{name_prefix}_summary.csv"
-    with open(summary_path, "w", newline="") as fh:
-        fh.write(_timestamp_line() + "\n")
-        fh.write(SUMMARY_CSV_HEADER + "\n")
-        fh.write("\n".join(_summary_row(s) for s in summaries) + "\n")
+    _write_stamped(out_dir / f"{name_prefix}_trials.csv",
+                   [REPORT_CSV_HEADER + ",trial", *trial_lines])
+    _write_stamped(out_dir / f"{name_prefix}_summary.csv",
+                   [SUMMARY_CSV_HEADER, *map(_summary_row, summaries)])
     if cfg.plot:
         lams = [s.lam for s in summaries]
         error_plot(
@@ -435,23 +425,19 @@ def run_figure(cfg: ExperimentConfig) -> dict:
     prefix = cfg.experiment if cfg.experiment != "custom" else "custom"
     all_summaries: dict = {}
     all_timings: list[str] = []
-    for kernel_idx, (name, template) in enumerate(_figure_kernels(cfg)):
+    for kernel_idx, base in enumerate(_figure_kernels(cfg)):
         summaries, timings = _run_kernel_sweep(
-            cfg, kernel_idx, template, out_dir, f"{prefix}_{name}"
+            cfg, kernel_idx, base, out_dir, f"{prefix}_{base.family}"
         )
-        all_summaries[name] = summaries
+        all_summaries[base.family] = summaries
         all_timings.extend(timings)
-    with open(out_dir / f"{prefix}_timing.txt", "w") as fh:
-        fh.write(_timestamp_line() + "\n")
-        fh.write("\n".join(all_timings) + "\n")
+    _write_stamped(out_dir / f"{prefix}_timing.txt", all_timings)
     if cfg.check:
         problems = []
         for name, summaries in all_summaries.items():
             problems.extend(f"[{name}] {p}" for p in _check_figure(summaries))
-        report_path = out_dir / f"{prefix}_check.txt"
-        with open(report_path, "w") as fh:
-            fh.write(_timestamp_line() + "\n")
-            fh.write("PASS\n" if not problems else "FAIL\n" + "\n".join(problems) + "\n")
+        _write_stamped(out_dir / f"{prefix}_check.txt",
+                       ["FAIL", *problems] if problems else ["PASS"])
         if problems:
             raise CheckFailure("; ".join(problems))
     return all_summaries
@@ -501,20 +487,14 @@ def run_enkf_demo(cfg: ExperimentConfig) -> list[dict]:
                         f"{summary.continuity_full_solves!r}")
         kv_lines.append(f"lambda_{lam_idx}.continuity_min_margin = "
                         f"{summary.continuity_min_margin!r}")
-    with open(out_dir / "enkf_demo_trials.csv", "w", newline="") as fh:
-        fh.write(_timestamp_line() + "\n")
-        fh.write(enkf_mod.TRIAL_CSV_HEADER + "\n")
-        fh.write("\n".join(rows) + "\n")
+    _write_stamped(out_dir / "enkf_demo_trials.csv", [enkf_mod.TRIAL_CSV_HEADER, *rows])
     header = sorted(summary_rows[0].keys())
-    with open(out_dir / "enkf_demo_summary.csv", "w", newline="") as fh:
-        fh.write(_timestamp_line() + "\n")
-        fh.write(",".join(header) + "\n")
-        for record in summary_rows:
-            fh.write(",".join(repr(record[k]) if not isinstance(record[k], bool)
-                              else str(record[k]) for k in header) + "\n")
-    with open(out_dir / "enkf_demo_summary.txt", "w") as fh:
-        fh.write(_timestamp_line() + "\n")
-        fh.write("\n".join(kv_lines) + "\n")
+    _write_stamped(out_dir / "enkf_demo_summary.csv", [",".join(header)] + [
+        ",".join(str(record[k]) if isinstance(record[k], bool) else repr(record[k])
+                 for k in header)
+        for record in summary_rows
+    ])
+    _write_stamped(out_dir / "enkf_demo_summary.txt", kv_lines)
     if cfg.check:
         smallest = summary_rows[-1]
         problems = []
@@ -525,9 +505,8 @@ def run_enkf_demo(cfg: ExperimentConfig) -> list[dict]:
             )
         if not all(r["continuity_all_ok"] for r in summary_rows):
             problems.append("gain-continuity inequality violated in some trial")
-        with open(out_dir / "enkf_demo_check.txt", "w") as fh:
-            fh.write(_timestamp_line() + "\n")
-            fh.write("PASS\n" if not problems else "FAIL\n" + "\n".join(problems) + "\n")
+        _write_stamped(out_dir / "enkf_demo_check.txt",
+                       ["FAIL", *problems] if problems else ["PASS"])
         if problems:
             raise CheckFailure("; ".join(problems))
     return summary_rows
@@ -547,10 +526,8 @@ def run_theory(cfg: ExperimentConfig) -> list:
             kernel, mesh, cfg.q, cfg.esup_samples,
             derive_seed(cfg.master_seed, 0x7E, lam_idx),
         ))
-    with open(out_dir / "theory_sweep.csv", "w", newline="") as fh:
-        fh.write(_timestamp_line() + "\n")
-        fh.write(reports[0].CSV_HEADER + "\n")
-        fh.write("\n".join(r.csv_row() for r in reports) + "\n")
+    _write_stamped(out_dir / "theory_sweep.csv",
+                   [reports[0].CSV_HEADER, *(r.csv_row() for r in reports)])
     return reports
 
 

@@ -12,22 +12,22 @@ Lanczos (``scipy.sparse.linalg.eigsh``, k=1, a seeded start vector):
 Its stopping rule certifies the residual ||A x - theta x|| <= tol |theta|,
 with no matvec budget and no dense fallback; non-convergence raises
 :class:`SpectralNormError`.  Operands are ``scipy.sparse.linalg.LinearOperator``
-objects or explicit matrices; a CovMatrix that records its first row (an
-assembled truth, which holds no matrix) is applied by FFT, so no norm takes a
-dense product of the truth.  The Krylov basis is picked from the operand: wide (64) for an
-FFT-applied truth, whose top eigenvalues cluster about 1e-5 apart at small
-lengthscales, and narrow (12) for everything else, whose top eigenvalue is
-separated.  Operators of order at most 64 are built from their columns and
-solved by ``eigvalsh``.
+objects, explicit matrices (plain arrays: every estimate here is one) or a
+:class:`~opcov.sampling.CovMatrix` truth, which holds no matrix and is
+applied by FFT, so no norm takes a dense product of the truth.  The Krylov
+basis is picked from the operand: wide (64) for a truth, whose top
+eigenvalues cluster about 1e-5 apart at small lengthscales, and narrow (12)
+for everything else, whose top eigenvalue is separated.  Operators of order
+at most 64 are built from their columns and solved by ``eigvalsh``.
 
 A figure trial (:func:`estimate_and_report`) forms no L x L matrix unless
 every row of its thresholded estimate can hold a surviving entry.  The sample
-error is applied as the rank-N product F^T (F v) / N minus the truth, which an
-assembled (Toeplitz) covariance applies by FFT.  The thresholded estimate is
-exactly zero when the threshold exceeds every diagonal entry of the sample
-covariance (and hence, by Cauchy-Schwarz, every entry); that costs one O(NL)
-pass.  Otherwise it is formed and thresholded densely, but only on the rows
-and columns that Cauchy-Schwarz leaves able to hold a surviving entry.
+error is applied as the rank-N product F^T (F v) / N minus the truth, which
+is applied by FFT.  The thresholded estimate is exactly zero when the
+threshold exceeds every diagonal entry of the sample covariance (and hence,
+by Cauchy-Schwarz, every entry); that costs one O(NL) pass.  Otherwise it is
+formed and thresholded densely, but only on the rows and columns that
+Cauchy-Schwarz leaves able to hold a surviving entry.
 """
 
 from __future__ import annotations
@@ -145,15 +145,14 @@ def report_csv_row(
     ])
 
 
-def sample_covariance(ens: Ensemble) -> CovMatrix:
+def sample_covariance(ens: Ensemble) -> np.ndarray:
     """(1/N) sum_n u_n u_n^T on the mesh; symmetric PSD by construction.
 
     No mean subtraction: the fields are centered by model.
     """
     entries = ens.fields.T @ ens.fields
     entries /= ens.N
-    entries = 0.5 * (entries + entries.T)
-    return CovMatrix(entries=entries, mesh_weight=ens.mesh.weight)
+    return 0.5 * (entries + entries.T)
 
 
 def threshold_parameter(ens: Ensemble, rule: ThresholdRule) -> float:
@@ -166,34 +165,29 @@ def _survivors(a: np.ndarray, rho: float) -> np.ndarray:
     return np.abs(a) >= rho
 
 
-def hard_threshold(cov, rho: float):
+def hard_threshold(cov: np.ndarray, rho: float) -> np.ndarray:
     """Zero every entry with |entry| < rho; ties (|entry| = rho) are kept.
 
-    Takes a CovMatrix, or a plain array such as a block of its columns
-    (thresholding is entrywise), and returns the same kind.
+    Entrywise, so a block of columns thresholds to those columns of the
+    thresholded matrix.
     """
     if not (rho >= 0.0):
         raise EstimationError(f"threshold rho must be >= 0, got {rho!r}")
-    a = _operand(cov)
-    entries = np.where(_survivors(a, rho), a, 0.0)
-    if isinstance(cov, CovMatrix):
-        return CovMatrix(entries=entries, mesh_weight=cov.mesh_weight)
-    return entries
+    return np.where(_survivors(cov, rho), cov, 0.0)
 
 
-def psd_projection(cov: CovMatrix) -> CovMatrix:
+def psd_projection(cov: np.ndarray) -> np.ndarray:
     """Clip negative eigenvalues to zero and reconstruct.
 
     The result is PSD up to eigensolver tolerance and satisfies
     ||proj(A) - C|| <= 2 ||A - C|| for any PSD target C.
     """
-    if not np.all(np.isfinite(cov.entries)):
+    if not np.all(np.isfinite(cov)):
         raise EstimationError("psd_projection requires finite entries")
-    vals, vecs = np.linalg.eigh(cov.entries)
+    vals, vecs = np.linalg.eigh(cov)
     clipped = np.maximum(vals, 0.0)
     entries = (vecs * clipped) @ vecs.T
-    entries = 0.5 * (entries + entries.T)
-    return CovMatrix(entries=entries, mesh_weight=cov.mesh_weight)
+    return 0.5 * (entries + entries.T)
 
 
 # ---------------------------------------------------------------------------
@@ -208,25 +202,15 @@ _MAXITER = 10_000
 # At or below this order the operator is applied to the identity's columns
 # and the explicit matrix goes to eigvalsh (a size rule, not a fallback).
 _SMALL = 64
-# Krylov basis sizes.  The top eigenvalues of an FFT-applied truth cluster
-# about 1e-5 apart at small lengthscales and need a wide basis; every other
-# operand (a rank-N difference, a thresholded block, an explicit array) has a
-# separated top eigenvalue, where a narrow basis restarts cheaply.
+# Krylov basis sizes.  The top eigenvalues of a truth cluster about 1e-5
+# apart at small lengthscales and need a wide basis; every other operand (a
+# rank-N difference, a thresholded block, an explicit array) has a separated
+# top eigenvalue, where a narrow basis restarts cheaply.
 _NCV_TRUTH = 64
 _NCV = 12
 # ARPACK asks for a random vector after it finds an invariant subspace; an
 # eigsh that takes ``rng`` draws it from the seeded stream.
 _EIGSH_TAKES_RNG = "rng" in inspect.signature(eigsh).parameters
-
-
-def _operand(obj):
-    """The explicit matrix behind ``obj``.
-
-    A CovMatrix gives its ``entries``, which an assembled truth gathers from
-    its first row on each read; the norm and trial paths never call this on
-    a truth.
-    """
-    return obj.entries if isinstance(obj, CovMatrix) else np.asarray(obj, dtype=float)
 
 
 def _as_operator(obj) -> LinearOperator:
@@ -235,7 +219,7 @@ def _as_operator(obj) -> LinearOperator:
         return obj
     if isinstance(obj, CovMatrix):
         return LinearOperator((obj.L, obj.L), matvec=covariance_matvec(obj), dtype=float)
-    return aslinearoperator(_operand(obj))
+    return aslinearoperator(np.asarray(obj, dtype=float))
 
 
 def _extreme_eigenvalue(obj, which: str, seed: int, tol: float, maxiter: int) -> float:
@@ -243,7 +227,7 @@ def _extreme_eigenvalue(obj, which: str, seed: int, tol: float, maxiter: int) ->
 
     ARPACK's implicitly restarted Lanczos (``eigsh``, k=1) from a start vector
     seeded by ``seed``; ``tol`` bounds the residual ||A x - theta x|| by
-    tol |theta| and ``maxiter`` caps the restarts.  An FFT-applied truth gets
+    tol |theta| and ``maxiter`` caps the restarts.  A CovMatrix truth gets
     the wide Krylov basis, every other operand the narrow one.  An operator
     of order at most 64 is built from its columns and solved by eigvalsh.
     Raises :class:`SpectralNormError` when ARPACK does not converge.
@@ -255,7 +239,7 @@ def _extreme_eigenvalue(obj, which: str, seed: int, tol: float, maxiter: int) ->
         return float(vals[np.argmax(np.abs(vals))] if which == "LM" else vals[0])
     rng = substream(seed, 0x5E07)
     v0 = rng.standard_normal(n)
-    ncv = _NCV_TRUTH if isinstance(obj, CovMatrix) and obj.row is not None else _NCV
+    ncv = _NCV_TRUTH if isinstance(obj, CovMatrix) else _NCV
     try:
         (theta,) = eigsh(op, k=1, which=which, v0=v0, ncv=ncv, tol=tol, maxiter=maxiter,
                          return_eigenvectors=False,
@@ -273,10 +257,10 @@ def _extreme_eigenvalue(obj, which: str, seed: int, tol: float, maxiter: int) ->
 
 
 def spectral_norm(cov, seed: int = 0, tol: float = _TOL, maxiter: int = _MAXITER) -> float:
-    """Largest absolute eigenvalue of a symmetric matrix, CovMatrix or LinearOperator.
+    """Largest absolute eigenvalue of a symmetric array, CovMatrix or LinearOperator.
 
-    Deterministic given ``seed``.  A CovMatrix that records its first row is
-    applied by FFT, so an assembled truth takes no dense product.
+    Deterministic given ``seed``.  A CovMatrix truth is applied by FFT, so it
+    takes no dense product.
     """
     return abs(_extreme_eigenvalue(cov, "LM", seed, tol, maxiter))
 
@@ -286,30 +270,27 @@ def min_eigenvalue(cov, seed: int = 0, tol: float = _TOL, maxiter: int = _MAXITE
     return _extreme_eigenvalue(cov, "SA", seed, tol, maxiter)
 
 
-def relative_error(est, truth: CovMatrix, seed: int = 0,
-                   truth_norm: float | None = None) -> float:
+def relative_error(est, truth, seed: int = 0, truth_norm: float | None = None) -> float:
     """Relative spectral error ||est - truth|| / ||truth||.
 
-    ``est`` is anything :func:`spectral_norm` takes: a CovMatrix, an array
-    or a LinearOperator giving the estimate's action.  Quadrature weights
-    cancel in the ratio, so plain matrix norms are used.  The difference is
-    applied matrix-free, the truth through :func:`covariance_matvec` (by FFT
-    when it records its first row).  An explicit estimate with no nonzero entry
-    has error exactly 1.
+    ``est`` and ``truth`` are anything :func:`spectral_norm` takes: a
+    CovMatrix, an array or a LinearOperator giving the matrix's action.
+    Quadrature weights cancel in the ratio, so plain matrix norms are used.
+    The difference is applied matrix-free, a CovMatrix by FFT.  An array
+    estimate with no nonzero entry has error exactly 1.
     """
-    op = _as_operator(est)
+    op, truth_op = _as_operator(est), _as_operator(truth)
     n = op.shape[0]
-    if n != truth.L:
-        raise EstimationError(f"order mismatch: est {n} vs truth {truth.L}")
+    if n != truth_op.shape[0]:
+        raise EstimationError(f"order mismatch: est {n} vs truth {truth_op.shape[0]}")
     if truth_norm is None:
-        truth_norm = spectral_norm(truth, seed=seed)
+        truth_norm = abs(_extreme_eigenvalue(truth, "LM", seed, _TOL, _MAXITER))
     if truth_norm == 0.0:
         raise EstimationError("relative_error is undefined for a zero truth matrix")
-    if not isinstance(est, LinearOperator) and not np.any(_operand(est)):
+    if not isinstance(est, (LinearOperator, CovMatrix)) and not np.any(est):
         # A fully thresholded estimate: the difference is -truth exactly.
         return 1.0
-    truth_matvec = covariance_matvec(truth)
-    diff = LinearOperator((n, n), matvec=lambda v: op.matvec(v) - truth_matvec(v), dtype=float)
+    diff = LinearOperator((n, n), matvec=lambda v: op.matvec(v) - truth_op.matvec(v), dtype=float)
     return abs(_extreme_eigenvalue(diff, "LM", seed, _TOL, _MAXITER)) / truth_norm
 
 
@@ -351,10 +332,10 @@ def estimate_and_report(
     ``truth_norm`` may be passed to reuse ||truth|| across trials on the same
     lengthscale; it is recomputed otherwise.  No L x L matrix is formed
     unless every row can hold a surviving entry: the sample error is applied
-    as F^T (F v) / N - C v, with C v by FFT for an assembled truth, and the
-    thresholded estimate is its principal block on the rows that can
-    (:func:`_thresholded_block`; none when the threshold exceeds every
-    diagonal entry, and then the estimate is exactly zero).  When every entry
+    as F^T (F v) / N - C v, with C v by FFT, and the thresholded estimate
+    is its principal block on the rows that can (:func:`_thresholded_block`;
+    none when the threshold exceeds every diagonal entry, and then the
+    estimate is exactly zero).  When every entry
     survives, the estimate is the sample covariance and shares its error.
     """
     L = truth.L

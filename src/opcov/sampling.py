@@ -7,9 +7,10 @@ A stationary isotropic kernel sampled on the uniform mesh is a d-level
 symmetric Toeplitz matrix, fixed by its first row, so :func:`covariance_matrix`
 records the mesh, the kernel and that row and no L x L array.  Entries are
 gathered from the row on request (exactly symmetric and Toeplitz) and never
-kept.  ``stationary_matvec`` applies the covariance through the FFT of a
-circulant embedding of the row; ``covariance_matvec`` picks it for such a
-covariance and the dense product for any other matrix.
+kept.  ``covariance_matvec`` applies the covariance through the FFT of a
+circulant embedding of the row.  A :class:`CovMatrix` is only such a truth;
+an explicit matrix (a sample covariance, a thresholded estimate) is a plain
+``numpy.ndarray``.
 
 Draws are exact in distribution up to a recorded ``jitter``.  :func:`factorize`
 takes the minimal circulant embedding (2m points per axis, the kernel at the
@@ -44,7 +45,6 @@ __all__ = [
     "build_mesh",
     "covariance_matrix",
     "factorize",
-    "stationary_matvec",
     "covariance_matvec",
     "sample_ensemble",
     "ensemble_sup_mean",
@@ -130,9 +130,9 @@ def _toeplitz_gather(row: np.ndarray, mesh: Mesh, cols=None) -> np.ndarray:
 class _DenseOnRequest:
     """The ``entries`` field of :class:`CovMatrix`.
 
-    Stores what was passed.  A covariance that records its first row stores
-    None and answers a read with the matrix gathered from that row afresh,
-    so the L x L array lives only as long as the caller keeps it.
+    Stores what was passed, None by default, and answers a read of None with
+    the matrix gathered from the first row afresh, so the L x L array lives
+    only as long as the caller keeps it.
     """
 
     def __set_name__(self, owner, name):
@@ -140,11 +140,9 @@ class _DenseOnRequest:
 
     def __get__(self, obj, owner=None):
         if obj is None:
-            raise AttributeError("entries has no default")  # a required field
+            return None  # the field's default
         stored = obj.__dict__[self.slot]
-        if stored is None and obj.row is not None:
-            return _toeplitz_gather(obj.row, obj.mesh)
-        return stored
+        return _toeplitz_gather(obj.row, obj.mesh) if stored is None else stored
 
     def __set__(self, obj, value):
         obj.__dict__[self.slot] = value
@@ -152,33 +150,27 @@ class _DenseOnRequest:
 
 @dataclass(frozen=True, repr=False, eq=False)  # both would read ``entries``
 class CovMatrix:
-    """Symmetric L x L covariance matrix sampled on a mesh.
+    """The stationary ``kernel`` sampled on a uniform ``mesh``, held as its first row.
 
-    ``mesh_weight`` is carried along so operator norms can be formed as
-    weight * (matrix spectral norm) without re-deriving the mesh.  ``mesh``,
-    ``kernel`` and ``row`` are set only by :func:`covariance_matrix`: they mark
-    the matrix as the stationary ``kernel`` sampled on that uniform mesh,
-    i.e. multilevel Toeplitz with first row ``row``, which
-    :func:`covariance_matvec` applies through the FFT.  Such a covariance is
-    built with ``entries=None`` and reading ``entries`` gathers the matrix
-    anew; code that only needs products, columns or the row reads neither.
+    The L x L matrix is multilevel Toeplitz with first row ``row``;
+    :func:`covariance_matvec` applies it through the FFT and ``columns``
+    gathers a block of it.  Built by :func:`covariance_matrix`.  Reading
+    ``entries`` gathers the whole matrix anew; code that only needs
+    products, columns or the row reads neither.
     """
 
+    mesh: Mesh
+    kernel: KernelModel
+    row: np.ndarray
     entries: np.ndarray | None = _DenseOnRequest()
-    mesh_weight: float
-    mesh: Mesh | None = None
-    kernel: KernelModel | None = None
-    row: np.ndarray | None = None
 
     @property
     def L(self) -> int:
-        return self.mesh.L if self.row is not None else self.entries.shape[0]
+        return self.mesh.L
 
     def columns(self, cols) -> np.ndarray:
-        """The L x k block of columns ``cols``, gathered from the row when there is one."""
-        if self.row is not None:
-            return _toeplitz_gather(self.row, self.mesh, cols)
-        return self.entries[:, cols]
+        """The L x k block of columns ``cols``, gathered from the row."""
+        return _toeplitz_gather(self.row, self.mesh, cols)
 
 
 @dataclass(frozen=True)
@@ -250,22 +242,7 @@ def covariance_matrix(kernel: KernelModel, mesh: Mesh) -> CovMatrix:
         )
     row = eval_kernel(kernel, np.sqrt(np.sum((mesh.coords - mesh.coords[0]) ** 2, axis=1)))
     row[0] = 1.0
-    return CovMatrix(entries=None, mesh_weight=mesh.weight, mesh=mesh, kernel=kernel, row=row)
-
-
-# Tile edge of the exact symmetry check: a tile and its mirror stay in cache.
-_SYMMETRY_TILE = 256
-
-
-def _exactly_symmetric(a: np.ndarray) -> bool:
-    """a == a.T bit for bit, compared tile by tile; NaN never compares equal."""
-    n = a.shape[0]
-    for i in range(0, n, _SYMMETRY_TILE):
-        for j in range(i, n, _SYMMETRY_TILE):
-            tile = a[i : i + _SYMMETRY_TILE, j : j + _SYMMETRY_TILE]
-            if not np.array_equal(tile, a[j : j + _SYMMETRY_TILE, i : i + _SYMMETRY_TILE].T):
-                return False
-    return True
+    return CovMatrix(mesh=mesh, kernel=kernel, row=row)
 
 
 def _mirror(block: np.ndarray, m: int) -> np.ndarray:
@@ -294,8 +271,7 @@ def _embedding_eigenvalues(cov: CovMatrix) -> np.ndarray:
 def _cholesky_ladder(cov: CovMatrix) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of cov plus the smallest jitter rung that factors.
 
-    A truth's matrix is gathered afresh, so a jitter rung sets its diagonal
-    in place; explicit entries are copied once before the first change.
+    The matrix is gathered afresh, so a jitter rung sets its diagonal in place.
     """
     try:
         a = cov.entries
@@ -303,12 +279,9 @@ def _cholesky_ladder(cov: CovMatrix) -> tuple[np.ndarray, float]:
         raise SamplingError(
             f"allocation of the {cov.L}x{cov.L} covariance matrix failed: {exc}"
         ) from exc
-    owned = cov.row is not None
     diag = a.diagonal().copy()
     for jitter in _JITTER_LADDER:
         if jitter != 0.0:
-            if not owned:
-                a, owned = a.copy(), True
             a.flat[:: cov.L + 1] = diag + jitter
         try:
             return np.linalg.cholesky(a), jitter
@@ -323,29 +296,25 @@ def _cholesky_ladder(cov: CovMatrix) -> tuple[np.ndarray, float]:
 def factorize(cov: CovMatrix) -> CovFactor:
     """Prepare draws from cov: by circulant embedding when it is nonnegative, else Cholesky.
 
-    A covariance that records its first row takes the FFT sampler when the
-    eigenvalues of its minimal circulant embedding satisfy lambda_min >=
-    -64 eps lambda_max; negatives are clipped and |lambda_min| is recorded as
-    ``jitter``.  Otherwise, and for any explicit matrix, the matrix is
-    Cholesky-factored with a fixed diagonal-jitter ladder {0, 1e-12, 1e-10,
-    1e-8}; the rung that succeeded is recorded.  Raises ``SamplingError`` for
-    an explicit matrix that is not exactly symmetric, or one still not
-    factorizable at the top rung.
+    The FFT sampler is taken when the eigenvalues of the minimal circulant
+    embedding satisfy lambda_min >= -64 eps lambda_max; negatives are clipped
+    and |lambda_min| is recorded as ``jitter``.  Otherwise the gathered
+    matrix is Cholesky-factored with a fixed diagonal-jitter ladder {0,
+    1e-12, 1e-10, 1e-8}; the rung that succeeded is recorded.  Raises
+    ``SamplingError`` when the matrix is still not factorizable at the top
+    rung.
     """
-    if cov.row is not None:
-        eig = _embedding_eigenvalues(cov)
-        low, high = float(eig.min()), float(eig.max())
-        if low >= -_CIRCULANT_TOL * high:
-            spectrum = np.sqrt(np.maximum(eig, 0.0) / eig.size)
-            return CovFactor(cov=cov, jitter=max(0.0, -low), spectrum=spectrum)
-    elif not _exactly_symmetric(cov.entries):
-        raise SamplingError("covariance matrix must be exactly symmetric")
+    eig = _embedding_eigenvalues(cov)
+    low, high = float(eig.min()), float(eig.max())
+    if low >= -_CIRCULANT_TOL * high:
+        spectrum = np.sqrt(np.maximum(eig, 0.0) / eig.size)
+        return CovFactor(cov=cov, jitter=max(0.0, -low), spectrum=spectrum)
     lower, jitter = _cholesky_ladder(cov)
     return CovFactor(cov=cov, jitter=jitter, lower=lower)
 
 
-def stationary_matvec(cov: CovMatrix, mesh: Mesh) -> Callable[[np.ndarray], np.ndarray]:
-    """v -> cov.entries @ v in O(L log L), for a stationary kernel on ``mesh``.
+def covariance_matvec(cov: CovMatrix) -> Callable[[np.ndarray], np.ndarray]:
+    """v -> cov.entries @ v in O(L log L).
 
     A stationary isotropic kernel sampled on the uniform grid gives a
     d-level symmetric Toeplitz matrix, fixed by its first row ``cov.row``.
@@ -355,9 +324,7 @@ def stationary_matvec(cov: CovMatrix, mesh: Mesh) -> Callable[[np.ndarray], np.n
     diagonalizes the circulant (Chan & Ng 1996).  Agrees with the dense
     product to rounding.
     """
-    if mesh.L != cov.L:
-        raise SamplingError("mesh size does not match covariance order")
-    m, d = mesh.m, mesh.d
+    m, d = cov.mesh.m, cov.mesh.d
     shape, axes = (m,) * d, tuple(range(d))
     size = (2 * m,) * d
     eig = np.fft.rfftn(_mirror(np.pad(cov.row.reshape(shape), (0, 1)), m), axes=axes)
@@ -368,19 +335,6 @@ def stationary_matvec(cov: CovMatrix, mesh: Mesh) -> Callable[[np.ndarray], np.n
         return np.fft.irfftn(eig * spec, s=size, axes=axes)[block].ravel()
 
     return matvec
-
-
-def covariance_matvec(cov: CovMatrix) -> Callable[[np.ndarray], np.ndarray]:
-    """v -> cov.entries @ v: by FFT when ``cov`` records its row, densely otherwise.
-
-    Only :func:`covariance_matrix` records a row, so a hand-built or
-    estimated matrix, which need not be Toeplitz, always gets the dense
-    product.
-    """
-    if cov.row is None:
-        entries = cov.entries
-        return lambda v: entries @ v
-    return stationary_matvec(cov, cov.mesh)
 
 
 def _circulant_fields(factor: CovFactor, N: int, rng: np.random.Generator) -> np.ndarray:

@@ -68,19 +68,17 @@ def sparsity_level(cov: CovMatrix, q: float) -> float:
     """Discretized R_q^q: max_i weight * sum_j |k(x_i, x_j)|^q.
 
     Returned as R_q^q (not R_q); callers exponentiate if they need R_q.
-    Takes an assembled covariance (:func:`opcov.sampling.covariance_matrix`)
-    and works from its first row w = |row|^q: the row sums of a multilevel
-    Toeplitz matrix are sum_j w[|i - j|], one axis at a time, and along one
-    axis that is cs[i] + cs[m - 1 - i] - w[0] with cs the running sum of w.
+    Works from the first row of the truth, w = |row|^q: the row sums of a
+    multilevel Toeplitz matrix are sum_j w[|i - j|], one axis at a time, and
+    along one axis that is cs[i] + cs[m - 1 - i] - w[0] with cs the running
+    sum of w.
     """
     _check_q(q)
-    if cov.row is None:
-        raise EstimationError("sparsity_level needs a covariance that records its first row")
     sums = (np.abs(cov.row) ** q).reshape((cov.mesh.m,) * cov.mesh.d)
     for axis in range(sums.ndim):
         cs = np.cumsum(sums, axis=axis)
         sums = cs + np.flip(cs, axis=axis) - np.take(sums, [0], axis=axis)
-    return cov.mesh_weight * float(np.max(sums))
+    return cov.mesh.weight * float(np.max(sums))
 
 
 def _radial_integral(kernel: KernelModel, q: float, d: int, epsrel: float = 1e-10) -> float:
@@ -292,7 +290,7 @@ def supnorm_error_experiment(
     max_col = np.empty(trials)
     for t in range(trials):
         ens = sample_ensemble(factor, N, derive_seed(seed, t), mesh)
-        err = np.abs(sample_covariance(ens).entries - truth)
+        err = np.abs(sample_covariance(ens) - truth)
         max_all[t] = err.max() / rho_N
         max_col[t] = err[:, ref_col].max() / rho_N
     summary = SupNormSummary(

@@ -24,7 +24,7 @@ from opcov.estimation import (
     spectral_norm,
 )
 from opcov.kernels import se_kernel
-from opcov.sampling import CovMatrix, build_mesh, covariance_matrix, factorize, sample_ensemble
+from opcov.sampling import build_mesh, covariance_matrix, factorize, sample_ensemble
 from opcov.theory import (
     cq_constant,
     expected_supremum_mc,
@@ -123,7 +123,7 @@ def test_criterion_04_psd_projection_factor_two():
         sym = 0.5 * (a + a.T)
         b = rng.normal(size=(L, L))
         target = b @ b.T / L
-        lhs = spectral_norm_dense(psd_projection(CovMatrix(sym, 1.0 / L)).entries - target)
+        lhs = spectral_norm_dense(psd_projection(sym) - target)
         rhs = spectral_norm_dense(sym - target)
         if lhs > 2.0 * rhs * (1.0 + 1e-10):
             violations += 1

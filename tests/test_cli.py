@@ -139,6 +139,47 @@ def test_custom_single_point_single_row(tmp_path):
     assert rows[0]["N"] == "4" and rows[0]["form"] == "full"
 
 
+def test_custom_matern_rows_use_the_kernel_smoothness(tmp_path):
+    # custom steps its one --kernel to each lengthscale, keeping nu = 2.5;
+    # every row equals estimate_and_report on matern_kernel(lambda, 2.5)
+    # with the command's seeds
+    from opcov.estimation import (
+        REPORT_CSV_HEADER,
+        ThresholdRule,
+        estimate_and_report,
+        report_csv_row,
+        spectral_norm,
+    )
+    from opcov.kernels import matern_kernel
+    from opcov.sampling import (
+        build_mesh,
+        covariance_matrix,
+        derive_seed,
+        factorize,
+        sample_ensemble,
+    )
+
+    seed, lams, trials = 4, [0.3, 0.05], 2
+    assert main(["custom", "--kernel", "matern:lambda=0.1,nu=2.5", "--m", "64", "--c0", "1",
+                 "--lambdas", "0.3,0.05", "--trials", str(trials), "--seed", str(seed),
+                 "--out", str(tmp_path / "o")]) == 0
+    cfg = ExperimentConfig(experiment="custom", m=64, c0=1.0, lambda_grid=lams)
+    rule = ThresholdRule(c0=1.0, form="simplified")
+    mesh = build_mesh(1, 64)
+    want = [REPORT_CSV_HEADER + ",trial"]
+    for lam_idx, lam in enumerate(lams):
+        truth = covariance_matrix(matern_kernel(lam, 2.5), mesh)
+        factor = factorize(truth)
+        truth_norm = spectral_norm(truth, seed=derive_seed(seed, 0xA0, 0, lam_idx))
+        N = sample_size(lam, cfg)
+        for trial in range(trials):
+            trial_seed = derive_seed(seed, 0, lam_idx, trial)
+            ens = sample_ensemble(factor, N, trial_seed, mesh)
+            report = estimate_and_report(ens, truth, rule, seed=trial_seed, truth_norm=truth_norm)
+            want.append(report_csv_row(report, trial_seed, 1, 64, lam, N, rule) + f",{trial}")
+    assert strip_timestamp(tmp_path / "o" / "custom_matern_trials.csv").splitlines() == want
+
+
 def test_timing_names_the_sampler(tmp_path):
     # lambda = 0.3 has a negative circulant embedding, lambda = 0.01 does not
     assert main(["custom", "--kernel", "se:lambda=0.1", "--m", "200", "--lambdas", "0.3,0.01",

@@ -25,7 +25,6 @@ from opcov.estimation import (
 )
 from opcov.kernels import matern_kernel, se_kernel
 from opcov.sampling import (
-    CovMatrix,
     build_mesh,
     covariance_matrix,
     derive_seed,
@@ -323,19 +322,19 @@ def _dense_comparison(kernel, mesh, obs, N, rule, trials, seed):
         disc_v, disc_l, innov_norms, deltas, along_v, actuals, ok = [], [], [], [], [], [], True
         for n in range(N):
             u = ens.fields[n]
-            loo = CovMatrix((S - np.outer(u, u)) / (N - 1), w)
+            loo = (S - np.outer(u, u)) / (N - 1)
             s_bar = (ens.sups.sum() - ens.sups[n]) / (N - 1)
             thresh = hard_threshold(loo, rule.rho(s_bar, N - 1))
             innov = y - obs.A @ u - etas[n]
             v_star = u + gain_true @ innov
-            gain_v = kalman_gain(loo.entries @ obs.A.T, obs)
-            gain_l = kalman_gain(thresh.entries @ obs.A.T, obs)
+            gain_v = kalman_gain(loo @ obs.A.T, obs)
+            gain_l = kalman_gain(thresh @ obs.A.T, obs)
             disc_v.append(state_norm(u + gain_v @ innov - v_star, w))
             disc_l.append(state_norm(u + gain_l @ innov - v_star, w))
             innov_norms.append(np.linalg.norm(innov))
-            deltas.append(spectral_norm_dense(loo.entries - C))
+            deltas.append(spectral_norm_dense(loo - C))
             v = substream(seed, t, 2, n).standard_normal(mesh.L)
-            along_v.append(np.linalg.norm((loo.entries - C) @ v) / np.linalg.norm(v))
+            along_v.append(np.linalg.norm((loo - C) @ v) / np.linalg.norm(v))
             actuals.append(gain_operator_norm(gain_v - gain_true, w))
             bound = gain_continuity_bound(w * deltas[-1], cov_norm, obs)
             ok &= actuals[-1] <= bound * (1.0 + 1e-6)

@@ -27,11 +27,11 @@ from opcov.estimation import (
     threshold_parameter,
 )
 from opcov.kernels import matern_kernel, se_kernel
-from opcov.sampling import CovMatrix, build_mesh, covariance_matrix, factorize, sample_ensemble
+from opcov.sampling import build_mesh, covariance_matrix, factorize, sample_ensemble
 
 
-def cov(entries, weight=1.0):
-    return CovMatrix(entries=np.asarray(entries, dtype=float), mesh_weight=weight)
+def cov(entries):
+    return np.asarray(entries, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -88,13 +88,12 @@ def test_population_threshold_matches_sample_formula():
 def test_sample_covariance_rank_one():
     ens = make_ensemble([[1.0, -1.0]])
     got = sample_covariance(ens)
-    assert np.array_equal(got.entries, [[1.0, -1.0], [-1.0, 1.0]])
-    assert got.mesh_weight == 0.5
+    assert np.array_equal(got, [[1.0, -1.0], [-1.0, 1.0]])
 
 
 def test_sample_covariance_zero_fields():
     ens = make_ensemble(np.zeros((5, 4)))
-    assert np.array_equal(sample_covariance(ens).entries, np.zeros((4, 4)))
+    assert np.array_equal(sample_covariance(ens), np.zeros((4, 4)))
 
 
 def test_sample_covariance_optional_centering():
@@ -102,8 +101,8 @@ def test_sample_covariance_optional_centering():
     fields = np.array([[1.0, 1.0], [3.0, 3.0]])
     raw = sample_covariance(make_ensemble(fields))
     centered = sample_covariance(make_ensemble(fields - fields.mean(axis=0)))
-    assert raw.entries[0, 0] == 5.0
-    assert centered.entries[0, 0] == 1.0
+    assert raw[0, 0] == 5.0
+    assert centered[0, 0] == 1.0
 
 
 def test_sample_covariance_monte_carlo():
@@ -114,7 +113,7 @@ def test_sample_covariance_monte_carlo():
     got = sample_covariance(ens)
     C = truth.entries
     sigma = np.sqrt((np.outer(np.diag(C), np.diag(C)) + C**2) / N)
-    assert np.all(np.abs(got.entries - C) <= 5 * sigma)
+    assert np.all(np.abs(got - C) <= 5 * sigma)
 
 
 def test_sample_covariance_is_psd():
@@ -123,7 +122,7 @@ def test_sample_covariance_is_psd():
     for seed in range(3):
         sc = sample_covariance(sample_ensemble(truth, 6, seed=seed, mesh=mesh))
         norm = spectral_norm_dense(sc)
-        assert np.min(np.linalg.eigvalsh(sc.entries)) >= -1e-10 * norm
+        assert np.min(np.linalg.eigvalsh(sc)) >= -1e-10 * norm
 
 
 # ---------------------------------------------------------------------------
@@ -133,18 +132,18 @@ def test_sample_covariance_is_psd():
 
 def test_hard_threshold_zero_rho_is_identity():
     x = cov([[1.0, 0.2], [0.2, 1.0]])
-    assert np.array_equal(hard_threshold(x, 0.0).entries, x.entries)
+    assert np.array_equal(hard_threshold(x, 0.0), x)
 
 
 def test_hard_threshold_keeps_boundary_ties():
     x = cov([[1.0, 0.3], [0.3, 1.0]])
-    assert np.array_equal(hard_threshold(x, 0.3).entries, x.entries)
+    assert np.array_equal(hard_threshold(x, 0.3), x)
 
 
 def test_hard_threshold_keeps_diagonal_only():
     x = cov([[1.0, 0.4, -0.2], [0.4, 1.0, 0.1], [-0.2, 0.1, 1.0]])
     got = hard_threshold(x, 0.5)
-    assert np.array_equal(got.entries, np.eye(3))
+    assert np.array_equal(got, np.eye(3))
 
 
 def test_hard_threshold_rejects_negative_rho():
@@ -160,10 +159,10 @@ def test_hard_threshold_idempotent_and_symmetric(seed, rho):
     x = cov(0.5 * (a + a.T))
     once = hard_threshold(x, rho)
     twice = hard_threshold(once, rho)
-    assert np.array_equal(once.entries, twice.entries)
-    assert np.array_equal(once.entries, once.entries.T)
+    assert np.array_equal(once, twice)
+    assert np.array_equal(once, once.T)
     # entrywise: a block of columns thresholds to those columns of the result
-    assert np.array_equal(hard_threshold(x.entries[:, [0, 3]], rho), once.entries[:, [0, 3]])
+    assert np.array_equal(hard_threshold(x[:, [0, 3]], rho), once[:, [0, 3]])
 
 
 @settings(max_examples=40, deadline=None)
@@ -173,8 +172,8 @@ def test_hard_threshold_monotone_in_rho(seed, rho1, rho2):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(6, 6))
     x = cov(0.5 * (a + a.T))
-    survived_hi = hard_threshold(x, hi).entries != 0
-    survived_lo = hard_threshold(x, lo).entries != 0
+    survived_hi = hard_threshold(x, hi) != 0
+    survived_lo = hard_threshold(x, lo) != 0
     assert np.all(survived_lo | ~survived_hi)  # hi survivors subset of lo survivors
 
 
@@ -188,12 +187,12 @@ def test_psd_projection_fixes_nothing_on_psd_input():
     a = rng.normal(size=(6, 6))
     x = cov(a @ a.T)
     got = psd_projection(x)
-    assert np.allclose(got.entries, x.entries, rtol=1e-10, atol=1e-12)
+    assert np.allclose(got, x, rtol=1e-10, atol=1e-12)
 
 
 def test_psd_projection_clips_negative_eigenvalues():
     got = psd_projection(cov(np.diag([1.0, -0.5])))
-    assert np.allclose(got.entries, np.diag([1.0, 0.0]), atol=1e-14)
+    assert np.allclose(got, np.diag([1.0, 0.0]), atol=1e-14)
 
 
 def test_psd_projection_distance_equals_most_negative_eigenvalue():
@@ -203,7 +202,7 @@ def test_psd_projection_distance_equals_most_negative_eigenvalue():
     vals = np.linalg.eigvalsh(sym)
     assert vals.min() < 0  # seed chosen so a negative eigenvalue exists
     got = psd_projection(cov(sym))
-    dist = spectral_norm_dense(got.entries - sym)
+    dist = spectral_norm_dense(got - sym)
     assert dist == pytest.approx(abs(vals.min()), rel=1e-12)
 
 
@@ -215,7 +214,7 @@ def test_psd_projection_factor_two_bound():
         sym = 0.5 * (a + a.T)
         b = rng.normal(size=(L, L))
         target = b @ b.T  # PSD truth
-        lhs = spectral_norm_dense(psd_projection(cov(sym)).entries - target)
+        lhs = spectral_norm_dense(psd_projection(sym) - target)
         rhs = spectral_norm_dense(sym - target)
         assert lhs <= 2.0 * rhs * (1 + 1e-10)
 
@@ -247,16 +246,15 @@ def test_zero_operand_at_arpack_size():
     n = 100
     truth = covariance_matrix(se_kernel(0.05), build_mesh(1, n))
     zero_op = LinearOperator((n, n), matvec=lambda v: np.zeros(n), dtype=float)
-    for zero in (np.zeros((n, n)), cov(np.zeros((n, n))), zero_op):
+    for zero in (np.zeros((n, n)), zero_op):
         assert spectral_norm(zero, seed=3) == 0.0
         assert min_eigenvalue(zero, seed=3) == 0.0
     assert relative_error(np.zeros((n, n)), truth) == 1.0
-    assert relative_error(cov(np.zeros((n, n))), truth) == 1.0
     # est = truth makes the difference operator zero
     assert relative_error(truth, truth) == 0.0
-    assert relative_error(truth.entries, cov(truth.entries)) == 0.0
+    assert relative_error(truth.entries, truth.entries) == 0.0
     same = LinearOperator((n, n), matvec=lambda v: truth.entries @ v, dtype=float)
-    assert relative_error(same, cov(truth.entries)) == 0.0
+    assert relative_error(same, truth.entries) == 0.0
 
 
 def test_spectral_norm_matches_dense_oracle():
@@ -401,7 +399,7 @@ def test_relative_error_scale_invariant():
     b = rng.normal(size=(8, 8))
     truth = cov(b @ b.T)
     base = relative_error(est, truth)
-    scaled = relative_error(cov(3.7 * est.entries), cov(3.7 * truth.entries))
+    scaled = relative_error(3.7 * est, 3.7 * truth)
     assert scaled == pytest.approx(base, rel=1e-8)
 
 
@@ -412,17 +410,17 @@ def test_relative_error_zero_estimate_shortcut():
 
 def test_l1_operator_bound_dominates_weighted_norm():
     # the weighted largest absolute row sum bounds the weighted spectral norm
-    def row_sum_bound(c):
-        return c.mesh_weight * float(np.max(np.sum(np.abs(c.entries), axis=1)))
+    def row_sum_bound(a, weight):
+        return weight * float(np.max(np.sum(np.abs(a), axis=1)))
 
     mesh = build_mesh(1, 1250)
     c = covariance_matrix(se_kernel(0.05), mesh)
-    assert row_sum_bound(c) >= c.mesh_weight * spectral_norm(c, seed=0)
+    assert row_sum_bound(c.entries, mesh.weight) >= mesh.weight * spectral_norm(c, seed=0)
     rng = np.random.default_rng(4)
     for trial in range(20):
         a = rng.normal(size=(7, 7))
-        x = cov(0.5 * (a + a.T), weight=1 / 7)
-        assert row_sum_bound(x) >= x.mesh_weight * spectral_norm_dense(x) - 1e-12
+        x = cov(0.5 * (a + a.T))
+        assert row_sum_bound(x, 1 / 7) >= spectral_norm_dense(x) / 7 - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +430,8 @@ def test_l1_operator_bound_dominates_weighted_norm():
 
 def test_report_on_single_zero_field():
     ens = make_ensemble(np.zeros((1, 6)))
-    truth = cov(np.eye(6), weight=1 / 6)
+    truth = covariance_matrix(se_kernel(1e-8), ens.mesh)
+    assert np.array_equal(truth.entries, np.eye(6))
     report = estimate_and_report(ens, truth, ThresholdRule(c0=1.0, form="full"))
     assert report.eps_sample == 1.0  # estimate is the zero matrix
     assert report.eps_thresh == 1.0
@@ -551,7 +550,7 @@ def test_report_whole_matrix_matches_dense(keep, monkeypatch):
     truth = covariance_matrix(se_kernel(0.3), mesh)
     ens = sample_ensemble(truth, 7, seed=2, mesh=mesh)
     truth_norm = spectral_norm_dense(truth)
-    S = sample_covariance(ens).entries
+    S = sample_covariance(ens)
     rho = 0.0 if keep == "every entry" else float(np.quantile(np.abs(S), 0.2))
     monkeypatch.setattr(estimation, "threshold_parameter", lambda ens, rule: rho)
     if keep == "every entry":
@@ -589,23 +588,7 @@ def test_report_zero_shortcut_boundary(monkeypatch):
     got = estimate_and_report(ens, truth, rule, seed=1, truth_norm=truth_norm)
     assert (got.rho_hat, got.eps_thresh, got.nnz_fraction, got.psd_min_eig) == (rho, 1.0, 0.0, 0.0)
     assert got.eps_sample == pytest.approx(
-        spectral_norm_dense(sample_covariance(ens).entries - truth.entries) / truth_norm, rel=1e-12)
-
-
-def test_report_never_takes_the_fft_for_a_hand_made_truth(monkeypatch):
-    mesh = build_mesh(1, 40)
-    assembled = covariance_matrix(se_kernel(0.1), mesh)
-    assert assembled.mesh is mesh
-    ens = sample_ensemble(assembled, 8, seed=2, mesh=mesh)
-    rule = ThresholdRule(c0=1.0, form="simplified")
-    want = estimate_and_report(ens, assembled, rule, seed=4)
-    monkeypatch.setattr(sampling, "stationary_matvec", lambda *a: pytest.fail("FFT taken"))
-    hand_made = CovMatrix(assembled.entries.copy(), assembled.mesh_weight)
-    got = estimate_and_report(ens, hand_made, rule, seed=4)
-    assert got.nnz_fraction == want.nnz_fraction > 0.0
-    assert got.eps_thresh == pytest.approx(want.eps_thresh, rel=1e-12)
-    with pytest.raises(pytest.fail.Exception, match="FFT taken"):
-        estimate_and_report(ens, assembled, rule, seed=4)
+        spectral_norm_dense(sample_covariance(ens) - truth.entries) / truth_norm, rel=1e-12)
 
 
 def test_report_csv_row_round_trips():
@@ -622,7 +605,8 @@ def test_report_csv_row_round_trips():
 def test_report_mismatched_mesh_rejected():
     ens = make_ensemble(np.zeros((2, 4)))
     with pytest.raises(EstimationError):
-        estimate_and_report(ens, cov(np.eye(5)), ThresholdRule())
+        estimate_and_report(ens, covariance_matrix(se_kernel(0.1), build_mesh(1, 5)),
+                            ThresholdRule())
 
 
 def test_reference_mesh_fig_trial_forms_no_square_matrix():

@@ -11,11 +11,11 @@ from opcov.sampling import (
     SamplingError,
     build_mesh,
     covariance_matrix,
+    covariance_matvec,
     derive_seed,
     ensemble_sup_mean,
     factorize,
     sample_ensemble,
-    stationary_matvec,
     substream,
 )
 
@@ -57,7 +57,6 @@ def test_covariance_matrix_se_2point():
     cov = covariance_matrix(se_kernel(1.0), build_mesh(1, 2))
     off = math.exp(-1.0 / 8.0)
     assert cov.entries == pytest.approx(np.array([[1.0, off], [off, 1.0]]), rel=1e-15)
-    assert cov.mesh_weight == 0.5
 
 
 def test_covariance_matrix_unit_diagonal_and_symmetry():
@@ -97,27 +96,16 @@ def test_sups_cache_coherent():
 
 
 def test_jitter_ladder_recorded():
-    # singular PSD matrix: plain Cholesky fails, first jitter rung succeeds
-    ones = CovMatrix(entries=np.ones((3, 3)), mesh_weight=1.0 / 3.0)
+    # the all-ones row: a singular PSD matrix whose embedding [1, 1, 1, k(1),
+    # 1, 1] has the eigenvalue k(1) - 1 < 0, so it takes Cholesky, where
+    # plain Cholesky fails and the first jitter rung succeeds
+    mesh = build_mesh(1, 3)
+    ones = CovMatrix(mesh, se_kernel(0.1), np.ones(3))
     factor = factorize(ones)
+    assert factor.sampler == "cholesky"
     assert factor.jitter in (0.0, 1e-12)
-    ens = sample_ensemble(ones, 4, seed=1, mesh=build_mesh(1, 3))
+    ens = sample_ensemble(ones, 4, seed=1, mesh=mesh)
     assert ens.jitter == factor.jitter
-
-
-@pytest.mark.parametrize("L", [3, 300, 600])
-def test_factorize_rejects_inexact_symmetry(L):
-    # 300 and 600 put the bad pair off the diagonal tiles of the check
-    base = covariance_matrix(se_kernel(0.1), build_mesh(1, L)).entries
-    for value in (np.nextafter(base[L - 1, 1], 2.0), math.nan):
-        bad = base.copy()
-        bad[L - 1, 1] = value
-        with pytest.raises(SamplingError, match="exactly symmetric"):
-            factorize(CovMatrix(bad, 1.0 / L))
-    nan_pair = base.copy()
-    nan_pair[L - 1, 1] = nan_pair[1, L - 1] = math.nan
-    with pytest.raises(SamplingError, match="exactly symmetric"):
-        factorize(CovMatrix(nan_pair, 1.0 / L))
 
 
 def test_jittered_factor_is_the_shifted_matrix_factor():
@@ -130,20 +118,23 @@ def test_jittered_factor_is_the_shifted_matrix_factor():
 
 
 def test_factorize_rejects_indefinite():
-    bad = CovMatrix(entries=np.diag([1.0, -1.0]), mesh_weight=0.5)
+    # the row [1, 2] gives [[1, 2], [2, 1]], eigenvalues 3 and -1; its
+    # embedding [1, 2, k(1), 2] has the eigenvalue k(1) - 3 < 0
+    bad = CovMatrix(build_mesh(1, 2), se_kernel(0.1), np.array([1.0, 2.0]))
     with pytest.raises(SamplingError, match="jitter"):
         factorize(bad)
 
 
 def test_sample_requires_positive_count():
-    cov = CovMatrix(entries=np.eye(2), mesh_weight=0.5)
+    mesh = build_mesh(1, 2)
+    cov = covariance_matrix(se_kernel(0.1), mesh)
     with pytest.raises(SamplingError):
-        sample_ensemble(cov, 0, seed=1, mesh=build_mesh(1, 2))
+        sample_ensemble(cov, 0, seed=1, mesh=mesh)
 
 
 def test_single_point_fields_are_standard_normal():
-    cov = CovMatrix(entries=np.eye(1), mesh_weight=1.0)
-    ens = sample_ensemble(cov, 3, seed=7, mesh=make_mesh(1, weight=1.0))
+    mesh = make_mesh(1, weight=1.0)
+    ens = sample_ensemble(covariance_matrix(se_kernel(0.1), mesh), 3, seed=7, mesh=mesh)
     assert ens.fields.shape == (3, 1)
     assert np.array_equal(ens.sups, ens.fields[:, 0])
 
@@ -182,17 +173,11 @@ def test_substreams_are_disjoint_and_stable():
 def test_stationary_matvec_matches_dense_product(d, m, kernel):
     mesh = build_mesh(d, m)
     cov = covariance_matrix(kernel, mesh)
-    matvec = stationary_matvec(cov, mesh)
+    matvec = covariance_matvec(cov)
     rng = np.random.default_rng(m)
     for v in (rng.standard_normal(mesh.L), np.eye(mesh.L)[-1]):
         want = cov.entries @ v
         assert np.max(np.abs(matvec(v) - want)) <= 1e-12 * np.max(np.abs(want))
-
-
-def test_stationary_matvec_rejects_other_mesh():
-    cov = covariance_matrix(se_kernel(0.1), build_mesh(1, 8))
-    with pytest.raises(SamplingError):
-        stationary_matvec(cov, build_mesh(1, 9))
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +250,6 @@ def test_sampler_routing():
     assert factor.jitter <= 64 * np.finfo(float).eps * eig.max()
     # a nonnegative embedding draws with no jitter at all
     assert factorize(covariance_matrix(se_kernel(1e-3), build_mesh(1, 1250))).jitter == 0.0
-    # an explicit matrix always takes Cholesky
-    assert factorize(CovMatrix(np.eye(3), 1.0 / 3.0)).sampler == "cholesky"
 
 
 @pytest.mark.parametrize("d,m,kernel,sampler", [
