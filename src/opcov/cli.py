@@ -8,8 +8,10 @@ Commands (also exposed as the ``opcov`` console script)::
     opcov custom     single-kernel sweep with explicit grids
     opcov theory     scaling-report sweep (sparsity, norms, effective rank)
 
-Every command takes ``--config <path>`` (flat ``key = value`` lines, ``#``
-comments), and individual flags, with flags winning.  Runs are deterministic
+Each command reads the settings in ``_SETTINGS`` that name it, as flags or
+from ``--config <path>`` (flat ``key = value`` lines, ``#`` comments), with
+flags winning; a flag or key the command does not read is a configuration
+error.  Runs are deterministic
 given the master seed: each (kernel, lengthscale, trial) cell draws from its
 own substream, so results are identical for any ``--threads`` value; output
 rows are written in grid order by a single writer.  CSVs carry one leading
@@ -30,6 +32,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -141,7 +144,7 @@ class ExperimentConfig:
                 _check_draws(self.esup_samples)
         except (EstimationError, SamplingError, enkf_mod.EnkfError) as exc:
             raise ConfigError(str(exc)) from None
-        if rule.form == "full" and self.experiment != "theory":  # theory does not threshold
+        if rule.form == "full":
             # enkf-demo thresholds leave-one-out ensembles of N - 1 members
             shrink = 1 if self.experiment == "enkf-demo" else 0
             for lam in self.lambda_grid:
@@ -198,15 +201,6 @@ def sample_size(lam: float, cfg: ExperimentConfig) -> int:
 # config files and flags
 # ---------------------------------------------------------------------------
 
-_CONFIG_CASTS = {
-    "experiment": str, "kernel": str, "d": int, "m": int,
-    "n_rule": str, "n_fixed": int, "c0": float, "form": str, "trials": int,
-    "master_seed": int, "output_dir": str, "log_base": float, "n_exponent": int,
-    "threads": int, "plot": bool, "check": bool, "dy": int, "noise_std": float,
-    "q": float, "esup_samples": int,
-}
-
-
 def _parse_bool(text: str) -> bool:
     if text.lower() in ("1", "true", "yes", "on"):
         return True
@@ -216,13 +210,59 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_lambda_grid(text: str) -> list[float]:
-    try:
-        grid = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad lambda_grid entry: {exc}") from None
+    grid = [float(tok) for tok in text.split(",") if tok.strip()]
     if not grid:
-        raise ConfigError("lambda_grid is empty")
+        raise ValueError(text)
     return grid
+
+
+class _Setting(NamedTuple):
+    parse: Callable[[str], object]
+    commands: tuple[str, ...]
+    flag: str | None = None  # None: --<key> with dashes for underscores
+    help: str | None = None
+
+
+_FIGURES = ("fig1", "fig2", "custom")
+_RULE = (*_FIGURES, "enkf-demo")  # the commands that threshold an ensemble
+_COMMANDS = (*_RULE, "theory")
+
+# Every setting a command reads, by config key (an ExperimentConfig field).
+_SETTINGS = {
+    "master_seed": _Setting(int, _COMMANDS, "--seed", "master seed"),
+    "output_dir": _Setting(str, _COMMANDS, "--out", "output directory"),
+    "lambda_grid": _Setting(_parse_lambda_grid, _COMMANDS, "--lambdas",
+                            "comma-separated descending lengthscale grid"),
+    "m": _Setting(int, _COMMANDS, help="mesh points per axis"),
+    "d": _Setting(int, ("custom", "enkf-demo", "theory")),
+    "kernel": _Setting(str, ("custom", "enkf-demo", "theory"), help="kernel spec string"),
+    "trials": _Setting(int, _RULE),
+    "c0": _Setting(float, _RULE),
+    "form": _Setting(str, _RULE, help="full or simplified"),
+    "n_rule": _Setting(str, _RULE, help="5log or fixed"),
+    "n_fixed": _Setting(int, _RULE),
+    "log_base": _Setting(float, _RULE),
+    "n_exponent": _Setting(int, _RULE),
+    "check": _Setting(_parse_bool, _RULE, help=(
+        "verify qualitative acceptance thresholds; exit 3 on violation")),
+    "threads": _Setting(int, _FIGURES, help="worker threads per lengthscale"),
+    "plot": _Setting(_parse_bool, _FIGURES, help="write SVG plots"),
+    "dy": _Setting(int, ("enkf-demo",)),
+    "noise_std": _Setting(float, ("enkf-demo",)),
+    "q": _Setting(float, ("theory",)),
+    "esup_samples": _Setting(int, ("theory",)),
+}
+
+
+def _flag(key: str) -> str:
+    return _SETTINGS[key].flag or "--" + key.replace("_", "-")
+
+
+def _parse_setting(key: str, text: str, where: str = ""):
+    try:
+        return _SETTINGS[key].parse(text)
+    except ValueError:
+        raise ConfigError(f"{where}bad value {text!r} for key {key!r}") from None
 
 
 def load_config_file(path) -> dict:
@@ -240,18 +280,9 @@ def load_config_file(path) -> dict:
         key, value = key.strip(), value.strip()
         if not eq or not key:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        if key == "lambda_grid":
-            values[key] = _parse_lambda_grid(value)
-            continue
-        if key not in _CONFIG_CASTS:
+        if key not in _SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        cast = _parse_bool if _CONFIG_CASTS[key] is bool else _CONFIG_CASTS[key]
-        try:
-            values[key] = cast(value)
-        except ValueError:
-            raise ConfigError(
-                f"{path}:{lineno}: bad value {value!r} for key {key!r}"
-            ) from None
+        values[key] = _parse_setting(key, value, f"{path}:{lineno}: ")
     return values
 
 
@@ -422,21 +453,20 @@ def run_figure(cfg: ExperimentConfig) -> dict:
     cfg.validate()
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    prefix = cfg.experiment if cfg.experiment != "custom" else "custom"
     all_summaries: dict = {}
     all_timings: list[str] = []
     for kernel_idx, base in enumerate(_figure_kernels(cfg)):
         summaries, timings = _run_kernel_sweep(
-            cfg, kernel_idx, base, out_dir, f"{prefix}_{base.family}"
+            cfg, kernel_idx, base, out_dir, f"{cfg.experiment}_{base.family}"
         )
         all_summaries[base.family] = summaries
         all_timings.extend(timings)
-    _write_stamped(out_dir / f"{prefix}_timing.txt", all_timings)
+    _write_stamped(out_dir / f"{cfg.experiment}_timing.txt", all_timings)
     if cfg.check:
         problems = []
         for name, summaries in all_summaries.items():
             problems.extend(f"[{name}] {p}" for p in _check_figure(summaries))
-        _write_stamped(out_dir / f"{prefix}_check.txt",
+        _write_stamped(out_dir / f"{cfg.experiment}_check.txt",
                        ["FAIL", *problems] if problems else ["PASS"])
         if problems:
             raise CheckFailure("; ".join(problems))
@@ -541,87 +571,52 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", type=str, default=None, help="flat key = value config file")
-    sub.add_argument("--seed", type=int, default=None, help="master seed")
-    sub.add_argument("--out", type=str, default=None, help="output directory")
-    sub.add_argument("--plot", action="store_true", default=None, help="write SVG plots")
-    sub.add_argument("--threads", type=int, default=None, help="worker threads per lengthscale")
-    sub.add_argument("--check", action="store_true", default=None,
-                     help="verify qualitative acceptance thresholds; exit 3 on violation")
-    sub.add_argument("--trials", type=int, default=None)
-    sub.add_argument("--m", type=int, default=None, help="mesh points per axis")
-    sub.add_argument("--lambdas", type=str, default=None,
-                     help="comma-separated descending lengthscale grid")
-    sub.add_argument("--c0", type=float, default=None)
-    sub.add_argument("--form", type=str, default=None, choices=("full", "simplified"))
-    sub.add_argument("--n-rule", type=str, default=None, choices=("5log", "fixed"))
-    sub.add_argument("--n-fixed", type=int, default=None)
-    sub.add_argument("--log-base", type=float, default=None)
-    sub.add_argument("--n-exponent", type=int, default=None)
-    sub.add_argument("--kernel", type=str, default=None, help="kernel spec string")
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="opcov", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in ("fig1", "fig2", "enkf-demo", "custom", "theory"):
+    for name in _COMMANDS:
         sub = subs.add_parser(name)
-        _add_common(sub)
-        if name == "enkf-demo":
-            sub.add_argument("--dy", type=int, default=None)
-            sub.add_argument("--noise-std", type=float, default=None)
-        if name == "custom":
-            sub.add_argument("--d", type=int, default=None)
-        if name == "theory":
-            sub.add_argument("--d", type=int, default=None)
-            sub.add_argument("--q", type=float, default=None)
-            sub.add_argument("--esup-samples", type=int, default=None)
+        sub.add_argument("--config", type=str, default=None, help="flat key = value config file")
+        for key, setting in _SETTINGS.items():
+            if name not in setting.commands:
+                continue
+            if setting.parse is _parse_bool:  # a bare switch; parsed like a config value
+                sub.add_argument(_flag(key), dest=key, action="store_const", const="true",
+                                 default=None, help=setting.help)
+            else:
+                sub.add_argument(_flag(key), dest=key, default=None, help=setting.help)
     return parser
 
 
-_FLAG_TO_FIELD = {
-    "seed": "master_seed", "out": "output_dir", "lambdas": "lambda_grid",
-    "n_rule": "n_rule", "n_fixed": "n_fixed", "log_base": "log_base",
-    "n_exponent": "n_exponent", "noise_std": "noise_std", "esup_samples": "esup_samples",
-}
+_PRESETS = {"fig1": fig1_config, "fig2": fig2_config, "enkf-demo": enkf_demo_config}
 
 
-def _config_from_args(args) -> ExperimentConfig:
-    if args.command == "fig1":
-        cfg = fig1_config()
-    elif args.command == "fig2":
-        cfg = fig2_config()
-    elif args.command == "enkf-demo":
-        cfg = enkf_demo_config()
-    else:
-        cfg = ExperimentConfig(experiment=args.command)
-    if args.config:
-        for key, value in load_config_file(args.config).items():
-            if key == "experiment" and value != cfg.experiment:
-                raise ConfigError(
-                    f"config file sets experiment={value!r} but the command is {cfg.experiment!r}"
-                )
-            setattr(cfg, key, value)
-    for flag, value in vars(args).items():
-        if flag in ("command", "config") or value is None:
-            continue
-        name = _FLAG_TO_FIELD.get(flag, flag)
-        if name == "lambda_grid":
-            value = _parse_lambda_grid(value)
-        setattr(cfg, name, value)
-    return cfg
+def _config_from_argv(argv) -> ExperimentConfig:
+    """The configuration a command line asks for: preset, then config file, then flags."""
+    args, unread = _build_parser().parse_known_args(argv)
+    command = args.command
+    if unread:
+        raise ConfigError(f"{command} does not read {' '.join(unread)}")
+    cfg = _PRESETS.get(command, lambda: ExperimentConfig(experiment=command))()
+    values = load_config_file(args.config) if args.config else {}
+    for key in values:
+        if command not in _SETTINGS[key].commands:
+            raise ConfigError(f"{args.config}: {command} does not read key {key!r}")
+    values.update(
+        (key, _parse_setting(key, text, f"{_flag(key)}: "))
+        for key, text in vars(args).items() if key in _SETTINGS and text is not None
+    )
+    return replace(cfg, **values)
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        cfg = _config_from_args(args)
+        cfg = _config_from_argv(argv)
     except ConfigError as exc:
         print(f"opcov: configuration error: {exc}", file=sys.stderr)
         return 1
     try:
-        if cfg.experiment in ("fig1", "fig2", "custom"):
+        if cfg.experiment in _FIGURES:
             run_figure(cfg)
         elif cfg.experiment == "enkf-demo":
             run_enkf_demo(cfg)

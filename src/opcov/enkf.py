@@ -1,17 +1,21 @@
 """One ensemble Kalman analysis step: mean-field, stochastic, and localized gains.
 
 Conventions.  The state space is the mesh discretization of L^2 on the unit
-cube, with inner product weight * <u, v>.  The observation operator A acts on
-raw mesh values; under the weighted inner product its adjoint is A^T / weight,
-so the weights cancel in the Kalman gain and the matrix formula
-K = C A^T (A C A^T + Gamma)^-1 holds verbatim.  Weighted norms reappear only
-in reported quantities: ||A|| = smax(A) / sqrt(weight), covariance operator
-norms are weight * (matrix norm), state discrepancies are sqrt(weight) times
-the Euclidean norm, and gains carry sqrt(weight) * smax.
-
-The observation operator takes d_y pointwise values at equispaced mesh
-sites.  Pointwise evaluation is unbounded on L^2 and only makes sense after
-discretization.
+cube, with inner product weight * <u, v>.  The observation y = A u + eta
+reads d_y distinct mesh sites, A u = u[sites], with noise eta ~ N(0, Gamma),
+Gamma = noise_std^2 I.  Under the weighted inner product the adjoint of A is
+A^T / weight, so the weights cancel in the Kalman gain and the matrix formula
+K = C A^T (A C A^T + Gamma)^-1 holds verbatim: C A^T is the columns of C at
+the sites and A C A^T + Gamma their rows at the sites plus noise_std^2 on the
+diagonal.  Weighted norms reappear only in reported quantities:
+||A|| = 1 / sqrt(weight) (A has orthonormal rows), ||Gamma^-1|| =
+1 / noise_std^2, covariance operator norms are weight * (matrix norm), state
+discrepancies are sqrt(weight) times the Euclidean norm, and gains carry
+sqrt(weight) * smax.  Pointwise evaluation is unbounded on L^2 and only makes
+sense after discretization.  No general observation operator or noise
+covariance is modelled: the constructor from explicit matrices, the
+cross-covariance method and the ``A``, ``Gamma`` and ``cols`` fields of
+:class:`ObservationModel` are gone, since every caller observes mesh sites.
 
 All three analysis updates share the observation y and the per-particle
 noises, which isolates the gain estimation error: the difference between two
@@ -20,9 +24,9 @@ innovation.  The mean-field update uses the population covariance; the
 stochastic and localized updates use leave-one-out sample covariances.
 
 Nothing of order L x L is formed per particle.  A gain reads a covariance
-only through C A^T, i.e. through the columns of C that A touches, so the
+only through C A^T, i.e. through its columns at the observed sites, so the
 leave-one-out covariances are kept as those columns only: rank-one downdates
-(S[:, cols] - u_n u_n[cols]^T) / (N - 1) of the Gram columns S[:, cols],
+(S[:, sites] - u_n u_n[sites]^T) / (N - 1) of the Gram columns S[:, sites],
 computed once per trial and thresholded entrywise; the mean-field gain reads
 the same columns of the truth, gathered from its first row.  Every covariance
 norm goes through :func:`opcov.estimation.spectral_norm` (ARPACK) without a
@@ -68,7 +72,6 @@ __all__ = [
     "ObservationModel",
     "AnalysisComparison",
     "AnalysisComparisonSummary",
-    "observation_model",
     "pointwise_observation",
     "kalman_gain",
     "analysis_update",
@@ -92,49 +95,24 @@ class EnkfError(RuntimeError):
 
 @dataclass(frozen=True)
 class ObservationModel:
-    """Linear observation y = A u + eta with eta ~ N(0, Gamma).
+    """Pointwise observations y = u[sites] + eta with eta ~ N(0, noise_std^2 I).
 
-    A is d_y x L acting on mesh values; Gamma must be SPD (its Cholesky
-    factor is required to succeed without jitter).  ``mesh_weight`` fixes the
-    weighted-norm conventions; ``gamma_inv_norm`` and ``a_op_norm`` cache
-    ||Gamma^-1|| and the weighted operator norm of A.  ``cols`` lists the
-    state columns A reads (the observed sites of a pointwise model).
+    ``sites`` are distinct and ascending indices into the ``L`` mesh values;
+    ``L`` lets :func:`compare_analysis_updates` reject a model built for
+    another mesh.  ``a_op_norm`` = 1 / sqrt(weight) is the weighted operator
+    norm of the site selection A, and ``gamma_inv_norm`` = 1 / noise_std^2 is
+    ||Gamma^-1||.
     """
 
-    A: np.ndarray
-    Gamma: np.ndarray
-    mesh_weight: float
-    gamma_lower: np.ndarray
-    gamma_inv_norm: float
+    sites: np.ndarray
+    L: int
+    noise_std: float
     a_op_norm: float
-    cols: np.ndarray
+    gamma_inv_norm: float
 
     @property
     def d_y(self) -> int:
-        return self.A.shape[0]
-
-    def cross_covariance(self, cov_cols: np.ndarray) -> np.ndarray:
-        """C A^T (L x d_y) from the columns C[:, cols] of a covariance."""
-        return cov_cols @ self.A[:, self.cols].T
-
-
-def observation_model(A, Gamma, mesh_weight: float) -> ObservationModel:
-    """Build an ObservationModel from an explicit operator and noise covariance."""
-    A = np.asarray(A, dtype=float)
-    Gamma = np.asarray(Gamma, dtype=float)
-    if not np.array_equal(Gamma, Gamma.T):
-        raise EnkfError("Gamma must be exactly symmetric")
-    try:
-        lower = np.linalg.cholesky(Gamma)
-    except np.linalg.LinAlgError as exc:
-        raise EnkfError("Gamma must be symmetric positive definite") from exc
-    gamma_inv_norm = 1.0 / float(np.min(np.linalg.eigvalsh(Gamma)))
-    a_op_norm = float(np.linalg.svd(A, compute_uv=False)[0]) / math.sqrt(mesh_weight)
-    return ObservationModel(
-        A=A, Gamma=Gamma, mesh_weight=mesh_weight,
-        gamma_lower=lower, gamma_inv_norm=gamma_inv_norm, a_op_norm=a_op_norm,
-        cols=np.flatnonzero(np.any(A != 0.0, axis=0)),
-    )
+        return self.sites.size
 
 
 def pointwise_observation(
@@ -145,15 +123,16 @@ def pointwise_observation(
         raise EnkfError(f"noise_std must be > 0, got {noise_std}")
     if not (1 <= d_y <= mesh.L):
         raise EnkfError(f"need 1 <= d_y <= L, got d_y={d_y}, L={mesh.L}")
-    sites = np.floor((np.arange(d_y) + 0.5) * mesh.L / d_y).astype(int)
-    A = np.zeros((d_y, mesh.L))
-    A[np.arange(d_y), sites] = 1.0
-    return observation_model(A, noise_std**2 * np.eye(d_y), mesh.weight)
+    return ObservationModel(
+        sites=np.floor((np.arange(d_y) + 0.5) * mesh.L / d_y).astype(int),
+        L=mesh.L, noise_std=noise_std,
+        a_op_norm=1.0 / math.sqrt(mesh.weight), gamma_inv_norm=1.0 / noise_std**2,
+    )
 
 
 def _innovation(CA: np.ndarray, obs: ObservationModel) -> np.ndarray:
     """The innovation matrix S = A C A^T + Gamma from CA = C A^T, exactly symmetric."""
-    S = obs.A @ CA + obs.Gamma
+    S = CA[obs.sites] + obs.noise_std**2 * np.eye(obs.d_y)
     return 0.5 * (S + S.T)
 
 
@@ -173,8 +152,8 @@ def kalman_gain(CA: np.ndarray, obs: ObservationModel) -> np.ndarray:
     S is solved through its Cholesky factor; a hard-thresholded covariance
     can make S indefinite, and then a symmetric-indefinite solve takes over.
     A singular or numerically singular S (condition number beyond
-    1 / (d_y eps)) raises :class:`EnkfError`.  See
-    :meth:`ObservationModel.cross_covariance` for CA.
+    1 / (d_y eps)) raises :class:`EnkfError`.  CA is the L x d_y block of the
+    covariance's columns at the observed sites.
     """
     S = _innovation(CA, obs)
     try:
@@ -193,8 +172,8 @@ def analysis_update(
     u_n: np.ndarray, eta_n: np.ndarray, y: np.ndarray,
     gain: np.ndarray, obs: ObservationModel,
 ) -> np.ndarray:
-    """u_n + gain (y - A u_n - eta_n); serves all three filters."""
-    return u_n + gain @ (y - obs.A @ u_n - eta_n)
+    """u_n + gain (y - u_n[sites] - eta_n); serves all three filters."""
+    return u_n + gain @ (y - u_n[obs.sites] - eta_n)
 
 
 def loo_covariances(
@@ -354,12 +333,12 @@ def compare_analysis_updates(
         raise EnkfError(f"need N >= 2 particles, got {N}")
     if trials < 1:
         raise EnkfError(f"need at least one trial, got {trials}")
-    if obs.A.shape[1] != mesh.L:
-        raise EnkfError("observation operator does not match the mesh")
+    if obs.L != mesh.L:
+        raise EnkfError("observation model does not match the mesh")
     cov = covariance_matrix(kernel, mesh)
     factor = factorize(cov)
     cov_matvec = covariance_matvec(cov)
-    gain_true = kalman_gain(obs.cross_covariance(cov.columns(obs.cols)), obs)
+    gain_true = kalman_gain(cov.columns(obs.sites), obs)
     cov_op_norm = mesh.weight * spectral_norm(cov, seed=derive_seed(seed, 0xC0), tol=_NORM_TOL)
     w = mesh.weight
     results: list[AnalysisComparison] = []
@@ -367,8 +346,8 @@ def compare_analysis_updates(
         ens = sample_ensemble(factor, N, derive_seed(seed, t, 0), mesh)
         u_truth = sample_ensemble(factor, 1, derive_seed(seed, t, 3), mesh).fields[0]
         rng = substream(seed, t, 1)
-        y = obs.A @ u_truth + obs.gamma_lower @ rng.standard_normal(obs.d_y)
-        etas = rng.standard_normal((N, obs.d_y)) @ obs.gamma_lower.T
+        y = u_truth[obs.sites] + obs.noise_std * rng.standard_normal(obs.d_y)
+        etas = obs.noise_std * rng.standard_normal((N, obs.d_y))
         disc_v = np.empty(N)
         disc_l = np.empty(N)
         innov_norms = np.empty(N)
@@ -377,14 +356,13 @@ def compare_analysis_updates(
         indefinite = 0
         full_solves = 0
         min_margin = math.inf
-        for n, loo, loo_thresh, _rho in loo_covariances(ens, rule, obs.cols):
+        for n, loo, loo_thresh, _rho in loo_covariances(ens, rule, obs.sites):
             u = ens.fields[n]
-            innov = y - obs.A @ u - etas[n]
+            innov = y - u[obs.sites] - etas[n]
             v_star = analysis_update(u, etas[n], y, gain_true, obs)
-            gain_v = kalman_gain(obs.cross_covariance(loo), obs)
-            CA_l = obs.cross_covariance(loo_thresh)
-            gain_l = kalman_gain(CA_l, obs)
-            indefinite += not _is_positive_definite(_innovation(CA_l, obs))
+            gain_v = kalman_gain(loo, obs)
+            gain_l = kalman_gain(loo_thresh, obs)
+            indefinite += not _is_positive_definite(_innovation(loo_thresh, obs))
             disc_v[n] = state_norm(analysis_update(u, etas[n], y, gain_v, obs) - v_star, w)
             disc_l[n] = state_norm(analysis_update(u, etas[n], y, gain_l, obs) - v_star, w)
             innov_norms[n] = float(np.linalg.norm(innov))

@@ -1,13 +1,19 @@
+import argparse
 import csv
 import math
+import re
 import statistics
 
 import numpy as np
 import pytest
 
 from opcov.cli import (
+    _SETTINGS,
     ConfigError,
     ExperimentConfig,
+    _build_parser,
+    _config_from_argv,
+    _flag,
     enkf_demo_config,
     fig1_config,
     fig2_config,
@@ -217,33 +223,91 @@ def test_full_form_with_large_c0_rejected():
     assert code == 1  # c0 = 5 > sqrt(16)
 
 
-@pytest.mark.parametrize("argv", [
-    ["custom", "--c0", "0.5"],
-    ["custom", "--m", "1"],
-    ["custom", "--d", "4"],
-    ["custom", "--d", "3", "--m", "24"],  # 13,824 points: over the dense-storage limit
-    ["theory", "--q", "1.5"],
-    ["theory", "--q", "0"],
-    ["theory", "--esup-samples", "1"],
-    ["enkf-demo", "--dy", "0"],
-    ["enkf-demo", "--noise-std", "0"],
-    ["enkf-demo", "--noise-std", "nan"],
-    ["enkf-demo", "--n-rule", "fixed", "--n-fixed", "1"],  # no particle left out of one
-    ["custom", "--log-base", "nan"],
+# command line: the part of its error message that names the bad key or value
+_BAD_VALUES = {
+    "custom --c0 0.5": "c0 must be >= 1, got 0.5",
+    "custom --m 1": "m must be >= 2, got 1",
+    "custom --d 4": "d must be 1, 2 or 3, got 4",
+    "custom --d 3 --m 24": "13824 points",  # over the dense-storage limit
+    "theory --q 1.5": "q must lie in (0, 1), got 1.5",
+    "theory --q 0": "q must lie in (0, 1), got 0.0",
+    "theory --esup-samples 1": "Monte Carlo fields, got 1",
+    "enkf-demo --dy 0": "d_y=0",
+    "enkf-demo --noise-std 0": "noise_std must be > 0, got 0.0",
+    "enkf-demo --noise-std nan": "noise_std must be > 0, got nan",
+    # no particle left out of one
+    "enkf-demo --n-rule fixed --n-fixed 1": "n_fixed >= 2 particles, got 1",
+    "custom --log-base nan": "log_base must be > 1, got nan",
     # full form needs c0 <= sqrt(N - 1) on the N - 1 member leave-one-out ensembles
-    ["enkf-demo", "--form", "full", "--c0", "3", "--lambdas", "0.3"],
-    ["enkf-demo", "--form", "full", "--c0", "2.5", "--lambdas", "0.3"],  # sqrt(6) < 2.5 < sqrt(7)
-], ids=" ".join)
-def test_bad_values_are_configuration_errors(argv, tmp_path, capsys):
+    "enkf-demo --form full --c0 3 --lambdas 0.3": "c0=3.0, N=6",
+    "enkf-demo --form full --c0 2.5 --lambdas 0.3": "c0=2.5, N=6",  # sqrt(6) < 2.5 < sqrt(7)
+}
+
+
+@pytest.mark.parametrize("line", list(_BAD_VALUES))
+def test_bad_values_are_configuration_errors(line, tmp_path, capsys):
+    argv = line.split()
     out = tmp_path / "o"
-    args = argv + ["--trials", "1", "--out", str(out)]
+    args = argv + ["--out", str(out)]
+    if argv[0] in _SETTINGS["trials"].commands:
+        args += ["--trials", "1"]
     if "--lambdas" not in argv:
         args += ["--lambdas", "0.2"]
     if "--m" not in argv:
         args += ["--m", "16"]
     assert main(args) == 1
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error" in err and _BAD_VALUES[line] in err
     assert not list(tmp_path.rglob("*.csv"))
+
+
+# one valid value per setting, as text and parsed
+_SETTING_VALUES = {
+    "master_seed": ("7", 7), "output_dir": ("o", "o"), "lambda_grid": ("0.3,0.1", [0.3, 0.1]),
+    "m": ("16", 16), "d": ("2", 2), "kernel": ("se:lambda=0.5", "se:lambda=0.5"),
+    "trials": ("3", 3), "c0": ("2.5", 2.5), "form": ("full", "full"),
+    "n_rule": ("fixed", "fixed"), "n_fixed": ("4", 4), "log_base": ("10", 10.0),
+    "n_exponent": ("2", 2), "check": ("true", True), "threads": ("2", 2),
+    "plot": ("true", True), "dy": ("4", 4), "noise_std": ("0.5", 0.5), "q": ("0.3", 0.3),
+    "esup_samples": ("64", 64),
+}
+
+# what each command reads, written out independently of the table
+_EVERY = {"master_seed", "output_dir", "lambda_grid", "m"}
+_RULE_KEYS = {"trials", "c0", "form", "n_rule", "n_fixed", "log_base", "n_exponent", "check"}
+_FIGURE_KEYS = _EVERY | _RULE_KEYS | {"threads", "plot"}
+_READS = {
+    "fig1": _FIGURE_KEYS,
+    "fig2": _FIGURE_KEYS,
+    "custom": _FIGURE_KEYS | {"d", "kernel"},
+    "enkf-demo": _EVERY | _RULE_KEYS | {"d", "kernel", "dy", "noise_std"},
+    "theory": _EVERY | {"d", "kernel", "q", "esup_samples"},
+}
+
+
+def test_each_command_reads_exactly_its_settings(tmp_path, capsys):
+    assert set(_SETTING_VALUES) == set(_SETTINGS)
+    assert sum(map(len, _READS.values())) == 68
+    subs = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(subs.choices) == set(_READS)
+    for command, sub in subs.choices.items():
+        read = _READS[command]
+        assert read == {key for key, setting in _SETTINGS.items() if command in setting.commands}
+        flags = {opt for action in sub._actions for opt in action.option_strings}
+        assert flags - {"-h", "--help", "--config"} == {_flag(key) for key in read}
+        for key, (text, value) in _SETTING_VALUES.items():
+            flag_argv = [_flag(key)] if isinstance(value, bool) else [_flag(key), text]
+            cfg_file = tmp_path / f"{key}.cfg"
+            cfg_file.write_text(f"{key} = {text}\n")
+            if key in read:
+                assert getattr(_config_from_argv([command, *flag_argv]), key) == value
+                assert getattr(_config_from_argv([command, "--config", str(cfg_file)]), key) == value
+                continue
+            assert main([command, *flag_argv]) == 1
+            assert re.search(f"{command} does not read {re.escape(_flag(key))}\\b",
+                             capsys.readouterr().err)
+            assert main([command, "--config", str(cfg_file)]) == 1
+            assert f"{command} does not read key {key!r}" in capsys.readouterr().err
 
 
 def test_bad_flag_exits_one(capsys):

@@ -7,12 +7,12 @@ from _helpers import make_ensemble, spectral_norm_dense
 from opcov import enkf
 from opcov.enkf import (
     EnkfError,
+    ObservationModel,
     analysis_update,
     gain_continuity_bound,
     gain_operator_norm,
     kalman_gain,
     loo_covariances,
-    observation_model,
     pointwise_observation,
     state_norm,
     compare_analysis_updates,
@@ -39,6 +39,17 @@ def spd(rng, L, scale=1.0):
     return scale * (a @ a.T) / L + 0.1 * np.eye(L)
 
 
+def dense_pair(obs):
+    """The explicit operator A (rows of the identity at the sites) and Gamma."""
+    return np.eye(obs.L)[obs.sites], obs.noise_std**2 * np.eye(obs.d_y)
+
+
+def one_site(noise_std=1.0):
+    """A = [[1]] on a one-value state of weight 1, Gamma = [[noise_std^2]]."""
+    return ObservationModel(sites=np.array([0]), L=1, noise_std=noise_std,
+                            a_op_norm=1.0, gamma_inv_norm=1.0 / noise_std**2)
+
+
 # ---------------------------------------------------------------------------
 # observation models
 # ---------------------------------------------------------------------------
@@ -47,20 +58,19 @@ def spd(rng, L, scale=1.0):
 def test_pointwise_rows_are_unit_vectors():
     mesh = build_mesh(1, 16)
     obs = pointwise_observation(mesh, 4)
-    assert obs.A.shape == (4, 16)
-    assert np.all(obs.A.sum(axis=1) == 1.0)
-    assert np.all((obs.A == 0.0) | (obs.A == 1.0))
+    assert obs.d_y == 4 and obs.L == 16
+    assert np.all(np.diff(obs.sites) > 0) and 0 <= obs.sites[0] and obs.sites[-1] < 16
     # orthonormal rows at distinct sites: sigma_max(A) = 1
     assert obs.a_op_norm == pytest.approx(1.0 / math.sqrt(mesh.weight), rel=1e-12)
     assert obs.gamma_inv_norm == pytest.approx(10.0, rel=1e-12)  # Gamma = 0.1 I
-    assert np.array_equal(obs.cols, np.flatnonzero(obs.A.sum(axis=0)))
-
-
-def test_observation_model_rejects_bad_gamma():
-    with pytest.raises(EnkfError, match="symmetric"):
-        observation_model(np.eye(2), np.array([[1.0, 0.2], [0.1, 1.0]]), 0.5)
-    with pytest.raises(EnkfError, match="positive definite"):
-        observation_model(np.eye(2), np.diag([1.0, -1.0]), 0.5)
+    # the norms equal, to the last bit, those of the explicit operator and
+    # noise covariance, so every reported constant keeps its value
+    for mesh, d_y, noise_std in [(mesh, 4, math.sqrt(0.1)), (build_mesh(1, 1250), 8, 0.3),
+                                 (build_mesh(2, 8), 4, 1.0), (build_mesh(1, 7), 7, 1e-3)]:
+        obs = pointwise_observation(mesh, d_y, noise_std)
+        A, Gamma = dense_pair(obs)
+        assert obs.a_op_norm == np.linalg.svd(A, compute_uv=False)[0] / math.sqrt(mesh.weight)
+        assert obs.gamma_inv_norm == 1.0 / np.min(np.linalg.eigvalsh(Gamma))
 
 
 def test_observation_site_bounds():
@@ -81,12 +91,12 @@ def test_observation_site_bounds():
 def test_gain_zero_covariance():
     mesh = build_mesh(1, 8)
     obs = pointwise_observation(mesh, 3)
-    gain = kalman_gain(obs.cross_covariance(np.zeros((8, 3))), obs)
+    gain = kalman_gain(np.zeros((8, 3)), obs)
     assert np.array_equal(gain, np.zeros((8, 3)))
 
 
 def test_gain_scalar_case():
-    obs = observation_model(np.array([[1.0]]), np.array([[1.0]]), 1.0)
+    obs = one_site()
     gain = kalman_gain(np.array([[1.0]]), obs)
     assert gain == pytest.approx(np.array([[0.5]]))
 
@@ -95,10 +105,10 @@ def test_gain_residual_identity():
     rng = np.random.default_rng(5)
     L, d_y = 8, 3
     C = spd(rng, L)
-    A = rng.normal(size=(d_y, L))
-    obs = observation_model(A, np.eye(d_y), 1.0 / L)
-    gain = kalman_gain(obs.cross_covariance(C[:, obs.cols]), obs)
-    residual = gain @ (A @ C @ A.T + np.eye(d_y)) - C @ A.T
+    obs = pointwise_observation(build_mesh(1, L), d_y, noise_std=1.0)
+    A, Gamma = dense_pair(obs)
+    gain = kalman_gain(C[:, obs.sites], obs)
+    residual = gain @ (A @ C @ A.T + Gamma) - C @ A.T
     assert np.max(np.abs(residual)) < 1e-10
 
 
@@ -106,19 +116,23 @@ def test_gain_rejects_indefinite_inner_matrix():
     # an indefinite but invertible S = A C A^T + Gamma has no Cholesky factor;
     # the symmetric-indefinite solve gives the exact gain, and only a
     # singular S is rejected
-    obs = observation_model(np.array([[1.0]]), np.array([[1e-6]]), 1.0)
+    # S = CA[sites] + noise_std^2 I, the covariance block at the sites plus noise
+    obs = one_site(noise_std=1e-3)
     gain = kalman_gain(np.array([[-1.0]]), obs)
     assert gain == pytest.approx(np.array([[-1.0 / (-1.0 + 1e-6)]]), rel=1e-15)
     with pytest.raises(EnkfError, match="singular"):
-        kalman_gain(np.array([[-1e-6]]), obs)  # S = 0 exactly
-    obs2 = observation_model(np.eye(2), np.diag([1.0, 1e-20]), 1.0)
+        kalman_gain(np.array([[-(1e-3**2)]]), obs)  # S = 0 exactly
+    obs2 = pointwise_observation(build_mesh(1, 2), 2, noise_std=1e-10)
     with pytest.raises(EnkfError, match="singular"):
-        kalman_gain(np.diag([-2.0, 0.0]), obs2)  # S = diag(-1, 1e-20): condition 1e20
-    # A C A^T = diag(-2, 1, 3): S = A C A^T + 0.01 I is indefinite, K S = C A^T
-    A = np.random.default_rng(12).normal(size=(3, 6))
-    obs3 = observation_model(A, 0.01 * np.eye(3), 1.0 / 6)
-    CA = np.linalg.pinv(A) @ np.diag([-2.0, 1.0, 3.0])
-    S = obs3.A @ CA + obs3.Gamma
+        kalman_gain(np.diag([-2.0, 0.0]), obs2)  # S = diag(-2, 1e-20): condition 2e20
+    # A C A^T = Q diag(-2, 1, 3) Q^T: S = A C A^T + 0.01 I is indefinite, K S = C A^T
+    rng = np.random.default_rng(12)
+    obs3 = pointwise_observation(build_mesh(1, 6), 3, noise_std=0.1)
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    block = q @ np.diag([-2.0, 1.0, 3.0]) @ q.T
+    CA = rng.normal(size=(6, 3))
+    CA[obs3.sites] = 0.5 * (block + block.T)
+    S = CA[obs3.sites] + dense_pair(obs3)[1]
     assert np.min(np.linalg.eigvalsh(S)) < 0.0 < np.max(np.linalg.eigvalsh(S))
     assert np.max(np.abs(kalman_gain(CA, obs3) @ S - CA)) < 1e-12
 
@@ -141,15 +155,16 @@ def test_update_zero_innovation_fixed_point():
     rng = np.random.default_rng(11)
     mesh = build_mesh(1, 10)
     obs = pointwise_observation(mesh, 4)
+    A, _ = dense_pair(obs)
     u = rng.integers(-5, 6, size=10).astype(float)
     eta = rng.integers(-3, 4, size=4).astype(float)
-    y = obs.A @ u + eta  # innovation vanishes exactly
+    y = A @ u + eta  # innovation vanishes exactly
     gain = rng.normal(size=(10, 4))
     assert np.array_equal(analysis_update(u, eta, y, gain, obs), u)
 
 
 def test_update_scalar_case():
-    obs = observation_model(np.array([[1.0]]), np.array([[1.0]]), 1.0)
+    obs = one_site()
     gain = kalman_gain(np.array([[1.0]]), obs)
     out = analysis_update(np.zeros(1), np.zeros(1), np.array([2.0]), gain, obs)
     assert out == pytest.approx(np.array([1.0]))
@@ -214,7 +229,7 @@ def test_loo_threshold_close_to_full_threshold():
 
 
 def test_continuity_bound_values():
-    obs = observation_model(np.array([[1.0]]), np.array([[1.0]]), 1.0)
+    obs = one_site()
     assert gain_continuity_bound(0.0, 1.0, obs) == 0.0
     assert gain_continuity_bound(0.1, 1.0, obs) == pytest.approx(0.2)
     with pytest.raises(EnkfError):
@@ -228,11 +243,11 @@ def test_continuity_bound_never_violated_on_spd_perturbations():
     mesh = build_mesh(1, L)
     obs = pointwise_observation(mesh, d_y)
     C = spd(rng, L)
-    gain_ref = kalman_gain(obs.cross_covariance(C[:, obs.cols]), obs)
+    gain_ref = kalman_gain(C[:, obs.sites], obs)
     c_norm = w * spectral_norm_dense(C)
     for _ in range(200):
         Chat = spd(rng, L, scale=float(rng.uniform(0.2, 3.0)))
-        gain_hat = kalman_gain(obs.cross_covariance(Chat[:, obs.cols]), obs)
+        gain_hat = kalman_gain(Chat[:, obs.sites], obs)
         actual = gain_operator_norm(gain_hat - gain_ref, w)
         bound = gain_continuity_bound(w * spectral_norm_dense(Chat - C), c_norm, obs)
         assert actual <= bound * (1 + 1e-9)
@@ -250,11 +265,12 @@ def test_shared_noise_coupling_identity():
     u = rng.normal(size=L)
     eta = rng.normal(size=d_y)
     y = rng.normal(size=d_y)
-    g_true = kalman_gain(obs.cross_covariance(C[:, obs.cols]), obs)
-    g_hat = kalman_gain(obs.cross_covariance(Chat[:, obs.cols]), obs)
+    A, _ = dense_pair(obs)
+    g_true = kalman_gain(C[:, obs.sites], obs)
+    g_hat = kalman_gain(Chat[:, obs.sites], obs)
     v_star = analysis_update(u, eta, y, g_true, obs)
     v_hat = analysis_update(u, eta, y, g_hat, obs)
-    innovation = y - obs.A @ u - eta
+    innovation = y - A @ u - eta
     assert np.max(np.abs((v_hat - v_star) - (g_hat - g_true) @ innovation)) < 1e-10
 
 
@@ -270,9 +286,9 @@ def test_degenerate_rank_one_loo_gives_finite_updates():
     mesh = build_mesh(1, 8)
     obs = pointwise_observation(mesh, 3)
     rule = ThresholdRule(c0=1.0, form="simplified")
-    for _, loo, loo_t, _ in loo_covariances(ens, rule, obs.cols):
+    for _, loo, loo_t, _ in loo_covariances(ens, rule, obs.sites):
         for est in (loo, loo_t):
-            gain = kalman_gain(obs.cross_covariance(est), obs)
+            gain = kalman_gain(est, obs)
             out = analysis_update(field, np.zeros(3), np.ones(3), gain, obs)
             assert np.all(np.isfinite(out))
 
@@ -309,15 +325,17 @@ def _dense_comparison(kernel, mesh, obs, N, rule, trials, seed):
     factor = factorize(cov)
     w = mesh.weight
     C = cov.entries  # gathered from the row once; the dense reference needs it
-    gain_true = kalman_gain(C @ obs.A.T, obs)
+    A, Gamma = dense_pair(obs)
+    gamma_lower = np.linalg.cholesky(Gamma)
+    gain_true = kalman_gain(C @ A.T, obs)
     cov_norm = w * spectral_norm_dense(cov)
     out = []
     for t in range(trials):
         ens = sample_ensemble(factor, N, derive_seed(seed, t, 0), mesh)
         u_truth = sample_ensemble(factor, 1, derive_seed(seed, t, 3), mesh).fields[0]
         rng = substream(seed, t, 1)
-        y = obs.A @ u_truth + obs.gamma_lower @ rng.standard_normal(obs.d_y)
-        etas = rng.standard_normal((N, obs.d_y)) @ obs.gamma_lower.T
+        y = A @ u_truth + gamma_lower @ rng.standard_normal(obs.d_y)
+        etas = rng.standard_normal((N, obs.d_y)) @ gamma_lower.T
         S = ens.fields.T @ ens.fields
         disc_v, disc_l, innov_norms, deltas, along_v, actuals, ok = [], [], [], [], [], [], True
         for n in range(N):
@@ -325,10 +343,10 @@ def _dense_comparison(kernel, mesh, obs, N, rule, trials, seed):
             loo = (S - np.outer(u, u)) / (N - 1)
             s_bar = (ens.sups.sum() - ens.sups[n]) / (N - 1)
             thresh = hard_threshold(loo, rule.rho(s_bar, N - 1))
-            innov = y - obs.A @ u - etas[n]
+            innov = y - A @ u - etas[n]
             v_star = u + gain_true @ innov
-            gain_v = kalman_gain(loo @ obs.A.T, obs)
-            gain_l = kalman_gain(thresh @ obs.A.T, obs)
+            gain_v = kalman_gain(loo @ A.T, obs)
+            gain_l = kalman_gain(thresh @ A.T, obs)
             disc_v.append(state_norm(u + gain_v @ innov - v_star, w))
             disc_l.append(state_norm(u + gain_l @ innov - v_star, w))
             innov_norms.append(np.linalg.norm(innov))
