@@ -8,7 +8,7 @@ with an optional secondary linear axis for the sample size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["Series", "error_plot"]
 
@@ -26,7 +26,6 @@ class Series:
     label: str
     dash: str = ""  # SVG stroke-dasharray, empty for solid
     right_axis: bool = False
-    points: list = field(default_factory=list)
 
 
 def _ticks_log10(lo: float, hi: float) -> list[float]:

@@ -14,7 +14,8 @@ flags winning; a flag or key the command does not read is a configuration
 error.  Runs are deterministic
 given the master seed: each (kernel, lengthscale, trial) cell draws from its
 own substream, so results are identical for any ``--threads`` value; output
-rows are written in grid order by a single writer.  CSVs carry one leading
+rows are written in grid order by one CSV writer, ``_write_csv``, the only
+formatter of library records.  Every output file carries one leading
 ``# generated <timestamp>`` comment line, excluded from rerun comparisons;
 wall times go to a separate timing file for the same reason.
 
@@ -29,7 +30,7 @@ import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -39,11 +40,10 @@ import numpy as np
 from . import enkf as enkf_mod
 from ._svg import Series, error_plot
 from .estimation import (
-    REPORT_CSV_HEADER,
     EstimationError,
+    EstimatorReport,
     ThresholdRule,
     estimate_and_report,
-    report_csv_row,
     spectral_norm,
 )
 from .kernels import KernelError, KernelModel, parse_kernel
@@ -56,7 +56,7 @@ from .sampling import (
     factorize,
     sample_ensemble,
 )
-from .theory import _check_draws, _check_q, scaling_report
+from .theory import ScalingReport, _check_draws, _check_q, scaling_report
 
 __all__ = [
     "ConfigError",
@@ -88,15 +88,12 @@ class ExperimentConfig:
     d: int = 1
     m: int = 312
     lambda_grid: list[float] = field(default_factory=lambda: [0.1])
-    n_rule: str = "5log"  # or "fixed"
-    n_fixed: int = 0
+    n_fixed: int = 0  # 0: the reference rule of sample_size
     c0: float = 5.0
     form: str = "simplified"
     trials: int = 30
     master_seed: int = 0
     output_dir: str = "opcov_out"
-    log_base: float = math.e
-    n_exponent: int = 0  # 0 means "use d"
     threads: int = 1
     plot: bool = False
     check: bool = False
@@ -121,15 +118,11 @@ class ExperimentConfig:
             raise ConfigError("lambda_grid must be sorted in strictly descending order")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.n_rule not in ("5log", "fixed"):
-            raise ConfigError(f"n_rule must be '5log' or 'fixed', got {self.n_rule!r}")
-        if self.n_rule == "fixed" and self.n_fixed < 1:
-            raise ConfigError("fixed n_rule needs n_fixed >= 1")
-        if self.experiment == "enkf-demo" and self.n_rule == "fixed" and self.n_fixed < 2:
+        if self.n_fixed < 0:
+            raise ConfigError(f"n_fixed must be >= 0 (0: the reference rule), got {self.n_fixed}")
+        if self.experiment == "enkf-demo" and self.n_fixed == 1:
             # each analysis leaves one particle out of the ensemble
             raise ConfigError(f"enkf-demo needs n_fixed >= 2 particles, got {self.n_fixed}")
-        if not (self.log_base > 1.0):
-            raise ConfigError(f"log_base must be > 1, got {self.log_base}")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
         # The library's own checks, run before any work so that a bad value
@@ -159,7 +152,7 @@ def fig1_config(**overrides) -> ExperimentConfig:
     cfg = ExperimentConfig(
         experiment="fig1", d=1, m=1250,
         lambda_grid=list(np.logspace(-0.1, -3.0, 30)),
-        n_rule="5log", c0=5.0, form="simplified", trials=100,
+        c0=5.0, form="simplified", trials=100,
     )
     return replace(cfg, **overrides)
 
@@ -169,7 +162,7 @@ def fig2_config(**overrides) -> ExperimentConfig:
     cfg = ExperimentConfig(
         experiment="fig2", d=2, m=100,
         lambda_grid=list(np.logspace(-0.1, -2.3, 10)),
-        n_rule="5log", c0=5.0, form="simplified", trials=30,
+        c0=5.0, form="simplified", trials=30,
     )
     return replace(cfg, **overrides)
 
@@ -178,23 +171,21 @@ def enkf_demo_config(**overrides) -> ExperimentConfig:
     cfg = ExperimentConfig(
         experiment="enkf-demo", kernel="se:lambda=1", d=1, m=1250,
         lambda_grid=list(np.logspace(-1.0, -3.0, 5)),
-        n_rule="5log", c0=5.0, form="simplified", trials=20,
+        c0=5.0, form="simplified", trials=20,
     )
     return replace(cfg, **overrides)
 
 
 def sample_size(lam: float, cfg: ExperimentConfig) -> int:
-    """N for one lengthscale: ceil(5 log(lam^-exponent)), floored at 2.
+    """N for one lengthscale: ``n_fixed`` when it is set (>= 1), else the
+    reference rule N = ceil(5 d ln(1/lam)), floored at 2.
 
-    The log base defaults to e; the exponent defaults to the physical
-    dimension d.  Both are isolated here because the reference description is
-    ambiguous on them.
+    The natural log and the exponent d are an assumption about the reference
+    description, not a value checked against it.
     """
-    if cfg.n_rule == "fixed":
+    if cfg.n_fixed:
         return cfg.n_fixed
-    exponent = cfg.n_exponent if cfg.n_exponent else cfg.d
-    n = 5.0 * exponent * math.log(1.0 / lam) / math.log(cfg.log_base)
-    return max(2, math.ceil(n))
+    return max(2, math.ceil(5.0 * cfg.d * math.log(1.0 / lam)))
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +230,7 @@ _SETTINGS = {
     "trials": _Setting(int, _RULE),
     "c0": _Setting(float, _RULE),
     "form": _Setting(str, _RULE, help="full or simplified"),
-    "n_rule": _Setting(str, _RULE, help="5log or fixed"),
-    "n_fixed": _Setting(int, _RULE),
-    "log_base": _Setting(float, _RULE),
-    "n_exponent": _Setting(int, _RULE),
+    "n_fixed": _Setting(int, _RULE, help="fixed sample size N; 0 for N = ceil(5 d ln(1/lambda))"),
     "check": _Setting(_parse_bool, _RULE, help=(
         "verify qualitative acceptance thresholds; exit 3 on violation")),
     "threads": _Setting(int, _FIGURES, help="worker threads per lengthscale"),
@@ -298,6 +286,31 @@ def _write_stamped(path: Path, lines: list[str]) -> None:
         fh.write("\n".join([stamp, *lines]) + "\n")
 
 
+def _cell(value) -> str:
+    """The one CSV cell rule: ``str`` for strings, bools and integers, else the
+    shortest round-trip ``repr`` of the value as a float."""
+    if isinstance(value, (str, int, np.integer)):  # bool is an int
+        return str(value)
+    return repr(float(value))
+
+
+def _write_csv(path: Path, columns, rows) -> None:
+    """Write a stamped CSV: the ``columns`` header, then one line per row."""
+    _write_stamped(path, [",".join(columns), *(",".join(map(_cell, row)) for row in rows)])
+
+
+def _columns(record_type) -> list[str]:
+    """CSV column names of a dataclass: its field names, ``lam`` written ``lambda``."""
+    return ["lambda" if f.name == "lam" else f.name for f in fields(record_type)]
+
+
+def _write_check(path: Path, problems: list[str]) -> None:
+    """Write the ``--check`` verdict, PASS or FAIL and the violations; raise on FAIL."""
+    _write_stamped(path, ["FAIL", *problems] if problems else ["PASS"])
+    if problems:
+        raise CheckFailure("; ".join(problems))
+
+
 def _figure_kernels(cfg: ExperimentConfig) -> list[KernelModel]:
     """The base kernels of a figure run, each stepped to every lengthscale.
 
@@ -319,22 +332,12 @@ class LambdaSummary:
     mean_eps_thresh: float
     ci95_eps_thresh: float
     mean_rho_hat: float
-    mean_nnz: float
+    mean_nnz_fraction: float
     frac_thresh_worse: float  # per-trial fraction with eps_thresh >= eps_sample
 
 
-SUMMARY_CSV_HEADER = ("lambda,N,trials,mean_eps_sample,ci95_eps_sample,"
-                      "mean_eps_thresh,ci95_eps_thresh,mean_rho_hat,mean_nnz_fraction,"
-                      "frac_thresh_worse")
-
-
-def _summary_row(s: LambdaSummary) -> str:
-    return ",".join([
-        repr(float(s.lam)), str(s.N), str(s.trials),
-        repr(s.mean_eps_sample), repr(s.ci95_eps_sample),
-        repr(s.mean_eps_thresh), repr(s.ci95_eps_thresh),
-        repr(s.mean_rho_hat), repr(s.mean_nnz), repr(s.frac_thresh_worse),
-    ])
+_TRIAL_COLUMNS = ("seed", "d", "m", "lambda", "N", "c0", "form",
+                  *_columns(EstimatorReport), "trial")
 
 
 def _lengthscale_trials(cfg: ExperimentConfig, mesh: Mesh, rule: ThresholdRule,
@@ -371,7 +374,7 @@ def _run_kernel_sweep(cfg: ExperimentConfig, kernel_idx: int, base: KernelModel,
     """All (lambda, trial) cells for one kernel family; returns summaries."""
     mesh = build_mesh(cfg.d, cfg.m)
     rule = ThresholdRule(c0=cfg.c0, form=cfg.form)
-    trial_lines: list[str] = []
+    trial_rows: list[tuple] = []
     summaries: list[LambdaSummary] = []
     timings: list[str] = []
     for lam_idx, lam in enumerate(cfg.lambda_grid):
@@ -381,10 +384,10 @@ def _run_kernel_sweep(cfg: ExperimentConfig, kernel_idx: int, base: KernelModel,
         )
         eps_s = np.array([r.eps_sample for r, _, _ in results])
         eps_t = np.array([r.eps_thresh for r, _, _ in results])
-        for trial, (report, seed, _) in enumerate(results):
-            trial_lines.append(
-                report_csv_row(report, seed, cfg.d, cfg.m, lam, N, rule) + f",{trial}"
-            )
+        trial_rows.extend(
+            (seed, cfg.d, cfg.m, lam, N, float(rule.c0), rule.form, *astuple(report), trial)
+            for trial, (report, seed, _) in enumerate(results)
+        )
         def ci95(x):
             return 1.96 * float(x.std(ddof=1)) / math.sqrt(x.size) if x.size > 1 else 0.0
         summaries.append(LambdaSummary(
@@ -392,17 +395,16 @@ def _run_kernel_sweep(cfg: ExperimentConfig, kernel_idx: int, base: KernelModel,
             mean_eps_sample=float(eps_s.mean()), ci95_eps_sample=ci95(eps_s),
             mean_eps_thresh=float(eps_t.mean()), ci95_eps_thresh=ci95(eps_t),
             mean_rho_hat=float(np.mean([r.rho_hat for r, _, _ in results])),
-            mean_nnz=float(np.mean([r.nnz_fraction for r, _, _ in results])),
+            mean_nnz_fraction=float(np.mean([r.nnz_fraction for r, _, _ in results])),
             frac_thresh_worse=float(np.mean(eps_t >= eps_s)),
         ))
         trial_s = sum(dt for _, _, dt in results)
         timings.append(f"{name_prefix} lambda={lam!r} setup_s={setup_s:.3f} trials_s={trial_s:.3f} "
                        f"sampler={sampler} jitter={jitter:g}")
 
-    _write_stamped(out_dir / f"{name_prefix}_trials.csv",
-                   [REPORT_CSV_HEADER + ",trial", *trial_lines])
-    _write_stamped(out_dir / f"{name_prefix}_summary.csv",
-                   [SUMMARY_CSV_HEADER, *map(_summary_row, summaries)])
+    _write_csv(out_dir / f"{name_prefix}_trials.csv", _TRIAL_COLUMNS, trial_rows)
+    _write_csv(out_dir / f"{name_prefix}_summary.csv", _columns(LambdaSummary),
+               map(astuple, summaries))
     if cfg.plot:
         lams = [s.lam for s in summaries]
         error_plot(
@@ -466,10 +468,7 @@ def run_figure(cfg: ExperimentConfig) -> dict:
         problems = []
         for name, summaries in all_summaries.items():
             problems.extend(f"[{name}] {p}" for p in _check_figure(summaries))
-        _write_stamped(out_dir / f"{cfg.experiment}_check.txt",
-                       ["FAIL", *problems] if problems else ["PASS"])
-        if problems:
-            raise CheckFailure("; ".join(problems))
+        _write_check(out_dir / f"{cfg.experiment}_check.txt", problems)
     return all_summaries
 
 
@@ -487,7 +486,7 @@ def run_enkf_demo(cfg: ExperimentConfig) -> list[dict]:
     obs = enkf_mod.pointwise_observation(mesh, cfg.dy, cfg.noise_std)
     rule = ThresholdRule(c0=cfg.c0, form=cfg.form)
     base = parse_kernel(cfg.kernel)
-    rows: list[str] = []
+    rows: list[tuple] = []
     summary_rows: list[dict] = []
     kv_lines: list[str] = []
     for lam_idx, lam in enumerate(cfg.lambda_grid):
@@ -497,7 +496,11 @@ def run_enkf_demo(cfg: ExperimentConfig) -> list[dict]:
         summary = enkf_mod.compare_analysis_updates(
             kernel, mesh, obs, N, rule, cfg.trials, seed
         )
-        rows.extend(enkf_mod.comparison_csv_rows(summary, seed))
+        rows.extend(
+            (seed, t, n, comp.disc_vanilla[n], comp.disc_localized[n],
+             comp.innovation_norms[n], comp.c_consts[n])
+            for t, comp in enumerate(summary.trials) for n in range(comp.disc_vanilla.size)
+        )
         record = {
             "lambda": lam, "N": N, "trials": cfg.trials,
             "mean_disc_vanilla": summary.mean_vanilla,
@@ -517,13 +520,11 @@ def run_enkf_demo(cfg: ExperimentConfig) -> list[dict]:
                         f"{summary.continuity_full_solves!r}")
         kv_lines.append(f"lambda_{lam_idx}.continuity_min_margin = "
                         f"{summary.continuity_min_margin!r}")
-    _write_stamped(out_dir / "enkf_demo_trials.csv", [enkf_mod.TRIAL_CSV_HEADER, *rows])
-    header = sorted(summary_rows[0].keys())
-    _write_stamped(out_dir / "enkf_demo_summary.csv", [",".join(header)] + [
-        ",".join(str(record[k]) if isinstance(record[k], bool) else repr(record[k])
-                 for k in header)
-        for record in summary_rows
-    ])
+    _write_csv(out_dir / "enkf_demo_trials.csv", ("seed", "trial", "n", "disc_vanilla",
+               "disc_localized", "innovation_norm", "c_const"), rows)
+    header = sorted(summary_rows[0])
+    _write_csv(out_dir / "enkf_demo_summary.csv", header,
+               ([record[k] for k in header] for record in summary_rows))
     _write_stamped(out_dir / "enkf_demo_summary.txt", kv_lines)
     if cfg.check:
         smallest = summary_rows[-1]
@@ -535,10 +536,7 @@ def run_enkf_demo(cfg: ExperimentConfig) -> list[dict]:
             )
         if not all(r["continuity_all_ok"] for r in summary_rows):
             problems.append("gain-continuity inequality violated in some trial")
-        _write_stamped(out_dir / "enkf_demo_check.txt",
-                       ["FAIL", *problems] if problems else ["PASS"])
-        if problems:
-            raise CheckFailure("; ".join(problems))
+        _write_check(out_dir / "enkf_demo_check.txt", problems)
     return summary_rows
 
 
@@ -556,8 +554,7 @@ def run_theory(cfg: ExperimentConfig) -> list:
             kernel, mesh, cfg.q, cfg.esup_samples,
             derive_seed(cfg.master_seed, 0x7E, lam_idx),
         ))
-    _write_stamped(out_dir / "theory_sweep.csv",
-                   [reports[0].CSV_HEADER, *(r.csv_row() for r in reports)])
+    _write_csv(out_dir / "theory_sweep.csv", _columns(ScalingReport), map(astuple, reports))
     return reports
 
 
@@ -572,10 +569,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="opcov", description=__doc__.splitlines()[0])
+    # no prefix matching: a command reads only the flags in _SETTINGS, spelled out
+    parser = _Parser(prog="opcov", description=__doc__.splitlines()[0], allow_abbrev=False)
     subs = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        sub = subs.add_parser(name)
+        sub = subs.add_parser(name, allow_abbrev=False)
         sub.add_argument("--config", type=str, default=None, help="flat key = value config file")
         for key, setting in _SETTINGS.items():
             if name not in setting.commands:

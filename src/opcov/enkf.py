@@ -297,19 +297,6 @@ class AnalysisComparisonSummary:
         return out
 
 
-TRIAL_CSV_HEADER = "seed,trial,n,disc_vanilla,disc_localized,innovation_norm,c_const"
-
-
-def comparison_csv_rows(summary: AnalysisComparisonSummary, seed: int) -> Iterator[str]:
-    for t, comp in enumerate(summary.trials):
-        for n in range(comp.disc_vanilla.size):
-            yield ",".join([
-                str(int(seed)), str(t), str(n),
-                repr(float(comp.disc_vanilla[n])), repr(float(comp.disc_localized[n])),
-                repr(float(comp.innovation_norms[n])), repr(float(comp.c_consts[n])),
-            ])
-
-
 def compare_analysis_updates(
     kernel: KernelModel,
     mesh: Mesh,

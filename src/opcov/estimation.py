@@ -52,7 +52,6 @@ __all__ = [
     "EstimatorReport",
     "EstimationError",
     "SpectralNormError",
-    "REPORT_CSV_HEADER",
     "sample_covariance",
     "threshold_parameter",
     "hard_threshold",
@@ -128,21 +127,6 @@ class EstimatorReport:
     eps_thresh: float
     nnz_fraction: float
     psd_min_eig: float
-
-
-REPORT_CSV_HEADER = "seed,d,m,lambda,N,c0,form,rho_hat,eps_sample,eps_thresh,nnz_fraction,psd_min_eig"
-
-
-def report_csv_row(
-    report: EstimatorReport, seed: int, d: int, m: int, lam: float, N: int, rule: ThresholdRule
-) -> str:
-    """One CSV row in the REPORT_CSV_HEADER schema, full float64 round-trip."""
-    return ",".join([
-        str(int(seed)), str(int(d)), str(int(m)), repr(float(lam)), str(int(N)),
-        repr(float(rule.c0)), rule.form,
-        repr(report.rho_hat), repr(report.eps_sample), repr(report.eps_thresh),
-        repr(report.nnz_fraction), repr(report.psd_min_eig),
-    ])
 
 
 def sample_covariance(ens: Ensemble) -> np.ndarray:

@@ -124,9 +124,7 @@ def sparsity_asymptotic(kernel: KernelModel, q: float, d: int) -> float:
 
 def operator_norm_asymptotic(kernel: KernelModel, d: int) -> float:
     """Small-lengthscale covariance operator norm: the q = 1 sparsity limit."""
-    if d not in SPHERE_AREA:
-        raise EstimationError(f"dimension d must be 1, 2 or 3, got {d}")
-    return kernel.lam**d * SPHERE_AREA[d] * _radial_integral(kernel, 1.0, d)
+    return sparsity_asymptotic(kernel, 1.0, d)
 
 
 def expected_supremum_mc(
@@ -186,8 +184,6 @@ class ScalingReport:
     eff_rank: float
     esup_mc: float
     esup_prediction: float
-
-    CSV_HEADER = "lambda,Rq_q,Rq_q_asymptotic,op_norm,op_norm_asymptotic,eff_rank,esup_mc,esup_prediction"
 
     def csv_row(self) -> str:
         return ",".join(repr(float(v)) for v in (

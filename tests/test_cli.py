@@ -50,12 +50,8 @@ def test_sample_size_reference_values():
 
 
 def test_sample_size_overrides():
-    cfg = fig1_config(n_rule="fixed", n_fixed=100)
+    cfg = fig1_config(n_fixed=100)
     assert sample_size(1e-3, cfg) == 100
-    cfg = fig1_config(log_base=10.0)
-    assert sample_size(1e-3, cfg) == 15  # 5 log10(1000)
-    cfg = fig1_config(n_exponent=2)
-    assert sample_size(1e-3, cfg) == 70
 
 
 def test_fig_grids():
@@ -104,7 +100,7 @@ def test_config_file_errors_carry_line_numbers(tmp_path):
 
 def test_flags_win_over_config(tmp_path):
     cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("trials = 5\nm = 16\nlambda_grid = 0.3\nn_rule = fixed\nn_fixed = 3\n")
+    cfg_file.write_text("trials = 5\nm = 16\nlambda_grid = 0.3\nn_fixed = 3\n")
     out = tmp_path / "out"
     code = main([
         "custom", "--config", str(cfg_file), "--kernel", "se:lambda=0.3",
@@ -124,8 +120,6 @@ def test_config_validation_errors():
         ExperimentConfig(lambda_grid=[0.1, -0.2]).validate()
     with pytest.raises(ConfigError):
         ExperimentConfig(lambda_grid=[0.1], trials=0).validate()
-    with pytest.raises(ConfigError):
-        ExperimentConfig(lambda_grid=[0.1], n_rule="6log").validate()
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +130,7 @@ def test_config_validation_errors():
 def test_custom_single_point_single_row(tmp_path):
     code = main([
         "custom", "--kernel", "se:lambda=0.2", "--m", "16", "--lambdas", "0.2",
-        "--trials", "1", "--n-rule", "fixed", "--n-fixed", "4",
+        "--trials", "1", "--n-fixed", "4",
         "--c0", "1", "--form", "full", "--seed", "3", "--out", str(tmp_path / "o"),
     ])
     assert code == 0
@@ -149,13 +143,7 @@ def test_custom_matern_rows_use_the_kernel_smoothness(tmp_path):
     # custom steps its one --kernel to each lengthscale, keeping nu = 2.5;
     # every row equals estimate_and_report on matern_kernel(lambda, 2.5)
     # with the command's seeds
-    from opcov.estimation import (
-        REPORT_CSV_HEADER,
-        ThresholdRule,
-        estimate_and_report,
-        report_csv_row,
-        spectral_norm,
-    )
+    from opcov.estimation import ThresholdRule, estimate_and_report, spectral_norm
     from opcov.kernels import matern_kernel
     from opcov.sampling import (
         build_mesh,
@@ -172,7 +160,7 @@ def test_custom_matern_rows_use_the_kernel_smoothness(tmp_path):
     cfg = ExperimentConfig(experiment="custom", m=64, c0=1.0, lambda_grid=lams)
     rule = ThresholdRule(c0=1.0, form="simplified")
     mesh = build_mesh(1, 64)
-    want = [REPORT_CSV_HEADER + ",trial"]
+    want = [",".join(_TRIAL_COLUMNS)]
     for lam_idx, lam in enumerate(lams):
         truth = covariance_matrix(matern_kernel(lam, 2.5), mesh)
         factor = factorize(truth)
@@ -182,8 +170,67 @@ def test_custom_matern_rows_use_the_kernel_smoothness(tmp_path):
             trial_seed = derive_seed(seed, 0, lam_idx, trial)
             ens = sample_ensemble(factor, N, trial_seed, mesh)
             report = estimate_and_report(ens, truth, rule, seed=trial_seed, truth_norm=truth_norm)
-            want.append(report_csv_row(report, trial_seed, 1, 64, lam, N, rule) + f",{trial}")
+            want.append(",".join([
+                str(trial_seed), "1", "64", repr(lam), str(N), "1.0", "simplified",
+                repr(report.rho_hat), repr(report.eps_sample), repr(report.eps_thresh),
+                repr(report.nnz_fraction), repr(report.psd_min_eig), str(trial),
+            ]))
     assert strip_timestamp(tmp_path / "o" / "custom_matern_trials.csv").splitlines() == want
+
+
+# every CSV's columns, written out independently of the writer
+_TRIAL_COLUMNS = ("seed", "d", "m", "lambda", "N", "c0", "form", "rho_hat", "eps_sample",
+                  "eps_thresh", "nnz_fraction", "psd_min_eig", "trial")
+_SUMMARY_COLUMNS = ("lambda", "N", "trials", "mean_eps_sample", "ci95_eps_sample",
+                    "mean_eps_thresh", "ci95_eps_thresh", "mean_rho_hat", "mean_nnz_fraction",
+                    "frac_thresh_worse")
+_CSV_COLUMNS = {
+    **{f"{fig}_{family}_{kind}.csv": columns
+       for fig in ("fig1", "fig2", "custom") for family in ("se", "matern")
+       for kind, columns in (("trials", _TRIAL_COLUMNS), ("summary", _SUMMARY_COLUMNS))},
+    "enkf_demo_trials.csv": ("seed", "trial", "n", "disc_vanilla", "disc_localized",
+                             "innovation_norm", "c_const"),
+    "enkf_demo_summary.csv": ("N", "continuity_all_ok", "frac_localized_better", "lambda",
+                              "localized_q50", "localized_q90", "localized_q99",
+                              "mean_disc_localized", "mean_disc_vanilla", "trials",
+                              "vanilla_q50", "vanilla_q90", "vanilla_q99"),
+    "theory_sweep.csv": ("lambda", "Rq_q", "Rq_q_asymptotic", "op_norm", "op_norm_asymptotic",
+                         "eff_rank", "esup_mc", "esup_prediction"),
+}
+_INT_COLUMNS = {"seed", "d", "m", "N", "trial", "trials", "n"}
+_TEXT_COLUMNS = {"form": {"full", "simplified"}, "continuity_all_ok": {"True", "False"}}
+
+
+def test_every_csv_cell_follows_the_one_cell_rule(tmp_path):
+    # one small run of each command; every cell outside the integer and text
+    # columns is a float written as its shortest round-trip repr
+    runs = [
+        "fig1 --m 32 --lambdas 0.3,0.1 --trials 2",
+        "fig2 --m 8 --lambdas 0.3,0.1 --trials 2",
+        "custom --kernel matern:lambda=0.1,nu=2.5 --m 32 --c0 1 --lambdas 0.3,0.05 --trials 2",
+        "enkf-demo --m 32 --lambdas 0.3,0.1 --trials 2 --dy 4",
+        "theory --m 32 --lambdas 0.1,0.05 --esup-samples 16",
+    ]
+    seen = set()
+    for i, line in enumerate(runs):
+        out = tmp_path / str(i)
+        assert main(line.split() + ["--out", str(out)]) == 0
+        for path in out.glob("*.csv"):
+            seen.add(path.name)
+            header, *rows = strip_timestamp(path).splitlines()
+            assert header == ",".join(_CSV_COLUMNS[path.name]), path.name
+            assert rows
+            for row in rows:
+                cells = row.split(",")
+                assert len(cells) == len(_CSV_COLUMNS[path.name])
+                for column, cell in zip(_CSV_COLUMNS[path.name], cells):
+                    if column in _INT_COLUMNS:
+                        assert str(int(cell)) == cell, (path.name, column, cell)
+                    elif column in _TEXT_COLUMNS:
+                        assert cell in _TEXT_COLUMNS[column], (path.name, column, cell)
+                    else:
+                        assert repr(float(cell)) == cell, (path.name, column, cell)
+    assert len(seen) == 13  # fig1, fig2: 2 kernels x 2; custom, enkf-demo: 2; theory: 1
 
 
 def test_timing_names_the_sampler(tmp_path):
@@ -217,7 +264,7 @@ def test_sweep_releases_each_cholesky_factor_before_the_next(tmp_path):
 def test_full_form_with_large_c0_rejected():
     code = main([
         "custom", "--kernel", "se:lambda=0.2", "--m", "16", "--lambdas", "0.2",
-        "--trials", "1", "--n-rule", "fixed", "--n-fixed", "16",
+        "--trials", "1", "--n-fixed", "16",
         "--c0", "5", "--form", "full", "--seed", "3", "--out", "/tmp/never",
     ])
     assert code == 1  # c0 = 5 > sqrt(16)
@@ -236,8 +283,8 @@ _BAD_VALUES = {
     "enkf-demo --noise-std 0": "noise_std must be > 0, got 0.0",
     "enkf-demo --noise-std nan": "noise_std must be > 0, got nan",
     # no particle left out of one
-    "enkf-demo --n-rule fixed --n-fixed 1": "n_fixed >= 2 particles, got 1",
-    "custom --log-base nan": "log_base must be > 1, got nan",
+    "enkf-demo --n-fixed 1": "n_fixed >= 2 particles, got 1",
+    "custom --n-fixed -1": "n_fixed must be >= 0 (0: the reference rule), got -1",
     # full form needs c0 <= sqrt(N - 1) on the N - 1 member leave-one-out ensembles
     "enkf-demo --form full --c0 3 --lambdas 0.3": "c0=3.0, N=6",
     "enkf-demo --form full --c0 2.5 --lambdas 0.3": "c0=2.5, N=6",  # sqrt(6) < 2.5 < sqrt(7)
@@ -266,15 +313,14 @@ _SETTING_VALUES = {
     "master_seed": ("7", 7), "output_dir": ("o", "o"), "lambda_grid": ("0.3,0.1", [0.3, 0.1]),
     "m": ("16", 16), "d": ("2", 2), "kernel": ("se:lambda=0.5", "se:lambda=0.5"),
     "trials": ("3", 3), "c0": ("2.5", 2.5), "form": ("full", "full"),
-    "n_rule": ("fixed", "fixed"), "n_fixed": ("4", 4), "log_base": ("10", 10.0),
-    "n_exponent": ("2", 2), "check": ("true", True), "threads": ("2", 2),
+    "n_fixed": ("4", 4), "check": ("true", True), "threads": ("2", 2),
     "plot": ("true", True), "dy": ("4", 4), "noise_std": ("0.5", 0.5), "q": ("0.3", 0.3),
     "esup_samples": ("64", 64),
 }
 
 # what each command reads, written out independently of the table
 _EVERY = {"master_seed", "output_dir", "lambda_grid", "m"}
-_RULE_KEYS = {"trials", "c0", "form", "n_rule", "n_fixed", "log_base", "n_exponent", "check"}
+_RULE_KEYS = {"trials", "c0", "form", "n_fixed", "check"}
 _FIGURE_KEYS = _EVERY | _RULE_KEYS | {"threads", "plot"}
 _READS = {
     "fig1": _FIGURE_KEYS,
@@ -287,7 +333,7 @@ _READS = {
 
 def test_each_command_reads_exactly_its_settings(tmp_path, capsys):
     assert set(_SETTING_VALUES) == set(_SETTINGS)
-    assert sum(map(len, _READS.values())) == 68
+    assert sum(map(len, _READS.values())) == 56
     subs = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert set(subs.choices) == set(_READS)
     for command, sub in subs.choices.items():
@@ -310,6 +356,15 @@ def test_each_command_reads_exactly_its_settings(tmp_path, capsys):
             assert f"{command} does not read key {key!r}" in capsys.readouterr().err
 
 
+def test_flag_prefixes_are_refused(capsys):
+    # argparse would otherwise take an unambiguous prefix for the whole flag
+    for argv in (["theory", "--e", "64"], ["custom", "--thr", "3"],
+                 ["enkf-demo", "--noise", "0.5"]):
+        assert main(argv) == 1
+        assert f"{argv[0]} does not read {argv[1]} {argv[2]}" in capsys.readouterr().err
+    assert _config_from_argv(["theory", "--esup-samples=64"]).esup_samples == 64
+
+
 def test_bad_flag_exits_one(capsys):
     assert main(["custom", "--lambdas", "0.1,0.2", "--m", "8"]) == 1
     assert "descending" in capsys.readouterr().err
@@ -318,7 +373,7 @@ def test_bad_flag_exits_one(capsys):
 def test_unwritable_output_is_runtime_failure():
     code = main([
         "custom", "--kernel", "se:lambda=0.2", "--m", "8", "--lambdas", "0.2",
-        "--trials", "1", "--n-rule", "fixed", "--n-fixed", "2", "--seed", "0",
+        "--trials", "1", "--n-fixed", "2", "--seed", "0",
         "--out", "/proc/opcov_forbidden/x",
     ])
     assert code == 2
@@ -327,7 +382,7 @@ def test_unwritable_output_is_runtime_failure():
 def test_row_counts_and_rerun_determinism(tmp_path):
     args = [
         "custom", "--kernel", "se:lambda=0.2", "--m", "24", "--lambdas", "0.3,0.2,0.1",
-        "--trials", "2", "--n-rule", "fixed", "--n-fixed", "5", "--seed", "11",
+        "--trials", "2", "--n-fixed", "5", "--seed", "11",
     ]
     assert main(args + ["--out", str(tmp_path / "a")]) == 0
     assert main(args + ["--out", str(tmp_path / "b")]) == 0
@@ -344,7 +399,7 @@ def test_row_counts_and_rerun_determinism(tmp_path):
 def test_threaded_run_matches_serial(tmp_path):
     args = [
         "custom", "--kernel", "se:lambda=0.2", "--m", "24", "--lambdas", "0.2,0.1",
-        "--trials", "4", "--n-rule", "fixed", "--n-fixed", "6", "--seed", "5",
+        "--trials", "4", "--n-fixed", "6", "--seed", "5",
     ]
     assert main(args + ["--out", str(tmp_path / "serial")]) == 0
     assert main(args + ["--out", str(tmp_path / "par"), "--threads", "4"]) == 0
@@ -356,7 +411,7 @@ def test_summary_matches_independent_aggregation(tmp_path):
     out = tmp_path / "o"
     assert main([
         "custom", "--kernel", "se:lambda=0.1", "--m", "32", "--lambdas", "0.2,0.1",
-        "--trials", "6", "--n-rule", "fixed", "--n-fixed", "8", "--seed", "2",
+        "--trials", "6", "--n-fixed", "8", "--seed", "2",
         "--out", str(out),
     ]) == 0
     trials = read_rows(out / "custom_se_trials.csv")
@@ -377,7 +432,7 @@ def test_plot_writes_valid_svg(tmp_path):
     out = tmp_path / "o"
     assert main([
         "custom", "--kernel", "se:lambda=0.1", "--m", "16", "--lambdas", "0.4,0.2,0.1",
-        "--trials", "2", "--n-rule", "fixed", "--n-fixed", "4", "--seed", "8",
+        "--trials", "2", "--n-fixed", "4", "--seed", "8",
         "--out", str(out), "--plot",
     ]) == 0
     svg = out / "custom_se.svg"
@@ -436,8 +491,7 @@ def test_enkf_demo_small_ensemble_does_not_fail_by_seed(seed, tmp_path):
     # Seeds 0-5 are the command's original failure report; under the
     # circulant sampler 9 and 11 are the first that reach the indefinite solve.
     assert main([
-        "enkf-demo", "--c0", "1", "--m", "48", "--lambdas", "0.05", "--n-rule", "fixed",
-        "--n-fixed", "8", "--trials", "3", "--dy", "4", "--seed", str(seed),
+        "enkf-demo", "--c0", "1", "--m", "48", "--lambdas", "0.05", "--n-fixed", "8", "--trials", "3", "--dy", "4", "--seed", str(seed),
         "--out", str(tmp_path / "o"),
     ]) == 0
     lines = (tmp_path / "o" / "enkf_demo_summary.txt").read_text().splitlines()
@@ -468,7 +522,7 @@ def test_numpy_logspace_grid_serializes_as_plain_floats(tmp_path):
     cfg = ExperimentConfig(
         experiment="custom", kernel="se:lambda=1", m=16,
         lambda_grid=list(np.logspace(-0.5, -1.0, 3)),
-        n_rule="fixed", n_fixed=3, trials=2, master_seed=1,
+        n_fixed=3, trials=2, master_seed=1,
         output_dir=str(tmp_path / "o"),
     )
     run_figure(cfg)

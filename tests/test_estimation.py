@@ -21,7 +21,6 @@ from opcov.estimation import (
     min_eigenvalue,
     psd_projection,
     relative_error,
-    report_csv_row,
     sample_covariance,
     spectral_norm,
     threshold_parameter,
@@ -589,17 +588,6 @@ def test_report_zero_shortcut_boundary(monkeypatch):
     assert (got.rho_hat, got.eps_thresh, got.nnz_fraction, got.psd_min_eig) == (rho, 1.0, 0.0, 0.0)
     assert got.eps_sample == pytest.approx(
         spectral_norm_dense(sample_covariance(ens) - truth.entries) / truth_norm, rel=1e-12)
-
-
-def test_report_csv_row_round_trips():
-    report = EstimatorReport(rho_hat=0.5, eps_sample=1.25, eps_thresh=0.75,
-                             nnz_fraction=0.1, psd_min_eig=-1e-12)
-    row = report_csv_row(report, seed=7, d=1, m=16, lam=0.01, N=12,
-                         rule=ThresholdRule(c0=5.0, form="simplified"))
-    fields = row.split(",")
-    assert fields[0] == "7" and fields[6] == "simplified"
-    assert float(fields[3]) == 0.01
-    assert float(fields[7]) == 0.5 and float(fields[11]) == -1e-12
 
 
 def test_report_mismatched_mesh_rejected():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -316,7 +317,7 @@ def test_scaling_report_fields_consistent():
     assert report.esup_mc > 0.0
     assert math.isfinite(report.esup_prediction)
     row = report.csv_row()
-    assert len(row.split(",")) == len(ScalingReport.CSV_HEADER.split(","))
+    assert len(row.split(",")) == len(dataclasses.fields(ScalingReport))
 
 
 def test_scaling_report_marks_invalid_prediction_as_nan():
