@@ -8,16 +8,16 @@ Commands (also exposed as the ``opcov`` console script)::
     opcov custom     single-kernel sweep with explicit grids
     opcov theory     scaling-report sweep (sparsity, norms, effective rank)
 
-Each command reads the settings in ``_SETTINGS`` that name it, as flags or
-from ``--config <path>`` (flat ``key = value`` lines, ``#`` comments), with
-flags winning; a flag or key the command does not read is a configuration
-error.  Runs are deterministic
-given the master seed: each (kernel, lengthscale, trial) cell draws from its
-own substream, so results are identical for any ``--threads`` value; output
-rows are written in grid order by one CSV writer, ``_write_csv``, the only
-formatter of library records.  Every output file carries one leading
-``# generated <timestamp>`` comment line, excluded from rerun comparisons;
-wall times go to a separate timing file for the same reason.
+Each command reads the settings in ``_SETTINGS`` that name it, as flags
+only; a flag the command does not read is a configuration error.  Runs are
+deterministic given the master seed: each (kernel, lengthscale, trial) cell
+draws from its own substream, so results are identical for any ``--threads``
+value; output rows are written in grid order by one CSV writer,
+``_write_csv``, the only formatter of library records, and every
+per-lengthscale result is a column of the command's summary CSV.  Every
+output file carries one leading ``# generated <timestamp>`` comment line,
+excluded from rerun comparisons; wall times go to a separate timing file for
+the same reason.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime failure,
 3 acceptance-threshold violation under ``--check``.
@@ -74,7 +74,7 @@ __all__ = [
 
 
 class ConfigError(ValueError):
-    """Bad configuration file or flag combination."""
+    """Bad flag value or flag combination."""
 
 
 class CheckFailure(RuntimeError):
@@ -112,8 +112,8 @@ class ExperimentConfig:
         # numpy scalars sneak in via logspace grids; plain floats keep the
         # CSV writers on the shortest round-trip repr
         self.lambda_grid = [float(l) for l in self.lambda_grid]
-        if any(not (l > 0) for l in self.lambda_grid):
-            raise ConfigError("lambda_grid entries must be strictly positive")
+        if any(not (0 < l < math.inf) for l in self.lambda_grid):
+            raise ConfigError("lambda_grid entries must be finite and strictly positive")
         if any(nxt >= prev for prev, nxt in zip(self.lambda_grid, self.lambda_grid[1:])):
             raise ConfigError("lambda_grid must be sorted in strictly descending order")
         if self.trials < 1:
@@ -130,12 +130,13 @@ class ExperimentConfig:
         try:
             rule = ThresholdRule(c0=self.c0, form=self.form)
             mesh = build_mesh(self.d, self.m)
+            parse_kernel(self.kernel)
             if self.experiment == "enkf-demo":
                 enkf_mod.pointwise_observation(mesh, self.dy, self.noise_std)
             if self.experiment == "theory":
                 _check_q(self.q)
                 _check_draws(self.esup_samples)
-        except (EstimationError, SamplingError, enkf_mod.EnkfError) as exc:
+        except (EstimationError, SamplingError, enkf_mod.EnkfError, KernelError) as exc:
             raise ConfigError(str(exc)) from None
         if rule.form == "full":
             # enkf-demo thresholds leave-one-out ensembles of N - 1 members
@@ -189,26 +190,21 @@ def sample_size(lam: float, cfg: ExperimentConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# config files and flags
+# flags
 # ---------------------------------------------------------------------------
 
-def _parse_bool(text: str) -> bool:
-    if text.lower() in ("1", "true", "yes", "on"):
-        return True
-    if text.lower() in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(text)
-
-
 def _parse_lambda_grid(text: str) -> list[float]:
-    grid = [float(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        grid = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        grid = []
     if not grid:
-        raise ValueError(text)
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of floats: {text!r}")
     return grid
 
 
 class _Setting(NamedTuple):
-    parse: Callable[[str], object]
+    parse: Callable[[str], object]  # the flag's argparse type; bool: a bare switch
     commands: tuple[str, ...]
     flag: str | None = None  # None: --<key> with dashes for underscores
     help: str | None = None
@@ -218,7 +214,7 @@ _FIGURES = ("fig1", "fig2", "custom")
 _RULE = (*_FIGURES, "enkf-demo")  # the commands that threshold an ensemble
 _COMMANDS = (*_RULE, "theory")
 
-# Every setting a command reads, by config key (an ExperimentConfig field).
+# Every setting a command reads, by ExperimentConfig field.
 _SETTINGS = {
     "master_seed": _Setting(int, _COMMANDS, "--seed", "master seed"),
     "output_dir": _Setting(str, _COMMANDS, "--out", "output directory"),
@@ -231,10 +227,10 @@ _SETTINGS = {
     "c0": _Setting(float, _RULE),
     "form": _Setting(str, _RULE, help="full or simplified"),
     "n_fixed": _Setting(int, _RULE, help="fixed sample size N; 0 for N = ceil(5 d ln(1/lambda))"),
-    "check": _Setting(_parse_bool, _RULE, help=(
+    "check": _Setting(bool, _RULE, help=(
         "verify qualitative acceptance thresholds; exit 3 on violation")),
     "threads": _Setting(int, _FIGURES, help="worker threads per lengthscale"),
-    "plot": _Setting(_parse_bool, _FIGURES, help="write SVG plots"),
+    "plot": _Setting(bool, _FIGURES, help="write SVG plots"),
     "dy": _Setting(int, ("enkf-demo",)),
     "noise_std": _Setting(float, ("enkf-demo",)),
     "q": _Setting(float, ("theory",)),
@@ -244,34 +240,6 @@ _SETTINGS = {
 
 def _flag(key: str) -> str:
     return _SETTINGS[key].flag or "--" + key.replace("_", "-")
-
-
-def _parse_setting(key: str, text: str, where: str = ""):
-    try:
-        return _SETTINGS[key].parse(text)
-    except ValueError:
-        raise ConfigError(f"{where}bad value {text!r} for key {key!r}") from None
-
-
-def load_config_file(path) -> dict:
-    """Parse a flat ``key = value`` config file with ``#`` comments."""
-    values: dict = {}
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, eq, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if not eq or not key:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        if key not in _SETTINGS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = _parse_setting(key, value, f"{path}:{lineno}: ")
-    return values
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +302,8 @@ class LambdaSummary:
     mean_rho_hat: float
     mean_nnz_fraction: float
     frac_thresh_worse: float  # per-trial fraction with eps_thresh >= eps_sample
+    sampler: str  # how the lengthscale's fields were drawn (CovFactor.sampler)
+    jitter: float  # CovFactor.jitter
 
 
 _TRIAL_COLUMNS = ("seed", "d", "m", "lambda", "N", "c0", "form",
@@ -397,10 +367,10 @@ def _run_kernel_sweep(cfg: ExperimentConfig, kernel_idx: int, base: KernelModel,
             mean_rho_hat=float(np.mean([r.rho_hat for r, _, _ in results])),
             mean_nnz_fraction=float(np.mean([r.nnz_fraction for r, _, _ in results])),
             frac_thresh_worse=float(np.mean(eps_t >= eps_s)),
+            sampler=sampler, jitter=jitter,
         ))
         trial_s = sum(dt for _, _, dt in results)
-        timings.append(f"{name_prefix} lambda={lam!r} setup_s={setup_s:.3f} trials_s={trial_s:.3f} "
-                       f"sampler={sampler} jitter={jitter:g}")
+        timings.append(f"{name_prefix} lambda={lam!r} setup_s={setup_s:.3f} trials_s={trial_s:.3f}")
 
     _write_csv(out_dir / f"{name_prefix}_trials.csv", _TRIAL_COLUMNS, trial_rows)
     _write_csv(out_dir / f"{name_prefix}_summary.csv", _columns(LambdaSummary),
@@ -488,7 +458,6 @@ def run_enkf_demo(cfg: ExperimentConfig) -> list[dict]:
     base = parse_kernel(cfg.kernel)
     rows: list[tuple] = []
     summary_rows: list[dict] = []
-    kv_lines: list[str] = []
     for lam_idx, lam in enumerate(cfg.lambda_grid):
         kernel = KernelModel(base.family, lam, base.nu)
         N = sample_size(lam, cfg)
@@ -501,31 +470,23 @@ def run_enkf_demo(cfg: ExperimentConfig) -> list[dict]:
              comp.innovation_norms[n], comp.c_consts[n])
             for t, comp in enumerate(summary.trials) for n in range(comp.disc_vanilla.size)
         )
-        record = {
+        # one summary row; its keys, in this order, are the CSV columns
+        summary_rows.append({
             "lambda": lam, "N": N, "trials": cfg.trials,
             "mean_disc_vanilla": summary.mean_vanilla,
             "mean_disc_localized": summary.mean_localized,
             "frac_localized_better": summary.frac_localized_better,
             "continuity_all_ok": summary.continuity_all_ok,
-        }
-        record.update(summary.pooled_quantiles())
-        summary_rows.append(record)
-        for key, value in record.items():
-            kv_lines.append(f"lambda_{lam_idx}.{key} = {value!r}")
-        # Not CSV columns: the CSV schema predates the indefinite solve, the
-        # circulant sampler and the continuity certificate.
-        kv_lines.append(f"lambda_{lam_idx}.indefinite_gains = {summary.indefinite_gains!r}")
-        kv_lines.append(f"lambda_{lam_idx}.sampler = {summary.sampler!r}")
-        kv_lines.append(f"lambda_{lam_idx}.continuity_full_solves = "
-                        f"{summary.continuity_full_solves!r}")
-        kv_lines.append(f"lambda_{lam_idx}.continuity_min_margin = "
-                        f"{summary.continuity_min_margin!r}")
+            **summary.pooled_quantiles(),
+            "indefinite_gains": summary.indefinite_gains,
+            "sampler": summary.sampler,
+            "continuity_full_solves": summary.continuity_full_solves,
+            "continuity_min_margin": summary.continuity_min_margin,
+        })
     _write_csv(out_dir / "enkf_demo_trials.csv", ("seed", "trial", "n", "disc_vanilla",
                "disc_localized", "innovation_norm", "c_const"), rows)
-    header = sorted(summary_rows[0])
-    _write_csv(out_dir / "enkf_demo_summary.csv", header,
-               ([record[k] for k in header] for record in summary_rows))
-    _write_stamped(out_dir / "enkf_demo_summary.txt", kv_lines)
+    _write_csv(out_dir / "enkf_demo_summary.csv", summary_rows[0],
+               (record.values() for record in summary_rows))
     if cfg.check:
         smallest = summary_rows[-1]
         problems = []
@@ -573,16 +534,15 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="opcov", description=__doc__.splitlines()[0], allow_abbrev=False)
     subs = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        sub = subs.add_parser(name, allow_abbrev=False)
-        sub.add_argument("--config", type=str, default=None, help="flat key = value config file")
+        # a flag left out leaves no attribute, so the preset keeps its value
+        sub = subs.add_parser(name, allow_abbrev=False, argument_default=argparse.SUPPRESS)
         for key, setting in _SETTINGS.items():
             if name not in setting.commands:
                 continue
-            if setting.parse is _parse_bool:  # a bare switch; parsed like a config value
-                sub.add_argument(_flag(key), dest=key, action="store_const", const="true",
-                                 default=None, help=setting.help)
+            if setting.parse is bool:
+                sub.add_argument(_flag(key), dest=key, action="store_true", help=setting.help)
             else:
-                sub.add_argument(_flag(key), dest=key, default=None, help=setting.help)
+                sub.add_argument(_flag(key), dest=key, type=setting.parse, help=setting.help)
     return parser
 
 
@@ -590,20 +550,13 @@ _PRESETS = {"fig1": fig1_config, "fig2": fig2_config, "enkf-demo": enkf_demo_con
 
 
 def _config_from_argv(argv) -> ExperimentConfig:
-    """The configuration a command line asks for: preset, then config file, then flags."""
+    """The configuration a command line asks for: the command's preset, then its flags."""
     args, unread = _build_parser().parse_known_args(argv)
-    command = args.command
+    values = vars(args)
+    command = values.pop("command")
     if unread:
         raise ConfigError(f"{command} does not read {' '.join(unread)}")
     cfg = _PRESETS.get(command, lambda: ExperimentConfig(experiment=command))()
-    values = load_config_file(args.config) if args.config else {}
-    for key in values:
-        if command not in _SETTINGS[key].commands:
-            raise ConfigError(f"{args.config}: {command} does not read key {key!r}")
-    values.update(
-        (key, _parse_setting(key, text, f"{_flag(key)}: "))
-        for key, text in vars(args).items() if key in _SETTINGS and text is not None
-    )
     return replace(cfg, **values)
 
 

@@ -13,9 +13,7 @@ diagonal.  Weighted norms reappear only in reported quantities:
 discrepancies are sqrt(weight) times the Euclidean norm, and gains carry
 sqrt(weight) * smax.  Pointwise evaluation is unbounded on L^2 and only makes
 sense after discretization.  No general observation operator or noise
-covariance is modelled: the constructor from explicit matrices, the
-cross-covariance method and the ``A``, ``Gamma`` and ``cols`` fields of
-:class:`ObservationModel` are gone, since every caller observes mesh sites.
+covariance is modelled, since every caller observes mesh sites.
 
 All three analysis updates share the observation y and the per-particle
 noises, which isolates the gain estimation error: the difference between two
@@ -121,6 +119,8 @@ def pointwise_observation(
     """d_y pointwise evaluations at equispaced mesh sites, Gamma = noise_std^2 I."""
     if not (noise_std > 0.0):
         raise EnkfError(f"noise_std must be > 0, got {noise_std}")
+    if noise_std == math.inf:
+        raise EnkfError(f"noise_std must be finite, got {noise_std}")
     if not (1 <= d_y <= mesh.L):
         raise EnkfError(f"need 1 <= d_y <= L, got d_y={d_y}, L={mesh.L}")
     return ObservationModel(

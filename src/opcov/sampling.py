@@ -199,15 +199,13 @@ class Ensemble:
     """N sampled field realizations on a mesh.
 
     fields has shape (N, L); sups[n] is the maximum of fields[n] over the
-    mesh (the discretized supremum over the domain).  ``jitter`` is that of
-    the factor it was drawn from.
+    mesh (the discretized supremum over the domain).
     """
 
     mesh: Mesh
     N: int
     fields: np.ndarray
     sups: np.ndarray
-    jitter: float
 
 
 def build_mesh(d: int, m: int) -> Mesh:
@@ -384,7 +382,7 @@ def sample_ensemble(cov: CovMatrix | CovFactor, N: int, seed: int, mesh: Mesh) -
         z = rng.standard_normal((N, factor.cov.L))
         fields = z @ factor.lower.T
     sups = fields.max(axis=1)
-    return Ensemble(mesh=mesh, N=N, fields=fields, sups=sups, jitter=factor.jitter)
+    return Ensemble(mesh=mesh, N=N, fields=fields, sups=sups)
 
 
 def ensemble_sup_mean(ens: Ensemble) -> float:

@@ -236,9 +236,6 @@ class SupNormSummary:
     mesh point), matching the single-supremum error statement.
     """
 
-    rho_N: float
-    esup_mean: float
-    esup_stderr: float
     max_all: np.ndarray
     max_column: np.ndarray
 
@@ -269,7 +266,7 @@ def supnorm_error_experiment(
         raise EstimationError(f"need at least 30 trials, got {trials}")
     cov = covariance_matrix(kernel, mesh)
     factor = factorize(cov)
-    esup, esup_se = expected_supremum_mc(factor, mesh, esup_samples, derive_seed(seed, 0xE5))
+    esup, _ = expected_supremum_mc(factor, mesh, esup_samples, derive_seed(seed, 0xE5))
     rho_N = ThresholdRule(c0=1.0, form="full").rho(esup, N)
     ref_col = mesh.L // 2
     truth = cov.entries  # gathered once: the sample covariance is L x L anyway
@@ -280,11 +277,7 @@ def supnorm_error_experiment(
         err = np.abs(sample_covariance(ens) - truth)
         max_all[t] = err.max() / rho_N
         max_col[t] = err[:, ref_col].max() / rho_N
-    summary = SupNormSummary(
-        rho_N=rho_N, esup_mean=esup, esup_stderr=esup_se,
-        max_all=max_all, max_column=max_col,
-    )
-    return summary
+    return SupNormSummary(max_all=max_all, max_column=max_col)
 
 
 @dataclass(frozen=True)
@@ -296,13 +289,9 @@ class ThresholdConcentrationSummary:
     Monte Carlo allowance added on top when checking the contract.
     """
 
-    rho_N: float
-    esup_mean: float
-    esup_stderr: float
     mean_ratio: float
     below_quarter: float
     below_half: float
-    below_three_quarter: float
     theory_bound_half: float
     mc_slack: float
 
@@ -326,7 +315,7 @@ def threshold_concentration_experiment(
     rule = ThresholdRule(c0=c0, form=form)
     cov = covariance_matrix(kernel, mesh)
     factor = factorize(cov)
-    esup, esup_se = expected_supremum_mc(factor, mesh, esup_samples, derive_seed(seed, 0xE5))
+    esup, _ = expected_supremum_mc(factor, mesh, esup_samples, derive_seed(seed, 0xE5))
     rho_N = rule.rho(esup, N)
     ratios = np.empty(trials)
     for t in range(trials):
@@ -334,13 +323,9 @@ def threshold_concentration_experiment(
         ratios[t] = threshold_parameter(ens, rule) / rho_N
     n_rho = N * min(rho_N, rho_N * rho_N)
     return ThresholdConcentrationSummary(
-        rho_N=rho_N,
-        esup_mean=esup,
-        esup_stderr=esup_se,
         mean_ratio=float(ratios.mean()),
         below_quarter=float(np.mean(ratios < 0.25)),
         below_half=float(np.mean(ratios < 0.5)),
-        below_three_quarter=float(np.mean(ratios < 0.75)),
         theory_bound_half=2.0 * math.exp(-n_rho / 8.0),
         mc_slack=3.0 / math.sqrt(trials),
     )

@@ -15,7 +15,7 @@ def make_ensemble(fields, weight: float | None = None) -> Ensemble:
     fields = np.atleast_2d(np.asarray(fields, dtype=float))
     N, L = fields.shape
     mesh = make_mesh(L, weight)
-    return Ensemble(mesh=mesh, N=N, fields=fields, sups=fields.max(axis=1), jitter=0.0)
+    return Ensemble(mesh=mesh, N=N, fields=fields, sups=fields.max(axis=1))
 
 
 def spectral_norm_dense(cov) -> float:

@@ -17,7 +17,6 @@ from opcov.cli import (
     enkf_demo_config,
     fig1_config,
     fig2_config,
-    load_config_file,
     main,
     run_figure,
     sample_size,
@@ -68,47 +67,8 @@ def test_fig_grids():
 
 
 # ---------------------------------------------------------------------------
-# config files
+# configuration
 # ---------------------------------------------------------------------------
-
-
-def test_config_file_parsing(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text(
-        "# comment line\n"
-        "trials = 7\n"
-        "c0 = 2.5          # inline comment\n"
-        "lambda_grid = 0.2, 0.1\n"
-        "plot = true\n"
-    )
-    values = load_config_file(path)
-    assert values == {"trials": 7, "c0": 2.5, "lambda_grid": [0.2, 0.1], "plot": True}
-
-
-def test_config_file_errors_carry_line_numbers(tmp_path):
-    path = tmp_path / "bad.cfg"
-    path.write_text("trials = 7\nwat = 3\n")
-    with pytest.raises(ConfigError, match=r"bad\.cfg:2.*wat"):
-        load_config_file(path)
-    path.write_text("trials = seven\n")
-    with pytest.raises(ConfigError, match=r"bad\.cfg:1.*seven"):
-        load_config_file(path)
-    path.write_text("just a line\n")
-    with pytest.raises(ConfigError, match="key = value"):
-        load_config_file(path)
-
-
-def test_flags_win_over_config(tmp_path):
-    cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("trials = 5\nm = 16\nlambda_grid = 0.3\nn_fixed = 3\n")
-    out = tmp_path / "out"
-    code = main([
-        "custom", "--config", str(cfg_file), "--kernel", "se:lambda=0.3",
-        "--trials", "2", "--seed", "1", "--out", str(out),
-    ])
-    assert code == 0
-    rows = read_rows(out / "custom_se_trials.csv")
-    assert len(rows) == 2  # flag value, not the config file's 5
 
 
 def test_config_validation_errors():
@@ -183,22 +143,26 @@ _TRIAL_COLUMNS = ("seed", "d", "m", "lambda", "N", "c0", "form", "rho_hat", "eps
                   "eps_thresh", "nnz_fraction", "psd_min_eig", "trial")
 _SUMMARY_COLUMNS = ("lambda", "N", "trials", "mean_eps_sample", "ci95_eps_sample",
                     "mean_eps_thresh", "ci95_eps_thresh", "mean_rho_hat", "mean_nnz_fraction",
-                    "frac_thresh_worse")
+                    "frac_thresh_worse", "sampler", "jitter")
 _CSV_COLUMNS = {
     **{f"{fig}_{family}_{kind}.csv": columns
        for fig in ("fig1", "fig2", "custom") for family in ("se", "matern")
        for kind, columns in (("trials", _TRIAL_COLUMNS), ("summary", _SUMMARY_COLUMNS))},
     "enkf_demo_trials.csv": ("seed", "trial", "n", "disc_vanilla", "disc_localized",
                              "innovation_norm", "c_const"),
-    "enkf_demo_summary.csv": ("N", "continuity_all_ok", "frac_localized_better", "lambda",
+    "enkf_demo_summary.csv": ("lambda", "N", "trials", "mean_disc_vanilla",
+                              "mean_disc_localized", "frac_localized_better",
+                              "continuity_all_ok", "vanilla_q50", "vanilla_q90", "vanilla_q99",
                               "localized_q50", "localized_q90", "localized_q99",
-                              "mean_disc_localized", "mean_disc_vanilla", "trials",
-                              "vanilla_q50", "vanilla_q90", "vanilla_q99"),
+                              "indefinite_gains", "sampler", "continuity_full_solves",
+                              "continuity_min_margin"),
     "theory_sweep.csv": ("lambda", "Rq_q", "Rq_q_asymptotic", "op_norm", "op_norm_asymptotic",
                          "eff_rank", "esup_mc", "esup_prediction"),
 }
-_INT_COLUMNS = {"seed", "d", "m", "N", "trial", "trials", "n"}
-_TEXT_COLUMNS = {"form": {"full", "simplified"}, "continuity_all_ok": {"True", "False"}}
+_INT_COLUMNS = {"seed", "d", "m", "N", "trial", "trials", "n", "indefinite_gains",
+                "continuity_full_solves"}
+_TEXT_COLUMNS = {"form": {"full", "simplified"}, "continuity_all_ok": {"True", "False"},
+                 "sampler": {"cholesky", "circulant"}}
 
 
 def test_every_csv_cell_follows_the_one_cell_rule(tmp_path):
@@ -237,9 +201,14 @@ def test_timing_names_the_sampler(tmp_path):
     # lambda = 0.3 has a negative circulant embedding, lambda = 0.01 does not
     assert main(["custom", "--kernel", "se:lambda=0.1", "--m", "200", "--lambdas", "0.3,0.01",
                  "--trials", "1", "--out", str(tmp_path / "o")]) == 0
+    rows = read_rows(tmp_path / "o" / "custom_se_summary.csv")
+    assert [row["sampler"] for row in rows] == ["cholesky", "circulant"]
+    assert all(float(row["jitter"]) >= 0.0 for row in rows)
+    # the timing file holds only wall-clock seconds
     lines = (tmp_path / "o" / "custom_timing.txt").read_text().splitlines()[1:]
-    assert [ln.split(" sampler=")[1].split()[0] for ln in lines] == ["cholesky", "circulant"]
-    assert all(" jitter=" in ln for ln in lines)
+    assert len(lines) == 2
+    assert all(re.fullmatch(r"custom_se lambda=\S+ setup_s=[0-9.]+ trials_s=[0-9.]+", ln)
+               for ln in lines)
 
 
 def test_sweep_releases_each_cholesky_factor_before_the_next(tmp_path):
@@ -256,8 +225,8 @@ def test_sweep_releases_each_cholesky_factor_before_the_next(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    lines = (tmp_path / "fig2_timing.txt").read_text().splitlines()[1:3]
-    assert all(ln.startswith("fig2_se ") and " sampler=cholesky " in ln for ln in lines)
+    assert [row["sampler"] for row in read_rows(tmp_path / "fig2_se_summary.csv")] == \
+        ["cholesky", "cholesky"]
     assert peak < 2.5 * 8 * (24 * 24) ** 2
 
 
@@ -282,6 +251,10 @@ _BAD_VALUES = {
     "enkf-demo --dy 0": "d_y=0",
     "enkf-demo --noise-std 0": "noise_std must be > 0, got 0.0",
     "enkf-demo --noise-std nan": "noise_std must be > 0, got nan",
+    "enkf-demo --noise-std inf": "noise_std must be finite, got inf",
+    "custom --lambdas inf,0.1": "lambda_grid entries must be finite",
+    "theory --lambdas inf,0.1": "lambda_grid entries must be finite",
+    "custom --kernel bogus": "unknown kernel family token 'bogus'",
     # no particle left out of one
     "enkf-demo --n-fixed 1": "n_fixed >= 2 particles, got 1",
     "custom --n-fixed -1": "n_fixed must be >= 0 (0: the reference rule), got -1",
@@ -305,16 +278,16 @@ def test_bad_values_are_configuration_errors(line, tmp_path, capsys):
     assert main(args) == 1
     err = capsys.readouterr().err
     assert "configuration error" in err and _BAD_VALUES[line] in err
-    assert not list(tmp_path.rglob("*.csv"))
+    assert not out.exists()  # refused before any work
 
 
-# one valid value per setting, as text and parsed
+# one valid value per setting, as flag text (None: a bare switch) and parsed
 _SETTING_VALUES = {
     "master_seed": ("7", 7), "output_dir": ("o", "o"), "lambda_grid": ("0.3,0.1", [0.3, 0.1]),
     "m": ("16", 16), "d": ("2", 2), "kernel": ("se:lambda=0.5", "se:lambda=0.5"),
     "trials": ("3", 3), "c0": ("2.5", 2.5), "form": ("full", "full"),
-    "n_fixed": ("4", 4), "check": ("true", True), "threads": ("2", 2),
-    "plot": ("true", True), "dy": ("4", 4), "noise_std": ("0.5", 0.5), "q": ("0.3", 0.3),
+    "n_fixed": ("4", 4), "check": (None, True), "threads": ("2", 2),
+    "plot": (None, True), "dy": ("4", 4), "noise_std": ("0.5", 0.5), "q": ("0.3", 0.3),
     "esup_samples": ("64", 64),
 }
 
@@ -331,7 +304,12 @@ _READS = {
 }
 
 
-def test_each_command_reads_exactly_its_settings(tmp_path, capsys):
+_PRESETS = {"fig1": fig1_config(), "fig2": fig2_config(), "enkf-demo": enkf_demo_config(),
+            "custom": ExperimentConfig(experiment="custom"),
+            "theory": ExperimentConfig(experiment="theory")}
+
+
+def test_each_command_reads_exactly_its_settings(capsys):
     assert set(_SETTING_VALUES) == set(_SETTINGS)
     assert sum(map(len, _READS.values())) == 56
     subs = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
@@ -340,20 +318,20 @@ def test_each_command_reads_exactly_its_settings(tmp_path, capsys):
         read = _READS[command]
         assert read == {key for key, setting in _SETTINGS.items() if command in setting.commands}
         flags = {opt for action in sub._actions for opt in action.option_strings}
-        assert flags - {"-h", "--help", "--config"} == {_flag(key) for key in read}
+        assert flags - {"-h", "--help"} == {_flag(key) for key in read}
+        # a flag left out keeps the command's preset
+        assert _config_from_argv([command]) == _PRESETS[command]
         for key, (text, value) in _SETTING_VALUES.items():
-            flag_argv = [_flag(key)] if isinstance(value, bool) else [_flag(key), text]
-            cfg_file = tmp_path / f"{key}.cfg"
-            cfg_file.write_text(f"{key} = {text}\n")
+            flag_argv = [_flag(key)] if text is None else [_flag(key), text]
             if key in read:
                 assert getattr(_config_from_argv([command, *flag_argv]), key) == value
-                assert getattr(_config_from_argv([command, "--config", str(cfg_file)]), key) == value
                 continue
             assert main([command, *flag_argv]) == 1
             assert re.search(f"{command} does not read {re.escape(_flag(key))}\\b",
                              capsys.readouterr().err)
-            assert main([command, "--config", str(cfg_file)]) == 1
-            assert f"{command} does not read key {key!r}" in capsys.readouterr().err
+        # there are no config files: --config is unread like any other flag
+        assert main([command, "--config", "run.cfg"]) == 1
+        assert f"{command} does not read --config run.cfg" in capsys.readouterr().err
 
 
 def test_flag_prefixes_are_refused(capsys):
@@ -368,6 +346,12 @@ def test_flag_prefixes_are_refused(capsys):
 def test_bad_flag_exits_one(capsys):
     assert main(["custom", "--lambdas", "0.1,0.2", "--m", "8"]) == 1
     assert "descending" in capsys.readouterr().err
+    # a value its flag cannot parse names the flag and the value
+    for argv, message in ((["custom", "--trials", "seven"], "--trials: invalid int value: 'seven'"),
+                          (["theory", "--lambdas", "0.1,x"], "--lambdas: not a comma-separated "
+                                                              "list of floats: '0.1,x'")):
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
 
 
 def test_unwritable_output_is_runtime_failure():
@@ -465,13 +449,11 @@ def test_enkf_demo_emits_summary_rows(tmp_path):
     n_small = sample_size(0.2, enkf_demo_config(m=48))
     n_large = sample_size(0.05, enkf_demo_config(m=48))
     assert len(trials) == 2 * (n_small + n_large)
-    kv = (out / "enkf_demo_summary.txt").read_text()
-    assert "mean_disc_localized" in kv
-    values = dict(ln.split(" = ") for ln in kv.splitlines()[1:])
-    for i in range(2):
+    assert [row["lambda"] for row in rows] == ["0.2", "0.05"]
+    for row in rows:
         # the one-matvec certificate passes every particle of this run
-        assert values[f"lambda_{i}.continuity_full_solves"] == "0"
-        assert 1.0 <= float(values[f"lambda_{i}.continuity_min_margin"]) < math.inf
+        assert row["continuity_full_solves"] == "0"
+        assert 1.0 <= float(row["continuity_min_margin"]) < math.inf
 
 
 def test_enkf_demo_rerun_identical(tmp_path):
@@ -494,11 +476,9 @@ def test_enkf_demo_small_ensemble_does_not_fail_by_seed(seed, tmp_path):
         "enkf-demo", "--c0", "1", "--m", "48", "--lambdas", "0.05", "--n-fixed", "8", "--trials", "3", "--dy", "4", "--seed", str(seed),
         "--out", str(tmp_path / "o"),
     ]) == 0
-    lines = (tmp_path / "o" / "enkf_demo_summary.txt").read_text().splitlines()
-    count = int(next(ln for ln in lines if ln.startswith("lambda_0.indefinite_gains = "))
-                .split(" = ")[1])
-    assert "lambda_0.sampler = 'circulant'" in lines
-    assert (count > 0) == (seed in (9, 11))
+    (row,) = read_rows(tmp_path / "o" / "enkf_demo_summary.csv")
+    assert row["sampler"] == "circulant"
+    assert (int(row["indefinite_gains"]) > 0) == (seed in (9, 11))
 
 
 def test_theory_sweep_csv(tmp_path):
@@ -532,8 +512,3 @@ def test_numpy_logspace_grid_serializes_as_plain_floats(tmp_path):
         for row in read_rows(tmp_path / "o" / name):
             assert float(row["lambda"]) > 0
 
-
-def test_mismatched_config_experiment_rejected(tmp_path):
-    cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("experiment = fig1\n")
-    assert main(["custom", "--config", str(cfg_file), "--lambdas", "0.1"]) == 1

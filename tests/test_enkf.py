@@ -81,6 +81,8 @@ def test_observation_site_bounds():
         pointwise_observation(mesh, 9)
     with pytest.raises(EnkfError):
         pointwise_observation(mesh, 4, noise_std=0.0)
+    with pytest.raises(EnkfError, match="finite"):
+        pointwise_observation(mesh, 4, noise_std=math.inf)
 
 
 # ---------------------------------------------------------------------------
