@@ -114,6 +114,9 @@ class ExperimentConfig:
         self.lambda_grid = [float(l) for l in self.lambda_grid]
         if any(not (0 < l < math.inf) for l in self.lambda_grid):
             raise ConfigError("lambda_grid entries must be finite and strictly positive")
+        if any(l < sys.float_info.min for l in self.lambda_grid):
+            # 1/lambda of a subnormal lengthscale overflows in the sample-size rule
+            raise ConfigError(f"lambda_grid entries must be normal floats, >= {sys.float_info.min!r}")
         if any(nxt >= prev for prev, nxt in zip(self.lambda_grid, self.lambda_grid[1:])):
             raise ConfigError("lambda_grid must be sorted in strictly descending order")
         if self.trials < 1:

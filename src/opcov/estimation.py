@@ -7,18 +7,28 @@ per-field suprema, hard thresholding with the keep-ties convention
 semi-definiteness (which at most doubles the spectral estimation error).
 
 Spectral norms come from one helper around ARPACK's implicitly restarted
-Lanczos (``scipy.sparse.linalg.eigsh``, k=1, a seeded start vector):
-``which="LM"`` for norms and ``which="SA"`` for the smallest eigenvalue.
-Its stopping rule certifies the residual ||A x - theta x|| <= tol |theta|,
-with no matvec budget and no dense fallback; non-convergence raises
-:class:`SpectralNormError`.  Operands are ``scipy.sparse.linalg.LinearOperator``
-objects, explicit matrices (plain arrays: every estimate here is one) or a
-:class:`~opcov.sampling.CovMatrix` truth, which holds no matrix and is
-applied by FFT, so no norm takes a dense product of the truth.  The Krylov
-basis is picked from the operand: wide (64) for a truth, whose top
-eigenvalues cluster about 1e-5 apart at small lengthscales, and narrow (12)
-for everything else, whose top eigenvalue is separated.  Operators of order
-at most 64 are built from their columns and solved by ``eigvalsh``.
+Lanczos (``scipy.sparse.linalg.eigsh``, k=1): ``which="LM"`` for norms and
+``which="SA"`` for the smallest eigenvalue.  The norm of a truth starts from
+the sine vector prod_a sin(pi i_a / (m + 1)).  A truth has nonnegative
+entries, positive next to the diagonal, and is symmetric under reversing any
+axis.  So its top eigenvector is positive (Perron-Frobenius) and unchanged by
+those reversals, like the sine vector, and the top eigenvectors of a Toeplitz
+matrix are close to sines (Grenander & Szego, *Toeplitz Forms*).  Lanczos from
+such a start stays, up to rounding, out of the antisymmetric half of the
+tightly clustered top spectrum.  Every other solve starts from a seeded Gaussian vector: the
+smallest eigenvalue of a truth may belong to an antisymmetric eigenvector,
+which a symmetric start cannot reach.  Either way, ARPACK's restarts draw from
+a seeded stream.  The helper's stopping rule certifies the residual
+||A x - theta x|| <= tol |theta|, with no matvec budget and no dense fallback;
+non-convergence raises :class:`SpectralNormError`.  Operands are
+``scipy.sparse.linalg.LinearOperator`` objects, explicit matrices (plain
+arrays: every estimate here is one) or a :class:`~opcov.sampling.CovMatrix`
+truth, which holds no matrix and is applied by FFT, so no norm takes a dense
+product of the truth.  The Krylov basis is picked from the operand: wide (64)
+for a truth, whose top eigenvalues cluster about 1e-5 apart at small
+lengthscales, and narrow (12) for everything else, whose top eigenvalue is
+separated.  Operators of order at most 64 are built from their columns and
+solved by ``eigvalsh``.
 
 A figure trial (:func:`estimate_and_report`) forms no L x L matrix unless
 every row of its thresholded estimate can hold a surviving entry.  The sample
@@ -32,6 +42,7 @@ Cauchy-Schwarz leaves able to hold a surviving entry.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from dataclasses import dataclass
@@ -206,15 +217,27 @@ def _as_operator(obj) -> LinearOperator:
     return aslinearoperator(np.asarray(obj, dtype=float))
 
 
+def _sine_start(mesh) -> np.ndarray:
+    """The outer product over the axes of sin(pi i / (m + 1)), i = 1..m, flattened."""
+    s = np.sin(np.pi * np.arange(1, mesh.m + 1) / (mesh.m + 1))
+    return functools.reduce(np.multiply.outer, [s] * mesh.d).ravel()
+
+
 def _extreme_eigenvalue(obj, which: str, seed: int, tol: float, maxiter: int) -> float:
     """The eigenvalue of largest magnitude (``which="LM"``) or the smallest ("SA").
 
-    ARPACK's implicitly restarted Lanczos (``eigsh``, k=1) from a start vector
-    seeded by ``seed``; ``tol`` bounds the residual ||A x - theta x|| by
-    tol |theta| and ``maxiter`` caps the restarts.  A CovMatrix truth gets
-    the wide Krylov basis, every other operand the narrow one.  An operator
-    of order at most 64 is built from its columns and solved by eigvalsh.
-    Raises :class:`SpectralNormError` when ARPACK does not converge.
+    ARPACK's implicitly restarted Lanczos (``eigsh``, k=1); ``tol`` bounds the
+    residual ||A x - theta x|| by tol |theta| and ``maxiter`` caps the
+    restarts, which draw from a stream seeded by ``seed``.  A CovMatrix truth
+    gets the wide Krylov basis, every other operand the narrow one.  The
+    largest eigenvalue of a truth starts from :func:`_sine_start`, which is
+    positive and symmetric under axis reversal like the truth's Perron
+    vector, and close to it: a Toeplitz matrix's top eigenvectors are near
+    sines.  Every other solve starts from a seeded Gaussian vector, since
+    the smallest eigenvalue of a truth may belong to an antisymmetric
+    eigenvector, which a symmetric start cannot reach.  An operator of order
+    at most 64 is built from its columns and solved by eigvalsh.  Raises
+    :class:`SpectralNormError` when ARPACK does not converge.
     """
     op = _as_operator(obj)
     n = op.shape[0]
@@ -222,15 +245,19 @@ def _extreme_eigenvalue(obj, which: str, seed: int, tol: float, maxiter: int) ->
         vals = np.linalg.eigvalsh(np.stack([op.matvec(e) for e in np.eye(n)], axis=1))
         return float(vals[np.argmax(np.abs(vals))] if which == "LM" else vals[0])
     rng = substream(seed, 0x5E07)
-    v0 = rng.standard_normal(n)
-    ncv = _NCV_TRUTH if isinstance(obj, CovMatrix) else _NCV
+    truth = isinstance(obj, CovMatrix)
+    v0 = _sine_start(obj.mesh) if truth and which == "LM" else rng.standard_normal(n)
+    ncv = _NCV_TRUTH if truth else _NCV
     try:
         (theta,) = eigsh(op, k=1, which=which, v0=v0, ncv=ncv, tol=tol, maxiter=maxiter,
                          return_eigenvectors=False,
                          **({"rng": rng} if _EIGSH_TAKES_RNG else {}))
     except ArpackError as exc:
-        # ARPACK rejects a start vector that the operator maps to zero; for
-        # a random v0 that is the zero operator, whose eigenvalues are all 0.
+        # ARPACK rejects a start vector that the operator maps to zero.  A
+        # random v0 is mapped to zero only by the zero operator, whose
+        # eigenvalues are all 0.  The sine start is positive and a truth has
+        # a unit diagonal and nonnegative entries, so a truth never maps it
+        # to zero and any error there is raised.
         if isinstance(exc, ArpackNoConvergence) or np.any(op.matvec(v0)):
             raise SpectralNormError(
                 f"ARPACK ({which}) did not reach tol={tol:g} within {maxiter} restarts "

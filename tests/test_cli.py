@@ -255,6 +255,9 @@ _BAD_VALUES = {
     "custom --lambdas inf,0.1": "lambda_grid entries must be finite",
     "theory --lambdas inf,0.1": "lambda_grid entries must be finite",
     "custom --kernel bogus": "unknown kernel family token 'bogus'",
+    # subnormal: 1/lambda overflows in the sample-size rule
+    "custom --lambdas 1e-320": "lambda_grid entries must be normal floats",
+    "fig1 --lambdas 1e-320": "lambda_grid entries must be normal floats",
     # no particle left out of one
     "enkf-demo --n-fixed 1": "n_fixed >= 2 particles, got 1",
     "custom --n-fixed -1": "n_fixed must be >= 0 (0: the reference rule), got -1",

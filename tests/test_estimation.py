@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import LinearOperator
 
 from _helpers import make_ensemble, spectral_norm_dense
-from opcov import estimation, sampling
+from opcov import enkf, estimation, sampling
 from opcov.estimation import (
     EstimationError,
     EstimatorReport,
@@ -26,7 +26,7 @@ from opcov.estimation import (
     threshold_parameter,
 )
 from opcov.kernels import matern_kernel, se_kernel
-from opcov.sampling import build_mesh, covariance_matrix, factorize, sample_ensemble
+from opcov.sampling import build_mesh, covariance_matrix, derive_seed, factorize, sample_ensemble
 
 
 def cov(entries):
@@ -311,7 +311,8 @@ def test_clustered_spectrum_converges_without_dense():
 @pytest.fixture(scope="module")
 def small_lengthscale_truths():
     out = []
-    for kernel in (se_kernel(5e-4), matern_kernel(5e-4, 1.5)):
+    for kernel in (se_kernel(1e-3), matern_kernel(1e-3, 1.5), se_kernel(5e-4),
+                   matern_kernel(5e-4, 1.5)):
         truth = covariance_matrix(kernel, build_mesh(1, 1250))
         out.append((truth, spectral_norm_dense(truth)))
     return out
@@ -319,9 +320,47 @@ def small_lengthscale_truths():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_small_lengthscale_truth_norm_is_exact(seed, small_lengthscale_truths):
-    # lambda = 5e-4 clusters the top eigenvalues about 1e-5 apart
+    # the smallest fig1 lengthscales cluster the top eigenvalues about 1e-5
+    # apart; the norm starts from the sine vector, and restarts draw from
+    # the seed
     for truth, want in small_lengthscale_truths:
         assert abs(spectral_norm(truth, seed=seed) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("d, m, lam", [(2, 64, 0.02), (3, 16, 0.05)])
+def test_multilevel_truth_norm_is_exact(d, m, lam):
+    # the sine start over every axis.  An SE truth is the d-fold Kronecker
+    # power of its d = 1 truth, so its norm is the d-th power of that one's
+    # (a dense solve at L = 4096 takes ~12 s on one BLAS thread)
+    truth = covariance_matrix(se_kernel(lam), build_mesh(d, m))
+    want = spectral_norm_dense(covariance_matrix(se_kernel(lam), build_mesh(1, m))) ** d
+    assert abs(spectral_norm(truth) - want) <= 1e-12 * want
+
+
+def test_truth_min_eigenvalue_keeps_random_start():
+    # at these even m the bottom eigenvector is antisymmetric, so a Lanczos
+    # run from the symmetric sine vector would miss it
+    for m, kernel in ((200, se_kernel(0.005)), (100, matern_kernel(0.02, 1.5))):
+        truth = covariance_matrix(kernel, build_mesh(1, m))
+        want = float(np.linalg.eigvalsh(truth.entries)[0])
+        assert min_eigenvalue(truth, seed=1) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_enkf_truth_norm_matvec_budget(seed, monkeypatch):
+    # the EnKF's ||C|| at its tolerance: 161 FFT matvecs from the sine start,
+    # 737-801 from a random one
+    calls = []
+    real = estimation.covariance_matvec
+
+    def counting(cov):
+        matvec = real(cov)
+        return lambda v: calls.append(1) or matvec(v)
+
+    monkeypatch.setattr(estimation, "covariance_matvec", counting)
+    truth = covariance_matrix(se_kernel(1e-3), build_mesh(1, 1250))
+    spectral_norm(truth, seed=derive_seed(seed, 0xC0), tol=enkf._NORM_TOL)
+    assert 0 < len(calls) <= 256
 
 
 def test_mesh_truth_norm_takes_no_dense_product():
