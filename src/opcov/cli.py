@@ -42,6 +42,7 @@ from ._svg import Series, error_plot
 from .estimation import (
     EstimationError,
     EstimatorReport,
+    SpectralNormError,
     ThresholdRule,
     estimate_and_report,
     spectral_norm,
@@ -99,7 +100,7 @@ class ExperimentConfig:
     check: bool = False
     # enkf-demo
     dy: int = 8
-    noise_std: float = math.sqrt(0.1)
+    noise_std: float = enkf_mod.DEFAULT_NOISE_STD
     # theory
     q: float = 0.5
     esup_samples: int = 2000
@@ -121,6 +122,9 @@ class ExperimentConfig:
             raise ConfigError("lambda_grid must be sorted in strictly descending order")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if self.master_seed < 0:
+            # seeds feed numpy's SeedSequence, which takes only nonnegative integers
+            raise ConfigError(f"seed must be >= 0, got {self.master_seed}")
         if self.n_fixed < 0:
             raise ConfigError(f"n_fixed must be >= 0 (0: the reference rule), got {self.n_fixed}")
         if self.experiment == "enkf-demo" and self.n_fixed == 1:
@@ -304,6 +308,7 @@ class LambdaSummary:
     ci95_eps_thresh: float
     mean_rho_hat: float
     mean_nnz_fraction: float
+    zero_estimate_frac: float  # per-trial fraction with nnz_fraction == 0
     frac_thresh_worse: float  # per-trial fraction with eps_thresh >= eps_sample
     sampler: str  # how the lengthscale's fields were drawn (CovFactor.sampler)
     jitter: float  # CovFactor.jitter
@@ -369,6 +374,7 @@ def _run_kernel_sweep(cfg: ExperimentConfig, kernel_idx: int, base: KernelModel,
             mean_eps_thresh=float(eps_t.mean()), ci95_eps_thresh=ci95(eps_t),
             mean_rho_hat=float(np.mean([r.rho_hat for r, _, _ in results])),
             mean_nnz_fraction=float(np.mean([r.nnz_fraction for r, _, _ in results])),
+            zero_estimate_frac=float(np.mean([r.nnz_fraction == 0 for r, _, _ in results])),
             frac_thresh_worse=float(np.mean(eps_t >= eps_s)),
             sampler=sampler, jitter=jitter,
         ))
@@ -479,6 +485,7 @@ def run_enkf_demo(cfg: ExperimentConfig) -> list[dict]:
             "mean_disc_vanilla": summary.mean_vanilla,
             "mean_disc_localized": summary.mean_localized,
             "frac_localized_better": summary.frac_localized_better,
+            "zero_localized_frac": summary.zero_localized_frac,
             "continuity_all_ok": summary.continuity_all_ok,
             **summary.pooled_quantiles(),
             "indefinite_gains": summary.indefinite_gains,
@@ -582,7 +589,8 @@ def main(argv=None) -> int:
     except (ConfigError, KernelError) as exc:
         print(f"opcov: configuration error: {exc}", file=sys.stderr)
         return 1
-    except (EstimationError, SamplingError, enkf_mod.EnkfError, OSError) as exc:
+    except (EstimationError, SpectralNormError, SamplingError, enkf_mod.EnkfError,
+            OSError) as exc:
         print(f"opcov: runtime failure: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -16,10 +16,12 @@ sense after discretization.  No general observation operator or noise
 covariance is modelled, since every caller observes mesh sites.
 
 All three analysis updates share the observation y and the per-particle
-noises, which isolates the gain estimation error: the difference between two
-updates of the same particle is exactly (gain difference) applied to the
-innovation.  The mean-field update uses the population covariance; the
-stochastic and localized updates use leave-one-out sample covariances.
+noises, so two updates of one particle differ by exactly their gain
+difference applied to the innovation, and no update is formed: a discrepancy
+is sqrt(weight) ||(K_hat - K*)(y - A u_n - eta_n)||, and the stochastic
+K_hat - K* is also what the continuity check bounds.  The mean-field gain K*
+uses the population covariance; the stochastic and localized gains K_hat use
+leave-one-out sample covariances.
 
 Nothing of order L x L is formed per particle.  A gain reads a covariance
 only through C A^T, i.e. through its columns at the observed sites, so the
@@ -30,7 +32,8 @@ the same columns of the truth, gathered from its first row.  Every covariance
 norm goes through :func:`opcov.estimation.spectral_norm` (ARPACK) without a
 dense product: the truth norm ||C|| behind c_const and the continuity bound is
 applied by FFT of the Toeplitz truth, and the continuity check's ||loo - C||
-is a ``LinearOperator``, a rank-(N - 1) product minus that FFT matvec.
+is a ``LinearOperator``, the same downdate applied to a vector,
+v -> (F^T (F v) - u_n (u_n . v)) / (N - 1) - C v over the whole ensemble F.
 
 The continuity check needs ||loo - C|| only through a bound that increases
 with it, so a lower bound that already satisfies the inequality settles the
@@ -72,7 +75,6 @@ __all__ = [
     "AnalysisComparisonSummary",
     "pointwise_observation",
     "kalman_gain",
-    "analysis_update",
     "loo_covariances",
     "gain_continuity_bound",
     "gain_operator_norm",
@@ -130,34 +132,20 @@ def pointwise_observation(
     )
 
 
-def _innovation(CA: np.ndarray, obs: ObservationModel) -> np.ndarray:
-    """The innovation matrix S = A C A^T + Gamma from CA = C A^T, exactly symmetric."""
-    S = CA[obs.sites] + obs.noise_std**2 * np.eye(obs.d_y)
-    return 0.5 * (S + S.T)
-
-
-def _is_positive_definite(S: np.ndarray) -> bool:
-    """Whether S has the Cholesky factor that :func:`kalman_gain` tries first."""
-    try:
-        cho_factor(S, lower=True)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
-def kalman_gain(CA: np.ndarray, obs: ObservationModel) -> np.ndarray:
-    """K = C A^T (A C A^T + Gamma)^-1 from the cross-covariance CA = C A^T.
+def kalman_gain(CA: np.ndarray, obs: ObservationModel) -> tuple[np.ndarray, bool]:
+    """(K, indefinite): the gain K = C A^T (A C A^T + Gamma)^-1 from CA = C A^T.
 
     The gain needs only an invertible innovation matrix S = A C A^T + Gamma.
     S is solved through its Cholesky factor; a hard-thresholded covariance
-    can make S indefinite, and then a symmetric-indefinite solve takes over.
-    A singular or numerically singular S (condition number beyond
-    1 / (d_y eps)) raises :class:`EnkfError`.  CA is the L x d_y block of the
-    covariance's columns at the observed sites.
+    can make S indefinite, and then a symmetric-indefinite solve takes over
+    and ``indefinite`` is True.  A singular or numerically singular S
+    (condition number beyond 1 / (d_y eps)) raises :class:`EnkfError`.  CA is
+    the L x d_y block of the covariance's columns at the observed sites.
     """
-    S = _innovation(CA, obs)
+    S = CA[obs.sites] + obs.noise_std**2 * np.eye(obs.d_y)
+    S = 0.5 * (S + S.T)  # exactly symmetric
     try:
-        return cho_solve(cho_factor(S, lower=True), CA.T).T
+        return cho_solve(cho_factor(S, lower=True), CA.T).T, False
     except np.linalg.LinAlgError:
         pass
     eig = np.abs(np.linalg.eigvalsh(S))
@@ -165,15 +153,7 @@ def kalman_gain(CA: np.ndarray, obs: ObservationModel) -> np.ndarray:
         raise EnkfError(
             "innovation covariance A C A^T + Gamma is singular or numerically singular"
         )
-    return solve(S, CA.T, assume_a="sym").T
-
-
-def analysis_update(
-    u_n: np.ndarray, eta_n: np.ndarray, y: np.ndarray,
-    gain: np.ndarray, obs: ObservationModel,
-) -> np.ndarray:
-    """u_n + gain (y - u_n[sites] - eta_n); serves all three filters."""
-    return u_n + gain @ (y - u_n[obs.sites] - eta_n)
+    return solve(S, CA.T, assume_a="sym").T, True
 
 
 def loo_covariances(
@@ -242,7 +222,9 @@ class AnalysisComparison:
     whether the gain-continuity inequality held for every (PSD) leave-one-out
     sample covariance of the trial.  ``indefinite_gains`` counts the particles
     whose localized gain had an indefinite innovation matrix, solved by the
-    symmetric-indefinite path of :func:`kalman_gain` instead of Cholesky.
+    symmetric-indefinite path of :func:`kalman_gain` instead of Cholesky;
+    ``zero_localized`` counts those whose thresholded leave-one-out columns at
+    the sites were all zero, so that their localized gain is the zero gain.
     ``continuity_full_solves`` counts the particles whose continuity check the
     one-matvec certificate could not pass, so it took the ARPACK norm;
     ``continuity_min_margin`` is the smallest bound / actual over the
@@ -254,9 +236,10 @@ class AnalysisComparison:
     innovation_norms: np.ndarray
     c_consts: np.ndarray
     continuity_ok: bool
-    indefinite_gains: int = 0
-    continuity_full_solves: int = 0
-    continuity_min_margin: float = math.inf
+    indefinite_gains: int
+    zero_localized: int
+    continuity_full_solves: int
+    continuity_min_margin: float
 
     @property
     def mean_vanilla(self) -> float:
@@ -272,19 +255,22 @@ class AnalysisComparisonSummary:
     """Aggregate of the three-way analysis comparison over independent trials.
 
     ``sampler`` names how the forecast and truth fields were drawn
-    (:attr:`opcov.sampling.CovFactor.sampler`).  The continuity counters are
-    the trials' :class:`AnalysisComparison` ones, summed and minimised.
+    (:attr:`opcov.sampling.CovFactor.sampler`).  The counters are the trials'
+    :class:`AnalysisComparison` ones, summed and minimised;
+    ``zero_localized_frac`` is the fraction of all particles whose localized
+    gain was the zero gain.
     """
 
     trials: list[AnalysisComparison]
     mean_vanilla: float
     mean_localized: float
     frac_localized_better: float
+    zero_localized_frac: float
     continuity_all_ok: bool
-    indefinite_gains: int = 0
-    continuity_full_solves: int = 0
-    continuity_min_margin: float = math.inf
-    sampler: str = "cholesky"
+    indefinite_gains: int
+    continuity_full_solves: int
+    continuity_min_margin: float
+    sampler: str
 
     def pooled_quantiles(self) -> dict[str, float]:
         van = np.concatenate([t.disc_vanilla for t in self.trials])
@@ -325,12 +311,13 @@ def compare_analysis_updates(
     cov = covariance_matrix(kernel, mesh)
     factor = factorize(cov)
     cov_matvec = covariance_matvec(cov)
-    gain_true = kalman_gain(cov.columns(obs.sites), obs)
+    gain_true, _ = kalman_gain(cov.columns(obs.sites), obs)
     cov_op_norm = mesh.weight * spectral_norm(cov, seed=derive_seed(seed, 0xC0), tol=_NORM_TOL)
     w = mesh.weight
     results: list[AnalysisComparison] = []
     for t in range(trials):
         ens = sample_ensemble(factor, N, derive_seed(seed, t, 0), mesh)
+        F = ens.fields
         u_truth = sample_ensemble(factor, 1, derive_seed(seed, t, 3), mesh).fields[0]
         rng = substream(seed, t, 1)
         y = u_truth[obs.sites] + obs.noise_std * rng.standard_normal(obs.d_y)
@@ -341,27 +328,28 @@ def compare_analysis_updates(
         c_consts = np.empty(N)
         continuity_ok = True
         indefinite = 0
+        zero_localized = 0
         full_solves = 0
         min_margin = math.inf
         for n, loo, loo_thresh, _rho in loo_covariances(ens, rule, obs.sites):
-            u = ens.fields[n]
+            u = F[n]
             innov = y - u[obs.sites] - etas[n]
-            v_star = analysis_update(u, etas[n], y, gain_true, obs)
-            gain_v = kalman_gain(loo, obs)
-            gain_l = kalman_gain(loo_thresh, obs)
-            indefinite += not _is_positive_definite(_innovation(loo_thresh, obs))
-            disc_v[n] = state_norm(analysis_update(u, etas[n], y, gain_v, obs) - v_star, w)
-            disc_l[n] = state_norm(analysis_update(u, etas[n], y, gain_l, obs) - v_star, w)
+            gain_v, _ = kalman_gain(loo, obs)
+            gain_l, indefinite_l = kalman_gain(loo_thresh, obs)
+            delta_v = gain_v - gain_true
+            indefinite += indefinite_l
+            zero_localized += not loo_thresh.any()
+            disc_v[n] = state_norm(delta_v @ innov, w)
+            disc_l[n] = state_norm((gain_l - gain_true) @ innov, w)
             innov_norms[n] = float(np.linalg.norm(innov))
             c_consts[n] = obs.a_op_norm * obs.gamma_inv_norm * cov_op_norm * innov_norms[n]
             if check_continuity:
-                others = np.delete(ens.fields, n, axis=0)
                 loo_minus_cov = LinearOperator(
                     (mesh.L, mesh.L),
-                    matvec=lambda v: others.T @ (others @ v) / (N - 1) - cov_matvec(v),
+                    matvec=lambda v: (F.T @ (F @ v) - u * (u @ v)) / (N - 1) - cov_matvec(v),
                     dtype=float,
                 )
-                actual = gain_operator_norm(gain_v - gain_true, w)
+                actual = gain_operator_norm(delta_v, w)
                 certified = gain_continuity_bound(
                     w * _norm_lower_bound(loo_minus_cov, substream(seed, t, 2, n)),
                     cov_op_norm, obs,
@@ -380,6 +368,7 @@ def compare_analysis_updates(
             disc_vanilla=disc_v, disc_localized=disc_l,
             innovation_norms=innov_norms, c_consts=c_consts,
             continuity_ok=continuity_ok, indefinite_gains=indefinite,
+            zero_localized=zero_localized,
             continuity_full_solves=full_solves, continuity_min_margin=min_margin,
         ))
     mean_v = float(np.mean([r.mean_vanilla for r in results]))
@@ -390,6 +379,7 @@ def compare_analysis_updates(
         mean_vanilla=mean_v,
         mean_localized=mean_l,
         frac_localized_better=frac,
+        zero_localized_frac=sum(r.zero_localized for r in results) / (trials * N),
         continuity_all_ok=all(r.continuity_ok for r in results),
         indefinite_gains=sum(r.indefinite_gains for r in results),
         continuity_full_solves=sum(r.continuity_full_solves for r in results),

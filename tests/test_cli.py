@@ -7,6 +7,7 @@ import statistics
 import numpy as np
 import pytest
 
+from opcov import cli
 from opcov.cli import (
     _SETTINGS,
     ConfigError,
@@ -21,6 +22,7 @@ from opcov.cli import (
     run_figure,
     sample_size,
 )
+from opcov.estimation import SpectralNormError
 
 
 def read_rows(path):
@@ -143,7 +145,7 @@ _TRIAL_COLUMNS = ("seed", "d", "m", "lambda", "N", "c0", "form", "rho_hat", "eps
                   "eps_thresh", "nnz_fraction", "psd_min_eig", "trial")
 _SUMMARY_COLUMNS = ("lambda", "N", "trials", "mean_eps_sample", "ci95_eps_sample",
                     "mean_eps_thresh", "ci95_eps_thresh", "mean_rho_hat", "mean_nnz_fraction",
-                    "frac_thresh_worse", "sampler", "jitter")
+                    "zero_estimate_frac", "frac_thresh_worse", "sampler", "jitter")
 _CSV_COLUMNS = {
     **{f"{fig}_{family}_{kind}.csv": columns
        for fig in ("fig1", "fig2", "custom") for family in ("se", "matern")
@@ -152,7 +154,8 @@ _CSV_COLUMNS = {
                              "innovation_norm", "c_const"),
     "enkf_demo_summary.csv": ("lambda", "N", "trials", "mean_disc_vanilla",
                               "mean_disc_localized", "frac_localized_better",
-                              "continuity_all_ok", "vanilla_q50", "vanilla_q90", "vanilla_q99",
+                              "zero_localized_frac", "continuity_all_ok",
+                              "vanilla_q50", "vanilla_q90", "vanilla_q99",
                               "localized_q50", "localized_q90", "localized_q99",
                               "indefinite_gains", "sampler", "continuity_full_solves",
                               "continuity_min_margin"),
@@ -261,6 +264,9 @@ _BAD_VALUES = {
     # no particle left out of one
     "enkf-demo --n-fixed 1": "n_fixed >= 2 particles, got 1",
     "custom --n-fixed -1": "n_fixed must be >= 0 (0: the reference rule), got -1",
+    # numpy's SeedSequence takes only nonnegative integers
+    "custom --seed -1": "seed must be >= 0, got -1",
+    "theory --seed -1": "seed must be >= 0, got -1",
     # full form needs c0 <= sqrt(N - 1) on the N - 1 member leave-one-out ensembles
     "enkf-demo --form full --c0 3 --lambdas 0.3": "c0=3.0, N=6",
     "enkf-demo --form full --c0 2.5 --lambdas 0.3": "c0=2.5, N=6",  # sqrt(6) < 2.5 < sqrt(7)
@@ -366,6 +372,16 @@ def test_unwritable_output_is_runtime_failure():
     assert code == 2
 
 
+def test_solver_failure_is_runtime_failure(monkeypatch, capsys, tmp_path):
+    def no_convergence(*args, **kwargs):
+        raise SpectralNormError("ARPACK (LM) did not reach tol")
+
+    monkeypatch.setattr(cli, "spectral_norm", no_convergence)
+    assert main(["custom", "--m", "16", "--lambdas", "0.1", "--trials", "1",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "runtime failure" in capsys.readouterr().err
+
+
 def test_row_counts_and_rerun_determinism(tmp_path):
     args = [
         "custom", "--kernel", "se:lambda=0.2", "--m", "24", "--lambdas", "0.3,0.2,0.1",
@@ -411,6 +427,9 @@ def test_summary_matches_independent_aggregation(tmp_path):
         assert abs(mean - float(srow["mean_eps_sample"])) < 1e-12
         assert abs(ci - float(srow["ci95_eps_sample"])) < 1e-12
         assert int(srow["trials"]) == len(eps)
+        zero = statistics.fmean(float(r["nnz_fraction"]) == 0 for r in trials
+                                if r["lambda"] == lam)
+        assert float(srow["zero_estimate_frac"]) == zero
 
 
 def test_plot_writes_valid_svg(tmp_path):

@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from _helpers import make_ensemble, spectral_norm_dense
 from opcov import enkf
 from opcov.enkf import (
     EnkfError,
     ObservationModel,
-    analysis_update,
     gain_continuity_bound,
     gain_operator_norm,
     kalman_gain,
@@ -93,14 +93,14 @@ def test_observation_site_bounds():
 def test_gain_zero_covariance():
     mesh = build_mesh(1, 8)
     obs = pointwise_observation(mesh, 3)
-    gain = kalman_gain(np.zeros((8, 3)), obs)
-    assert np.array_equal(gain, np.zeros((8, 3)))
+    gain, indefinite = kalman_gain(np.zeros((8, 3)), obs)
+    assert np.array_equal(gain, np.zeros((8, 3))) and not indefinite
 
 
 def test_gain_scalar_case():
     obs = one_site()
-    gain = kalman_gain(np.array([[1.0]]), obs)
-    assert gain == pytest.approx(np.array([[0.5]]))
+    gain, indefinite = kalman_gain(np.array([[1.0]]), obs)
+    assert gain == pytest.approx(np.array([[0.5]])) and not indefinite
 
 
 def test_gain_residual_identity():
@@ -109,19 +109,21 @@ def test_gain_residual_identity():
     C = spd(rng, L)
     obs = pointwise_observation(build_mesh(1, L), d_y, noise_std=1.0)
     A, Gamma = dense_pair(obs)
-    gain = kalman_gain(C[:, obs.sites], obs)
+    gain, indefinite = kalman_gain(C[:, obs.sites], obs)
     residual = gain @ (A @ C @ A.T + Gamma) - C @ A.T
     assert np.max(np.abs(residual)) < 1e-10
+    assert not indefinite  # a positive definite S takes the Cholesky solve
 
 
 def test_gain_rejects_indefinite_inner_matrix():
     # an indefinite but invertible S = A C A^T + Gamma has no Cholesky factor;
-    # the symmetric-indefinite solve gives the exact gain, and only a
-    # singular S is rejected
+    # the symmetric-indefinite solve gives the exact gain and says so, and
+    # only a singular S is rejected
     # S = CA[sites] + noise_std^2 I, the covariance block at the sites plus noise
     obs = one_site(noise_std=1e-3)
-    gain = kalman_gain(np.array([[-1.0]]), obs)
+    gain, indefinite = kalman_gain(np.array([[-1.0]]), obs)
     assert gain == pytest.approx(np.array([[-1.0 / (-1.0 + 1e-6)]]), rel=1e-15)
+    assert indefinite
     with pytest.raises(EnkfError, match="singular"):
         kalman_gain(np.array([[-(1e-3**2)]]), obs)  # S = 0 exactly
     obs2 = pointwise_observation(build_mesh(1, 2), 2, noise_std=1e-10)
@@ -136,40 +138,28 @@ def test_gain_rejects_indefinite_inner_matrix():
     CA[obs3.sites] = 0.5 * (block + block.T)
     S = CA[obs3.sites] + dense_pair(obs3)[1]
     assert np.min(np.linalg.eigvalsh(S)) < 0.0 < np.max(np.linalg.eigvalsh(S))
-    assert np.max(np.abs(kalman_gain(CA, obs3) @ S - CA)) < 1e-12
+    gain, indefinite = kalman_gain(CA, obs3)
+    assert indefinite
+    assert np.array_equal(gain, scipy.linalg.solve(S, CA.T, assume_a="sym").T)
+    assert np.max(np.abs(gain @ S - CA)) < 1e-12
 
 
-# ---------------------------------------------------------------------------
-# analysis update
-# ---------------------------------------------------------------------------
+def test_one_cholesky_per_innovation_matrix(monkeypatch):
+    # the truth's gain, then the stochastic and the localized gain of each
+    # particle: 1 + 2 N trials factorizations, none repeated
+    calls = []
+    inner = enkf.cho_factor
 
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
 
-def test_update_with_zero_gain_is_identity():
-    mesh = build_mesh(1, 8)
-    obs = pointwise_observation(mesh, 3)
-    u = np.arange(8.0)
-    out = analysis_update(u, np.zeros(3), np.ones(3), np.zeros((8, 3)), obs)
-    assert np.array_equal(out, u)
-
-
-def test_update_zero_innovation_fixed_point():
-    # integer-valued data keeps y - A u - eta exactly zero in floating point
-    rng = np.random.default_rng(11)
-    mesh = build_mesh(1, 10)
+    monkeypatch.setattr(enkf, "cho_factor", counting)
+    mesh = build_mesh(1, 48)
     obs = pointwise_observation(mesh, 4)
-    A, _ = dense_pair(obs)
-    u = rng.integers(-5, 6, size=10).astype(float)
-    eta = rng.integers(-3, 4, size=4).astype(float)
-    y = A @ u + eta  # innovation vanishes exactly
-    gain = rng.normal(size=(10, 4))
-    assert np.array_equal(analysis_update(u, eta, y, gain, obs), u)
-
-
-def test_update_scalar_case():
-    obs = one_site()
-    gain = kalman_gain(np.array([[1.0]]), obs)
-    out = analysis_update(np.zeros(1), np.zeros(1), np.array([2.0]), gain, obs)
-    assert out == pytest.approx(np.array([1.0]))
+    compare_analysis_updates(se_kernel(0.05), mesh, obs, N=8,
+                             rule=ThresholdRule(c0=1.0, form="simplified"), trials=3, seed=9)
+    assert len(calls) == 1 + 2 * 8 * 3
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +235,11 @@ def test_continuity_bound_never_violated_on_spd_perturbations():
     mesh = build_mesh(1, L)
     obs = pointwise_observation(mesh, d_y)
     C = spd(rng, L)
-    gain_ref = kalman_gain(C[:, obs.sites], obs)
+    gain_ref, _ = kalman_gain(C[:, obs.sites], obs)
     c_norm = w * spectral_norm_dense(C)
     for _ in range(200):
         Chat = spd(rng, L, scale=float(rng.uniform(0.2, 3.0)))
-        gain_hat = kalman_gain(Chat[:, obs.sites], obs)
+        gain_hat, _ = kalman_gain(Chat[:, obs.sites], obs)
         actual = gain_operator_norm(gain_hat - gain_ref, w)
         bound = gain_continuity_bound(w * spectral_norm_dense(Chat - C), c_norm, obs)
         assert actual <= bound * (1 + 1e-9)
@@ -268,10 +258,10 @@ def test_shared_noise_coupling_identity():
     eta = rng.normal(size=d_y)
     y = rng.normal(size=d_y)
     A, _ = dense_pair(obs)
-    g_true = kalman_gain(C[:, obs.sites], obs)
-    g_hat = kalman_gain(Chat[:, obs.sites], obs)
-    v_star = analysis_update(u, eta, y, g_true, obs)
-    v_hat = analysis_update(u, eta, y, g_hat, obs)
+    g_true, _ = kalman_gain(C[:, obs.sites], obs)
+    g_hat, _ = kalman_gain(Chat[:, obs.sites], obs)
+    v_star = u + g_true @ (y - A @ u - eta)
+    v_hat = u + g_hat @ (y - A @ u - eta)
     innovation = y - A @ u - eta
     assert np.max(np.abs((v_hat - v_star) - (g_hat - g_true) @ innovation)) < 1e-10
 
@@ -290,8 +280,8 @@ def test_degenerate_rank_one_loo_gives_finite_updates():
     rule = ThresholdRule(c0=1.0, form="simplified")
     for _, loo, loo_t, _ in loo_covariances(ens, rule, obs.sites):
         for est in (loo, loo_t):
-            gain = kalman_gain(est, obs)
-            out = analysis_update(field, np.zeros(3), np.ones(3), gain, obs)
+            gain, _ = kalman_gain(est, obs)
+            out = field + gain @ (np.ones(3) - field[obs.sites])
             assert np.all(np.isfinite(out))
 
 
@@ -322,14 +312,15 @@ def _dense_comparison(kernel, mesh, obs, N, rule, trials, seed):
 
     Per trial: disc_vanilla, disc_localized, innovation norms, ||loo - C||,
     ||(loo - C) v|| / ||v|| for the particle's Gaussian v, the gain
-    differences ||gain_v - gain_true|| and the continuity flag."""
+    differences ||gain_v - gain_true||, the continuity flag and the number
+    of particles whose thresholded columns at the sites are all zero."""
     cov = covariance_matrix(kernel, mesh)
     factor = factorize(cov)
     w = mesh.weight
     C = cov.entries  # gathered from the row once; the dense reference needs it
     A, Gamma = dense_pair(obs)
     gamma_lower = np.linalg.cholesky(Gamma)
-    gain_true = kalman_gain(C @ A.T, obs)
+    gain_true, _ = kalman_gain(C @ A.T, obs)
     cov_norm = w * spectral_norm_dense(cov)
     out = []
     for t in range(trials):
@@ -340,6 +331,7 @@ def _dense_comparison(kernel, mesh, obs, N, rule, trials, seed):
         etas = rng.standard_normal((N, obs.d_y)) @ gamma_lower.T
         S = ens.fields.T @ ens.fields
         disc_v, disc_l, innov_norms, deltas, along_v, actuals, ok = [], [], [], [], [], [], True
+        zero = 0
         for n in range(N):
             u = ens.fields[n]
             loo = (S - np.outer(u, u)) / (N - 1)
@@ -347,8 +339,9 @@ def _dense_comparison(kernel, mesh, obs, N, rule, trials, seed):
             thresh = hard_threshold(loo, rule.rho(s_bar, N - 1))
             innov = y - A @ u - etas[n]
             v_star = u + gain_true @ innov
-            gain_v = kalman_gain(loo @ A.T, obs)
-            gain_l = kalman_gain(thresh @ A.T, obs)
+            gain_v, _ = kalman_gain(loo @ A.T, obs)
+            gain_l, _ = kalman_gain(thresh @ A.T, obs)
+            zero += not (thresh @ A.T).any()
             disc_v.append(state_norm(u + gain_v @ innov - v_star, w))
             disc_l.append(state_norm(u + gain_l @ innov - v_star, w))
             innov_norms.append(np.linalg.norm(innov))
@@ -359,7 +352,7 @@ def _dense_comparison(kernel, mesh, obs, N, rule, trials, seed):
             bound = gain_continuity_bound(w * deltas[-1], cov_norm, obs)
             ok &= actuals[-1] <= bound * (1.0 + 1e-6)
         out.append((np.array(disc_v), np.array(disc_l), np.array(innov_norms),
-                    np.array(deltas), np.array(along_v), np.array(actuals), ok))
+                    np.array(deltas), np.array(along_v), np.array(actuals), ok, zero))
     return out
 
 
@@ -405,12 +398,34 @@ def test_comparison_matches_dense_leave_one_out_formulation(d, m, kernel, monkey
     # ten times the solver's 1e-7 certificate
     np.testing.assert_allclose(norms[1:], np.concatenate([w[3] for w in want]), rtol=1e-6)
     assert got.continuity_full_solves == 3 * 8
-    for comp, (disc_v, disc_l, innov_norms, _, _, _, ok) in zip(got.trials, want):
+    for comp, (disc_v, disc_l, innov_norms, _, _, _, ok, zero) in zip(got.trials, want):
         np.testing.assert_allclose(comp.disc_vanilla, disc_v, rtol=1e-12)
         np.testing.assert_allclose(comp.disc_localized, disc_l, rtol=1e-12)
         np.testing.assert_allclose(comp.innovation_norms, innov_norms, rtol=1e-12)
-        assert comp.continuity_ok == ok
+        assert comp.continuity_ok == ok and comp.zero_localized == zero == 0
         assert not np.allclose(disc_l, disc_v) and np.all(disc_l > 0)
+
+
+@pytest.mark.parametrize("d,m,kernel,c0", [
+    (1, 48, se_kernel(0.05), 2.5),
+    (1, 47, matern_kernel(0.1, 1.5), 2.5),
+    (2, 8, se_kernel(0.2), 2.0),
+])
+def test_zero_localized_frac_matches_dense_formulation(d, m, kernel, c0):
+    # c0 between 1 and 5 leaves some leave-one-out site blocks all zero and
+    # others not; a zero block gives the zero gain, so disc_localized is the
+    # norm of the mean-field increment
+    mesh = build_mesh(d, m)
+    obs, _ = _dense_case_obs(mesh)
+    rule = ThresholdRule(c0=c0, form="simplified")
+    got = compare_analysis_updates(kernel, mesh, obs, N=8, rule=rule, trials=3, seed=29,
+                                   check_continuity=False)
+    want = _dense_comparison(kernel, mesh, obs, 8, rule, 3, 29)
+    assert [c.zero_localized for c in got.trials] == [w[7] for w in want]
+    assert got.zero_localized_frac == sum(w[7] for w in want) / (3 * 8)
+    assert 0.0 < got.zero_localized_frac < 1.0
+    for comp, w in zip(got.trials, want):
+        np.testing.assert_allclose(comp.disc_localized, w[1], rtol=1e-12)
 
 
 @_DENSE_CASES
