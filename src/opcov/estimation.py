@@ -305,6 +305,14 @@ def relative_error(est, truth, seed: int = 0, truth_norm: float | None = None) -
     return abs(_extreme_eigenvalue(diff, "LM", seed, _TOL, _MAXITER)) / truth_norm
 
 
+# Edge of the tiles in which :func:`_thresholded_block` symmetrizes and
+# thresholds its block.  Each whole-matrix temporary is one more page-faulted
+# k x k array: on a 2218-row block (a fig2-d2 SE trial, one BLAS thread on a
+# 2-core x86 host) the whole-matrix form took 139-162 ms and tiles of 128 take
+# 63 ms; at ~300 rows both take 1 ms.
+_TILE = 128
+
+
 def _thresholded_block(ens: Ensemble, rho: float):
     """The hard-thresholded sample covariance as its principal block on ``idx``.
 
@@ -313,9 +321,13 @@ def _thresholded_block(ens: Ensemble, rho: float):
     with d_i max(d) >= rho^2; a margin of a few N eps covers the rounding of
     the N-term sums.  Returns those indices ``idx``, the thresholded block
     S[idx, idx], formed as :func:`sample_covariance` forms S (so exactly
-    symmetric), and its number of surviving entries.  A threshold above
-    max(d) leaves no index: the estimate is the zero matrix, the block is
-    None and no product is formed.
+    symmetric) and thresholded as :func:`hard_threshold` does, and its number
+    of surviving entries.  A threshold above max(d) leaves no index: the
+    estimate is the zero matrix, the block is None and no product is formed.
+
+    The product is the only array as large as the block.  It is symmetrized
+    and thresholded in place, one tile and its mirror at a time, which gives
+    the same bytes as the whole-matrix expressions.
     """
     F, N = ens.fields, ens.N
     diag = np.einsum("ni,ni->i", F, F) / N
@@ -326,9 +338,17 @@ def _thresholded_block(ens: Ensemble, rho: float):
     G = F[:, idx]
     block = G.T @ G
     block /= N
-    block = 0.5 * (block + block.T)
-    nnz = int(np.count_nonzero(_survivors(block, rho)))
-    return idx, hard_threshold(block, rho), nnz
+    nnz = 0
+    for i in range(0, idx.size, _TILE):
+        for j in range(i, idx.size, _TILE):
+            upper = block[i : i + _TILE, j : j + _TILE]
+            lower = block[j : j + _TILE, i : i + _TILE]
+            tile = 0.5 * (upper + lower.T)
+            nnz += int(np.count_nonzero(_survivors(tile, rho))) * (1 if i == j else 2)
+            tile = hard_threshold(tile, rho)
+            upper[...] = tile
+            lower[...] = tile.T
+    return idx, block, nnz
 
 
 def estimate_and_report(

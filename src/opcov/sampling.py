@@ -12,22 +12,31 @@ circulant embedding of the row.  A :class:`CovMatrix` is only such a truth;
 an explicit matrix (a sample covariance, a thresholded estimate) is a plain
 ``numpy.ndarray``.
 
-Draws are exact in distribution up to a recorded ``jitter``.  :func:`factorize`
-takes the minimal circulant embedding (2m points per axis, the kernel at the
-middle) and, when its eigenvalues are nonnegative up to rounding
-(lambda_min >= -64 eps lambda_max), draws through its FFT, two fields per
-complex transform (Dietrich & Newsam 1997; Wood & Chan 1994); the clipped
-|lambda_min| is the jitter, a bound on the spectral norm of the difference
-between the drawn covariance and the matrix.  Otherwise the gathered matrix
-gets a dense Cholesky factor with a fixed diagonal-jitter ladder, and the
-jitter is the diagonal shift used, the same bound.  Randomness comes from the
-counter-based Philox generator keyed through ``numpy.random.SeedSequence`` so
-that per-trial substreams are independent of execution order and thread
-count.
+Draws are exact in distribution up to a recorded ``jitter``, a bound (up to
+rounding) on the spectral norm of the difference between the drawn
+covariance and the matrix.  :func:`factorize` picks one of three samplers
+from the covariance alone:
+
+* ``kronecker``: an SE truth at d >= 2 is the d-fold Kronecker power of its
+  one-axis m x m Toeplitz factor C1, so draws apply a root of C1 along every
+  axis; the jitter bounds the clipping of C1's negative eigenvalues.
+* ``circulant``: a circulant embedding of the first row with 2 ceil(p m)
+  points per axis, for the first padding p in {1, 1.5, 2} whose eigenvalues
+  are nonnegative up to rounding (lambda_min >= -64 eps lambda_max), draws
+  through its FFT, two fields per complex transform (Dietrich & Newsam 1997;
+  Wood & Chan 1994); the jitter is the clipped |lambda_min|.
+* ``cholesky``: otherwise the gathered matrix gets a dense Cholesky factor
+  with a fixed diagonal-jitter ladder, and the jitter is the diagonal shift
+  used.
+
+Randomness comes from the counter-based Philox generator keyed through
+``numpy.random.SeedSequence`` so that per-trial substreams are independent of
+execution order and thread count.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -52,18 +61,27 @@ __all__ = [
     "derive_seed",
 ]
 
-# A covariance is held as its first row, but a Cholesky-path truth (large
-# lengthscales) still factors the L x L matrix, and the figure trials form an
-# L x L block when every row can keep an entry; 12,500 points (~1.25 GB per
-# matrix at float64) is the desk-scale limit for every supported dimension.
+# A covariance is held as its first row, and the Kronecker and circulant
+# samplers hold at most an m x m root or a (4m)^d spectrum, but a
+# Cholesky-path truth (a non-SE kernel at large lengthscales, whose embedding
+# stays negative at every padding) still factors the L x L matrix, and the
+# figure trials form an L x L block when every row can keep an entry; 12,500
+# points (~1.25 GB per matrix at float64) is the desk-scale limit for every
+# supported dimension.
 MAX_MESH_POINTS = 12_500
 
 _JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
 
-# The circulant embedding draws by FFT when lambda_min >= -_CIRCULANT_TOL *
+# A circulant embedding draws by FFT when lambda_min >= -_CIRCULANT_TOL *
 # lambda_max: rounding-level negatives are at most 1.6e-16 relative on the
 # reference grids, real ones at least 2e-5.
 _CIRCULANT_TOL = 64 * np.finfo(float).eps
+# Paddings p tried in order, 2 ceil(p m) points per axis (Wood & Chan 1994).
+# p = 1 is the minimal embedding.  The ladder stops at 2: at p = 3 a d = 2
+# field takes 18 complex normals per mesh point, and the Matern cell at
+# m = 64, lambda = 0.3 (which needs p = 3) then drew 13 fields in 125 ms,
+# against 39 ms through its Cholesky factor.
+_PADDINGS = (1.0, 1.5, 2.0)
 # Complex entries per block of FFT draws, so a draw's temporaries stay small
 # next to its N x L output.
 _DRAW_CHUNK = 1 << 16
@@ -177,20 +195,27 @@ class CovMatrix:
 class CovFactor:
     """How to draw from a covariance, computed once and reused for every draw.
 
-    Exactly one of ``spectrum`` and ``lower`` is set.  ``spectrum`` holds
-    sqrt(max(eig, 0) / n) for the n = (2m)^d eigenvalues of the circulant
-    embedding (the FFT sampler); ``lower`` is the Cholesky factor of the
-    matrix plus ``jitter`` on the diagonal.  ``jitter`` bounds the spectral
-    norm of the difference between the drawn covariance and the matrix.
+    Exactly one of ``axis_root``, ``spectrum`` and ``lower`` is set, and
+    ``sampler`` names it.  ``axis_root`` is an m x m root A of the one-axis
+    factor C1 of an SE truth, A A^T = C1 with negative eigenvalues clipped
+    (the Kronecker sampler).  ``spectrum`` holds sqrt(max(eig, 0) / n) for the
+    n = (2M)^d eigenvalues of the circulant embedding with M = ceil(p m)
+    points of offset per axis (the FFT sampler).  ``lower`` is the Cholesky
+    factor of the matrix plus ``jitter`` on the diagonal.  ``jitter`` bounds,
+    up to rounding, the spectral norm of the difference between the drawn
+    covariance and the matrix.
     """
 
     cov: CovMatrix
     jitter: float
     lower: np.ndarray | None = None
     spectrum: np.ndarray | None = None
+    axis_root: np.ndarray | None = None
 
     @property
     def sampler(self) -> str:
+        if self.axis_root is not None:
+            return "kronecker"
         return "circulant" if self.spectrum is not None else "cholesky"
 
 
@@ -242,27 +267,52 @@ def covariance_matrix(kernel: KernelModel, mesh: Mesh) -> CovMatrix:
     return CovMatrix(mesh=mesh, kernel=kernel, row=row)
 
 
-def _mirror(block: np.ndarray, m: int) -> np.ndarray:
-    """Extend offsets 0..m on every axis to the 2m-periodic even sequence."""
-    mirror = np.r_[0 : m + 1, m - 1 : 0 : -1]
+def _mirror(block: np.ndarray, M: int) -> np.ndarray:
+    """Extend offsets 0..M on every axis to the 2M-periodic even sequence."""
+    mirror = np.r_[0 : M + 1, M - 1 : 0 : -1]
     for axis in range(block.ndim):
         block = np.take(block, mirror, axis=axis)
     return block
 
 
-def _embedding_eigenvalues(cov: CovMatrix) -> np.ndarray:
-    """Eigenvalues of the minimal circulant embedding, on the (2m,)*d grid.
+def _embedding_eigenvalues(cov: CovMatrix, M: int) -> np.ndarray:
+    """Eigenvalues of the circulant embedding with 2M points per axis, on the (2M,)*d grid.
 
-    The embedding's first row is the kernel at offsets min(k, 2m - k) h per
+    The embedding's first row is the kernel at offsets min(k, 2M - k) h per
     axis (h = 1/m), the covariance's own row where every offset is below m.
+    M = m is the minimal embedding.
     """
     mesh = cov.mesh
     m, d = mesh.m, mesh.d
-    offsets = np.arange(m + 1) / m
+    offsets = np.arange(M + 1) / m
     grids = np.meshgrid(*([offsets] * d), indexing="ij")
     block = eval_kernel(cov.kernel, np.sqrt(sum(g * g for g in grids)))
     block[(slice(0, m),) * d] = cov.row.reshape((m,) * d)
-    return np.fft.fftn(_mirror(block, m)).real
+    return np.fft.fftn(_mirror(block, M)).real
+
+
+def _kronecker_root(cov: CovMatrix) -> tuple[np.ndarray, float]:
+    """Root A of the one-axis factor C1 of an SE truth, and the jitter of its clip.
+
+    The SE kernel factors over the axes, exp(-|x|^2 / 2 lam^2) = prod_a
+    exp(-x_a^2 / 2 lam^2), so the truth is C1 (x) ... (x) C1 (d factors) with
+    C1 the m x m Toeplitz matrix of the row's last-axis slice (the first m
+    entries).  With eigh(C1) = V diag(w) V^T, A = V sqrt(max(w, 0)) gives
+    A A^T = C1 + E, where E = V diag(max(-w, 0)) V^T has norm delta =
+    max(0, -w_min).  The drawn covariance is (C1 + E)^(x)d; expanding it, the
+    difference from C1^(x)d is a sum of Kronecker products holding E in k >= 1
+    of the d slots, and ||X (x) Y|| = ||X|| ||Y||, so its spectral norm is at
+    most sum_k binom(d, k) delta^k ||C1||^(d-k) = (||C1|| + delta)^d -
+    ||C1||^d, the recorded jitter (0 when C1 is nonnegative).  The truth's row
+    and C1^(x)d agree to rounding, so the bound holds up to rounding.
+    """
+    m, d = cov.mesh.m, cov.mesh.d
+    ax = np.arange(m)
+    c1 = cov.row[:m][np.abs(ax[:, None] - ax[None, :])]
+    w, v = np.linalg.eigh(c1)
+    norm = float(np.max(np.abs(w)))
+    delta = max(0.0, -float(w[0]))
+    return v * np.sqrt(np.maximum(w, 0.0)), (norm + delta) ** d - norm**d
 
 
 def _cholesky_ladder(cov: CovMatrix) -> tuple[np.ndarray, float]:
@@ -291,21 +341,32 @@ def _cholesky_ladder(cov: CovMatrix) -> tuple[np.ndarray, float]:
 
 
 def factorize(cov: CovMatrix) -> CovFactor:
-    """Prepare draws from cov: by circulant embedding when it is nonnegative, else Cholesky.
+    """Prepare draws from cov by the Kronecker, circulant or Cholesky sampler.
 
-    The FFT sampler is taken when the eigenvalues of the minimal circulant
-    embedding satisfy lambda_min >= -64 eps lambda_max; negatives are clipped
-    and |lambda_min| is recorded as ``jitter``.  Otherwise the gathered
-    matrix is Cholesky-factored with a fixed diagonal-jitter ladder {0,
-    1e-12, 1e-10, 1e-8}; the rung that succeeded is recorded.  Raises
-    ``SamplingError`` when the matrix is still not factorizable at the top
-    rung.
+    An SE truth at d >= 2 takes the Kronecker sampler: the root of its
+    one-axis factor, with the clip bound (||C1|| + delta)^d - ||C1||^d as
+    ``jitter`` (see :func:`_kronecker_root`).  Every other truth tries
+    circulant embeddings with 2 ceil(p m) points per axis for p = 1, 1.5, 2
+    and takes the FFT sampler at the first whose eigenvalues satisfy
+    lambda_min >= -64 eps lambda_max; negatives are clipped and |lambda_min|
+    is recorded as ``jitter``.  Above p = 2 the gathered matrix is
+    Cholesky-factored with a fixed diagonal-jitter ladder {0, 1e-12, 1e-10,
+    1e-8}; the rung that succeeded is recorded.  Raises ``SamplingError`` when
+    the matrix is still not factorizable at the top rung.
     """
-    eig = _embedding_eigenvalues(cov)
-    low, high = float(eig.min()), float(eig.max())
-    if low >= -_CIRCULANT_TOL * high:
-        spectrum = np.sqrt(np.maximum(eig, 0.0) / eig.size)
-        return CovFactor(cov=cov, jitter=max(0.0, -low), spectrum=spectrum)
+    if cov.kernel.family == "se" and cov.mesh.d >= 2:
+        root, jitter = _kronecker_root(cov)
+        return CovFactor(cov=cov, jitter=jitter, axis_root=root)
+    for p in _PADDINGS:
+        eig = _embedding_eigenvalues(cov, math.ceil(p * cov.mesh.m))
+        low, high = float(eig.min()), float(eig.max())
+        if low >= -_CIRCULANT_TOL * high:
+            spectrum = np.sqrt(np.maximum(eig, 0.0) / eig.size)
+            return CovFactor(cov=cov, jitter=max(0.0, -low), spectrum=spectrum)
+    # Release the top rung before the L x L arrays are allocated: held, it
+    # pinned heap space that the gathered matrix then could not reuse, and a
+    # d = 1 Cholesky cell's peak RSS rose by one L x L array.
+    del eig
     lower, jitter = _cholesky_ladder(cov)
     return CovFactor(cov=cov, jitter=jitter, lower=lower)
 
@@ -337,11 +398,11 @@ def covariance_matvec(cov: CovMatrix) -> Callable[[np.ndarray], np.ndarray]:
 def _circulant_fields(factor: CovFactor, N: int, rng: np.random.Generator) -> np.ndarray:
     """N fields from the circulant embedding, two per complex FFT.
 
-    Pair k takes the next (2m)^d complex standard normals z from ``rng``; the
-    real and imaginary parts of FFT(spectrum * z), cut to the mesh block, are
-    fields 2k and 2k + 1, independent with the embedded covariance.  Pairs are
-    drawn in blocks of fixed size, in order, so the first N fields of a
-    larger draw are the N-field draw.
+    Pair k takes the next ``spectrum.size`` complex standard normals z from
+    ``rng``; the real and imaginary parts of FFT(spectrum * z), cut to the
+    mesh block, are fields 2k and 2k + 1, independent with the embedded
+    covariance.  Pairs are drawn in blocks of fixed size, in order, so the
+    first N fields of a larger draw are the N-field draw.
     """
     mesh = factor.cov.mesh
     m, d, L = mesh.m, mesh.d, mesh.L
@@ -362,13 +423,29 @@ def _circulant_fields(factor: CovFactor, N: int, rng: np.random.Generator) -> np
     return fields
 
 
+def _kronecker_fields(factor: CovFactor, N: int, rng: np.random.Generator) -> np.ndarray:
+    """N fields A (x) ... (x) A z from N x L standard normals z, in order.
+
+    Each field's (m,)*d array takes A along its leading axis, which then
+    rotates to the back; after d turns every axis has had A once and the
+    order is restored.  Each product is per field, so the first N fields of
+    a larger draw are the N-field draw.
+    """
+    m, L = factor.cov.mesh.m, factor.cov.L
+    x = rng.standard_normal((N, m, L // m))
+    for _ in range(factor.cov.mesh.d):
+        x = np.matmul(factor.axis_root, x).transpose(0, 2, 1).reshape(N, m, L // m)
+    return x.reshape(N, L)
+
+
 def sample_ensemble(cov: CovMatrix | CovFactor, N: int, seed: int, mesh: Mesh) -> Ensemble:
     """Draw N i.i.d. fields ~ N(0, cov) on the mesh.
 
     Deterministic given (cov, N, seed): the same inputs give bit-identical
-    ensembles on any machine and under any thread count; on the circulant
-    path the first N fields of a larger draw equal the N-field draw.  Pass a
-    :class:`CovFactor` to reuse a factorization across many draws.
+    ensembles on any machine and under any thread count; on the Kronecker
+    and circulant paths the first N fields of a larger draw equal the
+    N-field draw.  Pass a :class:`CovFactor` to reuse a factorization across
+    many draws.
     """
     if N < 1:
         raise SamplingError(f"sample count N must be >= 1, got {N}")
@@ -376,7 +453,9 @@ def sample_ensemble(cov: CovMatrix | CovFactor, N: int, seed: int, mesh: Mesh) -
     if mesh.L != factor.cov.L:
         raise SamplingError("mesh size does not match covariance order")
     rng = substream(seed)
-    if factor.spectrum is not None:
+    if factor.axis_root is not None:
+        fields = _kronecker_fields(factor, N, rng)
+    elif factor.spectrum is not None:
         fields = _circulant_fields(factor, N, rng)
     else:
         z = rng.standard_normal((N, factor.cov.L))

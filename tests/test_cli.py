@@ -165,7 +165,7 @@ _CSV_COLUMNS = {
 _INT_COLUMNS = {"seed", "d", "m", "N", "trial", "trials", "n", "indefinite_gains",
                 "continuity_full_solves"}
 _TEXT_COLUMNS = {"form": {"full", "simplified"}, "continuity_all_ok": {"True", "False"},
-                 "sampler": {"cholesky", "circulant"}}
+                 "sampler": {"cholesky", "circulant", "kronecker"}}
 
 
 def test_every_csv_cell_follows_the_one_cell_rule(tmp_path):
@@ -215,20 +215,20 @@ def test_timing_names_the_sampler(tmp_path):
 
 
 def test_sweep_releases_each_cholesky_factor_before_the_next(tmp_path):
-    # SE at d = 2, m = 24 factorizes both lengthscales by Cholesky; a cell's
-    # set-up holds the gathered matrix and its factor (numpy's LAPACK work
-    # copy is not traced), so holding the previous factor as well would reach
-    # three L x L arrays
+    # Matern at d = 2, m = 24 factorizes both lengthscales by Cholesky (SE
+    # there is Kronecker); a cell's set-up holds the gathered matrix and its
+    # factor (numpy's LAPACK work copy is not traced), so holding the
+    # previous factor as well would reach three L x L arrays
     import tracemalloc
 
-    cfg = fig2_config(m=24, lambda_grid=[0.3, 0.2], trials=1, output_dir=str(tmp_path))
+    cfg = fig2_config(m=24, lambda_grid=[0.8, 0.5], trials=1, output_dir=str(tmp_path))
     tracemalloc.start()
     try:
         run_figure(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert [row["sampler"] for row in read_rows(tmp_path / "fig2_se_summary.csv")] == \
+    assert [row["sampler"] for row in read_rows(tmp_path / "fig2_matern_summary.csv")] == \
         ["cholesky", "cholesky"]
     assert peak < 2.5 * 8 * (24 * 24) ** 2
 

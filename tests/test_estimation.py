@@ -579,6 +579,26 @@ def test_report_block_operands_match_dense(m, monkeypatch):
     _assert_reports_agree(got, want)
 
 
+@pytest.mark.parametrize("d,m,quantile", [(1, 300, 0.0), (1, 300, 0.3), (2, 20, 0.1)])
+def test_thresholded_block_tiles_match_whole_matrix_form(d, m, quantile):
+    # a block of several tiles, the last one partial, holds the bytes and the
+    # survivor count of the whole-matrix symmetrize-and-threshold
+    mesh = build_mesh(d, m)
+    ens = sample_ensemble(covariance_matrix(se_kernel(0.05), mesh), 5, seed=4, mesh=mesh)
+    F, N = ens.fields, ens.N
+    diag = np.einsum("ni,ni->i", F, F) / N
+    rho = math.sqrt(float(np.quantile(diag, quantile)) * float(diag.max()))
+    idx, block, nnz = estimation._thresholded_block(ens, rho)
+    assert idx.size > estimation._TILE and idx.size % estimation._TILE != 0
+    G = F[:, idx]
+    whole = G.T @ G
+    whole /= N
+    whole = 0.5 * (whole + whole.T)
+    assert 0 < nnz < whole.size
+    assert nnz == np.count_nonzero(np.abs(whole) >= rho)
+    assert block.tobytes() == hard_threshold(whole, rho).tobytes()
+
+
 @pytest.mark.parametrize("keep", ["every entry", "most entries"])
 def test_report_whole_matrix_matches_dense(keep, monkeypatch):
     # every row qualifies, so the block is the whole matrix (m = 100 takes
@@ -637,25 +657,27 @@ def test_report_mismatched_mesh_rejected():
 
 
 def test_reference_mesh_fig_trial_forms_no_square_matrix():
-    # one fig2 trial on the reference mesh (d = 2, m = 100) under the
-    # reference rule c0 = 5: set-up, draw and report; the truth is its first
-    # row, drawn by FFT, so nothing of order L x L is allocated
+    # one fig2 trial per kernel on the reference mesh (d = 2, m = 100) under
+    # the reference rule c0 = 5: set-up, draw and report; the truth is its
+    # first row, drawn through its one-axis Kronecker factor (SE) or by FFT
+    # (Matern), so nothing of order L x L is allocated
     import tracemalloc
 
     mesh = build_mesh(2, 100)
     lam = 0.02
     N = math.ceil(5 * 2 * math.log(1 / lam))
-    tracemalloc.start()
-    try:
-        truth = covariance_matrix(se_kernel(lam), mesh)
-        factor = factorize(truth)
-        truth_norm = spectral_norm(truth, seed=1)
-        ens = sample_ensemble(factor, N, seed=2, mesh=mesh)
-        report = estimate_and_report(ens, truth, ThresholdRule(c0=5.0, form="simplified"),
-                                     seed=2, truth_norm=truth_norm)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert factor.sampler == "circulant"
-    assert math.isfinite(report.eps_sample) and report.eps_sample > 0.0
-    assert peak < 0.1 * 8 * mesh.L**2
+    for kernel, sampler in ((se_kernel(lam), "kronecker"), (matern_kernel(lam, 1.5), "circulant")):
+        tracemalloc.start()
+        try:
+            truth = covariance_matrix(kernel, mesh)
+            factor = factorize(truth)
+            truth_norm = spectral_norm(truth, seed=1)
+            ens = sample_ensemble(factor, N, seed=2, mesh=mesh)
+            report = estimate_and_report(ens, truth, ThresholdRule(c0=5.0, form="simplified"),
+                                         seed=2, truth_norm=truth_norm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert factor.sampler == sampler
+        assert math.isfinite(report.eps_sample) and report.eps_sample > 0.0
+        assert peak < 0.1 * 8 * mesh.L**2

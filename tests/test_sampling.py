@@ -232,17 +232,23 @@ def _minimal_embedding_eigenvalues(kernel, m):
 
 
 def test_sampler_routing():
-    # SE lambda = 0.3 at d = 2 has a clearly negative embedding (-2.5e-4
-    # relative) and keeps the Cholesky factor at the rung it took before
-    factor = factorize(covariance_matrix(se_kernel(0.3), build_mesh(2, 64)))
-    assert factor.sampler == "cholesky" and factor.spectrum is None
-    assert factor.jitter == 1e-12
+    # SE lambda = 0.3 at d = 2 factors over the axes: the Kronecker sampler,
+    # whatever its embedding; Matern at the same cell stays negative up to
+    # the top padding (p = 2) and keeps the Cholesky factor
+    mesh = build_mesh(2, 64)
+    factor = factorize(covariance_matrix(se_kernel(0.3), mesh))
+    assert factor.sampler == "kronecker" and factor.axis_root.shape == (64, 64)
+    assert factor.spectrum is None and factor.lower is None
+    factor = factorize(covariance_matrix(matern_kernel(0.3, 1.5), mesh))
+    assert factor.sampler == "cholesky" and factor.lower.shape == (mesh.L, mesh.L)
+    assert factor.spectrum is None and factor.axis_root is None
     # SE lambda = 0.01 at d = 1 is negative only at rounding level: the FFT
     # sampler, with the clipped |lambda_min| recorded as the jitter
     kernel = se_kernel(0.01)
     factor = factorize(covariance_matrix(kernel, build_mesh(1, 1250)))
     eig = _minimal_embedding_eigenvalues(kernel, 1250)
     assert factor.sampler == "circulant" and factor.lower is None
+    assert factor.spectrum.shape == (2500,)
     assert eig.min() < 0.0
     assert factor.jitter == pytest.approx(-eig.min(), rel=1e-6, abs=1e-16)
     assert factor.jitter <= 64 * np.finfo(float).eps * eig.max()
@@ -250,11 +256,68 @@ def test_sampler_routing():
     assert factorize(covariance_matrix(se_kernel(1e-3), build_mesh(1, 1250))).jitter == 0.0
 
 
+def _embedding_extremes(kernel, m, M):
+    """d = 2: (min, max) eigenvalue of the embedding with 2M points per axis.
+
+    Built from the kernel alone, at offsets min(k, 2M - k) / m per axis.
+    """
+    from opcov.kernels import eval_kernel
+
+    k = np.arange(2 * M)
+    offset = np.minimum(k, 2 * M - k) / m
+    eig = np.fft.fft2(eval_kernel(kernel, np.hypot(offset[:, None], offset[None, :]))).real
+    return eig.min(), eig.max()
+
+
+@pytest.mark.parametrize("m,lam,M", [(8, 0.3, 12), (16, 0.3, 24), (6, 0.5, 12),
+                                     (24, 0.3, 48), (100, 0.147, 150), (64, 0.02, 64)])
+def test_padding_ladder_takes_the_first_nonnegative_rung(m, lam, M):
+    # Matern at d = 2 draws by FFT from the first embedding, 2 ceil(p m)
+    # points per axis for p = 1, 1.5, 2, whose eigenvalues are nonnegative
+    # up to 64 eps; every smaller rung is clearly negative
+    kernel = matern_kernel(lam, 1.5)
+    factor = factorize(covariance_matrix(kernel, build_mesh(2, m)))
+    assert factor.sampler == "circulant"
+    assert factor.spectrum.shape == (2 * M, 2 * M)
+    tol = 64 * np.finfo(float).eps
+    low, high = _embedding_extremes(kernel, m, M)
+    assert low >= -tol * high
+    assert factor.jitter == pytest.approx(max(0.0, -low), abs=tol * high)
+    for p in (1.0, 1.5, 2.0):
+        if math.ceil(p * m) < M:
+            low, high = _embedding_extremes(kernel, m, math.ceil(p * m))
+            assert low < -1e3 * tol * high
+
+
+@pytest.mark.parametrize("d,m,lam", [(2, 24, 0.3), (2, 24, 0.05), (2, 32, 0.5), (3, 10, 0.3),
+                                     (3, 10, 1.0)])
+def test_kronecker_factor_matches_truth(d, m, lam):
+    # the drawn covariance (A (x) ... (x) A)(A (x) ... (x) A)^T is the truth
+    # within the recorded clip bound, up to rounding
+    from _helpers import spectral_norm_dense
+
+    cov = covariance_matrix(se_kernel(lam), build_mesh(d, m))
+    factor = factorize(cov)
+    assert factor.sampler == "kronecker" and factor.axis_root.shape == (m, m)
+    assert factor.spectrum is None and factor.lower is None
+    root = factor.axis_root
+    for _ in range(d - 1):
+        root = np.kron(root, factor.axis_root)
+    gap = spectral_norm_dense(root @ root.T - cov.entries)
+    assert 0.0 <= factor.jitter
+    assert gap <= factor.jitter + 64 * np.finfo(float).eps * spectral_norm_dense(cov)
+
+
 @pytest.mark.parametrize("d,m,kernel,sampler", [
     (1, 12, se_kernel(0.1), "circulant"),
-    (2, 6, se_kernel(0.15), "circulant"),
-    (3, 3, se_kernel(0.3), "circulant"),
-    (2, 5, se_kernel(0.3), "cholesky"),
+    # SE at d >= 2 is Kronecker, so the d >= 2 FFT and Cholesky cells are Matern
+    (2, 6, matern_kernel(0.15, 1.5), "circulant"),
+    (3, 3, matern_kernel(0.3, 1.5), "circulant"),
+    (2, 5, matern_kernel(0.8, 1.5), "cholesky"),
+    (2, 5, se_kernel(0.3), "kronecker"),
+    (3, 3, se_kernel(0.3), "kronecker"),
+    (2, 8, matern_kernel(0.3, 1.5), "circulant"),  # padded, p = 1.5
+    (2, 6, matern_kernel(0.5, 1.5), "circulant"),  # padded, p = 2
 ])
 def test_empirical_covariance_matches_target_on_each_sampler(d, m, kernel, sampler):
     # criterion 06's protocol: 2e5 draws, 5 standard errors per entry
@@ -270,24 +333,40 @@ def test_empirical_covariance_matches_target_on_each_sampler(d, m, kernel, sampl
     assert np.max(np.abs(emp - C) / sigma) <= 5.0
 
 
-@pytest.mark.parametrize("d,m,lam", [(1, 1250, 0.01), (2, 64, 0.02), (3, 6, 0.05)])
-def test_larger_circulant_draw_extends_smaller_draw(d, m, lam):
-    # (1, 1250) holds 26 pairs per FFT block, so 61 fields cross a block edge.
-    # (The Cholesky path's product z @ lower.T rounds differently per N.)
-    mesh = build_mesh(d, m)
-    factor = factorize(covariance_matrix(se_kernel(lam), mesh))
-    assert factor.sampler == "circulant"
+def _assert_larger_draw_extends_smaller(factor, mesh):
     big = sample_ensemble(factor, 61, seed=3, mesh=mesh).fields
     for N in (1, 2, 7, 52, 53):
         assert np.array_equal(sample_ensemble(factor, N, seed=3, mesh=mesh).fields, big[:N])
+
+
+@pytest.mark.parametrize("d,m,lam", [(1, 1250, 0.01), (2, 64, 0.02), (3, 6, 0.05), (2, 16, 0.3)])
+def test_larger_circulant_draw_extends_smaller_draw(d, m, lam):
+    # (1, 1250) holds 26 pairs per FFT block, so 61 fields cross a block edge;
+    # so does (2, 16, 0.3), padded to 48 points per axis (28 pairs a block).
+    # SE at d >= 2 is Kronecker, so the d >= 2 cells are Matern.
+    # (The Cholesky path's product z @ lower.T rounds differently per N.)
+    mesh = build_mesh(d, m)
+    kernel = se_kernel(lam) if d == 1 else matern_kernel(lam, 1.5)
+    factor = factorize(covariance_matrix(kernel, mesh))
+    assert factor.sampler == "circulant"
+    _assert_larger_draw_extends_smaller(factor, mesh)
+
+
+@pytest.mark.parametrize("d,m,lam", [(2, 64, 0.02), (2, 24, 0.3), (3, 6, 0.05)])
+def test_larger_kronecker_draw_extends_smaller_draw(d, m, lam):
+    mesh = build_mesh(d, m)
+    factor = factorize(covariance_matrix(se_kernel(lam), mesh))
+    assert factor.sampler == "kronecker"
+    _assert_larger_draw_extends_smaller(factor, mesh)
 
 
 def test_draws_in_threads_match_serial():
     from concurrent.futures import ThreadPoolExecutor
 
     mesh = build_mesh(2, 32)
-    factors = [factorize(covariance_matrix(se_kernel(lam), mesh)) for lam in (0.02, 0.3)]
-    assert [f.sampler for f in factors] == ["circulant", "cholesky"]
+    kernels = (se_kernel(0.3), matern_kernel(0.02, 1.5), matern_kernel(0.8, 1.5))
+    factors = [factorize(covariance_matrix(kernel, mesh)) for kernel in kernels]
+    assert [f.sampler for f in factors] == ["kronecker", "circulant", "cholesky"]
     jobs = [(f, seed) for f in factors for seed in range(6)]
 
     def draw(job):
