@@ -2,9 +2,9 @@
 
 Subpackages follow the pipeline: ``kernels`` (correlation models),
 ``sampling`` (meshes and exact Gaussian draws), ``estimation`` (sample and
-thresholded estimators plus norms), ``theory`` (scaling quantities and
-Monte Carlo concentration checks), ``enkf`` (one ensemble Kalman analysis
-step with localized gains), and ``cli`` (the experiment harness).
+thresholded estimators plus norms), ``theory`` (scaling quantities),
+``enkf`` (one ensemble Kalman analysis step with localized gains), and
+``cli`` (the experiment harness).
 """
 
 from . import enkf, estimation, kernels, sampling, theory

@@ -49,6 +49,7 @@ from .estimation import (
 )
 from .kernels import KernelError, KernelModel, parse_kernel
 from .sampling import (
+    MAX_MESH_POINTS,
     Mesh,
     SamplingError,
     build_mesh,
@@ -145,6 +146,14 @@ class ExperimentConfig:
                 _check_draws(self.esup_samples)
         except (EstimationError, SamplingError, enkf_mod.EnkfError, KernelError) as exc:
             raise ConfigError(str(exc)) from None
+        # one N x L ensemble is held at a time, within the limit of one dense matrix
+        if self.experiment == "theory":
+            N = self.esup_samples
+        else:
+            N = max(sample_size(lam, self) for lam in self.lambda_grid)
+        if N * mesh.L > MAX_MESH_POINTS**2:
+            raise ConfigError(f"an ensemble of {N} fields on {mesh.L} points exceeds "
+                              f"the limit of {MAX_MESH_POINTS**2} values")
         if rule.form == "full":
             # enkf-demo thresholds leave-one-out ensembles of N - 1 members
             shrink = 1 if self.experiment == "enkf-demo" else 0

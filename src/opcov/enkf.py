@@ -291,7 +291,6 @@ def compare_analysis_updates(
     rule: ThresholdRule,
     trials: int,
     seed: int,
-    check_continuity: bool = True,
 ) -> AnalysisComparisonSummary:
     """Compare stochastic and localized analysis updates to the mean-field one.
 
@@ -343,27 +342,26 @@ def compare_analysis_updates(
             disc_l[n] = state_norm((gain_l - gain_true) @ innov, w)
             innov_norms[n] = float(np.linalg.norm(innov))
             c_consts[n] = obs.a_op_norm * obs.gamma_inv_norm * cov_op_norm * innov_norms[n]
-            if check_continuity:
-                loo_minus_cov = LinearOperator(
-                    (mesh.L, mesh.L),
-                    matvec=lambda v: (F.T @ (F @ v) - u * (u @ v)) / (N - 1) - cov_matvec(v),
-                    dtype=float,
+            loo_minus_cov = LinearOperator(
+                (mesh.L, mesh.L),
+                matvec=lambda v: (F.T @ (F @ v) - u * (u @ v)) / (N - 1) - cov_matvec(v),
+                dtype=float,
+            )
+            actual = gain_operator_norm(delta_v, w)
+            certified = gain_continuity_bound(
+                w * _norm_lower_bound(loo_minus_cov, substream(seed, t, 2, n)),
+                cov_op_norm, obs,
+            )
+            if actual <= certified:
+                min_margin = min(min_margin, certified / actual if actual else math.inf)
+            else:
+                full_solves += 1
+                delta = w * spectral_norm(
+                    loo_minus_cov, seed=derive_seed(seed, t, 2, n), tol=_NORM_TOL
                 )
-                actual = gain_operator_norm(delta_v, w)
-                certified = gain_continuity_bound(
-                    w * _norm_lower_bound(loo_minus_cov, substream(seed, t, 2, n)),
-                    cov_op_norm, obs,
-                )
-                if actual <= certified:
-                    min_margin = min(min_margin, certified / actual if actual else math.inf)
-                else:
-                    full_solves += 1
-                    delta = w * spectral_norm(
-                        loo_minus_cov, seed=derive_seed(seed, t, 2, n), tol=_NORM_TOL
-                    )
-                    bound = gain_continuity_bound(delta, cov_op_norm, obs)
-                    if actual > bound * (1.0 + 1e-6):
-                        continuity_ok = False
+                bound = gain_continuity_bound(delta, cov_op_norm, obs)
+                if actual > bound * (1.0 + 1e-6):
+                    continuity_ok = False
         results.append(AnalysisComparison(
             disc_vanilla=disc_v, disc_localized=disc_l,
             innovation_norms=innov_norms, c_consts=c_consts,

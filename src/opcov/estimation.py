@@ -2,9 +2,8 @@
 
 The estimator pipeline is: sample covariance (no mean subtraction; fields are
 centered by model), data-driven threshold from the ensemble average of
-per-field suprema, hard thresholding with the keep-ties convention
-|entry| >= rho, and optional eigenvalue clipping to restore positive
-semi-definiteness (which at most doubles the spectral estimation error).
+per-field suprema, and hard thresholding with the keep-ties convention
+|entry| >= rho.
 
 Spectral norms come from one helper around ARPACK's implicitly restarted
 Lanczos (``scipy.sparse.linalg.eigsh``, k=1): ``which="LM"`` for norms and
@@ -56,7 +55,7 @@ from scipy.sparse.linalg import (
     eigsh,
 )
 
-from .sampling import CovMatrix, Ensemble, covariance_matvec, ensemble_sup_mean, substream
+from .sampling import CovMatrix, Ensemble, covariance_matvec, substream
 
 __all__ = [
     "ThresholdRule",
@@ -66,7 +65,6 @@ __all__ = [
     "sample_covariance",
     "threshold_parameter",
     "hard_threshold",
-    "psd_projection",
     "spectral_norm",
     "min_eigenvalue",
     "relative_error",
@@ -152,7 +150,7 @@ def sample_covariance(ens: Ensemble) -> np.ndarray:
 
 def threshold_parameter(ens: Ensemble, rule: ThresholdRule) -> float:
     """The data-driven threshold rho_hat for this ensemble under ``rule``."""
-    return rule.rho(ensemble_sup_mean(ens), ens.N)
+    return rule.rho(float(ens.sups.mean()), ens.N)
 
 
 def _survivors(a: np.ndarray, rho: float) -> np.ndarray:
@@ -171,27 +169,13 @@ def hard_threshold(cov: np.ndarray, rho: float) -> np.ndarray:
     return np.where(_survivors(cov, rho), cov, 0.0)
 
 
-def psd_projection(cov: np.ndarray) -> np.ndarray:
-    """Clip negative eigenvalues to zero and reconstruct.
-
-    The result is PSD up to eigensolver tolerance and satisfies
-    ||proj(A) - C|| <= 2 ||A - C|| for any PSD target C.
-    """
-    if not np.all(np.isfinite(cov)):
-        raise EstimationError("psd_projection requires finite entries")
-    vals, vecs = np.linalg.eigh(cov)
-    clipped = np.maximum(vals, 0.0)
-    entries = (vecs * clipped) @ vecs.T
-    return 0.5 * (entries + entries.T)
-
-
 # ---------------------------------------------------------------------------
 # spectral norms
 # ---------------------------------------------------------------------------
 
 
-# Defaults shared by every norm entry point: ARPACK's relative accuracy of the
-# Ritz value, and its cap on implicit restarts.
+# ARPACK's relative accuracy of the Ritz value (the default of every norm;
+# the EnKF passes its own), and its cap on implicit restarts, read at call time.
 _TOL = 1e-9
 _MAXITER = 10_000
 # At or below this order the operator is applied to the identity's columns
@@ -223,11 +207,11 @@ def _sine_start(mesh) -> np.ndarray:
     return functools.reduce(np.multiply.outer, [s] * mesh.d).ravel()
 
 
-def _extreme_eigenvalue(obj, which: str, seed: int, tol: float, maxiter: int) -> float:
+def _extreme_eigenvalue(obj, which: str, seed: int, tol: float = _TOL) -> float:
     """The eigenvalue of largest magnitude (``which="LM"``) or the smallest ("SA").
 
     ARPACK's implicitly restarted Lanczos (``eigsh``, k=1); ``tol`` bounds the
-    residual ||A x - theta x|| by tol |theta| and ``maxiter`` caps the
+    residual ||A x - theta x|| by tol |theta| and ``_MAXITER`` caps the
     restarts, which draw from a stream seeded by ``seed``.  A CovMatrix truth
     gets the wide Krylov basis, every other operand the narrow one.  The
     largest eigenvalue of a truth starts from :func:`_sine_start`, which is
@@ -249,7 +233,7 @@ def _extreme_eigenvalue(obj, which: str, seed: int, tol: float, maxiter: int) ->
     v0 = _sine_start(obj.mesh) if truth and which == "LM" else rng.standard_normal(n)
     ncv = _NCV_TRUTH if truth else _NCV
     try:
-        (theta,) = eigsh(op, k=1, which=which, v0=v0, ncv=ncv, tol=tol, maxiter=maxiter,
+        (theta,) = eigsh(op, k=1, which=which, v0=v0, ncv=ncv, tol=tol, maxiter=_MAXITER,
                          return_eigenvectors=False,
                          **({"rng": rng} if _EIGSH_TAKES_RNG else {}))
     except ArpackError as exc:
@@ -260,25 +244,25 @@ def _extreme_eigenvalue(obj, which: str, seed: int, tol: float, maxiter: int) ->
         # to zero and any error there is raised.
         if isinstance(exc, ArpackNoConvergence) or np.any(op.matvec(v0)):
             raise SpectralNormError(
-                f"ARPACK ({which}) did not reach tol={tol:g} within {maxiter} restarts "
+                f"ARPACK ({which}) did not reach tol={tol:g} within {_MAXITER} restarts "
                 f"on an operator of order {n}: {exc}"
             ) from exc
         return 0.0
     return float(theta)
 
 
-def spectral_norm(cov, seed: int = 0, tol: float = _TOL, maxiter: int = _MAXITER) -> float:
+def spectral_norm(cov, seed: int = 0, tol: float = _TOL) -> float:
     """Largest absolute eigenvalue of a symmetric array, CovMatrix or LinearOperator.
 
     Deterministic given ``seed``.  A CovMatrix truth is applied by FFT, so it
     takes no dense product.
     """
-    return abs(_extreme_eigenvalue(cov, "LM", seed, tol, maxiter))
+    return abs(_extreme_eigenvalue(cov, "LM", seed, tol))
 
 
-def min_eigenvalue(cov, seed: int = 0, tol: float = _TOL, maxiter: int = _MAXITER) -> float:
+def min_eigenvalue(cov, seed: int = 0) -> float:
     """Smallest eigenvalue; takes anything :func:`spectral_norm` takes."""
-    return _extreme_eigenvalue(cov, "SA", seed, tol, maxiter)
+    return _extreme_eigenvalue(cov, "SA", seed)
 
 
 def relative_error(est, truth, seed: int = 0, truth_norm: float | None = None) -> float:
@@ -295,14 +279,14 @@ def relative_error(est, truth, seed: int = 0, truth_norm: float | None = None) -
     if n != truth_op.shape[0]:
         raise EstimationError(f"order mismatch: est {n} vs truth {truth_op.shape[0]}")
     if truth_norm is None:
-        truth_norm = abs(_extreme_eigenvalue(truth, "LM", seed, _TOL, _MAXITER))
+        truth_norm = abs(_extreme_eigenvalue(truth, "LM", seed))
     if truth_norm == 0.0:
         raise EstimationError("relative_error is undefined for a zero truth matrix")
     if not isinstance(est, (LinearOperator, CovMatrix)) and not np.any(est):
         # A fully thresholded estimate: the difference is -truth exactly.
         return 1.0
     diff = LinearOperator((n, n), matvec=lambda v: op.matvec(v) - truth_op.matvec(v), dtype=float)
-    return abs(_extreme_eigenvalue(diff, "LM", seed, _TOL, _MAXITER)) / truth_norm
+    return abs(_extreme_eigenvalue(diff, "LM", seed)) / truth_norm
 
 
 # Edge of the tiles in which :func:`_thresholded_block` symmetrizes and

@@ -7,8 +7,9 @@ k_{lam/a}(r) exactly; several downstream scaling computations rely on this
 identity.
 
 Matern kernels use the exact closed forms for nu in {1/2, 3/2, 5/2} (the
-experiments only need nu = 3/2).  Other positive nu are evaluated through the
-modified Bessel function of the second kind.
+experiments only need nu = 3/2).  Other nu in (0, 100] are evaluated through
+the modified Bessel function of the second kind, and near r = 0 through its
+series where that formula's factors leave the floating-point range.
 """
 
 from __future__ import annotations
@@ -30,6 +31,10 @@ __all__ = [
 ]
 
 _HALF_INTEGER_NU = (0.5, 1.5, 2.5)
+# The largest Matern smoothness accepted.  Above it the series near r = 0
+# needs more terms, and from nu ~ 158 the prefactor 2^(1-nu) / Gamma(nu)
+# underflows to 0.
+_MAX_NU = 100.0
 
 
 class KernelError(ValueError):
@@ -47,7 +52,7 @@ class KernelModel:
     lam : float
         Correlation lengthscale, dimensionless on the unit cube; must be > 0.
     nu : float or None
-        Matern smoothness; must be > 0.  Ignored for the SE family.
+        Matern smoothness; must lie in (0, 100].  Ignored for the SE family.
 
     Notes
     -----
@@ -66,14 +71,10 @@ class KernelModel:
         if not (isinstance(self.lam, (int, float)) and math.isfinite(self.lam) and self.lam > 0):
             raise KernelError(f"lengthscale must be a positive finite real, got {self.lam!r}")
         if self.family == "matern":
-            if self.nu is None or not (math.isfinite(self.nu) and self.nu > 0):
-                raise KernelError(f"matern smoothness nu must be > 0, got {self.nu!r}")
-
-    def label(self) -> str:
-        """Compact spec string, inverse of :func:`parse_kernel`."""
-        if self.family == "se":
-            return f"se:lambda={self.lam!r}"
-        return f"matern:lambda={self.lam!r},nu={self.nu!r}"
+            if self.nu is None or not (math.isfinite(self.nu) and 0 < self.nu <= _MAX_NU):
+                raise KernelError(
+                    f"matern smoothness nu must lie in (0, {_MAX_NU:g}], got {self.nu!r}"
+                )
 
 
 def se_kernel(lam: float) -> KernelModel:
@@ -84,11 +85,26 @@ def matern_kernel(lam: float, nu: float) -> KernelModel:
     return KernelModel("matern", float(lam), float(nu))
 
 
+def _matern_series(z, nu: float):
+    """The Matern correlation near z = 0, to order z^4.
+
+    1 - z^2 / (4 (nu - 1)) + z^4 / (32 (nu - 1) (nu - 2)) for nu > 2, and 1
+    otherwise: :func:`_matern_unit` takes it only where z^nu underflows, and
+    there the z^(2 nu) term and beyond are below rounding.
+    """
+    if nu <= 2.0:
+        return np.ones_like(z)
+    z2 = z * z
+    return 1.0 - z2 / (4.0 * (nu - 1.0)) + z2 * z2 / (32.0 * (nu - 1.0) * (nu - 2.0))
+
+
 def _matern_unit(z, nu: float):
     """Matern correlation as a function of z = sqrt(2 nu) r / lam.
 
-    Accepts scalars or ndarrays; the removable singularity at z = 0 is
-    filled with 1.
+    Accepts scalars or ndarrays.  Off the half-integer closed forms it is
+    2^(1-nu) / Gamma(nu) z^nu K_nu(z), except where the first factor
+    underflows or K_nu overflows (near z = 0, and at z = 0 itself): there
+    :func:`_matern_series` holds.
     """
     z = np.asarray(z, dtype=float)
     if nu in _HALF_INTEGER_NU:
@@ -99,12 +115,14 @@ def _matern_unit(z, nu: float):
         else:
             out = (1.0 + z + z * z / 3.0) * np.exp(-z)
     else:
-        with np.errstate(invalid="ignore", over="ignore"):
-            out = (2.0 ** (1.0 - nu) / special.gamma(nu)) * z**nu * special.kv(nu, z)
-        # kv is +inf at 0 and underflows for large z; both limits are handled
-        # below by the explicit z == 0 fill and nan_to_num.
+        with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+            head = (2.0 ** (1.0 - nu) / special.gamma(nu)) * z**nu
+            bessel = special.kv(nu, z)
+            out = head * bessel
+        # at large z, kv underflows to 0 and head may overflow: 0 * inf is nan
         out = np.nan_to_num(out, nan=0.0, posinf=0.0, neginf=0.0)
-    out = np.where(z == 0.0, 1.0, out)
+        near = (head < np.finfo(float).tiny) | np.isinf(bessel)
+        out = np.where(near, _matern_series(z, nu), out)
     return out if out.ndim else float(out)
 
 

@@ -56,7 +56,6 @@ __all__ = [
     "factorize",
     "covariance_matvec",
     "sample_ensemble",
-    "ensemble_sup_mean",
     "substream",
     "derive_seed",
 ]
@@ -67,7 +66,8 @@ __all__ = [
 # stays negative at every padding) still factors the L x L matrix, and the
 # figure trials form an L x L block when every row can keep an entry; 12,500
 # points (~1.25 GB per matrix at float64) is the desk-scale limit for every
-# supported dimension.
+# supported dimension.  The commands hold an N x L ensemble to the same
+# MAX_MESH_POINTS**2 values.
 MAX_MESH_POINTS = 12_500
 
 _JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
@@ -255,13 +255,7 @@ def covariance_matrix(kernel: KernelModel, mesh: Mesh) -> CovMatrix:
 
     Records the first row, k of the distances from point 0, with a unit
     diagonal entry; every other entry is that row at |i - j| per axis.
-    Rejects meshes beyond the dense-storage limit.
     """
-    if mesh.L > MAX_MESH_POINTS:
-        raise SamplingError(
-            f"covariance matrix of order {mesh.L} exceeds the dense-storage "
-            f"limit {MAX_MESH_POINTS}"
-        )
     row = eval_kernel(kernel, np.sqrt(np.sum((mesh.coords - mesh.coords[0]) ** 2, axis=1)))
     row[0] = 1.0
     return CovMatrix(mesh=mesh, kernel=kernel, row=row)
@@ -438,18 +432,16 @@ def _kronecker_fields(factor: CovFactor, N: int, rng: np.random.Generator) -> np
     return x.reshape(N, L)
 
 
-def sample_ensemble(cov: CovMatrix | CovFactor, N: int, seed: int, mesh: Mesh) -> Ensemble:
-    """Draw N i.i.d. fields ~ N(0, cov) on the mesh.
+def sample_ensemble(factor: CovFactor, N: int, seed: int, mesh: Mesh) -> Ensemble:
+    """Draw N i.i.d. fields ~ N(0, factor.cov) on the mesh.
 
-    Deterministic given (cov, N, seed): the same inputs give bit-identical
+    Deterministic given (factor, N, seed): the same inputs give bit-identical
     ensembles on any machine and under any thread count; on the Kronecker
     and circulant paths the first N fields of a larger draw equal the
-    N-field draw.  Pass a :class:`CovFactor` to reuse a factorization across
-    many draws.
+    N-field draw.  One :func:`factorize` serves every draw.
     """
     if N < 1:
         raise SamplingError(f"sample count N must be >= 1, got {N}")
-    factor = cov if isinstance(cov, CovFactor) else factorize(cov)
     if mesh.L != factor.cov.L:
         raise SamplingError("mesh size does not match covariance order")
     rng = substream(seed)
@@ -462,9 +454,4 @@ def sample_ensemble(cov: CovMatrix | CovFactor, N: int, seed: int, mesh: Mesh) -
         fields = z @ factor.lower.T
     sups = fields.max(axis=1)
     return Ensemble(mesh=mesh, N=N, fields=fields, sups=sups)
-
-
-def ensemble_sup_mean(ens: Ensemble) -> float:
-    """Arithmetic mean over the ensemble of the per-field mesh maxima."""
-    return float(ens.sups.mean())
 

@@ -1,12 +1,10 @@
-"""Scaling quantities of the estimation theory and Monte Carlo concentration checks.
+"""Scaling quantities of the estimation theory.
 
 This module computes discretized and asymptotic versions of the quantities
 that drive the estimator error: the L^q sparsity level of the kernel, the
 covariance operator norm, the effective rank, and the expected supremum of
-the field.  Universal constants in the theoretical statements are never
-pinned by the theory itself, so every experiment here is formulated as a
-boundedness or stability check over a parameter sweep, with the constants
-exposed as arguments.
+the field.  The ``theory`` command reports them side by side per lengthscale
+(:func:`scaling_report`).
 """
 
 from __future__ import annotations
@@ -17,13 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .estimation import (
-    EstimationError,
-    ThresholdRule,
-    sample_covariance,
-    spectral_norm,
-    threshold_parameter,
-)
+from .estimation import EstimationError, spectral_norm
 from .kernels import KernelError, KernelModel, eval_kernel, half_width
 from .sampling import (
     CovFactor,
@@ -37,17 +29,12 @@ from .sampling import (
 
 __all__ = [
     "ScalingReport",
-    "SupNormSummary",
-    "ThresholdConcentrationSummary",
     "sparsity_level",
     "sparsity_asymptotic",
     "operator_norm_asymptotic",
     "expected_supremum_mc",
     "supremum_scaling_prediction",
-    "cq_constant",
     "scaling_report",
-    "supnorm_error_experiment",
-    "threshold_concentration_experiment",
 ]
 
 # Surface area of the unit sphere in R^d for d = 1, 2, 3.
@@ -159,15 +146,6 @@ def supremum_scaling_prediction(kernel: KernelModel, d: int) -> float:
     return math.sqrt(d * math.log(arg))
 
 
-def cq_constant(kernel: KernelModel, q: float, d: int) -> float:
-    """Ratio of radial integrals at exponents q and 1.
-
-    For the squared exponential this equals q**(-d/2) exactly.
-    """
-    _check_q(q)
-    return _radial_integral(kernel, q, d) / _radial_integral(kernel, 1.0, d)
-
-
 @dataclass(frozen=True)
 class ScalingReport:
     """Discretized vs asymptotic scaling quantities at one lengthscale.
@@ -221,111 +199,3 @@ def scaling_report(
         esup_prediction=prediction,
     )
 
-
-# ---------------------------------------------------------------------------
-# Monte Carlo concentration experiments
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SupNormSummary:
-    """Quantiles of sup-norm errors of the sample covariance, normalized by rho_N.
-
-    ``max_all`` is max_{ij} |khat - k| / rho_N per trial; ``max_column`` holds
-    the same maximum restricted to one fixed reference column (the middle
-    mesh point), matching the single-supremum error statement.
-    """
-
-    max_all: np.ndarray
-    max_column: np.ndarray
-
-    def quantiles(self, which: str = "column") -> dict[str, float]:
-        data = self.max_column if which == "column" else self.max_all
-        q50, q90, q99 = np.quantile(data, [0.50, 0.90, 0.99])
-        return {"q50": float(q50), "q90": float(q90), "q99": float(q99)}
-
-
-def supnorm_error_experiment(
-    kernel: KernelModel,
-    mesh: Mesh,
-    N: int,
-    trials: int,
-    seed: int,
-    esup_samples: int = 10_000,
-) -> SupNormSummary:
-    """Per-trial normalized sup errors of the sample covariance function.
-
-    rho_N is the population threshold (full form, c0 = 1) built from a
-    high-precision Monte Carlo estimate of the expected supremum on a
-    separate substream.  The stated theory guarantees boundedness only up to
-    universal constants, so the companion contract is that the 99% quantile
-    of the statistic stays below a modest constant (10 in the acceptance
-    suite).
-    """
-    if trials < 30:
-        raise EstimationError(f"need at least 30 trials, got {trials}")
-    cov = covariance_matrix(kernel, mesh)
-    factor = factorize(cov)
-    esup, _ = expected_supremum_mc(factor, mesh, esup_samples, derive_seed(seed, 0xE5))
-    rho_N = ThresholdRule(c0=1.0, form="full").rho(esup, N)
-    ref_col = mesh.L // 2
-    truth = cov.entries  # gathered once: the sample covariance is L x L anyway
-    max_all = np.empty(trials)
-    max_col = np.empty(trials)
-    for t in range(trials):
-        ens = sample_ensemble(factor, N, derive_seed(seed, t), mesh)
-        err = np.abs(sample_covariance(ens) - truth)
-        max_all[t] = err.max() / rho_N
-        max_col[t] = err[:, ref_col].max() / rho_N
-    return SupNormSummary(max_all=max_all, max_column=max_col)
-
-
-@dataclass(frozen=True)
-class ThresholdConcentrationSummary:
-    """Distribution of rho_hat / rho_N over independent ensembles.
-
-    ``theory_bound_half`` is 2 exp(-N (rho_N ^ rho_N^2) / 8): the reference
-    bound on P[rho_hat < rho_N / 2].  ``mc_slack`` = 3 / sqrt(trials) is the
-    Monte Carlo allowance added on top when checking the contract.
-    """
-
-    mean_ratio: float
-    below_quarter: float
-    below_half: float
-    theory_bound_half: float
-    mc_slack: float
-
-    def contract_holds(self) -> bool:
-        return self.below_half <= self.theory_bound_half + self.mc_slack
-
-
-def threshold_concentration_experiment(
-    kernel: KernelModel,
-    mesh: Mesh,
-    N: int,
-    c0: float,
-    trials: int,
-    seed: int,
-    form: str = "full",
-    esup_samples: int = 10_000,
-) -> ThresholdConcentrationSummary:
-    """Empirical concentration of the data-driven threshold around rho_N."""
-    if trials < 30:
-        raise EstimationError(f"need at least 30 trials, got {trials}")
-    rule = ThresholdRule(c0=c0, form=form)
-    cov = covariance_matrix(kernel, mesh)
-    factor = factorize(cov)
-    esup, _ = expected_supremum_mc(factor, mesh, esup_samples, derive_seed(seed, 0xE5))
-    rho_N = rule.rho(esup, N)
-    ratios = np.empty(trials)
-    for t in range(trials):
-        ens = sample_ensemble(factor, N, derive_seed(seed, t), mesh)
-        ratios[t] = threshold_parameter(ens, rule) / rho_N
-    n_rho = N * min(rho_N, rho_N * rho_N)
-    return ThresholdConcentrationSummary(
-        mean_ratio=float(ratios.mean()),
-        below_quarter=float(np.mean(ratios < 0.25)),
-        below_half=float(np.mean(ratios < 0.5)),
-        theory_bound_half=2.0 * math.exp(-n_rho / 8.0),
-        mc_slack=3.0 / math.sqrt(trials),
-    )

@@ -258,6 +258,11 @@ _BAD_VALUES = {
     "custom --lambdas inf,0.1": "lambda_grid entries must be finite",
     "theory --lambdas inf,0.1": "lambda_grid entries must be finite",
     "custom --kernel bogus": "unknown kernel family token 'bogus'",
+    "custom --kernel matern:lambda=0.1,nu=150": "nu must lie in (0, 100], got 150.0",
+    # one N x L ensemble holds at most MAX_MESH_POINTS**2 values
+    "theory --m 32 --esup-samples 1000000000000": "1000000000000 fields on 32 points",
+    "custom --m 32 --n-fixed 1000000000000": "1000000000000 fields on 32 points",
+    "fig1 --m 32 --n-fixed 1000000000000000000000": "1000000000000000000000 fields on 32 points",
     # subnormal: 1/lambda overflows in the sample-size rule
     "custom --lambdas 1e-320": "lambda_grid entries must be normal floats",
     "fig1 --lambdas 1e-320": "lambda_grid entries must be normal floats",

@@ -208,7 +208,7 @@ def test_loo_full_form_needs_c0_within_sqrt_n_minus_one():
 def test_loo_threshold_close_to_full_threshold():
     mesh = build_mesh(1, 32)
     cov = covariance_matrix(se_kernel(0.1), mesh)
-    ens = sample_ensemble(cov, 100, seed=3, mesh=mesh)
+    ens = sample_ensemble(factorize(cov), 100, seed=3, mesh=mesh)
     rule = ThresholdRule(c0=1.0, form="simplified")
     rho_full = threshold_parameter(ens, rule)
     rhos = np.array([rho for _, _, _, rho in loo_covariances(ens, rule, np.arange(32))])
@@ -418,8 +418,7 @@ def test_zero_localized_frac_matches_dense_formulation(d, m, kernel, c0):
     mesh = build_mesh(d, m)
     obs, _ = _dense_case_obs(mesh)
     rule = ThresholdRule(c0=c0, form="simplified")
-    got = compare_analysis_updates(kernel, mesh, obs, N=8, rule=rule, trials=3, seed=29,
-                                   check_continuity=False)
+    got = compare_analysis_updates(kernel, mesh, obs, N=8, rule=rule, trials=3, seed=29)
     want = _dense_comparison(kernel, mesh, obs, 8, rule, 3, 29)
     assert [c.zero_localized for c in got.trials] == [w[7] for w in want]
     assert got.zero_localized_frac == sum(w[7] for w in want) / (3 * 8)
@@ -487,10 +486,8 @@ def test_comparison_vanilla_discrepancy_shrinks_at_root_n_rate():
     obs = pointwise_observation(mesh, 4)
     rule = ThresholdRule(c0=5.0, form="simplified")
     kernel = se_kernel(0.1)
-    small = compare_analysis_updates(kernel, mesh, obs, N=500, rule=rule, trials=8,
-                                seed=5, check_continuity=False)
-    large = compare_analysis_updates(kernel, mesh, obs, N=2000, rule=rule, trials=8,
-                                seed=6, check_continuity=False)
+    small = compare_analysis_updates(kernel, mesh, obs, N=500, rule=rule, trials=8, seed=5)
+    large = compare_analysis_updates(kernel, mesh, obs, N=2000, rule=rule, trials=8, seed=6)
     assert large.mean_vanilla < 0.05
     ratio = small.mean_vanilla / large.mean_vanilla
     assert 1.4 <= ratio <= 2.6  # sqrt(4) = 2 within 30%

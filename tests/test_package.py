@@ -1,12 +1,42 @@
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
 import opcov
 
+_MODULES = ["opcov." + name for name in opcov.__all__] + ["opcov.cli"]
+_ROOT = Path(__file__).resolve().parent.parent
 
-@pytest.mark.parametrize("module", ["opcov." + name for name in opcov.__all__] + ["opcov.cli"])
+
+@pytest.mark.parametrize("module", _MODULES)
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing, f"{module}.__all__ names {missing} that do not exist"
+
+
+def _names_in_code() -> set[str]:
+    """Every Name and Attribute in the library and the benchmark, plus the
+    benchmark's string constants (it wraps library functions by name)."""
+    found = set()
+    for directory in ("src/opcov", "perfbench"):
+        for path in sorted((_ROOT / directory).glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    found.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    found.add(node.attr)
+                elif directory == "perfbench" and isinstance(node, ast.Constant) \
+                        and isinstance(node.value, str):
+                    found.add(node.value)
+    return found
+
+
+@pytest.mark.parametrize("module", _MODULES)
+def test_every_exported_name_is_reached(module):
+    # an exported name that only the tests use belongs with the tests
+    found = _names_in_code()
+    unreached = [name for name in importlib.import_module(module).__all__ if name not in found]
+    assert not unreached, f"{module}.__all__ names {unreached} that no library or benchmark code uses"

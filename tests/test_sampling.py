@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from _helpers import make_ensemble, make_mesh
+from opcov.estimation import ThresholdRule, threshold_parameter
 from opcov.kernels import matern_kernel, se_kernel
 from opcov.sampling import (
     MAX_MESH_POINTS,
@@ -13,7 +14,6 @@ from opcov.sampling import (
     covariance_matrix,
     covariance_matvec,
     derive_seed,
-    ensemble_sup_mean,
     factorize,
     sample_ensemble,
     substream,
@@ -79,18 +79,19 @@ def test_covariance_matrix_matern_entry_matches_scalar_kernel():
 
 def test_sampling_is_deterministic():
     mesh = build_mesh(1, 9)
-    cov = covariance_matrix(se_kernel(0.3), mesh)
-    a = sample_ensemble(cov, 5, seed=123, mesh=mesh)
-    b = sample_ensemble(cov, 5, seed=123, mesh=mesh)
+    factor = factorize(covariance_matrix(se_kernel(0.3), mesh))
+    a = sample_ensemble(factor, 5, seed=123, mesh=mesh)
+    b = sample_ensemble(factor, 5, seed=123, mesh=mesh)
     assert np.array_equal(a.fields, b.fields)
     assert np.array_equal(a.sups, b.sups)
-    c = sample_ensemble(cov, 5, seed=124, mesh=mesh)
+    c = sample_ensemble(factor, 5, seed=124, mesh=mesh)
     assert not np.array_equal(a.fields, c.fields)
 
 
 def test_sups_cache_coherent():
     mesh = build_mesh(1, 30)
-    ens = sample_ensemble(covariance_matrix(se_kernel(0.1), mesh), 40, seed=9, mesh=mesh)
+    factor = factorize(covariance_matrix(se_kernel(0.1), mesh))
+    ens = sample_ensemble(factor, 40, seed=9, mesh=mesh)
     assert np.array_equal(ens.sups, ens.fields.max(axis=1))
     assert np.all(np.isfinite(ens.fields))
 
@@ -127,12 +128,13 @@ def test_sample_requires_positive_count():
     mesh = build_mesh(1, 2)
     cov = covariance_matrix(se_kernel(0.1), mesh)
     with pytest.raises(SamplingError):
-        sample_ensemble(cov, 0, seed=1, mesh=mesh)
+        sample_ensemble(factorize(cov), 0, seed=1, mesh=mesh)
 
 
 def test_single_point_fields_are_standard_normal():
     mesh = make_mesh(1, weight=1.0)
-    ens = sample_ensemble(covariance_matrix(se_kernel(0.1), mesh), 3, seed=7, mesh=mesh)
+    factor = factorize(covariance_matrix(se_kernel(0.1), mesh))
+    ens = sample_ensemble(factor, 3, seed=7, mesh=mesh)
     assert ens.fields.shape == (3, 1)
     assert np.array_equal(ens.sups, ens.fields[:, 0])
 
@@ -142,7 +144,7 @@ def test_empirical_covariance_matches_target():
     mesh = build_mesh(1, 5)
     cov = covariance_matrix(se_kernel(0.3), mesh)
     N = 200_000
-    ens = sample_ensemble(cov, N, seed=2024, mesh=mesh)
+    ens = sample_ensemble(factorize(cov), N, seed=2024, mesh=mesh)
     emp = ens.fields.T @ ens.fields / N
     C = cov.entries
     sigma = np.sqrt((np.outer(np.diag(C), np.diag(C)) + C**2) / N)
@@ -151,8 +153,12 @@ def test_empirical_covariance_matches_target():
 
 
 def test_ensemble_sup_mean():
-    assert ensemble_sup_mean(make_ensemble([[2.0, 1.0], [4.0, 0.0]])) == 3.0
-    assert ensemble_sup_mean(make_ensemble([[0.0, 0.0, 0.0]])) == 0.0
+    # the threshold reads the mean of the per-field maxima: S = 3 over N = 2
+    # fields gives the full form's S^2 / N, and S = 0 the simplified form's 0
+    rule = ThresholdRule(c0=1.0, form="full")
+    assert threshold_parameter(make_ensemble([[2.0, 1.0], [4.0, 0.0]]), rule) == 4.5
+    rule = ThresholdRule(c0=1.0, form="simplified")
+    assert threshold_parameter(make_ensemble([[0.0, 0.0, 0.0]]), rule) == 0.0
 
 
 def test_substreams_are_disjoint_and_stable():

@@ -4,21 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from _helpers import make_ensemble, make_mesh
+from _helpers import make_ensemble, make_mesh, supnorm_errors, threshold_ratios
 from opcov.estimation import EstimationError, ThresholdRule, sample_covariance
 from opcov.kernels import eval_kernel, matern_kernel, se_kernel
 from opcov.sampling import build_mesh, covariance_matrix, factorize, sample_ensemble
 from opcov.theory import (
     ScalingReport,
-    cq_constant,
     expected_supremum_mc,
     operator_norm_asymptotic,
     scaling_report,
     sparsity_asymptotic,
     sparsity_level,
-    supnorm_error_experiment,
     supremum_scaling_prediction,
-    threshold_concentration_experiment,
 )
 
 # Frozen from the pre-build scan of (1 + sqrt(3) s) exp(-sqrt(3) s) = 1/2.
@@ -118,7 +115,13 @@ def test_matern_radial_integral_against_doubled_resolution_oracle():
     )
 
 
+def cq_constant(kernel, q, d):
+    """C_q, the ratio of the radial integrals at exponents q and 1: lam^d A(d) cancels."""
+    return sparsity_asymptotic(kernel, q, d) / sparsity_asymptotic(kernel, 1.0, d)
+
+
 def test_cq_constant_closed_forms():
+    # for the squared exponential C_q = q^(-d/2)
     for q in (0.1, 0.25, 0.5, 0.9):
         assert cq_constant(se_kernel(0.3), q, 1) == pytest.approx(q**-0.5, rel=1e-8)
         assert cq_constant(se_kernel(0.3), q, 2) == pytest.approx(1.0 / q, rel=1e-8)
@@ -252,54 +255,47 @@ def test_supnorm_experiment_large_sample_limit():
     # statistic is N-stable; the sanity check at N -> infinity is that it
     # stays within the contract bound, not that it vanishes.
     mesh = build_mesh(1, 8)
-    summary = supnorm_error_experiment(
-        se_kernel(0.3), mesh, N=100_000, trials=30, seed=17, esup_samples=2000
-    )
-    assert summary.quantiles("all")["q99"] <= 10.0
-    assert summary.quantiles("column")["q99"] <= summary.quantiles("all")["q99"]
-    small_n = supnorm_error_experiment(
-        se_kernel(0.3), mesh, N=1000, trials=30, seed=17, esup_samples=2000
-    )
-    ratio = summary.quantiles("all")["q99"] / small_n.quantiles("all")["q99"]
-    assert 0.5 <= ratio <= 2.0
+    max_all, max_column = supnorm_errors(se_kernel(0.3), mesh, N=100_000, trials=30, seed=17,
+                                         esup_samples=2000)
+    q99 = np.quantile(max_all, 0.99)
+    assert q99 <= 10.0
+    assert np.quantile(max_column, 0.99) <= q99
+    small_n, _ = supnorm_errors(se_kernel(0.3), mesh, N=1000, trials=30, seed=17,
+                                esup_samples=2000)
+    assert 0.5 <= q99 / np.quantile(small_n, 0.99) <= 2.0
 
 
 def test_supnorm_experiment_stability_across_master_seeds():
     mesh = build_mesh(1, 200)
     q90s = []
     for seed in range(5):
-        summary = supnorm_error_experiment(
-            se_kernel(0.05), mesh, N=50, trials=100, seed=1000 + seed, esup_samples=2000
-        )
-        q90s.append(summary.quantiles("all")["q90"])
+        max_all, _ = supnorm_errors(se_kernel(0.05), mesh, N=50, trials=100, seed=1000 + seed,
+                                    esup_samples=2000)
+        q90s.append(np.quantile(max_all, 0.90))
     cv = np.std(q90s, ddof=1) / np.mean(q90s)
     assert cv < 0.3
     assert all(math.isfinite(v) for v in q90s)
 
 
-def test_supnorm_experiment_requires_trials():
-    with pytest.raises(EstimationError):
-        supnorm_error_experiment(se_kernel(0.3), build_mesh(1, 8), N=10, trials=5, seed=0)
-
-
 def test_threshold_concentration_near_one():
+    # P[rho_hat < rho_N / 2] <= 2 exp(-N min(rho_N, rho_N^2) / 8), plus a
+    # Monte Carlo allowance of 3 / sqrt(trials)
     mesh = build_mesh(1, 200)
-    summary = threshold_concentration_experiment(
-        se_kernel(0.05), mesh, N=400, c0=1.0, trials=100, seed=3, esup_samples=4000
-    )
-    assert 0.9 <= summary.mean_ratio <= 1.1
-    assert summary.below_quarter == 0.0
-    assert summary.below_half == 0.0
-    assert summary.contract_holds()
+    N, trials = 400, 100
+    ratios, rho_N = threshold_ratios(se_kernel(0.05), mesh, N=N, rule=ThresholdRule(c0=1.0),
+                                     trials=trials, seed=3, esup_samples=4000)
+    assert 0.9 <= ratios.mean() <= 1.1
+    assert np.all(ratios >= 0.5)
+    bound = 2.0 * math.exp(-N * min(rho_N, rho_N * rho_N) / 8.0) + 3.0 / math.sqrt(trials)
+    assert np.mean(ratios < 0.5) <= bound
 
 
 def test_threshold_concentration_degenerate_single_sample():
     mesh = build_mesh(1, 64)
-    summary = threshold_concentration_experiment(
-        se_kernel(0.1), mesh, N=1, c0=1.0, trials=50, seed=9, esup_samples=1000
-    )
-    assert math.isfinite(summary.mean_ratio)
-    assert summary.mean_ratio < 20.0
+    ratios, _ = threshold_ratios(se_kernel(0.1), mesh, N=1, rule=ThresholdRule(c0=1.0),
+                                 trials=50, seed=9, esup_samples=1000)
+    assert math.isfinite(ratios.mean())
+    assert ratios.mean() < 20.0
 
 
 # ---------------------------------------------------------------------------
