@@ -28,10 +28,13 @@ class Series:
     right_axis: bool = False
 
 
-def _ticks_log10(lo: float, hi: float) -> list[float]:
+def _ticks_log10(lo: float, hi: float) -> list[tuple[float, str]]:
+    """(value, label) ticks of a log axis on [lo, hi]: each power of ten in
+    range, or the range's two ends where it holds none."""
     first = math.ceil(math.log10(lo) - 1e-12)
     last = math.floor(math.log10(hi) + 1e-12)
-    return [10.0**e for e in range(first, last + 1)]
+    ticks = [(10.0**e, f"1e{e}") for e in range(first, last + 1) if lo <= 10.0**e <= hi]
+    return ticks or [(v, _fmt(v)) for v in sorted({lo, hi})]
 
 
 def _fmt(v: float) -> str:
@@ -54,8 +57,11 @@ def error_plot(path, series: list[Series], title: str, xlabel: str,
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
+    x_span = math.log10(x_hi) - math.log10(x_lo)
+
     def px(x: float) -> float:
-        t = (math.log10(x) - math.log10(x_lo)) / (math.log10(x_hi) - math.log10(x_lo))
+        # one lengthscale: its points sit mid-axis
+        t = (math.log10(x) - math.log10(x_lo)) / x_span if x_span else 0.5
         return _MARGIN_L + t * plot_w
 
     def py(y: float) -> float:
@@ -73,20 +79,18 @@ def error_plot(path, series: list[Series], title: str, xlabel: str,
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="black"/>',
     ]
-    for tx in _ticks_log10(x_lo, x_hi):
-        if x_lo <= tx <= x_hi:
-            x = px(tx)
-            out.append(f'<line x1="{x:.1f}" y1="{_MARGIN_T + plot_h}" x2="{x:.1f}" '
-                       f'y2="{_MARGIN_T + plot_h + 5}" stroke="black"/>')
-            out.append(f'<text x="{x:.1f}" y="{_MARGIN_T + plot_h + 18}" '
-                       f'text-anchor="middle">1e{round(math.log10(tx))}</text>')
-    for ty in _ticks_log10(y_lo, y_hi):
-        if y_lo <= ty <= y_hi:
-            y = py(ty)
-            out.append(f'<line x1="{_MARGIN_L - 5}" y1="{y:.1f}" x2="{_MARGIN_L}" '
-                       f'y2="{y:.1f}" stroke="black"/>')
-            out.append(f'<text x="{_MARGIN_L - 8}" y="{y + 4:.1f}" '
-                       f'text-anchor="end">1e{round(math.log10(ty))}</text>')
+    for tx, label in _ticks_log10(x_lo, x_hi):
+        x = px(tx)
+        out.append(f'<line x1="{x:.1f}" y1="{_MARGIN_T + plot_h}" x2="{x:.1f}" '
+                   f'y2="{_MARGIN_T + plot_h + 5}" stroke="black"/>')
+        out.append(f'<text x="{x:.1f}" y="{_MARGIN_T + plot_h + 18}" '
+                   f'text-anchor="middle">{label}</text>')
+    for ty, label in _ticks_log10(y_lo, y_hi):
+        y = py(ty)
+        out.append(f'<line x1="{_MARGIN_L - 5}" y1="{y:.1f}" x2="{_MARGIN_L}" '
+                   f'y2="{y:.1f}" stroke="black"/>')
+        out.append(f'<text x="{_MARGIN_L - 8}" y="{y + 4:.1f}" '
+                   f'text-anchor="end">{label}</text>')
     if right:
         for frac in (0.0, 0.5, 1.0):
             y = pr(frac * r_hi)

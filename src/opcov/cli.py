@@ -14,10 +14,10 @@ deterministic given the master seed: each (kernel, lengthscale, trial) cell
 draws from its own substream, so results are identical for any ``--threads``
 value; output rows are written in grid order by one CSV writer,
 ``_write_csv``, the only formatter of library records, and every
-per-lengthscale result is a column of the command's summary CSV.  Every
-output file carries one leading ``# generated <timestamp>`` comment line,
-excluded from rerun comparisons; wall times go to a separate timing file for
-the same reason.
+per-lengthscale result is a column of the command's summary CSV.  A result
+file holds nothing but results, so reruns are byte-identical file for file;
+wall times go to a separate timing file.  ``--kernel`` names a family and its
+shape (``se`` or ``matern:nu=<float>``); ``--lambdas`` sets every lengthscale.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime failure,
 3 acceptance-threshold violation under ``--check``.
@@ -31,7 +31,6 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field, fields, replace
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -86,7 +85,7 @@ class CheckFailure(RuntimeError):
 @dataclass
 class ExperimentConfig:
     experiment: str = "custom"
-    kernel: str = "se:lambda=0.1"
+    kernel: str = "se"
     d: int = 1
     m: int = 312
     lambda_grid: list[float] = field(default_factory=lambda: [0.1])
@@ -186,7 +185,7 @@ def fig2_config(**overrides) -> ExperimentConfig:
 
 def enkf_demo_config(**overrides) -> ExperimentConfig:
     cfg = ExperimentConfig(
-        experiment="enkf-demo", kernel="se:lambda=1", d=1, m=1250,
+        experiment="enkf-demo", d=1, m=1250,
         lambda_grid=list(np.logspace(-1.0, -3.0, 5)),
         c0=5.0, form="simplified", trials=20,
     )
@@ -238,7 +237,7 @@ _SETTINGS = {
                             "comma-separated descending lengthscale grid"),
     "m": _Setting(int, _COMMANDS, help="mesh points per axis"),
     "d": _Setting(int, ("custom", "enkf-demo", "theory")),
-    "kernel": _Setting(str, ("custom", "enkf-demo", "theory"), help="kernel spec string"),
+    "kernel": _Setting(str, ("custom", "enkf-demo", "theory"), help="se or matern:nu=<float>"),
     "trials": _Setting(int, _RULE),
     "c0": _Setting(float, _RULE),
     "form": _Setting(str, _RULE, help="full or simplified"),
@@ -263,11 +262,10 @@ def _flag(key: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _write_stamped(path: Path, lines: list[str]) -> None:
-    """Write the ``# generated <timestamp>`` line, then ``lines``, one per line."""
-    stamp = f"# generated {datetime.now(timezone.utc).isoformat()}"
+def _write_lines(path: Path, lines: list[str]) -> None:
+    """Write ``lines``, one per line."""
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join([stamp, *lines]) + "\n")
+        fh.write("".join(line + "\n" for line in lines))
 
 
 def _cell(value) -> str:
@@ -279,8 +277,8 @@ def _cell(value) -> str:
 
 
 def _write_csv(path: Path, columns, rows) -> None:
-    """Write a stamped CSV: the ``columns`` header, then one line per row."""
-    _write_stamped(path, [",".join(columns), *(",".join(map(_cell, row)) for row in rows)])
+    """Write a CSV: the ``columns`` header, then one line per row."""
+    _write_lines(path, [",".join(columns), *(",".join(map(_cell, row)) for row in rows)])
 
 
 def _columns(record_type) -> list[str]:
@@ -290,7 +288,7 @@ def _columns(record_type) -> list[str]:
 
 def _write_check(path: Path, problems: list[str]) -> None:
     """Write the ``--check`` verdict, PASS or FAIL and the violations; raise on FAIL."""
-    _write_stamped(path, ["FAIL", *problems] if problems else ["PASS"])
+    _write_lines(path, ["FAIL", *problems] if problems else ["PASS"])
     if problems:
         raise CheckFailure("; ".join(problems))
 
@@ -451,7 +449,7 @@ def run_figure(cfg: ExperimentConfig) -> dict:
         )
         all_summaries[base.family] = summaries
         all_timings.extend(timings)
-    _write_stamped(out_dir / f"{cfg.experiment}_timing.txt", all_timings)
+    _write_lines(out_dir / f"{cfg.experiment}_timing.txt", all_timings)
     if cfg.check:
         problems = []
         for name, summaries in all_summaries.items():

@@ -123,6 +123,9 @@ def pointwise_observation(
         raise EnkfError(f"noise_std must be > 0, got {noise_std}")
     if noise_std == math.inf:
         raise EnkfError(f"noise_std must be finite, got {noise_std}")
+    if not (np.finfo(float).tiny <= noise_std * noise_std < math.inf):
+        # Gamma = noise_std^2 I and ||Gamma^-1|| must both be finite
+        raise EnkfError(f"noise_std^2 must be a normal float, got noise_std={noise_std!r}")
     if not (1 <= d_y <= mesh.L):
         raise EnkfError(f"need 1 <= d_y <= L, got d_y={d_y}, L={mesh.L}")
     return ObservationModel(

@@ -52,7 +52,8 @@ class KernelModel:
     lam : float
         Correlation lengthscale, dimensionless on the unit cube; must be > 0.
     nu : float or None
-        Matern smoothness; must lie in (0, 100].  Ignored for the SE family.
+        Matern smoothness; a normal float in (0, 100].  Ignored for the SE
+        family.
 
     Notes
     -----
@@ -75,6 +76,9 @@ class KernelModel:
                 raise KernelError(
                     f"matern smoothness nu must lie in (0, {_MAX_NU:g}], got {self.nu!r}"
                 )
+            if self.nu < np.finfo(float).tiny:
+                # 2^(1-nu) / Gamma(nu) underflows to 0, and the series would make k = 1
+                raise KernelError(f"matern smoothness nu must be a normal float, got {self.nu!r}")
 
 
 def se_kernel(lam: float) -> KernelModel:
@@ -113,7 +117,10 @@ def _matern_unit(z, nu: float):
         elif nu == 1.5:
             out = (1.0 + z) * np.exp(-z)
         else:
-            out = (1.0 + z + z * z / 3.0) * np.exp(-z)
+            # exp(-z) is 0 from z ~ 745 on; capping the polynomial there keeps
+            # z * z from overflowing into inf * 0 = nan at tiny lengthscales
+            zc = np.minimum(z, 746.0)
+            out = (1.0 + zc + zc * zc / 3.0) * np.exp(-z)
     else:
         with np.errstate(invalid="ignore", over="ignore", under="ignore"):
             head = (2.0 ** (1.0 - nu) / special.gamma(nu)) * z**nu
@@ -175,37 +182,36 @@ def half_width(kernel: KernelModel) -> float:
 
 
 def parse_kernel(text: str) -> KernelModel:
-    """Parse a kernel spec string.
+    """Parse a kernel spec string into its unit-lengthscale model (lam = 1).
 
     Accepted forms::
 
-        se:lambda=<float>
-        matern:lambda=<float>,nu=<float>
+        se
+        matern:nu=<float>
 
-    Raises ``KernelError`` naming the offending token on malformed input.
+    Commands step the model to each lengthscale of their ``--lambdas`` grid,
+    so a ``lambda`` token is refused like any other unknown one.  Raises
+    ``KernelError`` naming the offending token on malformed input.
     """
     head, sep, rest = text.strip().partition(":")
     family = head.strip().lower()
     if family not in ("se", "matern"):
         raise KernelError(f"unknown kernel family token {head.strip()!r}")
-    if not sep or not rest.strip():
-        raise KernelError(f"missing parameter list after {family!r}")
-    params: dict[str, float] = {}
-    for token in rest.split(","):
+    nu = None
+    for token in rest.split(",") if sep else ():
         key, eq, value = token.partition("=")
         key = key.strip().lower()
-        if not eq or key not in ("lambda", "nu"):
-            raise KernelError(f"bad kernel parameter token {token.strip()!r}")
+        if not eq or key != "nu":
+            raise KernelError(f"bad kernel parameter token {token.strip()!r}: a spec is 'se' "
+                              "or 'matern:nu=<float>', and --lambdas sets every lengthscale")
         try:
-            params[key] = float(value)
+            nu = float(value)
         except ValueError:
             raise KernelError(f"bad numeric value in token {token.strip()!r}") from None
-    if "lambda" not in params:
-        raise KernelError(f"kernel spec {text!r} is missing 'lambda'")
     if family == "se":
-        if "nu" in params:
+        if nu is not None:
             raise KernelError("token 'nu' is not valid for the se family")
-        return se_kernel(params["lambda"])
-    if "nu" not in params:
+        return se_kernel(1.0)
+    if nu is None:
         raise KernelError(f"kernel spec {text!r} is missing 'nu'")
-    return matern_kernel(params["lambda"], params["nu"])
+    return matern_kernel(1.0, nu)

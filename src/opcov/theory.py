@@ -106,7 +106,11 @@ def sparsity_asymptotic(kernel: KernelModel, q: float, d: int) -> float:
         raise EstimationError(f"q must lie in (0, 1], got {q!r}")
     if d not in SPHERE_AREA:
         raise EstimationError(f"dimension d must be 1, 2 or 3, got {d}")
-    return kernel.lam**d * SPHERE_AREA[d] * _radial_integral(kernel, q, d)
+    try:
+        scale = kernel.lam**d
+    except OverflowError:  # a huge lengthscale: the limit is beyond the float range
+        scale = math.inf
+    return scale * SPHERE_AREA[d] * _radial_integral(kernel, q, d)
 
 
 def operator_norm_asymptotic(kernel: KernelModel, d: int) -> float:

@@ -29,7 +29,7 @@ def report(number: int, ok: bool, detail: str, t0: float) -> bool:
 
 def desk_fig1_summaries(tmp_path, lambdas, trials, m=312, seed=20260314):
     cfg = ExperimentConfig(
-        experiment="custom", kernel="se:lambda=1", d=1, m=m,
+        experiment="custom", kernel="se", d=1, m=m,
         lambda_grid=list(lambdas), c0=5.0, form="simplified",
         trials=trials, master_seed=seed, output_dir=str(tmp_path / "fig1_desk"),
     )

@@ -1,14 +1,19 @@
 import argparse
 import csv
+import itertools
 import math
 import re
 import statistics
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from opcov import cli
 from opcov.cli import (
+    _COMMANDS,
     _SETTINGS,
     ConfigError,
     ExperimentConfig,
@@ -25,16 +30,17 @@ from opcov.cli import (
 from opcov.estimation import SpectralNormError
 
 
+def result_files(out_dir):
+    """Every file of a run's output directory but its wall-clock timing file,
+    by name, as bytes."""
+    return {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())
+            if not path.name.endswith("_timing.txt")}
+
+
 def read_rows(path):
-    """Data rows of a harness CSV, skipping the timestamp comment line."""
-    with open(path) as fh:
-        lines = [l for l in fh.read().splitlines() if not l.startswith("#")]
-    reader = csv.DictReader(lines)
-    return list(reader)
-
-
-def strip_timestamp(path):
-    return "\n".join(l for l in open(path).read().splitlines() if not l.startswith("#"))
+    """Data rows of a harness CSV."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +97,7 @@ def test_config_validation_errors():
 
 def test_custom_single_point_single_row(tmp_path):
     code = main([
-        "custom", "--kernel", "se:lambda=0.2", "--m", "16", "--lambdas", "0.2",
+        "custom", "--kernel", "se", "--m", "16", "--lambdas", "0.2",
         "--trials", "1", "--n-fixed", "4",
         "--c0", "1", "--form", "full", "--seed", "3", "--out", str(tmp_path / "o"),
     ])
@@ -116,7 +122,7 @@ def test_custom_matern_rows_use_the_kernel_smoothness(tmp_path):
     )
 
     seed, lams, trials = 4, [0.3, 0.05], 2
-    assert main(["custom", "--kernel", "matern:lambda=0.1,nu=2.5", "--m", "64", "--c0", "1",
+    assert main(["custom", "--kernel", "matern:nu=2.5", "--m", "64", "--c0", "1",
                  "--lambdas", "0.3,0.05", "--trials", str(trials), "--seed", str(seed),
                  "--out", str(tmp_path / "o")]) == 0
     cfg = ExperimentConfig(experiment="custom", m=64, c0=1.0, lambda_grid=lams)
@@ -137,7 +143,7 @@ def test_custom_matern_rows_use_the_kernel_smoothness(tmp_path):
                 repr(report.rho_hat), repr(report.eps_sample), repr(report.eps_thresh),
                 repr(report.nnz_fraction), repr(report.psd_min_eig), str(trial),
             ]))
-    assert strip_timestamp(tmp_path / "o" / "custom_matern_trials.csv").splitlines() == want
+    assert (tmp_path / "o" / "custom_matern_trials.csv").read_text().splitlines() == want
 
 
 # every CSV's columns, written out independently of the writer
@@ -168,13 +174,33 @@ _TEXT_COLUMNS = {"form": {"full", "simplified"}, "continuity_all_ok": {"True", "
                  "sampler": {"cholesky", "circulant", "kronecker"}}
 
 
+def check_one_cell_rule(path):
+    """Assert that a harness CSV is its header, then rows of well-formed cells:
+    integer and text columns as written out above, every other cell a float
+    written as its shortest round-trip repr."""
+    columns = _CSV_COLUMNS[path.name]
+    header, *rows = path.read_text().splitlines()
+    assert header == ",".join(columns), path.name
+    assert rows
+    for row in rows:
+        cells = row.split(",")
+        assert len(cells) == len(columns)
+        for column, cell in zip(columns, cells):
+            if column in _INT_COLUMNS:
+                assert str(int(cell)) == cell, (path.name, column, cell)
+            elif column in _TEXT_COLUMNS:
+                assert cell in _TEXT_COLUMNS[column], (path.name, column, cell)
+            else:
+                assert repr(float(cell)) == cell, (path.name, column, cell)
+
+
 def test_every_csv_cell_follows_the_one_cell_rule(tmp_path):
     # one small run of each command; every cell outside the integer and text
     # columns is a float written as its shortest round-trip repr
     runs = [
         "fig1 --m 32 --lambdas 0.3,0.1 --trials 2",
         "fig2 --m 8 --lambdas 0.3,0.1 --trials 2",
-        "custom --kernel matern:lambda=0.1,nu=2.5 --m 32 --c0 1 --lambdas 0.3,0.05 --trials 2",
+        "custom --kernel matern:nu=2.5 --m 32 --c0 1 --lambdas 0.3,0.05 --trials 2",
         "enkf-demo --m 32 --lambdas 0.3,0.1 --trials 2 --dy 4",
         "theory --m 32 --lambdas 0.1,0.05 --esup-samples 16",
     ]
@@ -184,31 +210,19 @@ def test_every_csv_cell_follows_the_one_cell_rule(tmp_path):
         assert main(line.split() + ["--out", str(out)]) == 0
         for path in out.glob("*.csv"):
             seen.add(path.name)
-            header, *rows = strip_timestamp(path).splitlines()
-            assert header == ",".join(_CSV_COLUMNS[path.name]), path.name
-            assert rows
-            for row in rows:
-                cells = row.split(",")
-                assert len(cells) == len(_CSV_COLUMNS[path.name])
-                for column, cell in zip(_CSV_COLUMNS[path.name], cells):
-                    if column in _INT_COLUMNS:
-                        assert str(int(cell)) == cell, (path.name, column, cell)
-                    elif column in _TEXT_COLUMNS:
-                        assert cell in _TEXT_COLUMNS[column], (path.name, column, cell)
-                    else:
-                        assert repr(float(cell)) == cell, (path.name, column, cell)
+            check_one_cell_rule(path)
     assert len(seen) == 13  # fig1, fig2: 2 kernels x 2; custom, enkf-demo: 2; theory: 1
 
 
 def test_timing_names_the_sampler(tmp_path):
     # lambda = 0.3 has a negative circulant embedding, lambda = 0.01 does not
-    assert main(["custom", "--kernel", "se:lambda=0.1", "--m", "200", "--lambdas", "0.3,0.01",
+    assert main(["custom", "--kernel", "se", "--m", "200", "--lambdas", "0.3,0.01",
                  "--trials", "1", "--out", str(tmp_path / "o")]) == 0
     rows = read_rows(tmp_path / "o" / "custom_se_summary.csv")
     assert [row["sampler"] for row in rows] == ["cholesky", "circulant"]
     assert all(float(row["jitter"]) >= 0.0 for row in rows)
     # the timing file holds only wall-clock seconds
-    lines = (tmp_path / "o" / "custom_timing.txt").read_text().splitlines()[1:]
+    lines = (tmp_path / "o" / "custom_timing.txt").read_text().splitlines()
     assert len(lines) == 2
     assert all(re.fullmatch(r"custom_se lambda=\S+ setup_s=[0-9.]+ trials_s=[0-9.]+", ln)
                for ln in lines)
@@ -235,7 +249,7 @@ def test_sweep_releases_each_cholesky_factor_before_the_next(tmp_path):
 
 def test_full_form_with_large_c0_rejected():
     code = main([
-        "custom", "--kernel", "se:lambda=0.2", "--m", "16", "--lambdas", "0.2",
+        "custom", "--kernel", "se", "--m", "16", "--lambdas", "0.2",
         "--trials", "1", "--n-fixed", "16",
         "--c0", "5", "--form", "full", "--seed", "3", "--out", "/tmp/never",
     ])
@@ -255,10 +269,18 @@ _BAD_VALUES = {
     "enkf-demo --noise-std 0": "noise_std must be > 0, got 0.0",
     "enkf-demo --noise-std nan": "noise_std must be > 0, got nan",
     "enkf-demo --noise-std inf": "noise_std must be finite, got inf",
+    # Gamma = noise_std^2 I and its inverse must both be finite
+    "enkf-demo --noise-std 1e300": "noise_std^2 must be a normal float, got noise_std=1e+300",
+    "enkf-demo --noise-std 5e-324": "noise_std^2 must be a normal float, got noise_std=5e-324",
     "custom --lambdas inf,0.1": "lambda_grid entries must be finite",
     "theory --lambdas inf,0.1": "lambda_grid entries must be finite",
     "custom --kernel bogus": "unknown kernel family token 'bogus'",
-    "custom --kernel matern:lambda=0.1,nu=150": "nu must lie in (0, 100], got 150.0",
+    "custom --kernel matern:nu=150": "nu must lie in (0, 100], got 150.0",
+    # at subnormal nu, 2^(1-nu) / Gamma(nu) underflows to 0
+    "theory --kernel matern:nu=5e-324": "nu must be a normal float, got 5e-324",
+    # a spec names a family and its shape; --lambdas sets every lengthscale
+    "custom --kernel se:lambda=0.5": "--lambdas sets every lengthscale",
+    "enkf-demo --kernel matern:lambda=1,nu=1.5": "--lambdas sets every lengthscale",
     # one N x L ensemble holds at most MAX_MESH_POINTS**2 values
     "theory --m 32 --esup-samples 1000000000000": "1000000000000 fields on 32 points",
     "custom --m 32 --n-fixed 1000000000000": "1000000000000 fields on 32 points",
@@ -298,7 +320,7 @@ def test_bad_values_are_configuration_errors(line, tmp_path, capsys):
 # one valid value per setting, as flag text (None: a bare switch) and parsed
 _SETTING_VALUES = {
     "master_seed": ("7", 7), "output_dir": ("o", "o"), "lambda_grid": ("0.3,0.1", [0.3, 0.1]),
-    "m": ("16", 16), "d": ("2", 2), "kernel": ("se:lambda=0.5", "se:lambda=0.5"),
+    "m": ("16", 16), "d": ("2", 2), "kernel": ("matern:nu=2.5", "matern:nu=2.5"),
     "trials": ("3", 3), "c0": ("2.5", 2.5), "form": ("full", "full"),
     "n_fixed": ("4", 4), "check": (None, True), "threads": ("2", 2),
     "plot": (None, True), "dy": ("4", 4), "noise_std": ("0.5", 0.5), "q": ("0.3", 0.3),
@@ -370,7 +392,7 @@ def test_bad_flag_exits_one(capsys):
 
 def test_unwritable_output_is_runtime_failure():
     code = main([
-        "custom", "--kernel", "se:lambda=0.2", "--m", "8", "--lambdas", "0.2",
+        "custom", "--kernel", "se", "--m", "8", "--lambdas", "0.2",
         "--trials", "1", "--n-fixed", "2", "--seed", "0",
         "--out", "/proc/opcov_forbidden/x",
     ])
@@ -389,36 +411,32 @@ def test_solver_failure_is_runtime_failure(monkeypatch, capsys, tmp_path):
 
 def test_row_counts_and_rerun_determinism(tmp_path):
     args = [
-        "custom", "--kernel", "se:lambda=0.2", "--m", "24", "--lambdas", "0.3,0.2,0.1",
+        "custom", "--kernel", "se", "--m", "24", "--lambdas", "0.3,0.2,0.1",
         "--trials", "2", "--n-fixed", "5", "--seed", "11",
     ]
     assert main(args + ["--out", str(tmp_path / "a")]) == 0
     assert main(args + ["--out", str(tmp_path / "b")]) == 0
-    a = strip_timestamp(tmp_path / "a" / "custom_se_trials.csv")
-    b = strip_timestamp(tmp_path / "b" / "custom_se_trials.csv")
-    assert a == b
+    a = result_files(tmp_path / "a")
+    assert set(a) == {"custom_se_trials.csv", "custom_se_summary.csv"}
+    assert a == result_files(tmp_path / "b")
     rows = read_rows(tmp_path / "a" / "custom_se_trials.csv")
     assert len(rows) == 6  # 3 lengthscales x 2 trials
-    asum = strip_timestamp(tmp_path / "a" / "custom_se_summary.csv")
-    bsum = strip_timestamp(tmp_path / "b" / "custom_se_summary.csv")
-    assert asum == bsum
 
 
 def test_threaded_run_matches_serial(tmp_path):
     args = [
-        "custom", "--kernel", "se:lambda=0.2", "--m", "24", "--lambdas", "0.2,0.1",
+        "custom", "--kernel", "se", "--m", "24", "--lambdas", "0.2,0.1",
         "--trials", "4", "--n-fixed", "6", "--seed", "5",
     ]
     assert main(args + ["--out", str(tmp_path / "serial")]) == 0
     assert main(args + ["--out", str(tmp_path / "par"), "--threads", "4"]) == 0
-    assert strip_timestamp(tmp_path / "serial" / "custom_se_trials.csv") == \
-        strip_timestamp(tmp_path / "par" / "custom_se_trials.csv")
+    assert result_files(tmp_path / "serial") == result_files(tmp_path / "par")
 
 
 def test_summary_matches_independent_aggregation(tmp_path):
     out = tmp_path / "o"
     assert main([
-        "custom", "--kernel", "se:lambda=0.1", "--m", "32", "--lambdas", "0.2,0.1",
+        "custom", "--kernel", "se", "--m", "32", "--lambdas", "0.2,0.1",
         "--trials", "6", "--n-fixed", "8", "--seed", "2",
         "--out", str(out),
     ]) == 0
@@ -442,7 +460,7 @@ def test_plot_writes_valid_svg(tmp_path):
 
     out = tmp_path / "o"
     assert main([
-        "custom", "--kernel", "se:lambda=0.1", "--m", "16", "--lambdas", "0.4,0.2,0.1",
+        "custom", "--kernel", "se", "--m", "16", "--lambdas", "0.4,0.2,0.1",
         "--trials", "2", "--n-fixed", "4", "--seed", "8",
         "--out", str(out), "--plot",
     ]) == 0
@@ -455,7 +473,7 @@ def test_check_mode_flags_flat_sample_curve(tmp_path):
     # a narrow lengthscale window cannot show the 3x divergence: exit code 3
     out = tmp_path / "o"
     code = main([
-        "custom", "--kernel", "se:lambda=0.3", "--m", "64",
+        "custom", "--kernel", "se", "--m", "64",
         "--lambdas", "0.32,0.3,0.29,0.28,0.27,0.26",
         "--trials", "4", "--seed", "4", "--out", str(out), "--check",
     ])
@@ -467,7 +485,7 @@ def test_check_mode_flags_flat_sample_curve(tmp_path):
 def test_enkf_demo_emits_summary_rows(tmp_path):
     out = tmp_path / "o"
     assert main([
-        "enkf-demo", "--kernel", "se:lambda=1", "--m", "48", "--lambdas", "0.2,0.05",
+        "enkf-demo", "--kernel", "se", "--m", "48", "--lambdas", "0.2,0.05",
         "--trials", "2", "--dy", "4", "--seed", "6", "--out", str(out),
     ]) == 0
     rows = read_rows(out / "enkf_demo_summary.csv")
@@ -484,12 +502,11 @@ def test_enkf_demo_emits_summary_rows(tmp_path):
 
 
 def test_enkf_demo_rerun_identical(tmp_path):
-    args = ["enkf-demo", "--kernel", "se:lambda=1", "--m", "32", "--lambdas", "0.2",
+    args = ["enkf-demo", "--kernel", "se", "--m", "32", "--lambdas", "0.2",
             "--trials", "2", "--dy", "4", "--seed", "9"]
     assert main(args + ["--out", str(tmp_path / "a")]) == 0
     assert main(args + ["--out", str(tmp_path / "b")]) == 0
-    assert strip_timestamp(tmp_path / "a" / "enkf_demo_trials.csv") == \
-        strip_timestamp(tmp_path / "b" / "enkf_demo_trials.csv")
+    assert result_files(tmp_path / "a") == result_files(tmp_path / "b")
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 9, 11])
@@ -511,7 +528,7 @@ def test_enkf_demo_small_ensemble_does_not_fail_by_seed(seed, tmp_path):
 def test_theory_sweep_csv(tmp_path):
     out = tmp_path / "o"
     assert main([
-        "theory", "--kernel", "matern:lambda=1,nu=1.5", "--m", "64",
+        "theory", "--kernel", "matern:nu=1.5", "--m", "64",
         "--lambdas", "0.1,0.05", "--seed", "2", "--out", str(out),
         "--esup-samples", "128", "--q", "0.5",
     ]) == 0
@@ -527,7 +544,7 @@ def test_theory_sweep_csv(tmp_path):
 def test_numpy_logspace_grid_serializes_as_plain_floats(tmp_path):
     # preset grids come from np.logspace; CSVs must carry bare round-trip reprs
     cfg = ExperimentConfig(
-        experiment="custom", kernel="se:lambda=1", m=16,
+        experiment="custom", kernel="se", m=16,
         lambda_grid=list(np.logspace(-0.5, -1.0, 3)),
         n_fixed=3, trials=2, master_seed=1,
         output_dir=str(tmp_path / "o"),
@@ -539,3 +556,117 @@ def test_numpy_logspace_grid_serializes_as_plain_floats(tmp_path):
         for row in read_rows(tmp_path / "o" / name):
             assert float(row["lambda"]) > 0
 
+
+
+@pytest.mark.parametrize("kernel", ["se", "matern:nu=0.5", "matern:nu=1.5", "matern:nu=2.5"])
+def test_tiny_lengthscales_run_with_each_closed_form(kernel, tmp_path):
+    # the truth at a tiny lengthscale is the identity, for every closed form
+    for lam in ("1e-200", repr(sys.float_info.min)):
+        out = tmp_path / lam
+        assert main(["custom", "--kernel", kernel, "--m", "16", "--lambdas", lam,
+                     "--trials", "1", "--out", str(out)]) == 0
+        (row,) = read_rows(out / f"custom_{kernel.partition(':')[0]}_summary.csv")
+        assert math.isfinite(float(row["mean_eps_sample"]))
+
+
+def test_plot_labels_log_axes_that_span_no_power_of_ten(tmp_path):
+    # lambda in [0.2, 0.4] and errors in [0.18, 0.39] hold no power of ten:
+    # each log axis is ticked at its two ends, labelled by value; a single
+    # lengthscale sits mid-axis
+    from opcov._svg import Series, error_plot
+
+    for xs, ys, want_left, want_bottom in (
+        ([0.4, 0.2], [0.18, 0.39], ["0.138462", "0.507"], ["0.2", "0.4"]),  # y: [0.18/1.3, 0.39*1.3]
+        ([0.2], [0.18], ["0.138462", "0.234"], ["0.2"]),
+    ):
+        path = tmp_path / f"{len(xs)}.svg"
+        error_plot(path, [Series(xs, ys, "black", "errors")], "t", "x", "y")
+        svg = path.read_text()
+        assert re.findall(r'text-anchor="end">([^<]*)<', svg) == want_left
+        assert re.findall(r'y="402" text-anchor="middle">([^<]*)<', svg) == want_bottom
+
+
+# ---------------------------------------------------------------------------
+# every command over drawn flag values
+# ---------------------------------------------------------------------------
+
+_HUGE = "10000000000000000000000"
+_LAMBDAS = ("0.3", "0.1", "0.02", "2", "1e300", "1e-200", repr(sys.float_info.min))
+_BAD_LAMBDAS = ("5e-324", "0", "-0.1", "nan", "inf")
+# flag text per setting, as (values a command may accept, values it should
+# refuse): typical values, then zero, negatives, non-finite, subnormal and
+# huge ones, and text that is no number; valid m and trials stay small
+# (m <= 8, trials <= 2), so an accepted run does little work
+_DRAWN = {
+    "master_seed": (("0", "7", str(2**64)), ("-1", "x")),
+    "lambda_grid": (
+        # distinct lengthscales in descending order
+        st.lists(st.sampled_from(_LAMBDAS), min_size=1, max_size=3, unique=True)
+        .map(lambda grid: ",".join(sorted(grid, key=float, reverse=True))),
+        # any order, empty, or with a bad entry
+        st.lists(st.sampled_from(_LAMBDAS + _BAD_LAMBDAS), max_size=3).map(",".join),
+    ),
+    "m": (("2", "3", "5", "8"), ("1", "0", "-1", "nan", _HUGE)),
+    "d": (("1", "2", "3"), ("0", "4", "-1", _HUGE)),
+    "kernel": (("se", "matern:nu=0.5", "matern:nu=1.5", "matern:nu=2.5", "matern:nu=3.7",
+                "matern:nu=100", f"matern:nu={sys.float_info.min!r}"),
+               ("se:lambda=0.1", "matern:lambda=0.1,nu=1.5", "matern", "", "matern:nu=150",
+                "matern:nu=0", "matern:nu=5e-324", "matern:nu=nan")),
+    "trials": (("1", "2"), ("0", "-1", "nan")),
+    "c0": (("1", "2.5", "5", "1e308"), ("0", "-1", "nan", "inf", "-inf", "5e-324")),
+    "form": (("simplified", "full"), ("other",)),
+    "n_fixed": (("0", "1", "2", "3", "1000"), ("-1", str(10**12), _HUGE)),
+    # no huge value: a pool never starts more threads than there are trials,
+    # but a drawn value need not rest on that
+    "threads": (("1", "2"), ("0", "-1")),
+    "dy": (("1", "4", "8", "9"), ("0", "-1", _HUGE)),
+    "noise_std": (("0.5", "1", "1e150", "1e-150"), ("0", "-1", "nan", "inf", "-inf", "1e308",
+                                                   "5e-324")),
+    "q": (("0.5", "0.1", "0.99"), ("0", "1", "-1", "nan", "inf")),
+    "esup_samples": (("2", "16"), ("0", "1", "-1", str(10**12), _HUGE)),
+}
+_RUN_IDS = itertools.count()
+
+
+def _strategy(values):
+    return values if isinstance(values, st.SearchStrategy) else st.sampled_from(values)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(data=st.data())
+def test_every_command_line_ends_in_an_exit_code(data, tmp_path, capsys):
+    command = data.draw(st.sampled_from(_COMMANDS), label="command")
+    keys = [key for key, setting in _SETTINGS.items()
+            if command in setting.commands and key != "output_dir"]
+    valued = [key for key in keys if _SETTINGS[key].parse is not bool]
+    # at most one setting takes a value it should refuse; half the lines none
+    bad = data.draw(st.sampled_from([None] * len(valued) + valued), label="bad")
+    argv = [command]
+    for key in keys:
+        if _SETTINGS[key].parse is bool:
+            if data.draw(st.booleans(), label=key):
+                argv.append(_flag(key))
+            continue
+        good, refused = map(_strategy, _DRAWN[key])
+        if key == bad:
+            value = data.draw(refused, label=key)
+        elif key in ("m", "trials"):  # always set: no preset's desk-scale size runs
+            value = data.draw(good, label=key)
+        else:
+            value = data.draw(st.none() | good, label=key)
+        if value is not None:
+            argv.append(f"{_flag(key)}={value}")
+    out = tmp_path / f"run{next(_RUN_IDS)}"
+    code = main([*argv, "--out", str(out)])
+    assert "Traceback" not in capsys.readouterr().err
+    assert code in (0, 1, 3), argv
+    if code == 3:
+        assert "--check" in argv
+    if code == 1:
+        assert not out.exists()  # refused before any work
+    if code == 0:
+        csvs = list(out.glob("*.csv"))
+        assert csvs
+        for path in csvs:
+            check_one_cell_rule(path)

@@ -99,6 +99,12 @@ def test_model_validation():
     with pytest.raises(KernelError, match="100"):
         KernelModel("matern", 1.0, 100.5)
     KernelModel("matern", 1.0, 100.0)
+    # at subnormal nu, 2^(1-nu) / Gamma(nu) underflows to 0, and the series
+    # near z = 0 would make the whole row 1
+    with pytest.raises(KernelError, match="normal float"):
+        KernelModel("matern", 1.0, 5e-324)
+    row = eval_kernel(KernelModel("matern", 1.0, sys.float_info.min), [0.0, 0.5])
+    assert row[0] == 1.0 and 0.0 < row[1] < 1e-300
 
 
 def test_matern_large_nu_row_has_no_false_zeros():
@@ -223,22 +229,26 @@ def test_half_width_independent_of_lambda():
 
 
 def test_parse_kernel_round_trip():
-    k = parse_kernel("se:lambda=0.25")
-    assert k.family == "se" and k.lam == 0.25
-    k = parse_kernel("matern:lambda=0.1,nu=1.5")
-    assert k.family == "matern" and k.lam == 0.1 and k.nu == 1.5
+    # a spec gives the unit-lengthscale model; commands step it to each lambda
+    assert parse_kernel("se") == se_kernel(1.0)
+    assert parse_kernel("matern:nu=1.5") == matern_kernel(1.0, 1.5)
+    assert parse_kernel(" Matern : NU = 2.5 ") == matern_kernel(1.0, 2.5)
 
 
 @pytest.mark.parametrize(
     "text, token",
     [
         ("gauss:lambda=1", "gauss"),
-        ("se", "parameter list"),
         ("se:lambda=abc", "lambda=abc"),
         ("se:scale=1", "scale=1"),
         ("matern:lambda=1", "nu"),
         ("se:lambda=1,nu=2", "nu"),
-        ("matern:nu=1.5", "lambda"),
+        # a spec carries no lengthscale: --lambdas sets every one
+        ("matern:lambda=0.1,nu=1.5", "--lambdas"),
+        ("se:nu=2", "nu"),
+        ("matern", "missing 'nu'"),
+        ("matern:nu=x", "nu=x"),
+        ("se:", "''"),
     ],
 )
 def test_parse_kernel_errors_name_offending_token(text, token):
@@ -249,3 +259,12 @@ def test_parse_kernel_errors_name_offending_token(text, token):
 def test_underflow_returns_zero():
     # deep tail of a tiny-lengthscale kernel underflows to exactly 0
     assert eval_kernel(se_kernel(1e-4), 1.0) == 0.0
+
+
+@pytest.mark.parametrize("lam", [1e-200, sys.float_info.min])
+def test_closed_forms_are_finite_at_tiny_lengthscales(lam):
+    # z = sqrt(2 nu) r / lam passes 1.3e154 here, where nu = 5/2's z * z / 3
+    # overflows; the true value there is 0
+    r = [0.0, 1e-3, 0.5, math.sqrt(3.0)]
+    for kernel in (se_kernel(lam), *(matern_kernel(lam, nu) for nu in (0.5, 1.5, 2.5))):
+        assert eval_kernel(kernel, r).tolist() == [1.0, 0.0, 0.0, 0.0], kernel

@@ -91,6 +91,14 @@ def test_sparsity_asymptotic_closed_forms():
     )
 
 
+def test_sparsity_asymptotic_of_a_huge_lengthscale_is_inf():
+    # lam^d is beyond the float range
+    assert sparsity_asymptotic(se_kernel(1e300), 0.5, 2) == math.inf
+    assert sparsity_asymptotic(se_kernel(1e300), 0.5, 1) == pytest.approx(
+        1e300 * 2 * math.sqrt(math.pi), rel=1e-8
+    )
+
+
 def test_operator_norm_asymptotic_closed_forms():
     lam = 0.02
     assert operator_norm_asymptotic(se_kernel(lam), 1) == pytest.approx(
