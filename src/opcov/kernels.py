@@ -112,14 +112,14 @@ def _matern_unit(z, nu: float):
     """
     z = np.asarray(z, dtype=float)
     if nu in _HALF_INTEGER_NU:
+        # exp(-z) is 0 from z ~ 745 on; capping the polynomials there keeps
+        # them from overflowing into inf * 0 = nan at tiny lengthscales
+        zc = np.minimum(z, 746.0)
         if nu == 0.5:
             out = np.exp(-z)
         elif nu == 1.5:
-            out = (1.0 + z) * np.exp(-z)
+            out = (1.0 + zc) * np.exp(-z)
         else:
-            # exp(-z) is 0 from z ~ 745 on; capping the polynomial there keeps
-            # z * z from overflowing into inf * 0 = nan at tiny lengthscales
-            zc = np.minimum(z, 746.0)
             out = (1.0 + zc + zc * zc / 3.0) * np.exp(-z)
     else:
         with np.errstate(invalid="ignore", over="ignore", under="ignore"):
@@ -129,7 +129,8 @@ def _matern_unit(z, nu: float):
         # at large z, kv underflows to 0 and head may overflow: 0 * inf is nan
         out = np.nan_to_num(out, nan=0.0, posinf=0.0, neginf=0.0)
         near = (head < np.finfo(float).tiny) | np.isinf(bessel)
-        out = np.where(near, _matern_series(z, nu), out)
+        # the series is read only where near; elsewhere it is taken at z = 0
+        out = np.where(near, _matern_series(np.where(near, z, 0.0), nu), out)
     return out if out.ndim else float(out)
 
 
@@ -145,11 +146,16 @@ def eval_kernel(kernel: KernelModel, r):
         raise KernelError("separation r must be finite")
     if np.any(arr < 0):
         raise KernelError("separation r must be nonnegative")
+    # t and z overflow to inf only where the kernel is already 0
     if kernel.family == "se":
-        t = arr / kernel.lam
-        out = np.exp(-0.5 * t * t)
+        with np.errstate(over="ignore"):
+            t = arr / kernel.lam
+            out = np.exp(-0.5 * t * t)
     else:
-        z = (math.sqrt(2.0 * kernel.nu) / kernel.lam) * arr
+        scale = math.sqrt(2.0 * kernel.nu) / kernel.lam
+        with np.errstate(over="ignore"):
+            # an infinite scale (nu > 8 at the smallest lengthscales) keeps z(0) = 0
+            z = scale * arr if math.isfinite(scale) else np.where(arr > 0.0, math.inf, 0.0)
         out = _matern_unit(z, kernel.nu)
     return out if np.ndim(r) else float(out)
 

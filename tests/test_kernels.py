@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -268,3 +269,17 @@ def test_closed_forms_are_finite_at_tiny_lengthscales(lam):
     r = [0.0, 1e-3, 0.5, math.sqrt(3.0)]
     for kernel in (se_kernel(lam), *(matern_kernel(lam, nu) for nu in (0.5, 1.5, 2.5))):
         assert eval_kernel(kernel, r).tolist() == [1.0, 0.0, 0.0, 0.0], kernel
+
+
+@pytest.mark.parametrize("lam", [1e-200, sys.float_info.min])
+def test_tiny_lengthscales_evaluate_without_warnings(lam):
+    # t * t, z and the near-zero series overflow only where the value is 0;
+    # at the smallest lengthscale sqrt(2 nu) / lam is inf from nu ~ 8 on, and
+    # k(0) stays 1 there
+    r = [0.0, 1e-3, 0.5, math.sqrt(3.0), 40.0]
+    kernels = (se_kernel(lam), *(matern_kernel(lam, nu) for nu in (0.5, 1.5, 2.5, 3.7, 10.3, 100.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kernel in kernels:
+            assert eval_kernel(kernel, r).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0], kernel
+            assert eval_kernel(kernel, 0.0) == 1.0, kernel

@@ -1,5 +1,8 @@
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +43,15 @@ def test_every_exported_name_is_reached(module):
     found = _names_in_code()
     unreached = [name for name in importlib.import_module(module).__all__ if name not in found]
     assert not unreached, f"{module}.__all__ names {unreached} that no library or benchmark code uses"
+
+
+def test_import_loads_no_integrate_optimize_or_spatial():
+    # the library needs scipy.linalg, .sparse and .special only; scipy.integrate
+    # alone would pull in optimize, fft, spatial and constants
+    code = ("import opcov, opcov.cli, sys; print(sorted(m for m in sys.modules if "
+            "m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'optimize'], "
+            "['scipy', 'spatial'])))")
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.strip() == "[]"

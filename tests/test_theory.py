@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from _helpers import make_ensemble, make_mesh, supnorm_errors, threshold_ratios
 from opcov.estimation import EstimationError, ThresholdRule, sample_covariance
@@ -121,6 +122,27 @@ def test_matern_radial_integral_against_doubled_resolution_oracle():
     assert operator_norm_asymptotic(kernel, 1) == pytest.approx(
         2.0 * 2.0 / math.sqrt(3.0), rel=1e-10
     )
+
+
+@pytest.mark.parametrize("kernel", [se_kernel(1.0), *(matern_kernel(1.0, nu) for nu in (
+    0.5, 0.7, 1.2, 1.5, 2.5, 3.7, 10.3, 50.5, 100.0))], ids=lambda k: f"{k.family}-{k.nu}")
+def test_radial_rule_matches_adaptive_quadrature(kernel):
+    sphere = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
+    for q in (0.1, 0.25, 0.5, 0.9, 1.0):
+        for d in (1, 2, 3):
+            integral, _ = quad(lambda r: eval_kernel(kernel, r) ** q * r ** (d - 1), 0.0, np.inf,
+                               epsabs=0.0, epsrel=1e-12, limit=1000)
+            got = sparsity_asymptotic(kernel, q, d)
+            assert got == pytest.approx(sphere[d] * integral, rel=1e-11), (q, d)
+
+
+def test_radial_rule_raises_when_its_orders_disagree(monkeypatch):
+    # a step at r = 0.3 falls inside the panel [0.25, 0.5], where the order-16
+    # and order-32 sums differ far beyond the self-check's 1e-8
+    monkeypatch.setattr("opcov.theory.eval_kernel",
+                        lambda kernel, r: np.where(np.asarray(r) < 0.3, 1.0, 0.0))
+    with pytest.raises(EstimationError, match=r"did not reach epsrel=1e-10 \(estimated"):
+        sparsity_asymptotic(se_kernel(0.1), 0.5, 1)
 
 
 def cq_constant(kernel, q, d):
