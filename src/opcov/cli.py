@@ -26,11 +26,12 @@ Exit codes: 0 success, 1 configuration error, 2 runtime failure,
 from __future__ import annotations
 
 import argparse
+import copy
 import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -40,7 +41,6 @@ from . import enkf as enkf_mod
 from ._svg import Series, error_plot
 from .estimation import (
     EstimationError,
-    EstimatorReport,
     SpectralNormError,
     ThresholdRule,
     estimate_and_report,
@@ -57,15 +57,12 @@ from .sampling import (
     factorize,
     sample_ensemble,
 )
-from .theory import ScalingReport, _check_draws, _check_q, scaling_report
+from .theory import _check_draws, _check_q, scaling_report
 
 __all__ = [
     "ConfigError",
     "CheckFailure",
     "ExperimentConfig",
-    "fig1_config",
-    "fig2_config",
-    "enkf_demo_config",
     "sample_size",
     "run_figure",
     "run_enkf_demo",
@@ -163,33 +160,15 @@ class ExperimentConfig:
                     raise ConfigError(f"{exc} at lambda={lam!r}") from None
 
 
-def fig1_config(**overrides) -> ExperimentConfig:
-    """d=1 reference setup: 1250-point mesh, 30 lengthscales in [1e-3, 1e-0.1]."""
-    cfg = ExperimentConfig(
-        experiment="fig1", d=1, m=1250,
-        lambda_grid=list(np.logspace(-0.1, -3.0, 30)),
-        c0=5.0, form="simplified", trials=100,
-    )
-    return replace(cfg, **overrides)
-
-
-def fig2_config(**overrides) -> ExperimentConfig:
-    """d=2 reference setup: 100x100 mesh, 10 lengthscales in [1e-2.3, 1e-0.1]."""
-    cfg = ExperimentConfig(
-        experiment="fig2", d=2, m=100,
-        lambda_grid=list(np.logspace(-0.1, -2.3, 10)),
-        c0=5.0, form="simplified", trials=30,
-    )
-    return replace(cfg, **overrides)
-
-
-def enkf_demo_config(**overrides) -> ExperimentConfig:
-    cfg = ExperimentConfig(
-        experiment="enkf-demo", d=1, m=1250,
-        lambda_grid=list(np.logspace(-1.0, -3.0, 5)),
-        c0=5.0, form="simplified", trials=20,
-    )
-    return replace(cfg, **overrides)
+# Each command's preset: the ExperimentConfig fields it sets other than to
+# the defaults.  A command not listed starts from the defaults.
+_PRESETS = {
+    # d=1 reference setup: 1250-point mesh, 30 lengthscales in [1e-3, 1e-0.1]
+    "fig1": {"m": 1250, "lambda_grid": list(np.logspace(-0.1, -3.0, 30)), "trials": 100},
+    # d=2 reference setup: 100x100 mesh, 10 lengthscales in [1e-2.3, 1e-0.1]
+    "fig2": {"d": 2, "m": 100, "lambda_grid": list(np.logspace(-0.1, -2.3, 10)), "trials": 30},
+    "enkf-demo": {"m": 1250, "lambda_grid": list(np.logspace(-1.0, -3.0, 5)), "trials": 20},
+}
 
 
 def sample_size(lam: float, cfg: ExperimentConfig) -> int:
@@ -276,14 +255,15 @@ def _cell(value) -> str:
     return repr(float(value))
 
 
-def _write_csv(path: Path, columns, rows) -> None:
-    """Write a CSV: the ``columns`` header, then one line per row."""
-    _write_lines(path, [",".join(columns), *(",".join(map(_cell, row)) for row in rows)])
+def _write_csv(path: Path, rows: list[dict]) -> None:
+    """Write a CSV: the first row's keys as the header, then one line per row."""
+    _write_lines(path, [",".join(rows[0]), *(",".join(map(_cell, row.values())) for row in rows)])
 
 
-def _columns(record_type) -> list[str]:
-    """CSV column names of a dataclass: its field names, ``lam`` written ``lambda``."""
-    return ["lambda" if f.name == "lam" else f.name for f in fields(record_type)]
+def _row(record) -> dict:
+    """A dataclass record as a CSV row: its fields in order, ``lam`` written ``lambda``."""
+    return {"lambda" if f.name == "lam" else f.name: getattr(record, f.name)
+            for f in fields(record)}
 
 
 def _write_check(path: Path, problems: list[str]) -> None:
@@ -321,10 +301,6 @@ class LambdaSummary:
     jitter: float  # CovFactor.jitter
 
 
-_TRIAL_COLUMNS = ("seed", "d", "m", "lambda", "N", "c0", "form",
-                  *_columns(EstimatorReport), "trial")
-
-
 def _lengthscale_trials(cfg: ExperimentConfig, mesh: Mesh, rule: ThresholdRule,
                         kernel: KernelModel, N: int, kernel_idx: int, lam_idx: int):
     """Set up one lengthscale and run its trials.
@@ -346,11 +322,8 @@ def _lengthscale_trials(cfg: ExperimentConfig, mesh: Mesh, rule: ThresholdRule,
         report = estimate_and_report(ens, cov, rule, seed=seed, truth_norm=truth_norm)
         return report, seed, time.perf_counter() - t0
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(one_trial, range(cfg.trials)))
-    else:
-        results = [one_trial(t) for t in range(cfg.trials)]
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        results = list(pool.map(one_trial, range(cfg.trials)))
     return results, setup_s, factor.sampler, factor.jitter
 
 
@@ -359,7 +332,7 @@ def _run_kernel_sweep(cfg: ExperimentConfig, kernel_idx: int, base: KernelModel,
     """All (lambda, trial) cells for one kernel family; returns summaries."""
     mesh = build_mesh(cfg.d, cfg.m)
     rule = ThresholdRule(c0=cfg.c0, form=cfg.form)
-    trial_rows: list[tuple] = []
+    trial_rows: list[dict] = []
     summaries: list[LambdaSummary] = []
     timings: list[str] = []
     for lam_idx, lam in enumerate(cfg.lambda_grid):
@@ -370,7 +343,8 @@ def _run_kernel_sweep(cfg: ExperimentConfig, kernel_idx: int, base: KernelModel,
         eps_s = np.array([r.eps_sample for r, _, _ in results])
         eps_t = np.array([r.eps_thresh for r, _, _ in results])
         trial_rows.extend(
-            (seed, cfg.d, cfg.m, lam, N, float(rule.c0), rule.form, *astuple(report), trial)
+            {"seed": seed, "d": cfg.d, "m": cfg.m, "lambda": lam, "N": N, "c0": float(rule.c0),
+             "form": rule.form, **_row(report), "trial": trial}
             for trial, (report, seed, _) in enumerate(results)
         )
         def ci95(x):
@@ -388,9 +362,8 @@ def _run_kernel_sweep(cfg: ExperimentConfig, kernel_idx: int, base: KernelModel,
         trial_s = sum(dt for _, _, dt in results)
         timings.append(f"{name_prefix} lambda={lam!r} setup_s={setup_s:.3f} trials_s={trial_s:.3f}")
 
-    _write_csv(out_dir / f"{name_prefix}_trials.csv", _TRIAL_COLUMNS, trial_rows)
-    _write_csv(out_dir / f"{name_prefix}_summary.csv", _columns(LambdaSummary),
-               map(astuple, summaries))
+    _write_csv(out_dir / f"{name_prefix}_trials.csv", trial_rows)
+    _write_csv(out_dir / f"{name_prefix}_summary.csv", [_row(s) for s in summaries])
     if cfg.plot:
         lams = [s.lam for s in summaries]
         error_plot(
@@ -472,7 +445,7 @@ def run_enkf_demo(cfg: ExperimentConfig) -> list[dict]:
     obs = enkf_mod.pointwise_observation(mesh, cfg.dy, cfg.noise_std)
     rule = ThresholdRule(c0=cfg.c0, form=cfg.form)
     base = parse_kernel(cfg.kernel)
-    rows: list[tuple] = []
+    rows: list[dict] = []
     summary_rows: list[dict] = []
     for lam_idx, lam in enumerate(cfg.lambda_grid):
         kernel = KernelModel(base.family, lam, base.nu)
@@ -482,8 +455,9 @@ def run_enkf_demo(cfg: ExperimentConfig) -> list[dict]:
             kernel, mesh, obs, N, rule, cfg.trials, seed
         )
         rows.extend(
-            (seed, t, n, comp.disc_vanilla[n], comp.disc_localized[n],
-             comp.innovation_norms[n], comp.c_consts[n])
+            {"seed": seed, "trial": t, "n": n, "disc_vanilla": comp.disc_vanilla[n],
+             "disc_localized": comp.disc_localized[n],
+             "innovation_norm": comp.innovation_norms[n], "c_const": comp.c_consts[n]}
             for t, comp in enumerate(summary.trials) for n in range(comp.disc_vanilla.size)
         )
         # one summary row; its keys, in this order, are the CSV columns
@@ -500,10 +474,8 @@ def run_enkf_demo(cfg: ExperimentConfig) -> list[dict]:
             "continuity_full_solves": summary.continuity_full_solves,
             "continuity_min_margin": summary.continuity_min_margin,
         })
-    _write_csv(out_dir / "enkf_demo_trials.csv", ("seed", "trial", "n", "disc_vanilla",
-               "disc_localized", "innovation_norm", "c_const"), rows)
-    _write_csv(out_dir / "enkf_demo_summary.csv", summary_rows[0],
-               (record.values() for record in summary_rows))
+    _write_csv(out_dir / "enkf_demo_trials.csv", rows)
+    _write_csv(out_dir / "enkf_demo_summary.csv", summary_rows)
     if cfg.check:
         smallest = summary_rows[-1]
         problems = []
@@ -532,7 +504,7 @@ def run_theory(cfg: ExperimentConfig) -> list:
             kernel, mesh, cfg.q, cfg.esup_samples,
             derive_seed(cfg.master_seed, 0x7E, lam_idx),
         ))
-    _write_csv(out_dir / "theory_sweep.csv", _columns(ScalingReport), map(astuple, reports))
+    _write_csv(out_dir / "theory_sweep.csv", [_row(r) for r in reports])
     return reports
 
 
@@ -563,9 +535,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_PRESETS = {"fig1": fig1_config, "fig2": fig2_config, "enkf-demo": enkf_demo_config}
-
-
 def _config_from_argv(argv) -> ExperimentConfig:
     """The configuration a command line asks for: the command's preset, then its flags."""
     args, unread = _build_parser().parse_known_args(argv)
@@ -573,8 +542,9 @@ def _config_from_argv(argv) -> ExperimentConfig:
     command = values.pop("command")
     if unread:
         raise ConfigError(f"{command} does not read {' '.join(unread)}")
-    cfg = _PRESETS.get(command, lambda: ExperimentConfig(experiment=command))()
-    return replace(cfg, **values)
+    # a copy, so that no two configs share a preset's lambda_grid
+    preset = copy.deepcopy(_PRESETS.get(command, {}))
+    return ExperimentConfig(experiment=command, **{**preset, **values})
 
 
 def main(argv=None) -> int:

@@ -37,12 +37,13 @@ v -> (F^T (F v) - u_n (u_n . v)) / (N - 1) - C v over the whole ensemble F.
 
 The continuity check needs ||loo - C|| only through a bound that increases
 with it, so a lower bound that already satisfies the inequality settles the
-particle.  Each particle first applies loo - C once, to a Gaussian v drawn
-from its own substream; ||(loo - C) v|| / ||v|| <= ||loo - C||, and a gain
-difference within the bound at that value (with no tolerance slack) passes.
-Only a particle this certificate cannot pass runs the ARPACK solve, and that
-solve's Ritz value decides it with the 1e-6 relative slack that covers the
-solver tolerance, so the flag is the one the full solve alone would give.
+particle.  ||(loo - C) v|| / ||v|| <= ||loo - C|| for any nonzero v, so one
+Gaussian probe v per trial serves every particle, with F^T (F v) and C v
+formed once; a gain difference within the bound at the particle's ratio
+(with no tolerance slack) passes.  Only a particle this certificate cannot
+pass runs the ARPACK solve, and that solve's Ritz value decides it with the
+1e-6 relative slack that covers the solver tolerance, so the flag is the one
+the full solve alone would give.
 """
 
 from __future__ import annotations
@@ -195,15 +196,15 @@ def gain_continuity_bound(delta_norm: float, cov_norm: float, obs: ObservationMo
     return delta_norm * a * g * (1.0 + cov_norm * a * a * g)
 
 
-def _norm_lower_bound(op: LinearOperator, rng: np.random.Generator) -> float:
-    """||op v|| / ||v|| for one standard Gaussian v from ``rng``: a lower bound on ||op||.
+def _probe_lower_bound(u: np.ndarray, N: int, v: np.ndarray, gram_v: np.ndarray,
+                       cov_v: np.ndarray) -> float:
+    """||(loo - C) v|| / ||v||, a lower bound on ||loo - C|| for loo without
+    particle ``u`` of the N in F, from gram_v = F^T (F v) and cov_v = C v.
 
     :func:`gain_continuity_bound` increases with the perturbation norm, so a
-    gain difference within the bound at this value is within it at ||op||,
-    and the continuity check needs no eigensolve for that particle.
+    gain difference within the bound at this value is within it at ||loo - C||.
     """
-    v = rng.standard_normal(op.shape[1])
-    return float(np.linalg.norm(op.matvec(v)) / np.linalg.norm(v))
+    return float(np.linalg.norm((gram_v - u * (u @ v)) / (N - 1) - cov_v) / np.linalg.norm(v))
 
 
 def gain_operator_norm(gain: np.ndarray, mesh_weight: float) -> float:
@@ -229,7 +230,7 @@ class AnalysisComparison:
     ``zero_localized`` counts those whose thresholded leave-one-out columns at
     the sites were all zero, so that their localized gain is the zero gain.
     ``continuity_full_solves`` counts the particles whose continuity check the
-    one-matvec certificate could not pass, so it took the ARPACK norm;
+    trial's one-probe certificate could not pass, so it took the ARPACK norm;
     ``continuity_min_margin`` is the smallest bound / actual over the
     certified particles (inf when none was certified).
     """
@@ -333,6 +334,10 @@ def compare_analysis_updates(
         zero_localized = 0
         full_solves = 0
         min_margin = math.inf
+        # one probe for every particle's continuity certificate
+        v = substream(seed, t, 2).standard_normal(mesh.L)
+        gram_v = F.T @ (F @ v)
+        cov_v = cov_matvec(v)
         for n, loo, loo_thresh, _rho in loo_covariances(ens, rule, obs.sites):
             u = F[n]
             innov = y - u[obs.sites] - etas[n]
@@ -345,20 +350,19 @@ def compare_analysis_updates(
             disc_l[n] = state_norm((gain_l - gain_true) @ innov, w)
             innov_norms[n] = float(np.linalg.norm(innov))
             c_consts[n] = obs.a_op_norm * obs.gamma_inv_norm * cov_op_norm * innov_norms[n]
-            loo_minus_cov = LinearOperator(
-                (mesh.L, mesh.L),
-                matvec=lambda v: (F.T @ (F @ v) - u * (u @ v)) / (N - 1) - cov_matvec(v),
-                dtype=float,
-            )
             actual = gain_operator_norm(delta_v, w)
             certified = gain_continuity_bound(
-                w * _norm_lower_bound(loo_minus_cov, substream(seed, t, 2, n)),
-                cov_op_norm, obs,
+                w * _probe_lower_bound(u, N, v, gram_v, cov_v), cov_op_norm, obs
             )
             if actual <= certified:
                 min_margin = min(min_margin, certified / actual if actual else math.inf)
             else:
                 full_solves += 1
+                loo_minus_cov = LinearOperator(
+                    (mesh.L, mesh.L),
+                    matvec=lambda x: (F.T @ (F @ x) - u * (u @ x)) / (N - 1) - cov_matvec(x),
+                    dtype=float,
+                )
                 delta = w * spectral_norm(
                     loo_minus_cov, seed=derive_seed(seed, t, 2, n), tol=_NORM_TOL
                 )

@@ -112,17 +112,23 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class Mesh:
-    """Uniform cell-centered grid on [0,1]^d.
+    """Uniform cell-centered grid on [0,1]^d with m points per axis.
 
-    coords has shape (L, d) with L = m**d points ordered lexicographically by
-    axis (first axis varies slowest); weight = 1/L is the volume per cell.
+    The L = m**d points, at (i + 0.5) / m on each axis, are ordered
+    lexicographically by axis (first axis varies slowest); weight = 1/L is
+    the volume per cell.
     """
 
     d: int
     m: int
-    L: int
-    coords: np.ndarray
-    weight: float
+
+    @property
+    def L(self) -> int:
+        return self.m**self.d
+
+    @property
+    def weight(self) -> float:
+        return 1.0 / self.L
 
 
 def _toeplitz_gather(row: np.ndarray, mesh: Mesh, cols=None) -> np.ndarray:
@@ -244,10 +250,7 @@ def build_mesh(d: int, m: int) -> Mesh:
         raise SamplingError(
             f"mesh of {L} points exceeds the dense-storage limit {MAX_MESH_POINTS}"
         )
-    axis = (np.arange(m) + 0.5) / m
-    grids = np.meshgrid(*([axis] * d), indexing="ij")
-    coords = np.stack([g.ravel() for g in grids], axis=-1)
-    return Mesh(d=d, m=m, L=L, coords=coords, weight=1.0 / L)
+    return Mesh(d=d, m=m)
 
 
 def covariance_matrix(kernel: KernelModel, mesh: Mesh) -> CovMatrix:
@@ -256,7 +259,9 @@ def covariance_matrix(kernel: KernelModel, mesh: Mesh) -> CovMatrix:
     Records the first row, k of the distances from point 0, with a unit
     diagonal entry; every other entry is that row at |i - j| per axis.
     """
-    row = eval_kernel(kernel, np.sqrt(np.sum((mesh.coords - mesh.coords[0]) ** 2, axis=1)))
+    axis = (np.arange(mesh.m) + 0.5) / mesh.m
+    grids = np.meshgrid(*([axis - axis[0]] * mesh.d), indexing="ij")
+    row = eval_kernel(kernel, np.sqrt(sum(g * g for g in grids)).ravel())
     row[0] = 1.0
     return CovMatrix(mesh=mesh, kernel=kernel, row=row)
 

@@ -17,15 +17,15 @@ from opcov.sampling import (
 from opcov.theory import expected_supremum_mc
 
 
-def make_mesh(L: int, weight: float | None = None) -> Mesh:
-    coords = ((np.arange(L) + 0.5) / L)[:, None]
-    return Mesh(d=1, m=L, L=L, coords=coords, weight=1.0 / L if weight is None else weight)
+def make_mesh(L: int) -> Mesh:
+    """A d = 1 mesh of any size, one point included (build_mesh asks m >= 2)."""
+    return Mesh(d=1, m=L)
 
 
-def make_ensemble(fields, weight: float | None = None) -> Ensemble:
+def make_ensemble(fields) -> Ensemble:
     fields = np.atleast_2d(np.asarray(fields, dtype=float))
     N, L = fields.shape
-    mesh = make_mesh(L, weight)
+    mesh = make_mesh(L)
     return Ensemble(mesh=mesh, N=N, fields=fields, sups=fields.max(axis=1))
 
 

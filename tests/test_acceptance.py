@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from _helpers import spectral_norm_dense, supnorm_errors, threshold_ratios
-from opcov.cli import ExperimentConfig, fig1_config, run_figure
+from opcov.cli import ExperimentConfig, _config_from_argv, run_figure
 from opcov.enkf import pointwise_observation, compare_analysis_updates
 from opcov.estimation import ThresholdRule, _SMALL, estimate_and_report, spectral_norm
 from opcov.kernels import se_kernel
@@ -257,8 +257,8 @@ def test_criterion_12_full_scale_figure1(tmp_path):
     """Full 30-lengthscale, 100-trial reference run reproduces criteria 1-2."""
     t0 = time.perf_counter()
     threads = int(os.environ.get("OPCOV_THREADS", "1"))
-    cfg = fig1_config(output_dir=str(tmp_path / "fig1"), master_seed=12,
-                      threads=threads, plot=True)
+    cfg = _config_from_argv(["fig1", "--out", str(tmp_path / "fig1"), "--seed", "12",
+                             "--threads", str(threads), "--plot"])
     summaries = run_figure(cfg)
     elapsed = time.perf_counter() - t0
     problems = []

@@ -20,9 +20,6 @@ from opcov.cli import (
     _build_parser,
     _config_from_argv,
     _flag,
-    enkf_demo_config,
-    fig1_config,
-    fig2_config,
     main,
     run_figure,
     sample_size,
@@ -49,25 +46,27 @@ def read_rows(path):
 
 
 def test_sample_size_reference_values():
-    cfg = fig1_config()
+    cfg = _config_from_argv(["fig1"])
     assert sample_size(1e-3, cfg) == 35  # ceil(5 ln 1000)
     assert sample_size(10**-0.1, cfg) == 2  # floored at 2
-    cfg2 = fig2_config()
+    cfg2 = _config_from_argv(["fig2"])
     assert sample_size(10**-2.3, cfg2) == 53  # ceil(5 ln(lambda^-2))
 
 
 def test_sample_size_overrides():
-    cfg = fig1_config(n_fixed=100)
+    cfg = _config_from_argv(["fig1", "--n-fixed", "100"])
     assert sample_size(1e-3, cfg) == 100
 
 
 def test_fig_grids():
-    cfg1 = fig1_config()
+    cfg1 = _config_from_argv(["fig1"])
     assert len(cfg1.lambda_grid) == 30
     assert cfg1.lambda_grid[0] == pytest.approx(10**-0.1)
     assert cfg1.lambda_grid[-1] == pytest.approx(1e-3)
     assert cfg1.trials == 100 and cfg1.m == 1250 and cfg1.d == 1
-    cfg2 = fig2_config()
+    # validate() rewrites lambda_grid in place, so each config holds its own
+    assert cfg1.lambda_grid is not _config_from_argv(["fig1"]).lambda_grid
+    cfg2 = _config_from_argv(["fig2"])
     assert len(cfg2.lambda_grid) == 10
     assert cfg2.m == 100 and cfg2.d == 2 and cfg2.trials == 30
     assert cfg2.lambda_grid[-1] == pytest.approx(10**-2.3)
@@ -235,7 +234,8 @@ def test_sweep_releases_each_cholesky_factor_before_the_next(tmp_path):
     # previous factor as well would reach three L x L arrays
     import tracemalloc
 
-    cfg = fig2_config(m=24, lambda_grid=[0.8, 0.5], trials=1, output_dir=str(tmp_path))
+    cfg = _config_from_argv(["fig2", "--m", "24", "--lambdas", "0.8,0.5", "--trials", "1",
+                             "--out", str(tmp_path)])
     tracemalloc.start()
     try:
         run_figure(cfg)
@@ -340,7 +340,12 @@ _READS = {
 }
 
 
-_PRESETS = {"fig1": fig1_config(), "fig2": fig2_config(), "enkf-demo": enkf_demo_config(),
+_PRESETS = {"fig1": ExperimentConfig(experiment="fig1", m=1250, trials=100,
+                                     lambda_grid=list(np.logspace(-0.1, -3.0, 30))),
+            "fig2": ExperimentConfig(experiment="fig2", d=2, m=100, trials=30,
+                                     lambda_grid=list(np.logspace(-0.1, -2.3, 10))),
+            "enkf-demo": ExperimentConfig(experiment="enkf-demo", m=1250, trials=20,
+                                          lambda_grid=list(np.logspace(-1.0, -3.0, 5))),
             "custom": ExperimentConfig(experiment="custom"),
             "theory": ExperimentConfig(experiment="theory")}
 
@@ -491,12 +496,13 @@ def test_enkf_demo_emits_summary_rows(tmp_path):
     rows = read_rows(out / "enkf_demo_summary.csv")
     assert len(rows) == 2
     trials = read_rows(out / "enkf_demo_trials.csv")
-    n_small = sample_size(0.2, enkf_demo_config(m=48))
-    n_large = sample_size(0.05, enkf_demo_config(m=48))
+    cfg = _config_from_argv(["enkf-demo", "--m", "48"])
+    n_small = sample_size(0.2, cfg)
+    n_large = sample_size(0.05, cfg)
     assert len(trials) == 2 * (n_small + n_large)
     assert [row["lambda"] for row in rows] == ["0.2", "0.05"]
     for row in rows:
-        # the one-matvec certificate passes every particle of this run
+        # the one-probe certificate passes every particle of this run
         assert row["continuity_full_solves"] == "0"
         assert 1.0 <= float(row["continuity_min_margin"]) < math.inf
 

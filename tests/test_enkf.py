@@ -311,7 +311,7 @@ def _dense_comparison(kernel, mesh, obs, N, rule, trials, seed):
     thresholded whole, gains from the full C A^T, exact ||loo - C||.
 
     Per trial: disc_vanilla, disc_localized, innovation norms, ||loo - C||,
-    ||(loo - C) v|| / ||v|| for the particle's Gaussian v, the gain
+    ||(loo - C) v|| / ||v|| for the trial's one Gaussian probe v, the gain
     differences ||gain_v - gain_true||, the continuity flag and the number
     of particles whose thresholded columns at the sites are all zero."""
     cov = covariance_matrix(kernel, mesh)
@@ -330,6 +330,7 @@ def _dense_comparison(kernel, mesh, obs, N, rule, trials, seed):
         y = A @ u_truth + gamma_lower @ rng.standard_normal(obs.d_y)
         etas = rng.standard_normal((N, obs.d_y)) @ gamma_lower.T
         S = ens.fields.T @ ens.fields
+        v = substream(seed, t, 2).standard_normal(mesh.L)
         disc_v, disc_l, innov_norms, deltas, along_v, actuals, ok = [], [], [], [], [], [], True
         zero = 0
         for n in range(N):
@@ -346,7 +347,6 @@ def _dense_comparison(kernel, mesh, obs, N, rule, trials, seed):
             disc_l.append(state_norm(u + gain_l @ innov - v_star, w))
             innov_norms.append(np.linalg.norm(innov))
             deltas.append(spectral_norm_dense(loo - C))
-            v = substream(seed, t, 2, n).standard_normal(mesh.L)
             along_v.append(np.linalg.norm((loo - C) @ v) / np.linalg.norm(v))
             actuals.append(gain_operator_norm(gain_v - gain_true, w))
             bound = gain_continuity_bound(w * deltas[-1], cov_norm, obs)
@@ -391,7 +391,7 @@ def test_comparison_matches_dense_leave_one_out_formulation(d, m, kernel, monkey
     mesh = build_mesh(d, m)
     obs, rule = _dense_case_obs(mesh)
     # nothing is certified, so every particle's ||loo - C|| takes the full solve
-    monkeypatch.setattr(enkf, "_norm_lower_bound", lambda op, rng: 0.0)
+    monkeypatch.setattr(enkf, "_probe_lower_bound", lambda *args: 0.0)
     norms, _ = _record_norms(monkeypatch)
     got = compare_analysis_updates(kernel, mesh, obs, N=8, rule=rule, trials=3, seed=29)
     want = _dense_comparison(kernel, mesh, obs, 8, rule, 3, 29)
@@ -432,18 +432,18 @@ def test_continuity_certificate_is_a_lower_bound_on_the_dense_norm(d, m, kernel,
     mesh = build_mesh(d, m)
     obs, rule = _dense_case_obs(mesh)
     lower = []
-    inner = enkf._norm_lower_bound
+    inner = enkf._probe_lower_bound
 
-    def recording(op, rng):
-        lower.append(inner(op, rng))
+    def recording(*args):
+        lower.append(inner(*args))
         return lower[-1]
 
-    monkeypatch.setattr(enkf, "_norm_lower_bound", recording)
+    monkeypatch.setattr(enkf, "_probe_lower_bound", recording)
     norms, _ = _record_norms(monkeypatch)
     got = compare_analysis_updates(kernel, mesh, obs, N=8, rule=rule, trials=3, seed=29)
     want = _dense_comparison(kernel, mesh, obs, 8, rule, 3, 29)
     dense = np.concatenate([w[3] for w in want])
-    # one product with the particle's own Gaussian, applied to loo - C
+    # the trial's one probe, applied to each particle's loo - C
     np.testing.assert_allclose(lower, np.concatenate([w[4] for w in want]), rtol=1e-12)
     assert np.all(np.array(lower) <= dense * (1.0 + 1e-12))
     # every particle of these cases is certified: only the truth norm is solved
@@ -464,21 +464,45 @@ def test_uncertified_particle_takes_the_full_solve(d, m, kernel, monkeypatch):
     want = _dense_comparison(kernel, mesh, obs, 8, rule, 3, 29)
     norms, seeds = _record_norms(monkeypatch)
     keys = iter([(t, n) for t in range(3) for n in range(8)])
-    inner = enkf._norm_lower_bound
+    inner = enkf._probe_lower_bound
 
-    def short_on_odd(op, rng):
+    def short_on_odd(*args):
         t, n = next(keys)
         if n % 2 == 0:
-            return inner(op, rng)
+            return inner(*args)
         slope = mesh.weight * gain_continuity_bound(1.0, mesh.weight * norms[0], obs)
         return want[t][5][n] / slope / (1.0 + 1e-7)
 
-    monkeypatch.setattr(enkf, "_norm_lower_bound", short_on_odd)
+    monkeypatch.setattr(enkf, "_probe_lower_bound", short_on_odd)
     got = compare_analysis_updates(kernel, mesh, obs, N=8, rule=rule, trials=3, seed=29)
     assert [c.continuity_full_solves for c in got.trials] == [4, 4, 4]
     assert seeds[1:] == [derive_seed(29, t, 2, n) for t in range(3) for n in range(1, 8, 2)]
     np.testing.assert_allclose(norms[1:], np.concatenate([w[3][1::2] for w in want]), rtol=1e-6)
     assert [c.continuity_ok for c in got.trials] == [w[6] for w in want]
+
+
+def test_continuity_certificate_applies_the_truth_once_per_trial(monkeypatch):
+    # every particle's certificate reads the trial's one product C v; only a
+    # full solve would apply the truth again
+    calls = []
+    inner = enkf.covariance_matvec
+
+    def counting(cov):
+        matvec = inner(cov)
+
+        def counted(v):
+            calls.append(v.shape)
+            return matvec(v)
+
+        return counted
+
+    monkeypatch.setattr(enkf, "covariance_matvec", counting)
+    mesh = build_mesh(1, 96)
+    obs = pointwise_observation(mesh, 4)
+    got = compare_analysis_updates(se_kernel(0.05), mesh, obs, N=12,
+                                   rule=ThresholdRule(), trials=3, seed=17)
+    assert got.continuity_full_solves == 0 and got.continuity_all_ok
+    assert calls == [(96,)] * 3
 
 
 def test_comparison_vanilla_discrepancy_shrinks_at_root_n_rate():

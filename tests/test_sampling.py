@@ -20,17 +20,38 @@ from opcov.sampling import (
 )
 
 
+def _entries_at(points, kernel):
+    """The kernel at every pair of ``points``, with a unit diagonal."""
+    from scipy.spatial.distance import cdist
+
+    from opcov.kernels import eval_kernel
+
+    entries = eval_kernel(kernel, cdist(points, points))
+    np.fill_diagonal(entries, 1.0)
+    return entries
+
+
+def _mesh_points(d, m):
+    """The L x d cell centres of build_mesh(d, m), first axis slowest."""
+    axis = (np.arange(m) + 0.5) / m
+    return np.stack([g.ravel() for g in np.meshgrid(*([axis] * d), indexing="ij")], axis=-1)
+
+
 def test_mesh_1d_two_points():
     mesh = build_mesh(1, 2)
     assert mesh.L == 2
     assert mesh.weight == 0.5
-    assert np.array_equal(mesh.coords.ravel(), [0.25, 0.75])
+    # the truth is the kernel between the cell centres 0.25 and 0.75
+    kernel = se_kernel(0.3)
+    assert np.array_equal(covariance_matrix(kernel, mesh).entries,
+                          _entries_at([[0.25], [0.75]], kernel))
 
 
 def test_mesh_2d_two_points_lexicographic():
     mesh = build_mesh(2, 2)
     want = [(0.25, 0.25), (0.25, 0.75), (0.75, 0.25), (0.75, 0.75)]
-    assert [tuple(row) for row in mesh.coords] == want
+    kernel = se_kernel(0.3)
+    assert np.array_equal(covariance_matrix(kernel, mesh).entries, _entries_at(want, kernel))
     assert mesh.weight == 0.25
 
 
@@ -132,7 +153,7 @@ def test_sample_requires_positive_count():
 
 
 def test_single_point_fields_are_standard_normal():
-    mesh = make_mesh(1, weight=1.0)
+    mesh = make_mesh(1)
     factor = factorize(covariance_matrix(se_kernel(0.1), mesh))
     ens = sample_ensemble(factor, 3, seed=7, mesh=mesh)
     assert ens.fields.shape == (3, 1)
@@ -193,14 +214,9 @@ def test_stationary_matvec_matches_dense_product(d, m, kernel):
 @pytest.mark.parametrize("kernel", [se_kernel(0.1), se_kernel(0.01), matern_kernel(0.2, 1.5)],
                          ids=["se-0.1", "se-0.01", "matern-0.2"])
 def test_gathered_entries_match_pairwise_distances(d, m, kernel):
-    from scipy.spatial.distance import cdist
-
-    from opcov.kernels import eval_kernel
-
     mesh = build_mesh(d, m)
     cov = covariance_matrix(kernel, mesh)
-    want = eval_kernel(kernel, cdist(mesh.coords, mesh.coords))
-    np.fill_diagonal(want, 1.0)
+    want = _entries_at(_mesh_points(d, m), kernel)
     got = cov.entries
     assert np.max(np.abs(got - want)) <= 1e-14
     assert np.array_equal(got, got.T)
@@ -231,8 +247,8 @@ def _minimal_embedding_eigenvalues(kernel, m):
 
     from opcov.kernels import eval_kernel
 
-    mesh = build_mesh(1, m)
-    row = eval_kernel(kernel, cdist(mesh.coords[:1], mesh.coords)[0])
+    points = _mesh_points(1, m)
+    row = eval_kernel(kernel, cdist(points[:1], points)[0])
     row[0] = 1.0
     return np.fft.fft(np.r_[row, eval_kernel(kernel, 1.0), row[:0:-1]]).real
 

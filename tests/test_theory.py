@@ -199,7 +199,7 @@ def test_effective_rank_scales_inversely_with_lengthscale():
 
 
 def test_expected_supremum_single_point_mesh():
-    mesh = make_mesh(1, weight=1.0)
+    mesh = make_mesh(1)
     factor = factorize(covariance_matrix(se_kernel(0.1), mesh))
     M = 4000
     mean, stderr = expected_supremum_mc(factor, mesh, M, seed=5)
