@@ -17,7 +17,7 @@ value; output rows are written in grid order by one CSV writer,
 per-lengthscale result is a column of the command's summary CSV.  A result
 file holds nothing but results, so reruns are byte-identical file for file;
 wall times go to a separate timing file.  ``--kernel`` names a family and its
-shape (``se`` or ``matern:nu=<float>``); ``--lambdas`` sets every lengthscale.
+shape (``se`` or ``matern:nu={0.5,1.5,2.5}``); ``--lambdas`` sets every lengthscale.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime failure,
 3 acceptance-threshold violation under ``--check``.
@@ -216,7 +216,8 @@ _SETTINGS = {
                             "comma-separated descending lengthscale grid"),
     "m": _Setting(int, _COMMANDS, help="mesh points per axis"),
     "d": _Setting(int, ("custom", "enkf-demo", "theory")),
-    "kernel": _Setting(str, ("custom", "enkf-demo", "theory"), help="se or matern:nu=<float>"),
+    "kernel": _Setting(str, ("custom", "enkf-demo", "theory"),
+                       help="se or matern:nu={0.5,1.5,2.5}"),
     "trials": _Setting(int, _RULE),
     "c0": _Setting(float, _RULE),
     "form": _Setting(str, _RULE, help="full or simplified"),

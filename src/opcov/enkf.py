@@ -100,20 +100,26 @@ class ObservationModel:
 
     ``sites`` are distinct and ascending indices into the ``L`` mesh values;
     ``L`` lets :func:`compare_analysis_updates` reject a model built for
-    another mesh.  ``a_op_norm`` = 1 / sqrt(weight) is the weighted operator
-    norm of the site selection A, and ``gamma_inv_norm`` = 1 / noise_std^2 is
-    ||Gamma^-1||.
+    another mesh.
     """
 
     sites: np.ndarray
     L: int
     noise_std: float
-    a_op_norm: float
-    gamma_inv_norm: float
 
     @property
     def d_y(self) -> int:
         return self.sites.size
+
+    @property
+    def a_op_norm(self) -> float:
+        """The weighted operator norm 1 / sqrt(weight) of the site selection A."""
+        return 1.0 / math.sqrt(1.0 / self.L)
+
+    @property
+    def gamma_inv_norm(self) -> float:
+        """||Gamma^-1|| = 1 / noise_std^2."""
+        return 1.0 / self.noise_std**2
 
 
 def pointwise_observation(
@@ -129,11 +135,8 @@ def pointwise_observation(
         raise EnkfError(f"noise_std^2 must be a normal float, got noise_std={noise_std!r}")
     if not (1 <= d_y <= mesh.L):
         raise EnkfError(f"need 1 <= d_y <= L, got d_y={d_y}, L={mesh.L}")
-    return ObservationModel(
-        sites=np.floor((np.arange(d_y) + 0.5) * mesh.L / d_y).astype(int),
-        L=mesh.L, noise_std=noise_std,
-        a_op_norm=1.0 / math.sqrt(mesh.weight), gamma_inv_norm=1.0 / noise_std**2,
-    )
+    sites = np.floor((np.arange(d_y) + 0.5) * mesh.L / d_y).astype(int)
+    return ObservationModel(sites=sites, L=mesh.L, noise_std=noise_std)
 
 
 def kalman_gain(CA: np.ndarray, obs: ObservationModel) -> tuple[np.ndarray, bool]:

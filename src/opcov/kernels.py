@@ -6,10 +6,8 @@ lengthscale ``lam`` enters only through r / lam, so k_lam(a * r) equals
 k_{lam/a}(r) exactly; several downstream scaling computations rely on this
 identity.
 
-Matern kernels use the exact closed forms for nu in {1/2, 3/2, 5/2} (the
-experiments only need nu = 3/2).  Other nu in (0, 100] are evaluated through
-the modified Bessel function of the second kind, and near r = 0 through its
-series where that formula's factors leave the floating-point range.
+Matern kernels exist for nu in {1/2, 3/2, 5/2} only, each by its exact
+closed form (the experiments use nu = 3/2); any other nu is refused.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "KernelError",
@@ -31,10 +28,6 @@ __all__ = [
 ]
 
 _HALF_INTEGER_NU = (0.5, 1.5, 2.5)
-# The largest Matern smoothness accepted.  Above it the series near r = 0
-# needs more terms, and from nu ~ 158 the prefactor 2^(1-nu) / Gamma(nu)
-# underflows to 0.
-_MAX_NU = 100.0
 
 
 class KernelError(ValueError):
@@ -52,14 +45,15 @@ class KernelModel:
     lam : float
         Correlation lengthscale, dimensionless on the unit cube; must be > 0.
     nu : float or None
-        Matern smoothness; a normal float in (0, 100].  Ignored for the SE
+        Matern smoothness; one of 0.5, 1.5 and 2.5.  Ignored for the SE
         family.
 
     Notes
     -----
     The Matern family satisfies the standing sparsity/continuity hypotheses
-    of the estimation theory only for nu > max((d - 1) / 2, 1/2).  This is
-    documented rather than enforced; smaller nu is accepted.
+    of the estimation theory only for nu > max((d - 1) / 2, 1/2): nu = 3/2
+    and 5/2 do at every d <= 3, and nu = 1/2 at none.  This is documented
+    rather than enforced; nu = 1/2 is accepted.
     """
 
     family: str
@@ -71,14 +65,8 @@ class KernelModel:
             raise KernelError(f"unknown kernel family {self.family!r}")
         if not (isinstance(self.lam, (int, float)) and math.isfinite(self.lam) and self.lam > 0):
             raise KernelError(f"lengthscale must be a positive finite real, got {self.lam!r}")
-        if self.family == "matern":
-            if self.nu is None or not (math.isfinite(self.nu) and 0 < self.nu <= _MAX_NU):
-                raise KernelError(
-                    f"matern smoothness nu must lie in (0, {_MAX_NU:g}], got {self.nu!r}"
-                )
-            if self.nu < np.finfo(float).tiny:
-                # 2^(1-nu) / Gamma(nu) underflows to 0, and the series would make k = 1
-                raise KernelError(f"matern smoothness nu must be a normal float, got {self.nu!r}")
+        if self.family == "matern" and self.nu not in _HALF_INTEGER_NU:
+            raise KernelError(f"matern smoothness nu must be 0.5, 1.5 or 2.5, got {self.nu!r}")
 
 
 def se_kernel(lam: float) -> KernelModel:
@@ -89,57 +77,30 @@ def matern_kernel(lam: float, nu: float) -> KernelModel:
     return KernelModel("matern", float(lam), float(nu))
 
 
-def _matern_series(z, nu: float):
-    """The Matern correlation near z = 0, to order z^4.
-
-    1 - z^2 / (4 (nu - 1)) + z^4 / (32 (nu - 1) (nu - 2)) for nu > 2, and 1
-    otherwise: :func:`_matern_unit` takes it only where z^nu underflows, and
-    there the z^(2 nu) term and beyond are below rounding.
-    """
-    if nu <= 2.0:
-        return np.ones_like(z)
-    z2 = z * z
-    return 1.0 - z2 / (4.0 * (nu - 1.0)) + z2 * z2 / (32.0 * (nu - 1.0) * (nu - 2.0))
-
-
 def _matern_unit(z, nu: float):
     """Matern correlation as a function of z = sqrt(2 nu) r / lam.
 
-    Accepts scalars or ndarrays.  Off the half-integer closed forms it is
-    2^(1-nu) / Gamma(nu) z^nu K_nu(z), except where the first factor
-    underflows or K_nu overflows (near z = 0, and at z = 0 itself): there
-    :func:`_matern_series` holds.
+    Accepts scalars or ndarrays; nu is 1/2, 3/2 or 5/2.
     """
     z = np.asarray(z, dtype=float)
-    if nu in _HALF_INTEGER_NU:
-        # exp(-z) is 0 from z ~ 745 on; capping the polynomials there keeps
-        # them from overflowing into inf * 0 = nan at tiny lengthscales
-        zc = np.minimum(z, 746.0)
-        if nu == 0.5:
-            out = np.exp(-z)
-        elif nu == 1.5:
-            out = (1.0 + zc) * np.exp(-z)
-        else:
-            out = (1.0 + zc + zc * zc / 3.0) * np.exp(-z)
+    # exp(-z) is 0 from z ~ 745 on; capping the polynomials there keeps
+    # them from overflowing into inf * 0 = nan at tiny lengthscales
+    zc = np.minimum(z, 746.0)
+    if nu == 0.5:
+        out = np.exp(-z)
+    elif nu == 1.5:
+        out = (1.0 + zc) * np.exp(-z)
     else:
-        with np.errstate(invalid="ignore", over="ignore", under="ignore"):
-            head = (2.0 ** (1.0 - nu) / special.gamma(nu)) * z**nu
-            bessel = special.kv(nu, z)
-            out = head * bessel
-        # at large z, kv underflows to 0 and head may overflow: 0 * inf is nan
-        out = np.nan_to_num(out, nan=0.0, posinf=0.0, neginf=0.0)
-        near = (head < np.finfo(float).tiny) | np.isinf(bessel)
-        # the series is read only where near; elsewhere it is taken at z = 0
-        out = np.where(near, _matern_series(np.where(near, z, 0.0), nu), out)
+        out = (1.0 + zc + zc * zc / 3.0) * np.exp(-z)
     return out if out.ndim else float(out)
 
 
 def eval_kernel(kernel: KernelModel, r):
     """Evaluate k_lam(r) for scalar or array separations r >= 0.
 
-    SE: exp(-r^2 / (2 lam^2)).  Matern: closed form for half-integer nu,
-    Bessel K_nu otherwise.  Values may underflow to exactly 0 at large r;
-    thresholding only ever zeroes small entries, so this is harmless.
+    SE: exp(-r^2 / (2 lam^2)).  Matern: the closed form for nu = 1/2, 3/2
+    or 5/2.  Values may underflow to exactly 0 at large r; thresholding only
+    ever zeroes small entries, so this is harmless.
     """
     arr = np.asarray(r, dtype=float)
     if not np.all(np.isfinite(arr)):
@@ -154,7 +115,7 @@ def eval_kernel(kernel: KernelModel, r):
     else:
         scale = math.sqrt(2.0 * kernel.nu) / kernel.lam
         with np.errstate(over="ignore"):
-            # an infinite scale (nu > 8 at the smallest lengthscales) keeps z(0) = 0
+            # an infinite scale (a subnormal lam) keeps z(0) = 0
             z = scale * arr if math.isfinite(scale) else np.where(arr > 0.0, math.inf, 0.0)
         out = _matern_unit(z, kernel.nu)
     return out if np.ndim(r) else float(out)
@@ -193,7 +154,7 @@ def parse_kernel(text: str) -> KernelModel:
     Accepted forms::
 
         se
-        matern:nu=<float>
+        matern:nu={0.5,1.5,2.5}
 
     Commands step the model to each lengthscale of their ``--lambdas`` grid,
     so a ``lambda`` token is refused like any other unknown one.  Raises
@@ -207,9 +168,9 @@ def parse_kernel(text: str) -> KernelModel:
     for token in rest.split(",") if sep else ():
         key, eq, value = token.partition("=")
         key = key.strip().lower()
-        if not eq or key != "nu":
+        if not eq or key != "nu" or nu is not None:  # one nu, set once
             raise KernelError(f"bad kernel parameter token {token.strip()!r}: a spec is 'se' "
-                              "or 'matern:nu=<float>', and --lambdas sets every lengthscale")
+                              "or 'matern:nu={0.5,1.5,2.5}', and --lambdas sets every lengthscale")
         try:
             nu = float(value)
         except ValueError:

@@ -87,8 +87,9 @@ def _radial_integral(kernel: KernelModel, q: float, d: int) -> float:
     1e-16 (the kernel is strictly decreasing).  The panels [R 2^-(k+1), R 2^-k]
     for k = 0..59, plus [0, R 2^-60], with R = 4 r_max, cover the range and
     the tail beyond r_max; their geometric grading toward r = 0 resolves
-    Matern kernels of finite smoothness there.  The order-32 sum is returned,
-    and the order-16 sum on the same panels checks it.
+    every accepted kernel there, SE and Matern nu = 1/2, 3/2 and 5/2.  The
+    order-32 sum is returned, and the order-16 sum on the same panels checks
+    it.
     """
     unit = KernelModel(kernel.family, 1.0, kernel.nu)
     r_max = 1.0

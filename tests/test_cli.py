@@ -275,9 +275,10 @@ _BAD_VALUES = {
     "custom --lambdas inf,0.1": "lambda_grid entries must be finite",
     "theory --lambdas inf,0.1": "lambda_grid entries must be finite",
     "custom --kernel bogus": "unknown kernel family token 'bogus'",
-    "custom --kernel matern:nu=150": "nu must lie in (0, 100], got 150.0",
-    # at subnormal nu, 2^(1-nu) / Gamma(nu) underflows to 0
-    "theory --kernel matern:nu=5e-324": "nu must be a normal float, got 5e-324",
+    # Matern exists at its three closed forms only
+    "custom --kernel matern:nu=150": "nu must be 0.5, 1.5 or 2.5, got 150.0",
+    "theory --kernel matern:nu=5e-324": "nu must be 0.5, 1.5 or 2.5, got 5e-324",
+    "custom --kernel matern:nu=3.7": "nu must be 0.5, 1.5 or 2.5, got 3.7",
     # a spec names a family and its shape; --lambdas sets every lengthscale
     "custom --kernel se:lambda=0.5": "--lambdas sets every lengthscale",
     "enkf-demo --kernel matern:lambda=1,nu=1.5": "--lambdas sets every lengthscale",
@@ -614,9 +615,9 @@ _DRAWN = {
     ),
     "m": (("2", "3", "5", "8"), ("1", "0", "-1", "nan", _HUGE)),
     "d": (("1", "2", "3"), ("0", "4", "-1", _HUGE)),
-    "kernel": (("se", "matern:nu=0.5", "matern:nu=1.5", "matern:nu=2.5", "matern:nu=3.7",
-                "matern:nu=100", f"matern:nu={sys.float_info.min!r}"),
-               ("se:lambda=0.1", "matern:lambda=0.1,nu=1.5", "matern", "", "matern:nu=150",
+    "kernel": (("se", "matern:nu=0.5", "matern:nu=1.5", "matern:nu=2.5"),
+               ("se:lambda=0.1", "matern:lambda=0.1,nu=1.5", "matern", "", "matern:nu=3.7",
+                "matern:nu=100", f"matern:nu={sys.float_info.min!r}", "matern:nu=150",
                 "matern:nu=0", "matern:nu=5e-324", "matern:nu=nan")),
     "trials": (("1", "2"), ("0", "-1", "nan")),
     "c0": (("1", "2.5", "5", "1e308"), ("0", "-1", "nan", "inf", "-inf", "5e-324")),

@@ -46,8 +46,7 @@ def dense_pair(obs):
 
 def one_site(noise_std=1.0):
     """A = [[1]] on a one-value state of weight 1, Gamma = [[noise_std^2]]."""
-    return ObservationModel(sites=np.array([0]), L=1, noise_std=noise_std,
-                            a_op_norm=1.0, gamma_inv_norm=1.0 / noise_std**2)
+    return ObservationModel(sites=np.array([0]), L=1, noise_std=noise_std)
 
 
 # ---------------------------------------------------------------------------
