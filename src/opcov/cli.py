@@ -79,6 +79,13 @@ class CheckFailure(RuntimeError):
     """A --check criterion was violated."""
 
 
+# A figure's --check judges flatness and divergence on its three smallest
+# against its three largest of at least _CHECK_MIN_LAMBDAS lengthscales, and
+# the crossover at a largest lengthscale of at least _CROSSOVER_LAMBDA.
+_CHECK_MIN_LAMBDAS = 6
+_CROSSOVER_LAMBDA = 10**-0.2
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str = "custom"
@@ -117,6 +124,13 @@ class ExperimentConfig:
             raise ConfigError(f"lambda_grid entries must be normal floats, >= {sys.float_info.min!r}")
         if any(nxt >= prev for prev, nxt in zip(self.lambda_grid, self.lambda_grid[1:])):
             raise ConfigError("lambda_grid must be sorted in strictly descending order")
+        if (self.check and self.experiment in _FIGURES
+                and len(self.lambda_grid) < _CHECK_MIN_LAMBDAS
+                and self.lambda_grid[0] < _CROSSOVER_LAMBDA):
+            raise ConfigError(
+                f"--check would check nothing: flatness and divergence need at least "
+                f"{_CHECK_MIN_LAMBDAS} lengthscales and the crossover a largest lengthscale "
+                f">= 10**-0.2, got {len(self.lambda_grid)} up to {self.lambda_grid[0]!r}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.master_seed < 0:
@@ -285,31 +299,16 @@ def _figure_kernels(cfg: ExperimentConfig) -> list[KernelModel]:
     return [parse_kernel(cfg.kernel)]
 
 
-@dataclass
-class LambdaSummary:
-    lam: float
-    N: int
-    trials: int
-    mean_eps_sample: float
-    ci95_eps_sample: float
-    mean_eps_thresh: float
-    ci95_eps_thresh: float
-    mean_rho_hat: float
-    mean_nnz_fraction: float
-    zero_estimate_frac: float  # per-trial fraction with nnz_fraction == 0
-    frac_thresh_worse: float  # per-trial fraction with eps_thresh >= eps_sample
-    sampler: str  # how the lengthscale's fields were drawn (CovFactor.sampler)
-    jitter: float  # CovFactor.jitter
-
-
 def _lengthscale_trials(cfg: ExperimentConfig, mesh: Mesh, rule: ThresholdRule,
-                        kernel: KernelModel, N: int, kernel_idx: int, lam_idx: int):
+                        kernel: KernelModel, kernel_idx: int, lam_idx: int, name: str):
     """Set up one lengthscale and run its trials.
 
-    Returns the (report, seed, seconds) triples, the set-up seconds and the
-    factor's sampler and jitter.  The truth and its factor die with this call,
-    so a Cholesky factor is released before the next lengthscale factorizes.
+    Returns the trial rows, the summary row (its keys, in this order, are the
+    summary CSV columns) and the timing line.  The truth and its factor die
+    with this call, so a Cholesky factor is released before the next
+    lengthscale factorizes.
     """
+    lam, N = kernel.lam, sample_size(kernel.lam, cfg)
     t_setup = time.perf_counter()
     cov = covariance_matrix(kernel, mesh)
     factor = factorize(cov)
@@ -324,112 +323,103 @@ def _lengthscale_trials(cfg: ExperimentConfig, mesh: Mesh, rule: ThresholdRule,
         return report, seed, time.perf_counter() - t0
 
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        results = list(pool.map(one_trial, range(cfg.trials)))
-    return results, setup_s, factor.sampler, factor.jitter
+        reports, seeds, seconds = zip(*pool.map(one_trial, range(cfg.trials)))
+    trial_rows = [
+        {"seed": seed, "d": cfg.d, "m": cfg.m, "lambda": lam, "N": N, "c0": float(rule.c0),
+         "form": rule.form, **_row(report), "trial": trial}
+        for trial, (report, seed) in enumerate(zip(reports, seeds))
+    ]
+    eps_s = np.array([r.eps_sample for r in reports])
+    eps_t = np.array([r.eps_thresh for r in reports])
+
+    def ci95(x):
+        return 1.96 * float(x.std(ddof=1)) / math.sqrt(x.size) if x.size > 1 else 0.0
+
+    summary = {
+        "lambda": lam, "N": N, "trials": cfg.trials,
+        "mean_eps_sample": float(eps_s.mean()), "ci95_eps_sample": ci95(eps_s),
+        "mean_eps_thresh": float(eps_t.mean()), "ci95_eps_thresh": ci95(eps_t),
+        "mean_rho_hat": float(np.mean([r.rho_hat for r in reports])),
+        "mean_nnz_fraction": float(np.mean([r.nnz_fraction for r in reports])),
+        "zero_estimate_frac": float(np.mean([r.nnz_fraction == 0 for r in reports])),
+        "frac_thresh_worse": float(np.mean(eps_t >= eps_s)),
+        "sampler": factor.sampler, "jitter": factor.jitter,
+    }
+    timing = f"{name} lambda={lam!r} setup_s={setup_s:.3f} trials_s={sum(seconds):.3f}"
+    return trial_rows, summary, timing
 
 
-def _run_kernel_sweep(cfg: ExperimentConfig, kernel_idx: int, base: KernelModel, out_dir: Path,
-                      name_prefix: str):
-    """All (lambda, trial) cells for one kernel family; returns summaries."""
-    mesh = build_mesh(cfg.d, cfg.m)
-    rule = ThresholdRule(c0=cfg.c0, form=cfg.form)
-    trial_rows: list[dict] = []
-    summaries: list[LambdaSummary] = []
-    timings: list[str] = []
-    for lam_idx, lam in enumerate(cfg.lambda_grid):
-        N = sample_size(lam, cfg)
-        results, setup_s, sampler, jitter = _lengthscale_trials(
-            cfg, mesh, rule, KernelModel(base.family, lam, base.nu), N, kernel_idx, lam_idx
-        )
-        eps_s = np.array([r.eps_sample for r, _, _ in results])
-        eps_t = np.array([r.eps_thresh for r, _, _ in results])
-        trial_rows.extend(
-            {"seed": seed, "d": cfg.d, "m": cfg.m, "lambda": lam, "N": N, "c0": float(rule.c0),
-             "form": rule.form, **_row(report), "trial": trial}
-            for trial, (report, seed, _) in enumerate(results)
-        )
-        def ci95(x):
-            return 1.96 * float(x.std(ddof=1)) / math.sqrt(x.size) if x.size > 1 else 0.0
-        summaries.append(LambdaSummary(
-            lam=lam, N=N, trials=cfg.trials,
-            mean_eps_sample=float(eps_s.mean()), ci95_eps_sample=ci95(eps_s),
-            mean_eps_thresh=float(eps_t.mean()), ci95_eps_thresh=ci95(eps_t),
-            mean_rho_hat=float(np.mean([r.rho_hat for r, _, _ in results])),
-            mean_nnz_fraction=float(np.mean([r.nnz_fraction for r, _, _ in results])),
-            zero_estimate_frac=float(np.mean([r.nnz_fraction == 0 for r, _, _ in results])),
-            frac_thresh_worse=float(np.mean(eps_t >= eps_s)),
-            sampler=sampler, jitter=jitter,
-        ))
-        trial_s = sum(dt for _, _, dt in results)
-        timings.append(f"{name_prefix} lambda={lam!r} setup_s={setup_s:.3f} trials_s={trial_s:.3f}")
-
-    _write_csv(out_dir / f"{name_prefix}_trials.csv", trial_rows)
-    _write_csv(out_dir / f"{name_prefix}_summary.csv", [_row(s) for s in summaries])
-    if cfg.plot:
-        lams = [s.lam for s in summaries]
-        error_plot(
-            out_dir / f"{name_prefix}.svg",
-            [
-                Series(lams, [s.mean_eps_sample for s in summaries], "#1f77b4",
-                       "relative error, sample", dash="6,4"),
-                Series(lams, [s.mean_eps_thresh for s in summaries], "#d62728",
-                       "relative error, thresholded"),
-                Series(lams, [float(s.N) for s in summaries], "#2ca02c",
-                       "sample size N", dash="2,3", right_axis=True),
-            ],
-            title=f"{name_prefix}: relative errors vs lengthscale",
-            xlabel="lengthscale", ylabel="relative error", right_label="N",
-        )
-    return summaries, timings
-
-
-def _check_figure(summaries: list[LambdaSummary]) -> list[str]:
-    """Qualitative reference checks on one kernel sweep; returns violations."""
+def _check_figure(rows: list[dict]) -> list[str]:
+    """Qualitative reference checks on one kernel's summary rows; returns violations."""
     problems = []
-    by_lam = sorted(summaries, key=lambda s: s.lam)  # ascending
-    if len(by_lam) >= 6:
-        small = np.mean([s.mean_eps_thresh for s in by_lam[:3]])
-        large = np.mean([s.mean_eps_thresh for s in by_lam[-3:]])
+    by_lam = rows[::-1]  # ascending: the grid descends
+    if len(by_lam) >= _CHECK_MIN_LAMBDAS:
+        small = np.mean([r["mean_eps_thresh"] for r in by_lam[:3]])
+        large = np.mean([r["mean_eps_thresh"] for r in by_lam[-3:]])
         ratio = small / large if large > 0 else math.inf
         if not (0.5 <= ratio <= 2.0):
             problems.append(
                 f"thresholded curve is not flat: small/large lengthscale mean ratio {ratio:.3f}"
             )
-        div = by_lam[0].mean_eps_sample / by_lam[-1].mean_eps_sample
+        div = by_lam[0]["mean_eps_sample"] / by_lam[-1]["mean_eps_sample"]
         if div < 3.0:
             problems.append(
                 f"sample-covariance curve does not diverge: error ratio {div:.3f} < 3"
             )
     largest = by_lam[-1]
-    if largest.lam >= 10 ** -0.2:
-        if largest.frac_thresh_worse < 0.5:
-            problems.append(
-                "no large-lengthscale crossover: thresholding beat the sample covariance "
-                f"in most trials at lambda={largest.lam:.4g}"
-            )
+    if largest["lambda"] >= _CROSSOVER_LAMBDA and largest["frac_thresh_worse"] < 0.5:
+        problems.append(
+            "no large-lengthscale crossover: thresholding beat the sample covariance "
+            f"in most trials at lambda={largest['lambda']:.4g}"
+        )
     return problems
 
 
-def run_figure(cfg: ExperimentConfig) -> dict:
-    """Run fig1/fig2/custom; returns {kernel_name: [LambdaSummary]}."""
+def run_figure(cfg: ExperimentConfig) -> dict[str, list[dict]]:
+    """Run fig1/fig2/custom; returns each kernel family's summary rows, as written."""
     cfg.validate()
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    all_summaries: dict = {}
-    all_timings: list[str] = []
+    mesh = build_mesh(cfg.d, cfg.m)
+    rule = ThresholdRule(c0=cfg.c0, form=cfg.form)
+    summaries: dict[str, list[dict]] = {}
+    timings: list[str] = []
     for kernel_idx, base in enumerate(_figure_kernels(cfg)):
-        summaries, timings = _run_kernel_sweep(
-            cfg, kernel_idx, base, out_dir, f"{cfg.experiment}_{base.family}"
-        )
-        all_summaries[base.family] = summaries
-        all_timings.extend(timings)
-    _write_lines(out_dir / f"{cfg.experiment}_timing.txt", all_timings)
+        name = f"{cfg.experiment}_{base.family}"
+        trial_rows: list[dict] = []
+        rows: list[dict] = []
+        for lam_idx, lam in enumerate(cfg.lambda_grid):
+            trials, summary, timing = _lengthscale_trials(
+                cfg, mesh, rule, KernelModel(base.family, lam, base.nu), kernel_idx, lam_idx, name
+            )
+            trial_rows.extend(trials)
+            rows.append(summary)
+            timings.append(timing)
+        _write_csv(out_dir / f"{name}_trials.csv", trial_rows)
+        _write_csv(out_dir / f"{name}_summary.csv", rows)
+        if cfg.plot:
+            lams = [r["lambda"] for r in rows]
+            error_plot(
+                out_dir / f"{name}.svg",
+                [
+                    Series(lams, [r["mean_eps_sample"] for r in rows], "#1f77b4",
+                           "relative error, sample", dash="6,4"),
+                    Series(lams, [r["mean_eps_thresh"] for r in rows], "#d62728",
+                           "relative error, thresholded"),
+                    Series(lams, [float(r["N"]) for r in rows], "#2ca02c",
+                           "sample size N", dash="2,3", right_axis=True),
+                ],
+                title=f"{name}: relative errors vs lengthscale",
+                xlabel="lengthscale", ylabel="relative error", right_label="N",
+            )
+        summaries[base.family] = rows
+    _write_lines(out_dir / f"{cfg.experiment}_timing.txt", timings)
     if cfg.check:
         problems = []
-        for name, summaries in all_summaries.items():
-            problems.extend(f"[{name}] {p}" for p in _check_figure(summaries))
+        for family, rows in summaries.items():
+            problems.extend(f"[{family}] {p}" for p in _check_figure(rows))
         _write_check(out_dir / f"{cfg.experiment}_check.txt", problems)
-    return all_summaries
+    return summaries
 
 
 # ---------------------------------------------------------------------------

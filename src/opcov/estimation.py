@@ -378,8 +378,7 @@ def estimate_and_report(
             out[idx] = block @ v[idx]
             return out
 
-        thresh = block if idx.size == L else LinearOperator((L, L), matvec=thresh_matvec,
-                                                            dtype=float)
+        thresh = LinearOperator((L, L), matvec=thresh_matvec, dtype=float)
         eps_thresh = relative_error(thresh, truth, seed=seed, truth_norm=truth_norm)
         # the zero rows and columns off ``idx`` add only the eigenvalue 0,
         # which psd_min_eig clips to anyway

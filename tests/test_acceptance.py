@@ -41,11 +41,11 @@ def test_criterion_01_figure1_desk_scale(tmp_path):
     t0 = time.perf_counter()
     lambdas = np.logspace(-0.5, -2.5, 9)
     summaries = desk_fig1_summaries(tmp_path, lambdas, trials=30)
-    by_lam = sorted(summaries, key=lambda s: s.lam)  # ascending in lambda
-    small = np.mean([s.mean_eps_thresh for s in by_lam[:3]])
-    large = np.mean([s.mean_eps_thresh for s in by_lam[-3:]])
+    by_lam = sorted(summaries, key=lambda row: row["lambda"])  # ascending in lambda
+    small = np.mean([row["mean_eps_thresh"] for row in by_lam[:3]])
+    large = np.mean([row["mean_eps_thresh"] for row in by_lam[-3:]])
     flat_ratio = small / large
-    divergence = by_lam[0].mean_eps_sample / by_lam[-1].mean_eps_sample
+    divergence = by_lam[0]["mean_eps_sample"] / by_lam[-1]["mean_eps_sample"]
     ok = (0.5 <= flat_ratio <= 2.0) and (divergence >= 3.0)
     assert report(
         1, ok,
@@ -263,15 +263,15 @@ def test_criterion_12_full_scale_figure1(tmp_path):
     elapsed = time.perf_counter() - t0
     problems = []
     for name, lam_summaries in summaries.items():
-        by_lam = sorted(lam_summaries, key=lambda s: s.lam)
-        small = np.mean([s.mean_eps_thresh for s in by_lam[:3]])
-        large = np.mean([s.mean_eps_thresh for s in by_lam[-3:]])
+        by_lam = sorted(lam_summaries, key=lambda row: row["lambda"])
+        small = np.mean([row["mean_eps_thresh"] for row in by_lam[:3]])
+        large = np.mean([row["mean_eps_thresh"] for row in by_lam[-3:]])
         if not 0.5 <= small / large <= 2.0:
             problems.append(f"{name}: thresholded curve not flat ({small / large:.2f})")
-        if by_lam[0].mean_eps_sample / by_lam[-1].mean_eps_sample < 3.0:
+        if by_lam[0]["mean_eps_sample"] / by_lam[-1]["mean_eps_sample"] < 3.0:
             problems.append(f"{name}: no divergence")
-        if by_lam[-1].frac_thresh_worse < 0.5:
-            problems.append(f"{name}: no crossover at lambda={by_lam[-1].lam:.3f}")
+        if by_lam[-1]["frac_thresh_worse"] < 0.5:
+            problems.append(f"{name}: no crossover at lambda={by_lam[-1]['lambda']:.3f}")
     ok = not problems
     assert report(
         12, ok,

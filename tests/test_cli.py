@@ -247,6 +247,37 @@ def test_sweep_releases_each_cholesky_factor_before_the_next(tmp_path):
     assert peak < 2.5 * 8 * (24 * 24) ** 2
 
 
+def test_run_figure_returns_the_summary_rows_it_writes(tmp_path):
+    rows = run_figure(_config_from_argv(["fig1", "--m", "16", "--lambdas", "0.3,0.1",
+                                         "--trials", "2", "--out", str(tmp_path)]))
+    assert set(rows) == {"se", "matern"}
+    for family, written in rows.items():
+        parsed = read_rows(tmp_path / f"fig1_{family}_summary.csv")
+        assert [list(row) for row in written] == [list(row) for row in parsed]
+        assert all(type(value)(cells[key]) == value
+                   for row, cells in zip(written, parsed) for key, value in row.items())
+
+
+def test_figure_check_that_can_check_nothing_is_refused(tmp_path, capsys):
+    # 5 lengthscales are too few for flatness and divergence, and a largest
+    # one below 10**-0.2 has no crossover: nothing would be evaluated
+    lambdas = "0.6,0.3,0.1,0.05,0.02"
+    out = tmp_path / "o"
+    assert main(["fig1", "--m", "8", "--lambdas", lambdas, "--trials", "1", "--check",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "at least 6 lengthscales" in err and "largest lengthscale >= 10**-0.2" in err
+    assert not out.exists()
+    # either condition alone makes the check evaluate something
+    for grid in (lambdas + ",0.01", "0.7," + lambdas):
+        assert main(["fig1", "--m", "8", "--lambdas", grid, "--trials", "1", "--check",
+                     "--out", str(tmp_path / grid)]) in (0, 3)
+        assert (tmp_path / grid / "fig1_check.txt").exists()
+    # and without --check the short grid runs
+    assert main(["fig1", "--m", "8", "--lambdas", lambdas, "--trials", "1",
+                 "--out", str(out)]) == 0
+
+
 def test_full_form_with_large_c0_rejected():
     code = main([
         "custom", "--kernel", "se", "--m", "16", "--lambdas", "0.2",
