@@ -14,7 +14,7 @@ an explicit matrix (a sample covariance, a thresholded estimate) is a plain
 
 Draws are exact in distribution up to a recorded ``jitter``, a bound (up to
 rounding) on the spectral norm of the difference between the drawn
-covariance and the matrix.  :func:`factorize` picks one of three samplers
+covariance and the matrix.  :func:`factorize` picks one of four samplers
 from the covariance alone:
 
 * ``kronecker``: an SE truth at d >= 2 is the d-fold Kronecker power of its
@@ -25,6 +25,14 @@ from the covariance alone:
   are nonnegative up to rounding (lambda_min >= -64 eps lambda_max), draws
   through its FFT, two fields per complex transform (Dietrich & Newsam 1997;
   Wood & Chan 1994); the jitter is the clipped |lambda_min|.
+* ``block-circulant``: otherwise the first axis alone is embedded, with
+  2 ceil(p m) blocks for p in {3, 4, 6, 8, 12} while that is at most m^2,
+  and the other d - 1 axes are kept exact.  The FFT along the first axis
+  leaves 2M real symmetric blocks of order m^(d-1); draws apply a root of
+  each and transform back, two fields per complex transform, and the
+  jitter is the clipped |lambda_min| of all blocks.  At d = 1 the blocks
+  are 1 x 1 and this is the circulant sampler at a larger padding, so such
+  a truth is drawn and named ``circulant``.
 * ``cholesky``: otherwise the gathered matrix gets a dense Cholesky factor
   with a fixed diagonal-jitter ladder, and the jitter is the diagonal shift
   used.
@@ -60,10 +68,11 @@ __all__ = [
     "derive_seed",
 ]
 
-# A covariance is held as its first row, and the Kronecker and circulant
-# samplers hold at most an m x m root or a (4m)^d spectrum, but a
-# Cholesky-path truth (a non-SE kernel at large lengthscales, whose embedding
-# stays negative at every padding) still factors the L x L matrix, and the
+# A covariance is held as its first row, and the Kronecker and embedding
+# samplers hold at most an m x m root, a (4m)^d spectrum or 2 ceil(p m) <= m^2
+# blocks of order m^(d-1), never more numbers than L^2.  But a Cholesky-path
+# truth (a non-SE kernel at large lengthscales whose embeddings stay
+# negative up to the size rule) still factors the L x L matrix, and the
 # figure trials form an L x L block when every row can keep an entry; 12,500
 # points (~1.25 GB per matrix at float64) is the desk-scale limit for every
 # supported dimension.  The commands hold an N x L ensemble to the same
@@ -77,11 +86,18 @@ _JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
 # reference grids, real ones at least 2e-5.
 _CIRCULANT_TOL = 64 * np.finfo(float).eps
 # Paddings p tried in order, 2 ceil(p m) points per axis (Wood & Chan 1994).
-# p = 1 is the minimal embedding.  The ladder stops at 2: at p = 3 a d = 2
-# field takes 18 complex normals per mesh point, and the Matern cell at
-# m = 64, lambda = 0.3 (which needs p = 3) then drew 13 fields in 125 ms,
-# against 39 ms through its Cholesky factor.
+# p = 1 is the minimal embedding.  The full embedding stops at 2: at p = 3 a
+# d = 2 field takes 18 complex normals per mesh point, and the Matern cell at
+# m = 64, lambda = 0.3 then drew 13 fields in 107-125 ms, against 28-37 ms
+# through its Cholesky factor.
 _PADDINGS = (1.0, 1.5, 2.0)
+# Then the first-axis embedding, 2 ceil(p m) blocks, tried only while
+# 2 ceil(p m) <= m^2, so its roots never hold more numbers than L^2.  It
+# embeds one axis, so a draw takes 2p complex normals per mesh point: the
+# same Matern cell passes at p = 3 (where the full embedding is still
+# negative) and draws its 13 fields in 26 ms, against 30 ms through its
+# Cholesky factor (2-core x86 host, one BLAS thread).
+_FIRST_AXIS_PADDINGS = (3.0, 4.0, 6.0, 8.0, 12.0)
 # Complex entries per block of FFT draws, so a draw's temporaries stay small
 # next to its N x L output.
 _DRAW_CHUNK = 1 << 16
@@ -131,21 +147,27 @@ class Mesh:
         return 1.0 / self.L
 
 
+def _gap_index(m: int, d: int) -> tuple:
+    """Index of a d-level Toeplitz matrix, as an (m,)*2d array, into its (m,)*d first row.
+
+    Axis a of the matrix pairs with axis d + a; the index arrays are m x m
+    and broadcast, never L x L.
+    """
+    ax = np.arange(m)
+    gap = np.abs(ax[:, None] - ax[None, :])
+    return tuple(gap.reshape((1,) * a + (m,) + (1,) * (d - 1) + (m,) + (1,) * (d - 1 - a))
+                 for a in range(d))
+
+
 def _toeplitz_gather(row: np.ndarray, mesh: Mesh, cols=None) -> np.ndarray:
     """Entries C[i, j] = row[|i - j|] (per axis) of a d-level Toeplitz matrix.
 
-    Every row and the columns ``cols`` (every column when None).  The full
-    matrix is indexed as an (m,)*2d array whose axis a pairs with axis d + a,
-    so the index arrays are m x m and broadcast, never L x L.
+    Every row and the columns ``cols`` (every column when None).
     """
     m, d = mesh.m, mesh.d
     first = row.reshape((m,) * d)
     if cols is None:
-        ax = np.arange(m)
-        gap = np.abs(ax[:, None] - ax[None, :])
-        index = tuple(gap.reshape((1,) * a + (m,) + (1,) * (d - 1) + (m,) + (1,) * (d - 1 - a))
-                      for a in range(d))
-        return first[index].reshape(mesh.L, mesh.L)
+        return first[_gap_index(m, d)].reshape(mesh.L, mesh.L)
     rows = np.unravel_index(np.arange(mesh.L), first.shape)
     picked = np.unravel_index(np.asarray(cols), first.shape)
     return first[tuple(np.abs(i[:, None] - j[None, :]) for i, j in zip(rows, picked))]
@@ -201,15 +223,18 @@ class CovMatrix:
 class CovFactor:
     """How to draw from a covariance, computed once and reused for every draw.
 
-    Exactly one of ``axis_root``, ``spectrum`` and ``lower`` is set, and
-    ``sampler`` names it.  ``axis_root`` is an m x m root A of the one-axis
-    factor C1 of an SE truth, A A^T = C1 with negative eigenvalues clipped
-    (the Kronecker sampler).  ``spectrum`` holds sqrt(max(eig, 0) / n) for the
-    n = (2M)^d eigenvalues of the circulant embedding with M = ceil(p m)
-    points of offset per axis (the FFT sampler).  ``lower`` is the Cholesky
-    factor of the matrix plus ``jitter`` on the diagonal.  ``jitter`` bounds,
-    up to rounding, the spectral norm of the difference between the drawn
-    covariance and the matrix.
+    Exactly one of ``axis_root``, ``spectrum``, ``block_root`` and ``lower``
+    is set, and ``sampler`` names it.  ``axis_root`` is an m x m root A of
+    the one-axis factor C1 of an SE truth, A A^T = C1 with negative
+    eigenvalues clipped (the Kronecker sampler).  ``spectrum`` holds
+    sqrt(max(eig, 0) / n) for the n = (2M)^d eigenvalues of the circulant
+    embedding with M = ceil(p m) points of offset per axis (the FFT sampler).
+    ``block_root`` holds 2M roots R_j = V_j sqrt(max(w_j, 0) / 2M), each B x
+    B with B = m^(d-1), of the blocks eigh(Lambda_j) = V_j diag(w_j) V_j^T of
+    the first-axis embedding with 2M blocks (the block-circulant sampler).
+    ``lower`` is the Cholesky factor of the matrix plus ``jitter`` on the
+    diagonal.  ``jitter`` bounds, up to rounding, the spectral norm of the
+    difference between the drawn covariance and the matrix.
     """
 
     cov: CovMatrix
@@ -217,11 +242,14 @@ class CovFactor:
     lower: np.ndarray | None = None
     spectrum: np.ndarray | None = None
     axis_root: np.ndarray | None = None
+    block_root: np.ndarray | None = None
 
     @property
     def sampler(self) -> str:
         if self.axis_root is not None:
             return "kronecker"
+        if self.block_root is not None:
+            return "block-circulant"
         return "circulant" if self.spectrum is not None else "cholesky"
 
 
@@ -266,28 +294,65 @@ def covariance_matrix(kernel: KernelModel, mesh: Mesh) -> CovMatrix:
     return CovMatrix(mesh=mesh, kernel=kernel, row=row)
 
 
+def _even(M: int) -> np.ndarray:
+    """Offsets min(k, 2M - k) for k < 2M: indices 0..M extended to the 2M-periodic even sequence."""
+    return np.r_[0 : M + 1, M - 1 : 0 : -1]
+
+
 def _mirror(block: np.ndarray, M: int) -> np.ndarray:
     """Extend offsets 0..M on every axis to the 2M-periodic even sequence."""
-    mirror = np.r_[0 : M + 1, M - 1 : 0 : -1]
+    mirror = _even(M)
     for axis in range(block.ndim):
         block = np.take(block, mirror, axis=axis)
     return block
+
+
+def _offset_table(cov: CovMatrix, sizes: tuple) -> np.ndarray:
+    """The kernel at offsets (k_0, ..., k_{d-1}) h, k_a < sizes[a] (h = 1/m).
+
+    The covariance's own row where every offset is below m.
+    """
+    m, d = cov.mesh.m, cov.mesh.d
+    grids = np.meshgrid(*(np.arange(n) / m for n in sizes), indexing="ij")
+    table = eval_kernel(cov.kernel, np.sqrt(sum(g * g for g in grids)))
+    table[(slice(0, m),) * d] = cov.row.reshape((m,) * d)
+    return table
 
 
 def _embedding_eigenvalues(cov: CovMatrix, M: int) -> np.ndarray:
     """Eigenvalues of the circulant embedding with 2M points per axis, on the (2M,)*d grid.
 
     The embedding's first row is the kernel at offsets min(k, 2M - k) h per
-    axis (h = 1/m), the covariance's own row where every offset is below m.
-    M = m is the minimal embedding.
+    axis.  M = m is the minimal embedding.
     """
-    mesh = cov.mesh
-    m, d = mesh.m, mesh.d
-    offsets = np.arange(M + 1) / m
-    grids = np.meshgrid(*([offsets] * d), indexing="ij")
-    block = eval_kernel(cov.kernel, np.sqrt(sum(g * g for g in grids)))
-    block[(slice(0, m),) * d] = cov.row.reshape((m,) * d)
-    return np.fft.fftn(_mirror(block, M)).real
+    return np.fft.fftn(_mirror(_offset_table(cov, (M + 1,) * cov.mesh.d), M)).real
+
+
+def _first_axis_eigh(cov: CovMatrix, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of the 2M diagonal blocks Lambda_j of the first-axis embedding with 2M blocks.
+
+    Along its first axis the truth is block Toeplitz, with (d-1)-level
+    Toeplitz blocks T_k of order B = m^(d-1) at first-axis offset k h.  The
+    sequence T_min(k, 2M - k), k < 2M, generates a block circulant whose
+    leading m x m array of blocks is the truth.  It is the principal
+    submatrix of the full embedding at the same M that keeps the first m
+    points of every other axis, so it is nonnegative wherever that one is.
+    The FFT along the first axis block-diagonalizes it into Lambda_j = sum_k
+    T_min(k, 2M - k) exp(-2 pi i j k / 2M), real symmetric.  At d = 1 these
+    are the full embedding's eigenvalues, bit for bit.
+    """
+    m, d = cov.mesh.m, cov.mesh.d
+    B = m ** (d - 1)
+    rows = _offset_table(cov, (M + 1,) + (m,) * (d - 1))
+    blocks = rows[(slice(None),) + _gap_index(m, d - 1)].reshape(M + 1, B, B)
+    # One row of every block at a time: transforming all 2M blocks at once
+    # held a complex copy of the real input and a complex output, 4 times
+    # the 2M x B x B blocks, where the eigenvectors then hold 1.
+    lam = np.empty((2 * M, B, B))
+    for b in range(B):
+        lam[:, b] = np.fft.fft(blocks[_even(M), b], axis=0).real
+    del blocks
+    return np.linalg.eigh(lam)
 
 
 def _kronecker_root(cov: CovMatrix) -> tuple[np.ndarray, float]:
@@ -339,33 +404,62 @@ def _cholesky_ladder(cov: CovMatrix) -> tuple[np.ndarray, float]:
     )
 
 
+def _embedding_factor(cov: CovMatrix, M: int, first_axis: bool) -> CovFactor | None:
+    """The FFT or block-circulant factor of an embedding with 2M points of the first axis.
+
+    None when its eigenvalues are negative beyond rounding, lambda_min <
+    -64 eps lambda_max.  A rejected rung's arrays die with the call, before
+    the next rung or the L x L arrays are allocated: held, a rung pinned
+    heap space that the gathered matrix then could not reuse (a d = 1
+    Cholesky cell's peak RSS rose by one L x L array), and the previous
+    first-axis rung added its blocks to the next one's.
+    """
+    if first_axis and cov.mesh.d > 1:
+        eig, vecs = _first_axis_eigh(cov, M)
+    else:
+        eig, vecs = _embedding_eigenvalues(cov, M), None
+    low, high = float(eig.min()), float(eig.max())
+    if low < -_CIRCULANT_TOL * high:
+        return None
+    jitter = max(0.0, -low)
+    if vecs is None:
+        return CovFactor(cov=cov, jitter=jitter, spectrum=np.sqrt(np.maximum(eig, 0.0) / eig.size))
+    vecs *= np.sqrt(np.maximum(eig, 0.0) / (2 * M))[:, None, :]
+    return CovFactor(cov=cov, jitter=jitter, block_root=vecs)
+
+
 def factorize(cov: CovMatrix) -> CovFactor:
-    """Prepare draws from cov by the Kronecker, circulant or Cholesky sampler.
+    """Prepare draws from cov by the Kronecker, circulant, block-circulant or Cholesky sampler.
 
     An SE truth at d >= 2 takes the Kronecker sampler: the root of its
     one-axis factor, with the clip bound (||C1|| + delta)^d - ||C1||^d as
     ``jitter`` (see :func:`_kronecker_root`).  Every other truth tries
     circulant embeddings with 2 ceil(p m) points per axis for p = 1, 1.5, 2
     and takes the FFT sampler at the first whose eigenvalues satisfy
-    lambda_min >= -64 eps lambda_max; negatives are clipped and |lambda_min|
-    is recorded as ``jitter``.  Above p = 2 the gathered matrix is
-    Cholesky-factored with a fixed diagonal-jitter ladder {0, 1e-12, 1e-10,
-    1e-8}; the rung that succeeded is recorded.  Raises ``SamplingError`` when
-    the matrix is still not factorizable at the top rung.
+    lambda_min >= -64 eps lambda_max.  Next it tries first-axis embeddings
+    (see :func:`_first_axis_eigh`) with 2M = 2 ceil(p m) blocks for p = 3, 4,
+    6, 8, 12 while 2M <= m^2, by the same rule on the eigenvalues of all
+    blocks; at d = 1 the blocks are 1 x 1 and this is the full embedding, so
+    the FFT sampler draws it.  On both embedding paths negatives are clipped
+    and |lambda_min| is recorded as ``jitter``: the drawn covariance is the
+    truth plus a principal submatrix of the clip, whose norm is at most
+    |lambda_min|.  Otherwise the gathered matrix is Cholesky-factored with a
+    fixed diagonal-jitter ladder {0, 1e-12, 1e-10, 1e-8}; the rung that
+    succeeded is recorded.  Raises ``SamplingError`` when the matrix is
+    still not factorizable at the top rung.
     """
+    m = cov.mesh.m
     if cov.kernel.family == "se" and cov.mesh.d >= 2:
         root, jitter = _kronecker_root(cov)
         return CovFactor(cov=cov, jitter=jitter, axis_root=root)
-    for p in _PADDINGS:
-        eig = _embedding_eigenvalues(cov, math.ceil(p * cov.mesh.m))
-        low, high = float(eig.min()), float(eig.max())
-        if low >= -_CIRCULANT_TOL * high:
-            spectrum = np.sqrt(np.maximum(eig, 0.0) / eig.size)
-            return CovFactor(cov=cov, jitter=max(0.0, -low), spectrum=spectrum)
-    # Release the top rung before the L x L arrays are allocated: held, it
-    # pinned heap space that the gathered matrix then could not reuse, and a
-    # d = 1 Cholesky cell's peak RSS rose by one L x L array.
-    del eig
+    for p in _PADDINGS + _FIRST_AXIS_PADDINGS:
+        M = math.ceil(p * m)
+        first_axis = p in _FIRST_AXIS_PADDINGS
+        if first_axis and 2 * M > m * m:
+            break
+        factor = _embedding_factor(cov, M, first_axis)
+        if factor is not None:
+            return factor
     lower, jitter = _cholesky_ladder(cov)
     return CovFactor(cov=cov, jitter=jitter, lower=lower)
 
@@ -422,6 +516,38 @@ def _circulant_fields(factor: CovFactor, N: int, rng: np.random.Generator) -> np
     return fields
 
 
+def _block_circulant_fields(factor: CovFactor, N: int, rng: np.random.Generator) -> np.ndarray:
+    """N fields from the first-axis embedding, two per complex FFT along the first axis.
+
+    Pair k takes the next 2M x B complex standard normals z_j from ``rng``;
+    the real and imaginary parts of FFT_axis0(R_j z_j), cut to the first m
+    blocks, are fields 2k and 2k + 1, independent with the embedded
+    covariance.  R_j is real, so it applies to the real and imaginary parts
+    side by side as one real batched matmul (a complex one would cast R to
+    complex on every block).  Pairs are drawn in blocks of fixed size, in
+    order, so the first N fields of a larger draw are the N-field draw.
+    """
+    m, L = factor.cov.mesh.m, factor.cov.L
+    roots = factor.block_root
+    n, B = roots.shape[:2]
+    per_chunk = max(1, _DRAW_CHUNK // (n * B))
+    pairs = (N + 1) // 2
+    fields = np.empty((N, L))
+    # Every product has 2 per_chunk columns, the last block's zero-padded:
+    # BLAS rounds a column differently by the number of columns beside it.
+    x = np.zeros((n, B, per_chunk, 2))
+    for first in range(0, pairs, per_chunk):
+        p = min(per_chunk, pairs - first)
+        x[:, :, :p] = rng.standard_normal((p, n, B, 2)).transpose(1, 2, 0, 3)
+        x[:, :, p:] = 0.0
+        y = np.matmul(roots, x.reshape(n, B, 2 * per_chunk)).view(complex)[..., :p]
+        y = np.fft.fft(y, axis=0)[:m].transpose(2, 0, 1).reshape(p, L)
+        fields[2 * first : 2 * (first + p) : 2] = y.real
+        odd = fields[2 * first + 1 : 2 * (first + p) : 2]
+        odd[...] = y.imag[: odd.shape[0]]
+    return fields
+
+
 def _kronecker_fields(factor: CovFactor, N: int, rng: np.random.Generator) -> np.ndarray:
     """N fields A (x) ... (x) A z from N x L standard normals z, in order.
 
@@ -441,8 +567,8 @@ def sample_ensemble(factor: CovFactor, N: int, seed: int, mesh: Mesh) -> Ensembl
     """Draw N i.i.d. fields ~ N(0, factor.cov) on the mesh.
 
     Deterministic given (factor, N, seed): the same inputs give bit-identical
-    ensembles on any machine and under any thread count; on the Kronecker
-    and circulant paths the first N fields of a larger draw equal the
+    ensembles on any machine and under any thread count; on every path
+    but Cholesky the first N fields of a larger draw equal the
     N-field draw.  One :func:`factorize` serves every draw.
     """
     if N < 1:
@@ -454,6 +580,8 @@ def sample_ensemble(factor: CovFactor, N: int, seed: int, mesh: Mesh) -> Ensembl
         fields = _kronecker_fields(factor, N, rng)
     elif factor.spectrum is not None:
         fields = _circulant_fields(factor, N, rng)
+    elif factor.block_root is not None:
+        fields = _block_circulant_fields(factor, N, rng)
     else:
         z = rng.standard_normal((N, factor.cov.L))
         fields = z @ factor.lower.T

@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from opcov import cli
@@ -170,7 +170,7 @@ _CSV_COLUMNS = {
 _INT_COLUMNS = {"seed", "d", "m", "N", "trial", "trials", "n", "indefinite_gains",
                 "continuity_full_solves"}
 _TEXT_COLUMNS = {"form": {"full", "simplified"}, "continuity_all_ok": {"True", "False"},
-                 "sampler": {"cholesky", "circulant", "kronecker"}}
+                 "sampler": {"block-circulant", "cholesky", "circulant", "kronecker"}}
 
 
 def check_one_cell_rule(path):
@@ -195,10 +195,11 @@ def check_one_cell_rule(path):
 
 def test_every_csv_cell_follows_the_one_cell_rule(tmp_path):
     # one small run of each command; every cell outside the integer and text
-    # columns is a float written as its shortest round-trip repr
+    # columns is a float written as its shortest round-trip repr (fig2's
+    # Matern cell at lambda = 0.8 draws by the first-axis embedding)
     runs = [
         "fig1 --m 32 --lambdas 0.3,0.1 --trials 2",
-        "fig2 --m 8 --lambdas 0.3,0.1 --trials 2",
+        "fig2 --m 8 --lambdas 0.8,0.1 --trials 2",
         "custom --kernel matern:nu=2.5 --m 32 --c0 1 --lambdas 0.3,0.05 --trials 2",
         "enkf-demo --m 32 --lambdas 0.3,0.1 --trials 2 --dy 4",
         "theory --m 32 --lambdas 0.1,0.05 --esup-samples 16",
@@ -214,37 +215,39 @@ def test_every_csv_cell_follows_the_one_cell_rule(tmp_path):
 
 
 def test_timing_names_the_sampler(tmp_path):
-    # lambda = 0.3 has a negative circulant embedding, lambda = 0.01 does not
-    assert main(["custom", "--kernel", "se", "--m", "200", "--lambdas", "0.3,0.01",
-                 "--trials", "1", "--out", str(tmp_path / "o")]) == 0
-    rows = read_rows(tmp_path / "o" / "custom_se_summary.csv")
-    assert [row["sampler"] for row in rows] == ["cholesky", "circulant"]
+    # Matern at d = 3, m = 10: lambda = 0.8 stays negative on every embedding
+    # the size rule allows, 0.5 passes the first-axis one at p = 3, and 0.05
+    # the minimal full one
+    assert main(["custom", "--kernel", "matern:nu=1.5", "--d", "3", "--m", "10",
+                 "--lambdas", "0.8,0.5,0.05", "--trials", "1", "--out", str(tmp_path / "o")]) == 0
+    rows = read_rows(tmp_path / "o" / "custom_matern_summary.csv")
+    assert [row["sampler"] for row in rows] == ["cholesky", "block-circulant", "circulant"]
     assert all(float(row["jitter"]) >= 0.0 for row in rows)
     # the timing file holds only wall-clock seconds
     lines = (tmp_path / "o" / "custom_timing.txt").read_text().splitlines()
-    assert len(lines) == 2
-    assert all(re.fullmatch(r"custom_se lambda=\S+ setup_s=[0-9.]+ trials_s=[0-9.]+", ln)
+    assert len(lines) == 3
+    assert all(re.fullmatch(r"custom_matern lambda=\S+ setup_s=[0-9.]+ trials_s=[0-9.]+", ln)
                for ln in lines)
 
 
 def test_sweep_releases_each_cholesky_factor_before_the_next(tmp_path):
-    # Matern at d = 2, m = 24 factorizes both lengthscales by Cholesky (SE
-    # there is Kronecker); a cell's set-up holds the gathered matrix and its
-    # factor (numpy's LAPACK work copy is not traced), so holding the
-    # previous factor as well would reach three L x L arrays
+    # Matern at d = 3, m = 10 factorizes both lengthscales by Cholesky; a
+    # cell's set-up holds the gathered matrix and its factor (numpy's LAPACK
+    # work copy is not traced), so holding the previous factor as well would
+    # reach three L x L arrays
     import tracemalloc
 
-    cfg = _config_from_argv(["fig2", "--m", "24", "--lambdas", "0.8,0.5", "--trials", "1",
-                             "--out", str(tmp_path)])
+    cfg = _config_from_argv(["custom", "--kernel", "matern:nu=1.5", "--d", "3", "--m", "10",
+                             "--lambdas", "0.8,0.7", "--trials", "1", "--out", str(tmp_path)])
     tracemalloc.start()
     try:
         run_figure(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert [row["sampler"] for row in read_rows(tmp_path / "fig2_matern_summary.csv")] == \
+    assert [row["sampler"] for row in read_rows(tmp_path / "custom_matern_summary.csv")] == \
         ["cholesky", "cholesky"]
-    assert peak < 2.5 * 8 * (24 * 24) ** 2
+    assert peak < 2.5 * 8 * (10**3) ** 2
 
 
 def test_run_figure_returns_the_summary_rows_it_writes(tmp_path):
@@ -629,7 +632,7 @@ def test_plot_labels_log_axes_that_span_no_power_of_ten(tmp_path):
 # ---------------------------------------------------------------------------
 
 _HUGE = "10000000000000000000000"
-_LAMBDAS = ("0.3", "0.1", "0.02", "2", "1e300", "1e-200", repr(sys.float_info.min))
+_LAMBDAS = ("0.794", "0.3", "0.1", "0.02", "2", "1e300", "1e-200", repr(sys.float_info.min))
 _BAD_LAMBDAS = ("5e-324", "0", "-0.1", "nan", "inf")
 # flag text per setting, as (values a command may accept, values it should
 # refuse): typical values, then zero, negatives, non-finite, subnormal and
@@ -701,6 +704,8 @@ def test_every_command_line_ends_in_an_exit_code(data, tmp_path, capsys):
     assert code in (0, 1, 3), argv
     if code == 3:
         assert "--check" in argv
+    if code != 1 and "--check" in argv and command in ("fig1", "fig2", "custom"):
+        event("a figure --check ran")
     if code == 1:
         assert not out.exists()  # refused before any work
     if code == 0:

@@ -129,9 +129,12 @@ def test_jitter_ladder_recorded():
 
 
 def test_jittered_factor_is_the_shifted_matrix_factor():
-    # SE at a long lengthscale needs the first jitter rung
-    cov = covariance_matrix(se_kernel(0.5), build_mesh(1, 200))
+    # SE at lambda = 30 on m = 5 points is past the first-axis size rule
+    # (2 ceil(3 m) = 30 > m^2) and negative on every full embedding, so it
+    # takes Cholesky, and its near-singular matrix needs the first jitter rung
+    cov = covariance_matrix(se_kernel(30.0), build_mesh(1, 5))
     factor = factorize(cov)
+    assert factor.sampler == "cholesky"
     assert factor.jitter == 1e-12
     want = np.linalg.cholesky(cov.entries + factor.jitter * np.eye(cov.L))
     assert np.array_equal(factor.lower, want)
@@ -256,14 +259,25 @@ def _minimal_embedding_eigenvalues(kernel, m):
 def test_sampler_routing():
     # SE lambda = 0.3 at d = 2 factors over the axes: the Kronecker sampler,
     # whatever its embedding; Matern at the same cell stays negative up to
-    # the top padding (p = 2) and keeps the Cholesky factor
+    # the top full padding (p = 2) and takes the first-axis embedding at p = 3
     mesh = build_mesh(2, 64)
     factor = factorize(covariance_matrix(se_kernel(0.3), mesh))
     assert factor.sampler == "kronecker" and factor.axis_root.shape == (64, 64)
-    assert factor.spectrum is None and factor.lower is None
+    assert factor.spectrum is None and factor.lower is None and factor.block_root is None
     factor = factorize(covariance_matrix(matern_kernel(0.3, 1.5), mesh))
+    assert factor.sampler == "block-circulant" and factor.block_root.shape == (384, 64, 64)
+    assert factor.spectrum is None and factor.axis_root is None and factor.lower is None
+    assert factor.jitter == 0.0
+    # past the size rule (2 ceil(3 m) = 30 > m^2 = 25) no first-axis rung is
+    # tried, and a cell negative on every full embedding keeps Cholesky
+    mesh = build_mesh(2, 5)
+    factor = factorize(covariance_matrix(matern_kernel(0.8, 1.5), mesh))
     assert factor.sampler == "cholesky" and factor.lower.shape == (mesh.L, mesh.L)
-    assert factor.spectrum is None and factor.axis_root is None
+    assert factor.spectrum is None and factor.axis_root is None and factor.block_root is None
+    # at d = 1 the first-axis embedding is the full one: SE lambda = 0.794
+    # passes at p = 8 and draws by FFT
+    factor = factorize(covariance_matrix(se_kernel(10**-0.1), build_mesh(1, 1250)))
+    assert factor.sampler == "circulant" and factor.spectrum.shape == (20_000,)
     # SE lambda = 0.01 at d = 1 is negative only at rounding level: the FFT
     # sampler, with the clipped |lambda_min| recorded as the jitter
     kernel = se_kernel(0.01)
@@ -332,7 +346,7 @@ def test_kronecker_factor_matches_truth(d, m, lam):
 
 @pytest.mark.parametrize("d,m,kernel,sampler", [
     (1, 12, se_kernel(0.1), "circulant"),
-    # SE at d >= 2 is Kronecker, so the d >= 2 FFT and Cholesky cells are Matern
+    # SE at d >= 2 is Kronecker, so the other d >= 2 cells are Matern
     (2, 6, matern_kernel(0.15, 1.5), "circulant"),
     (3, 3, matern_kernel(0.3, 1.5), "circulant"),
     (2, 5, matern_kernel(0.8, 1.5), "cholesky"),
@@ -340,6 +354,7 @@ def test_kronecker_factor_matches_truth(d, m, lam):
     (3, 3, se_kernel(0.3), "kronecker"),
     (2, 8, matern_kernel(0.3, 1.5), "circulant"),  # padded, p = 1.5
     (2, 6, matern_kernel(0.5, 1.5), "circulant"),  # padded, p = 2
+    (2, 7, matern_kernel(0.5, 1.5), "block-circulant"),  # p = 3, 42 blocks of 7 x 7
 ])
 def test_empirical_covariance_matches_target_on_each_sampler(d, m, kernel, sampler):
     # criterion 06's protocol: 2e5 draws, 5 standard errors per entry
@@ -385,16 +400,94 @@ def test_larger_kronecker_draw_extends_smaller_draw(d, m, lam):
 def test_draws_in_threads_match_serial():
     from concurrent.futures import ThreadPoolExecutor
 
-    mesh = build_mesh(2, 32)
-    kernels = (se_kernel(0.3), matern_kernel(0.02, 1.5), matern_kernel(0.8, 1.5))
-    factors = [factorize(covariance_matrix(kernel, mesh)) for kernel in kernels]
-    assert [f.sampler for f in factors] == ["kronecker", "circulant", "cholesky"]
-    jobs = [(f, seed) for f in factors for seed in range(6)]
+    cells = [(build_mesh(2, 32), kernel) for kernel in
+             (se_kernel(0.3), matern_kernel(0.02, 1.5), matern_kernel(0.8, 1.5))]
+    cells.append((build_mesh(2, 5), matern_kernel(0.8, 1.5)))
+    factors = [(factorize(covariance_matrix(kernel, mesh)), mesh) for mesh, kernel in cells]
+    assert [f.sampler for f, _ in factors] == \
+        ["kronecker", "circulant", "block-circulant", "cholesky"]
+    jobs = [(f, mesh, seed) for f, mesh in factors for seed in range(6)]
 
     def draw(job):
-        return sample_ensemble(job[0], 9, seed=job[1], mesh=mesh).fields
+        return sample_ensemble(job[0], 9, seed=job[2], mesh=job[1]).fields
 
     with ThreadPoolExecutor(max_workers=4) as pool:
         threaded = list(pool.map(draw, jobs))
     for job, got in zip(jobs, threaded):
         assert np.array_equal(got, draw(job))
+
+
+# ---------------------------------------------------------------------------
+# the first-axis (block-circulant) embedding
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d,m,lam,M", [(2, 7, 0.5, 21), (2, 8, 0.8, 32), (2, 16, 0.8, 96),
+                                       (3, 6, 0.5, 18), (3, 8, 0.6, 32)])
+def test_block_circulant_factor_matches_truth(d, m, lam, M):
+    # the drawn covariance, rebuilt from the roots as the block circulant
+    # with blocks sum_j exp(-2 pi i k j / 2M) R_j R_j^T, is the truth within
+    # the recorded clip bound, up to rounding
+    from _helpers import spectral_norm_dense
+
+    cov = covariance_matrix(matern_kernel(lam, 1.5), build_mesh(d, m))
+    factor = factorize(cov)
+    B = m ** (d - 1)
+    assert factor.sampler == "block-circulant" and factor.block_root.shape == (2 * M, B, B)
+    assert factor.spectrum is None and factor.axis_root is None and factor.lower is None
+    roots = factor.block_root
+    blocks = np.fft.fft(roots @ roots.transpose(0, 2, 1), axis=0).real
+    a = np.arange(m)
+    drawn = blocks[(a[:, None] - a[None, :]) % (2 * M)].transpose(0, 2, 1, 3).reshape(cov.L, cov.L)
+    gap = spectral_norm_dense(drawn - cov.entries)
+    assert 0.0 <= factor.jitter
+    assert gap <= factor.jitter + 64 * np.finfo(float).eps * spectral_norm_dense(cov)
+
+
+@pytest.mark.parametrize("d,m,lam", [(2, 64, 0.3), (3, 8, 0.5)])
+def test_larger_block_circulant_draw_extends_smaller_draw(d, m, lam):
+    # (2, 64) holds 2 pairs per draw block and (3, 8) 21, so 61 fields cross
+    # block edges in both
+    mesh = build_mesh(d, m)
+    factor = factorize(covariance_matrix(matern_kernel(lam, 1.5), mesh))
+    assert factor.sampler == "block-circulant"
+    _assert_larger_draw_extends_smaller(factor, mesh)
+
+
+@pytest.mark.parametrize("m,kernel", [(200, se_kernel(0.5)), (1250, matern_kernel(10**-0.1, 1.5))])
+def test_first_axis_embedding_at_d1_is_the_full_embedding(m, kernel):
+    # at d = 1 the blocks are 1 x 1: the first-axis roots at the routed M are
+    # the circulant spectrum, and they draw the same fields, bit for bit
+    from opcov.sampling import CovFactor, _first_axis_eigh
+
+    mesh = build_mesh(1, m)
+    cov = covariance_matrix(kernel, mesh)
+    factor = factorize(cov)
+    M = factor.spectrum.size // 2
+    assert factor.sampler == "circulant" and M >= 3 * m
+    w, v = _first_axis_eigh(cov, M)
+    roots = v * np.sqrt(np.maximum(w, 0.0) / (2 * M))[:, None, :]
+    assert np.array_equal(roots.ravel(), factor.spectrum)
+    blocked = CovFactor(cov=cov, jitter=factor.jitter, block_root=roots)
+    assert blocked.sampler == "block-circulant"
+    for N in (1, 9):
+        assert np.array_equal(sample_ensemble(blocked, N, seed=11, mesh=mesh).fields,
+                              sample_ensemble(factor, N, seed=11, mesh=mesh).fields)
+
+
+def test_block_circulant_setup_and_draw_hold_no_dense_matrix():
+    # the benchmark's d = 2 Matern cell (m = 64, lambda = 0.3): set-up and one
+    # 13-field draw peak well below one L x L array, where its Cholesky
+    # factor held two
+    import tracemalloc
+
+    mesh = build_mesh(2, 64)
+    tracemalloc.start()
+    try:
+        factor = factorize(covariance_matrix(matern_kernel(0.3, 1.5), mesh))
+        sample_ensemble(factor, 13, seed=1, mesh=mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert factor.sampler == "block-circulant"
+    assert peak < 0.5 * 8 * mesh.L**2
