@@ -26,13 +26,13 @@ from the covariance alone:
   through its FFT, two fields per complex transform (Dietrich & Newsam 1997;
   Wood & Chan 1994); the jitter is the clipped |lambda_min|.
 * ``block-circulant``: otherwise the first axis alone is embedded, with
-  2 ceil(p m) blocks for p in {3, 4, 6, 8, 12} while that is at most m^2,
-  and the other d - 1 axes are kept exact.  The FFT along the first axis
-  leaves 2M real symmetric blocks of order m^(d-1); draws apply a root of
-  each and transform back, two fields per complex transform, and the
-  jitter is the clipped |lambda_min| of all blocks.  At d = 1 the blocks
-  are 1 x 1 and this is the circulant sampler at a larger padding, so such
-  a truth is drawn and named ``circulant``.
+  2M = 2 ceil(p m) blocks for p in {3, 4, 6, 8, 12} while 2M <= m^2, and the
+  other d - 1 axes are kept exact.  The FFT along the first axis leaves 2M
+  real symmetric blocks of order m^(d-1), M + 1 of them distinct; draws
+  apply a root of each and transform back, two fields per complex transform,
+  and the jitter is the clipped |lambda_min| of all blocks.  At d = 1 the
+  blocks are 1 x 1 and this is the circulant sampler at a larger padding, so
+  such a truth is drawn and named ``circulant``.
 * ``cholesky``: otherwise the gathered matrix gets a dense Cholesky factor
   with a fixed diagonal-jitter ladder, and the jitter is the diagonal shift
   used.
@@ -69,8 +69,8 @@ __all__ = [
 ]
 
 # A covariance is held as its first row, and the Kronecker and embedding
-# samplers hold at most an m x m root, a (4m)^d spectrum or 2 ceil(p m) <= m^2
-# blocks of order m^(d-1), never more numbers than L^2.  But a Cholesky-path
+# samplers hold at most an m x m root, a (4m)^d spectrum or M + 1 <= m^2/2 + 1
+# blocks of order m^(d-1), about L^2 / 2 numbers.  But a Cholesky-path
 # truth (a non-SE kernel at large lengthscales whose embeddings stay
 # negative up to the size rule) still factors the L x L matrix, and the
 # figure trials form an L x L block when every row can keep an entry; 12,500
@@ -91,15 +91,14 @@ _CIRCULANT_TOL = 64 * np.finfo(float).eps
 # m = 64, lambda = 0.3 then drew 13 fields in 107-125 ms, against 28-37 ms
 # through its Cholesky factor.
 _PADDINGS = (1.0, 1.5, 2.0)
-# Then the first-axis embedding, 2 ceil(p m) blocks, tried only while
-# 2 ceil(p m) <= m^2, so its roots never hold more numbers than L^2.  It
-# embeds one axis, so a draw takes 2p complex normals per mesh point: the
-# same Matern cell passes at p = 3 (where the full embedding is still
-# negative) and draws its 13 fields in 26 ms, against 30 ms through its
-# Cholesky factor (2-core x86 host, one BLAS thread).
+# Then the first-axis embedding, 2M = 2 ceil(p m) blocks, tried only while
+# 2M <= m^2, so its M + 1 distinct roots hold at most about L^2 / 2 numbers.
+# The same Matern cell passes at p = 3, where the full embedding is still
+# negative, and draws 13 fields in 17-19 ms (2p complex normals per mesh
+# point), against 30 ms by Cholesky (2-core x86 host, one BLAS thread).
 _FIRST_AXIS_PADDINGS = (3.0, 4.0, 6.0, 8.0, 12.0)
-# Complex entries per block of FFT draws, so a draw's temporaries stay small
-# next to its N x L output.
+# Complex entries per block of FFT draws (and block entries per slice of the
+# first-axis eigh), so temporaries stay small next to the output.
 _DRAW_CHUNK = 1 << 16
 
 
@@ -229,9 +228,10 @@ class CovFactor:
     eigenvalues clipped (the Kronecker sampler).  ``spectrum`` holds
     sqrt(max(eig, 0) / n) for the n = (2M)^d eigenvalues of the circulant
     embedding with M = ceil(p m) points of offset per axis (the FFT sampler).
-    ``block_root`` holds 2M roots R_j = V_j sqrt(max(w_j, 0) / 2M), each B x
-    B with B = m^(d-1), of the blocks eigh(Lambda_j) = V_j diag(w_j) V_j^T of
-    the first-axis embedding with 2M blocks (the block-circulant sampler).
+    ``block_root`` holds the M + 1 distinct roots R_j = V_j sqrt(max(w_j, 0)
+    / 2M), each B x B with B = m^(d-1), of the blocks eigh(Lambda_j) = V_j
+    diag(w_j) V_j^T, j <= M, of the first-axis embedding with 2M blocks;
+    block j > M draws through R_(2M - j) (the block-circulant sampler).
     ``lower`` is the Cholesky factor of the matrix plus ``jitter`` on the
     diagonal.  ``jitter`` bounds, up to rounding, the spectral norm of the
     difference between the drawn covariance and the matrix.
@@ -329,7 +329,7 @@ def _embedding_eigenvalues(cov: CovMatrix, M: int) -> np.ndarray:
 
 
 def _first_axis_eigh(cov: CovMatrix, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of the 2M diagonal blocks Lambda_j of the first-axis embedding with 2M blocks.
+    """eigh of the M + 1 distinct diagonal blocks of the first-axis embedding with 2M blocks.
 
     Along its first axis the truth is block Toeplitz, with (d-1)-level
     Toeplitz blocks T_k of order B = m^(d-1) at first-axis offset k h.  The
@@ -338,21 +338,19 @@ def _first_axis_eigh(cov: CovMatrix, M: int) -> tuple[np.ndarray, np.ndarray]:
     submatrix of the full embedding at the same M that keeps the first m
     points of every other axis, so it is nonnegative wherever that one is.
     The FFT along the first axis block-diagonalizes it into Lambda_j = sum_k
-    T_min(k, 2M - k) exp(-2 pi i j k / 2M), real symmetric.  At d = 1 these
-    are the full embedding's eigenvalues, bit for bit.
+    T_min(k, 2M - k) exp(-2 pi i j k / 2M), real symmetric and even in j, so
+    j = 0..M are all the distinct blocks.  The transform commutes with the
+    Toeplitz gather, so each Lambda_j is gathered from the real FFT of the
+    (2M, m^(d-1)) offset table; its eigenvectors then overwrite it.
     """
-    m, d = cov.mesh.m, cov.mesh.d
-    B = m ** (d - 1)
-    rows = _offset_table(cov, (M + 1,) + (m,) * (d - 1))
-    blocks = rows[(slice(None),) + _gap_index(m, d - 1)].reshape(M + 1, B, B)
-    # One row of every block at a time: transforming all 2M blocks at once
-    # held a complex copy of the real input and a complex output, 4 times
-    # the 2M x B x B blocks, where the eigenvectors then hold 1.
-    lam = np.empty((2 * M, B, B))
-    for b in range(B):
-        lam[:, b] = np.fft.fft(blocks[_even(M), b], axis=0).real
-    del blocks
-    return np.linalg.eigh(lam)
+    m, d, B = cov.mesh.m, cov.mesh.d, cov.L // cov.mesh.m  # B = m^(d-1)
+    rows = _offset_table(cov, (M + 1,) + (m,) * (d - 1)).reshape(M + 1, B)
+    gap = np.arange(B).reshape((m,) * (d - 1))[_gap_index(m, d - 1)].reshape(B, B)
+    blocks = np.take(np.fft.rfft(rows[_even(M)], axis=0).real, gap, axis=1)
+    w, step = np.empty((M + 1, B)), max(1, _DRAW_CHUNK // (B * B))
+    for j in range(0, M + 1, step):
+        w[j : j + step], blocks[j : j + step] = np.linalg.eigh(blocks[j : j + step])
+    return w, blocks
 
 
 def _kronecker_root(cov: CovMatrix) -> tuple[np.ndarray, float]:
@@ -520,31 +518,33 @@ def _block_circulant_fields(factor: CovFactor, N: int, rng: np.random.Generator)
     """N fields from the first-axis embedding, two per complex FFT along the first axis.
 
     Pair k takes the next 2M x B complex standard normals z_j from ``rng``;
-    the real and imaginary parts of FFT_axis0(R_j z_j), cut to the first m
-    blocks, are fields 2k and 2k + 1, independent with the embedded
-    covariance.  R_j is real, so it applies to the real and imaginary parts
-    side by side as one real batched matmul (a complex one would cast R to
-    complex on every block).  Pairs are drawn in blocks of fixed size, in
-    order, so the first N fields of a larger draw are the N-field draw.
+    the real and imaginary parts of FFT_axis0(R_min(j, 2M - j) z_j), cut to
+    the first m blocks, are fields 2k and 2k + 1, independent with the
+    embedded covariance.  The roots are real, so they apply to the real and
+    imaginary parts side by side as real batched matmuls over j <= M and the
+    mirrored j > M (a complex one would cast R to complex on every block).
+    Pairs are drawn in blocks of fixed size, in order, so the first N fields
+    of a larger draw are the N-field draw.
     """
-    m, L = factor.cov.mesh.m, factor.cov.L
-    roots = factor.block_root
-    n, B = roots.shape[:2]
-    per_chunk = max(1, _DRAW_CHUNK // (n * B))
+    m, L, roots = factor.cov.mesh.m, factor.cov.L, factor.block_root
+    M, B = roots.shape[0] - 1, roots.shape[1]
+    per_chunk = max(1, _DRAW_CHUNK // (2 * M * B))
     pairs = (N + 1) // 2
     fields = np.empty((N, L))
     # Every product has 2 per_chunk columns, the last block's zero-padded:
     # BLAS rounds a column differently by the number of columns beside it.
-    x = np.zeros((n, B, per_chunk, 2))
+    x = np.zeros((2 * M, B, per_chunk, 2))
+    xs, y = x.reshape(2 * M, B, 2 * per_chunk), np.empty((2 * M, B, 2 * per_chunk))
     for first in range(0, pairs, per_chunk):
         p = min(per_chunk, pairs - first)
-        x[:, :, :p] = rng.standard_normal((p, n, B, 2)).transpose(1, 2, 0, 3)
+        x[:, :, :p] = rng.standard_normal((p, 2 * M, B, 2)).transpose(1, 2, 0, 3)
         x[:, :, p:] = 0.0
-        y = np.matmul(roots, x.reshape(n, B, 2 * per_chunk)).view(complex)[..., :p]
-        y = np.fft.fft(y, axis=0)[:m].transpose(2, 0, 1).reshape(p, L)
-        fields[2 * first : 2 * (first + p) : 2] = y.real
+        np.matmul(roots, xs[: M + 1], out=y[: M + 1])
+        np.matmul(roots[M - 1 : 0 : -1], xs[M + 1 :], out=y[M + 1 :])
+        z = np.fft.fft(y.view(complex)[..., :p], axis=0)[:m].transpose(2, 0, 1).reshape(p, L)
+        fields[2 * first : 2 * (first + p) : 2] = z.real
         odd = fields[2 * first + 1 : 2 * (first + p) : 2]
-        odd[...] = y.imag[: odd.shape[0]]
+        odd[...] = z.imag[: odd.shape[0]]
     return fields
 
 
