@@ -156,7 +156,8 @@ class ExperimentConfig:
                 _check_draws(self.esup_samples)
         except (EstimationError, SamplingError, enkf_mod.EnkfError, KernelError) as exc:
             raise ConfigError(str(exc)) from None
-        # one N x L ensemble is held at a time, within the limit of one dense matrix
+        # figure and EnKF runs hold one N x L ensemble at a time, within the limit
+        # of one dense matrix; theory keeps N suprema, and the cap bounds its draws
         if self.experiment == "theory":
             N = self.esup_samples
         else:
@@ -331,6 +332,9 @@ def _lengthscale_trials(cfg: ExperimentConfig, mesh: Mesh, rule: ThresholdRule,
     ]
     eps_s = np.array([r.eps_sample for r in reports])
     eps_t = np.array([r.eps_thresh for r in reports])
+    # rho_hat >= 0 is averaged at the exact scale 2^-k < 1 / max, where no sum overflows
+    rho = np.array([r.rho_hat for r in reports])
+    k = int(np.frexp(rho.max())[1])
 
     def ci95(x):
         return 1.96 * float(x.std(ddof=1)) / math.sqrt(x.size) if x.size > 1 else 0.0
@@ -339,7 +343,7 @@ def _lengthscale_trials(cfg: ExperimentConfig, mesh: Mesh, rule: ThresholdRule,
         "lambda": lam, "N": N, "trials": cfg.trials,
         "mean_eps_sample": float(eps_s.mean()), "ci95_eps_sample": ci95(eps_s),
         "mean_eps_thresh": float(eps_t.mean()), "ci95_eps_thresh": ci95(eps_t),
-        "mean_rho_hat": float(np.mean([r.rho_hat for r in reports])),
+        "mean_rho_hat": float(np.ldexp(np.mean(np.ldexp(rho, -k)), k)),
         "mean_nnz_fraction": float(np.mean([r.nnz_fraction for r in reports])),
         "zero_estimate_frac": float(np.mean([r.nnz_fraction == 0 for r in reports])),
         "frac_thresh_worse": float(np.mean(eps_t >= eps_s)),

@@ -37,16 +37,18 @@ from the covariance alone:
   with a fixed diagonal-jitter ladder, and the jitter is the diagonal shift
   used.
 
-Randomness comes from the counter-based Philox generator keyed through
-``numpy.random.SeedSequence`` so that per-trial substreams are independent of
-execution order and thread count.
+Every sampler yields its fields in consecutive blocks (:func:`field_blocks`),
+which :func:`sample_ensemble` stacks.  Randomness comes from the
+counter-based Philox generator keyed through ``numpy.random.SeedSequence`` so
+that per-trial substreams are independent of execution order and thread
+count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -64,6 +66,7 @@ __all__ = [
     "factorize",
     "covariance_matvec",
     "sample_ensemble",
+    "field_blocks",
     "substream",
     "derive_seed",
 ]
@@ -97,8 +100,9 @@ _PADDINGS = (1.0, 1.5, 2.0)
 # negative, and draws 13 fields in 17-19 ms (2p complex normals per mesh
 # point), against 30 ms by Cholesky (2-core x86 host, one BLAS thread).
 _FIRST_AXIS_PADDINGS = (3.0, 4.0, 6.0, 8.0, 12.0)
-# Complex entries per block of FFT draws (and block entries per slice of the
-# first-axis eigh), so temporaries stay small next to the output.
+# Complex entries per block of FFT draws, field entries per block of Kronecker
+# draws (and block entries per slice of the first-axis eigh), so temporaries
+# stay small next to the output.
 _DRAW_CHUNK = 1 << 16
 
 
@@ -486,8 +490,16 @@ def covariance_matvec(cov: CovMatrix) -> Callable[[np.ndarray], np.ndarray]:
     return matvec
 
 
-def _circulant_fields(factor: CovFactor, N: int, rng: np.random.Generator) -> np.ndarray:
-    """N fields from the circulant embedding, two per complex FFT.
+def _interleave(y: np.ndarray, n: int) -> np.ndarray:
+    """The first n of the fields y[0].real, y[0].imag, y[1].real, ... as an (n, L) block."""
+    fields = np.empty((n, y.shape[1]))
+    fields[0::2] = y.real
+    fields[1::2] = y.imag[: n // 2]
+    return fields
+
+
+def _circulant_fields(factor: CovFactor, N: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """N fields from the circulant embedding, two per complex FFT, in blocks.
 
     Pair k takes the next ``spectrum.size`` complex standard normals z from
     ``rng``; the real and imaginary parts of FFT(spectrum * z), cut to the
@@ -502,20 +514,16 @@ def _circulant_fields(factor: CovFactor, N: int, rng: np.random.Generator) -> np
     block = (slice(None),) + (slice(0, m),) * d
     per_chunk = max(1, _DRAW_CHUNK // spectrum.size)
     pairs = (N + 1) // 2
-    fields = np.empty((N, L))
     for first in range(0, pairs, per_chunk):
         p = min(per_chunk, pairs - first)
         z = rng.standard_normal((p,) + spectrum.shape + (2,)).view(complex)[..., 0]
         z *= spectrum
         y = np.fft.fftn(z, axes=axes)[block].reshape(p, L)
-        fields[2 * first : 2 * (first + p) : 2] = y.real
-        odd = fields[2 * first + 1 : 2 * (first + p) : 2]
-        odd[...] = y.imag[: odd.shape[0]]
-    return fields
+        yield _interleave(y, min(2 * p, N - 2 * first))
 
 
-def _block_circulant_fields(factor: CovFactor, N: int, rng: np.random.Generator) -> np.ndarray:
-    """N fields from the first-axis embedding, two per complex FFT along the first axis.
+def _block_circulant_fields(factor: CovFactor, N: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """N fields from the first-axis embedding, two per complex FFT along the first axis, in blocks.
 
     Pair k takes the next 2M x B complex standard normals z_j from ``rng``;
     the real and imaginary parts of FFT_axis0(R_min(j, 2M - j) z_j), cut to
@@ -530,7 +538,6 @@ def _block_circulant_fields(factor: CovFactor, N: int, rng: np.random.Generator)
     M, B = roots.shape[0] - 1, roots.shape[1]
     per_chunk = max(1, _DRAW_CHUNK // (2 * M * B))
     pairs = (N + 1) // 2
-    fields = np.empty((N, L))
     # Every product has 2 per_chunk columns, the last block's zero-padded:
     # BLAS rounds a column differently by the number of columns beside it.
     x = np.zeros((2 * M, B, per_chunk, 2))
@@ -542,49 +549,64 @@ def _block_circulant_fields(factor: CovFactor, N: int, rng: np.random.Generator)
         np.matmul(roots, xs[: M + 1], out=y[: M + 1])
         np.matmul(roots[M - 1 : 0 : -1], xs[M + 1 :], out=y[M + 1 :])
         z = np.fft.fft(y.view(complex)[..., :p], axis=0)[:m].transpose(2, 0, 1).reshape(p, L)
-        fields[2 * first : 2 * (first + p) : 2] = z.real
-        odd = fields[2 * first + 1 : 2 * (first + p) : 2]
-        odd[...] = z.imag[: odd.shape[0]]
-    return fields
+        yield _interleave(z, min(2 * p, N - 2 * first))
 
 
-def _kronecker_fields(factor: CovFactor, N: int, rng: np.random.Generator) -> np.ndarray:
-    """N fields A (x) ... (x) A z from N x L standard normals z, in order.
+def _kronecker_fields(factor: CovFactor, N: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """N fields A (x) ... (x) A z from N x L standard normals z, in blocks.
 
     Each field's (m,)*d array takes A along its leading axis, which then
     rotates to the back; after d turns every axis has had A once and the
-    order is restored.  Each product is per field, so the first N fields of
-    a larger draw are the N-field draw.
+    order is restored.  Each product is per field and the normals are drawn
+    in order, so the first N fields of a larger draw are the N-field draw.
     """
     m, L = factor.cov.mesh.m, factor.cov.L
-    x = rng.standard_normal((N, m, L // m))
-    for _ in range(factor.cov.mesh.d):
-        x = np.matmul(factor.axis_root, x).transpose(0, 2, 1).reshape(N, m, L // m)
-    return x.reshape(N, L)
+    per_block = max(1, _DRAW_CHUNK // L)
+    for first in range(0, N, per_block):
+        n = min(per_block, N - first)
+        x = rng.standard_normal((n, m, L // m))
+        for _ in range(factor.cov.mesh.d):
+            x = np.matmul(factor.axis_root, x).transpose(0, 2, 1).reshape(n, m, L // m)
+        yield x.reshape(n, L)
 
 
-def sample_ensemble(factor: CovFactor, N: int, seed: int, mesh: Mesh) -> Ensemble:
-    """Draw N i.i.d. fields ~ N(0, factor.cov) on the mesh.
+def _cholesky_fields(factor: CovFactor, N: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """N fields z @ lower.T in one block: a GEMM rounds a row by the rows beside it."""
+    yield rng.standard_normal((N, factor.cov.L)) @ factor.lower.T
 
-    Deterministic given (factor, N, seed): the same inputs give bit-identical
-    ensembles on any machine and under any thread count; on every path
-    but Cholesky the first N fields of a larger draw equal the
-    N-field draw.  One :func:`factorize` serves every draw.
+
+_SAMPLERS = {"kronecker": _kronecker_fields, "circulant": _circulant_fields,
+             "block-circulant": _block_circulant_fields, "cholesky": _cholesky_fields}
+
+
+def field_blocks(factor: CovFactor, N: int, seed: int, mesh: Mesh) -> Iterator[np.ndarray]:
+    """:func:`sample_ensemble`'s N fields as consecutive (n, L) blocks, checked on the call.
+
+    A caller that needs one statistic per field never holds the N x L array.
+    Cholesky draws one block; the others about ``_DRAW_CHUNK`` numbers each.
     """
     if N < 1:
         raise SamplingError(f"sample count N must be >= 1, got {N}")
     if mesh.L != factor.cov.L:
         raise SamplingError("mesh size does not match covariance order")
-    rng = substream(seed)
-    if factor.axis_root is not None:
-        fields = _kronecker_fields(factor, N, rng)
-    elif factor.spectrum is not None:
-        fields = _circulant_fields(factor, N, rng)
-    elif factor.block_root is not None:
-        fields = _block_circulant_fields(factor, N, rng)
-    else:
-        z = rng.standard_normal((N, factor.cov.L))
-        fields = z @ factor.lower.T
-    sups = fields.max(axis=1)
-    return Ensemble(mesh=mesh, N=N, fields=fields, sups=sups)
+    return _SAMPLERS[factor.sampler](factor, N, substream(seed))
 
+
+def sample_ensemble(factor: CovFactor, N: int, seed: int, mesh: Mesh) -> Ensemble:
+    """Draw N i.i.d. fields ~ N(0, factor.cov) on the mesh.
+
+    The fields are the blocks of :func:`field_blocks`, stacked.  Deterministic
+    given (factor, N, seed): the same inputs give bit-identical ensembles on
+    any machine and under any thread count; on every path but Cholesky the
+    first N fields of a larger draw equal the N-field draw.  One
+    :func:`factorize` serves every draw.
+    """
+    blocks = field_blocks(factor, N, seed, mesh)
+    fields = next(blocks)
+    if len(fields) < N:  # one block is the ensemble; more are copied in, never all held
+        head, fields, start = fields, np.empty((N, mesh.L)), len(fields)
+        fields[:start] = head
+        for block in blocks:
+            fields[start : start + len(block)] = block
+            start += len(block)
+    return Ensemble(mesh=mesh, N=N, fields=fields, sups=fields.max(axis=1))

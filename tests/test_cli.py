@@ -193,6 +193,19 @@ def check_one_cell_rule(path):
                 assert repr(float(cell)) == cell, (path.name, column, cell)
 
 
+def test_mean_rho_hat_whose_sum_overflows_is_finite(tmp_path):
+    # at lambda = 0.3 the two trials' rho_hat are 8.7e307 and 1.16e308: their
+    # sum overflows, their mean does not; the mean of two values is exactly
+    # half the rounded sum at either row
+    assert main(["custom", "--lambdas", "0.794,0.3", "--m", "2", "--trials", "2",
+                 "--c0", "1e308", "--n-fixed", "1", "--out", str(tmp_path)]) == 0
+    trials = read_rows(tmp_path / "custom_se_trials.csv")
+    for row in read_rows(tmp_path / "custom_se_summary.csv"):
+        a, b = (float(t["rho_hat"]) for t in trials if t["lambda"] == row["lambda"])
+        assert math.isfinite(float(row["mean_rho_hat"]))
+        assert float(row["mean_rho_hat"]) == a / 2 + b / 2
+
+
 def test_every_csv_cell_follows_the_one_cell_rule(tmp_path):
     # one small run of each command; every cell outside the integer and text
     # columns is a float written as its shortest round-trip repr (fig2's

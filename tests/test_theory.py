@@ -235,6 +235,58 @@ def test_sup_mean_of_large_ensemble_matches_mc():
     assert abs(s_bar - mc) <= 3.0 * math.hypot(s_se, mc_se)
 
 
+# the four cells of the sampling thread test, a d = 3 first-axis cell (21
+# pairs per draw block) and a Kronecker cell of 16 fields per block; the
+# last entry says whether 61 fields cross a block edge (Cholesky draws one
+# block, and Kronecker at L = 1024 blocks of 64 fields)
+_SUP_CELLS = [((2, 32), se_kernel(0.3), "kronecker", False),
+              ((2, 32), matern_kernel(0.02, 1.5), "circulant", True),
+              ((2, 32), matern_kernel(0.8, 1.5), "block-circulant", True),
+              ((2, 5), matern_kernel(0.8, 1.5), "cholesky", False),
+              ((3, 8), matern_kernel(0.5, 1.5), "block-circulant", True),
+              ((2, 64), se_kernel(0.02), "kronecker", True)]
+
+
+@pytest.mark.parametrize("M", [9, 61])
+@pytest.mark.parametrize("dm,kernel,sampler,crosses", _SUP_CELLS,
+                         ids=[f"{s}-d{dm[0]}m{dm[1]}" for dm, _, s, _ in _SUP_CELLS])
+def test_streamed_suprema_are_the_ensemble_suprema(dm, kernel, sampler, crosses, M):
+    # the supremum estimate keeps only each block's row maxima; they are the
+    # ensemble's sups bit for bit, and so are its mean and stderr
+    from opcov.sampling import field_blocks
+
+    mesh = build_mesh(*dm)
+    factor = factorize(covariance_matrix(kernel, mesh))
+    assert factor.sampler == sampler
+    sups = sample_ensemble(factor, M, seed=17, mesh=mesh).sups
+    blocks = list(field_blocks(factor, M, 17, mesh))
+    assert (len(blocks) > 1) == (crosses and M == 61)
+    assert np.array_equal(np.concatenate([b.max(axis=1) for b in blocks]), sups)
+    mean, stderr = expected_supremum_mc(factor, mesh, M, seed=17)
+    assert mean == float(sups.mean())
+    assert stderr == float(sups.std(ddof=1) / math.sqrt(M))
+
+
+def test_expected_supremum_memory_does_not_grow_with_the_draws():
+    # d = 1, m = 1250 (the theory benchmark's mesh): from 200 to 20,000 fields
+    # the traced peak grows by under 64 bytes a field, where a held field
+    # takes 8 L = 10 kB, and stays below 5% of the 8 M L bytes of the ensemble
+    import tracemalloc
+
+    mesh = build_mesh(1, 1250)
+    factor = factorize(covariance_matrix(se_kernel(0.01), mesh))
+    peaks = {}
+    for M in (200, 20_000):
+        tracemalloc.start()
+        try:
+            expected_supremum_mc(factor, mesh, M, seed=3)
+            peaks[M] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[20_000] - peaks[200] < 64 * (20_000 - 200)
+    assert peaks[20_000] < 0.05 * 8 * 20_000 * mesh.L
+
+
 def test_supremum_prediction_arranged_values():
     s = math.sqrt(2 * math.log(2))
     assert supremum_scaling_prediction(se_kernel(1 / (math.e * s)), 1) == pytest.approx(1.0, rel=1e-12)
