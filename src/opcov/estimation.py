@@ -354,8 +354,8 @@ def estimate_and_report(
     survives, the estimate is the sample covariance and shares its error.
     """
     L = truth.L
-    if ens.mesh.L != L:
-        raise EstimationError("ensemble and truth live on different meshes")
+    if ens.mesh != truth.mesh:
+        raise EstimationError(f"ensemble and truth live on different meshes: {ens.mesh}, {truth.mesh}")
     if truth_norm is None:
         truth_norm = spectral_norm(truth, seed=seed)
     F, N = ens.fields, ens.N

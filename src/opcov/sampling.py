@@ -5,17 +5,18 @@ discrete sums approximate integrals over [0,1]^d with no boundary correction.
 
 A stationary isotropic kernel sampled on the uniform mesh is a d-level
 symmetric Toeplitz matrix, fixed by its first row, so :func:`covariance_matrix`
-records the mesh, the kernel and that row and no L x L array.  Entries are
-gathered from the row on request (exactly symmetric and Toeplitz) and never
-kept.  ``covariance_matvec`` applies the covariance through the FFT of a
-circulant embedding of the row.  A :class:`CovMatrix` is only such a truth;
-an explicit matrix (a sample covariance, a thresholded estimate) is a plain
-``numpy.ndarray``.
+records the mesh, the kernel and that row and no L x L array.  Columns are
+gathered from the row on request (``CovMatrix.columns``, exactly symmetric
+and Toeplitz) and never kept; ``covariance_matvec`` applies the covariance
+through the FFT of a circulant embedding of the row.  A :class:`CovMatrix` is
+only such a truth; an explicit matrix (a sample covariance, a thresholded
+estimate) is a plain ``numpy.ndarray``.
 
 Draws are exact in distribution up to a recorded ``jitter``, a bound (up to
 rounding) on the spectral norm of the difference between the drawn
 covariance and the matrix.  :func:`factorize` picks one of four samplers
-from the covariance alone:
+from the covariance alone and returns a :class:`CovFactor` that names it
+(``sampler``) and holds its root (``root``):
 
 * ``kronecker``: an SE truth at d >= 2 is the d-fold Kronecker power of its
   one-axis m x m Toeplitz factor C1, so draws apply a root of C1 along every
@@ -33,9 +34,9 @@ from the covariance alone:
   and the jitter is the clipped |lambda_min| of all blocks.  At d = 1 the
   blocks are 1 x 1 and this is the circulant sampler at a larger padding, so
   such a truth is drawn and named ``circulant``.
-* ``cholesky``: otherwise the gathered matrix gets a dense Cholesky factor
-  with a fixed diagonal-jitter ladder, and the jitter is the diagonal shift
-  used.
+* ``cholesky``: otherwise the matrix is gathered from the row and gets a
+  dense Cholesky factor with a fixed diagonal-jitter ladder, and the jitter is
+  the diagonal shift used.
 
 Every sampler yields its fields in consecutive blocks (:func:`field_blocks`),
 which :func:`sample_ensemble` stacks.  Randomness comes from the
@@ -72,10 +73,11 @@ __all__ = [
 ]
 
 # A covariance is held as its first row, and the Kronecker and embedding
-# samplers hold at most an m x m root, a (4m)^d spectrum or M + 1 <= m^2/2 + 1
-# blocks of order m^(d-1), about L^2 / 2 numbers.  But a Cholesky-path
-# truth (a non-SE kernel at large lengthscales whose embeddings stay
-# negative up to the size rule) still factors the L x L matrix, and the
+# samplers hold at most an m x m root, a spectrum of (2 ceil(p m))^d numbers
+# (p <= 2 at d >= 2; at d = 1 the first-axis rungs reach p = 12) or
+# M + 1 <= m^2/2 + 1 blocks of order m^(d-1), about L^2 / 2 numbers.  But a
+# Cholesky-path truth (a non-SE kernel at large lengthscales whose embeddings
+# stay negative up to the size rule) still factors the L x L matrix, and the
 # figure trials form an L x L block when every row can keep an entry; 12,500
 # points (~1.25 GB per matrix at float64) is the desk-scale limit for every
 # supported dimension.  The commands hold an N x L ensemble to the same
@@ -176,42 +178,22 @@ def _toeplitz_gather(row: np.ndarray, mesh: Mesh, cols=None) -> np.ndarray:
     return first[tuple(np.abs(i[:, None] - j[None, :]) for i, j in zip(rows, picked))]
 
 
-class _DenseOnRequest:
-    """The ``entries`` field of :class:`CovMatrix`.
-
-    Stores what was passed, None by default, and answers a read of None with
-    the matrix gathered from the first row afresh, so the L x L array lives
-    only as long as the caller keeps it.
-    """
-
-    def __set_name__(self, owner, name):
-        self.slot = "_" + name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return None  # the field's default
-        stored = obj.__dict__[self.slot]
-        return _toeplitz_gather(obj.row, obj.mesh) if stored is None else stored
-
-    def __set__(self, obj, value):
-        obj.__dict__[self.slot] = value
-
-
-@dataclass(frozen=True, repr=False, eq=False)  # both would read ``entries``
+# eq and repr off: the fields are arrays, compared elementwise and printed whole
+@dataclass(frozen=True, repr=False, eq=False)
 class CovMatrix:
     """The stationary ``kernel`` sampled on a uniform ``mesh``, held as its first row.
 
-    The L x L matrix is multilevel Toeplitz with first row ``row``;
-    :func:`covariance_matvec` applies it through the FFT and ``columns``
-    gathers a block of it.  Built by :func:`covariance_matrix`.  Reading
-    ``entries`` gathers the whole matrix anew; code that only needs
-    products, columns or the row reads neither.
+    The L x L matrix is multilevel Toeplitz with first row ``row`` and is
+    never stored: :func:`covariance_matvec` applies it through the FFT and
+    ``columns`` gathers a block of it.  Built by :func:`covariance_matrix`.
+    ``entries`` stays None and no library code reads it; perfbench's traced
+    pass replaces it with a counting view.
     """
 
     mesh: Mesh
     kernel: KernelModel
     row: np.ndarray
-    entries: np.ndarray | None = _DenseOnRequest()
+    entries: np.ndarray | None = None
 
     @property
     def L(self) -> int:
@@ -226,35 +208,27 @@ class CovMatrix:
 class CovFactor:
     """How to draw from a covariance, computed once and reused for every draw.
 
-    Exactly one of ``axis_root``, ``spectrum``, ``block_root`` and ``lower``
-    is set, and ``sampler`` names it.  ``axis_root`` is an m x m root A of
-    the one-axis factor C1 of an SE truth, A A^T = C1 with negative
-    eigenvalues clipped (the Kronecker sampler).  ``spectrum`` holds
-    sqrt(max(eig, 0) / n) for the n = (2M)^d eigenvalues of the circulant
-    embedding with M = ceil(p m) points of offset per axis (the FFT sampler).
-    ``block_root`` holds the M + 1 distinct roots R_j = V_j sqrt(max(w_j, 0)
-    / 2M), each B x B with B = m^(d-1), of the blocks eigh(Lambda_j) = V_j
-    diag(w_j) V_j^T, j <= M, of the first-axis embedding with 2M blocks;
-    block j > M draws through R_(2M - j) (the block-circulant sampler).
-    ``lower`` is the Cholesky factor of the matrix plus ``jitter`` on the
-    diagonal.  ``jitter`` bounds, up to rounding, the spectral norm of the
-    difference between the drawn covariance and the matrix.
+    ``sampler`` names the sampler :func:`factorize` chose; ``root`` is its root:
+
+    * ``kronecker``: an m x m root A of the one-axis factor C1 of an SE
+      truth, A A^T = C1 with negative eigenvalues clipped;
+    * ``circulant``: sqrt(max(eig, 0) / n) for the n = (2M)^d eigenvalues of
+      the circulant embedding with M = ceil(p m) points of offset per axis;
+    * ``block-circulant``: the M + 1 distinct roots R_j = V_j sqrt(max(w_j,
+      0) / 2M), each B x B with B = m^(d-1), of the blocks eigh(Lambda_j) =
+      V_j diag(w_j) V_j^T, j <= M, of the first-axis embedding with 2M
+      blocks; block j > M draws through R_(2M - j);
+    * ``cholesky``: the lower Cholesky factor of the matrix plus ``jitter``
+      on the diagonal.
+
+    ``jitter`` bounds, up to rounding, the spectral norm of the difference
+    between the drawn covariance and the matrix.
     """
 
     cov: CovMatrix
     jitter: float
-    lower: np.ndarray | None = None
-    spectrum: np.ndarray | None = None
-    axis_root: np.ndarray | None = None
-    block_root: np.ndarray | None = None
-
-    @property
-    def sampler(self) -> str:
-        if self.axis_root is not None:
-            return "kronecker"
-        if self.block_root is not None:
-            return "block-circulant"
-        return "circulant" if self.spectrum is not None else "cholesky"
+    sampler: str
+    root: np.ndarray
 
 
 @dataclass
@@ -286,7 +260,7 @@ def build_mesh(d: int, m: int) -> Mesh:
 
 
 def covariance_matrix(kernel: KernelModel, mesh: Mesh) -> CovMatrix:
-    """Discretize the covariance operator: entries[i, j] = k(|x_i - x_j|).
+    """Discretize the covariance operator: C[i, j] = k(|x_i - x_j|).
 
     Records the first row, k of the distances from point 0, with a unit
     diagonal entry; every other entry is that row at |i - j| per axis.
@@ -384,10 +358,11 @@ def _kronecker_root(cov: CovMatrix) -> tuple[np.ndarray, float]:
 def _cholesky_ladder(cov: CovMatrix) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of cov plus the smallest jitter rung that factors.
 
-    The matrix is gathered afresh, so a jitter rung sets its diagonal in place.
+    The matrix is gathered from the row here, so a jitter rung sets its
+    diagonal in place.
     """
     try:
-        a = cov.entries
+        a = _toeplitz_gather(cov.row, cov.mesh)
     except MemoryError as exc:  # pragma: no cover - depends on host memory
         raise SamplingError(
             f"allocation of the {cov.L}x{cov.L} covariance matrix failed: {exc}"
@@ -425,9 +400,9 @@ def _embedding_factor(cov: CovMatrix, M: int, first_axis: bool) -> CovFactor | N
         return None
     jitter = max(0.0, -low)
     if vecs is None:
-        return CovFactor(cov=cov, jitter=jitter, spectrum=np.sqrt(np.maximum(eig, 0.0) / eig.size))
+        return CovFactor(cov, jitter, "circulant", np.sqrt(np.maximum(eig, 0.0) / eig.size))
     vecs *= np.sqrt(np.maximum(eig, 0.0) / (2 * M))[:, None, :]
-    return CovFactor(cov=cov, jitter=jitter, block_root=vecs)
+    return CovFactor(cov, jitter, "block-circulant", vecs)
 
 
 def factorize(cov: CovMatrix) -> CovFactor:
@@ -445,15 +420,16 @@ def factorize(cov: CovMatrix) -> CovFactor:
     the FFT sampler draws it.  On both embedding paths negatives are clipped
     and |lambda_min| is recorded as ``jitter``: the drawn covariance is the
     truth plus a principal submatrix of the clip, whose norm is at most
-    |lambda_min|.  Otherwise the gathered matrix is Cholesky-factored with a
-    fixed diagonal-jitter ladder {0, 1e-12, 1e-10, 1e-8}; the rung that
-    succeeded is recorded.  Raises ``SamplingError`` when the matrix is
-    still not factorizable at the top rung.
+    |lambda_min|.  Otherwise the matrix, gathered from the row, is
+    Cholesky-factored with a fixed diagonal-jitter ladder {0, 1e-12, 1e-10,
+    1e-8}; the rung that succeeded is recorded.  The factor names the path
+    taken as ``sampler`` and holds its ``root``.  Raises ``SamplingError``
+    when the matrix is still not factorizable at the top rung.
     """
     m = cov.mesh.m
     if cov.kernel.family == "se" and cov.mesh.d >= 2:
         root, jitter = _kronecker_root(cov)
-        return CovFactor(cov=cov, jitter=jitter, axis_root=root)
+        return CovFactor(cov, jitter, "kronecker", root)
     for p in _PADDINGS + _FIRST_AXIS_PADDINGS:
         M = math.ceil(p * m)
         first_axis = p in _FIRST_AXIS_PADDINGS
@@ -463,11 +439,11 @@ def factorize(cov: CovMatrix) -> CovFactor:
         if factor is not None:
             return factor
     lower, jitter = _cholesky_ladder(cov)
-    return CovFactor(cov=cov, jitter=jitter, lower=lower)
+    return CovFactor(cov, jitter, "cholesky", lower)
 
 
 def covariance_matvec(cov: CovMatrix) -> Callable[[np.ndarray], np.ndarray]:
-    """v -> cov.entries @ v in O(L log L).
+    """v -> C v for the L x L matrix C of cov, in O(L log L) and without forming C.
 
     A stationary isotropic kernel sampled on the uniform grid gives a
     d-level symmetric Toeplitz matrix, fixed by its first row ``cov.row``.
@@ -507,9 +483,8 @@ def _circulant_fields(factor: CovFactor, N: int, rng: np.random.Generator) -> It
     covariance.  Pairs are drawn in blocks of fixed size, in order, so the
     first N fields of a larger draw are the N-field draw.
     """
-    mesh = factor.cov.mesh
+    mesh, spectrum = factor.cov.mesh, factor.root
     m, d, L = mesh.m, mesh.d, mesh.L
-    spectrum = factor.spectrum
     axes = tuple(range(1, d + 1))
     block = (slice(None),) + (slice(0, m),) * d
     per_chunk = max(1, _DRAW_CHUNK // spectrum.size)
@@ -534,7 +509,7 @@ def _block_circulant_fields(factor: CovFactor, N: int, rng: np.random.Generator)
     Pairs are drawn in blocks of fixed size, in order, so the first N fields
     of a larger draw are the N-field draw.
     """
-    m, L, roots = factor.cov.mesh.m, factor.cov.L, factor.block_root
+    m, L, roots = factor.cov.mesh.m, factor.cov.L, factor.root
     M, B = roots.shape[0] - 1, roots.shape[1]
     per_chunk = max(1, _DRAW_CHUNK // (2 * M * B))
     pairs = (N + 1) // 2
@@ -566,13 +541,13 @@ def _kronecker_fields(factor: CovFactor, N: int, rng: np.random.Generator) -> It
         n = min(per_block, N - first)
         x = rng.standard_normal((n, m, L // m))
         for _ in range(factor.cov.mesh.d):
-            x = np.matmul(factor.axis_root, x).transpose(0, 2, 1).reshape(n, m, L // m)
+            x = np.matmul(factor.root, x).transpose(0, 2, 1).reshape(n, m, L // m)
         yield x.reshape(n, L)
 
 
 def _cholesky_fields(factor: CovFactor, N: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """N fields z @ lower.T in one block: a GEMM rounds a row by the rows beside it."""
-    yield rng.standard_normal((N, factor.cov.L)) @ factor.lower.T
+    """N fields z @ root.T in one block: a GEMM rounds a row by the rows beside it."""
+    yield rng.standard_normal((N, factor.cov.L)) @ factor.root.T
 
 
 _SAMPLERS = {"kronecker": _kronecker_fields, "circulant": _circulant_fields,
@@ -587,8 +562,8 @@ def field_blocks(factor: CovFactor, N: int, seed: int, mesh: Mesh) -> Iterator[n
     """
     if N < 1:
         raise SamplingError(f"sample count N must be >= 1, got {N}")
-    if mesh.L != factor.cov.L:
-        raise SamplingError("mesh size does not match covariance order")
+    if mesh != factor.cov.mesh:
+        raise SamplingError(f"{mesh} does not match the covariance's {factor.cov.mesh}")
     return _SAMPLERS[factor.sampler](factor, N, substream(seed))
 
 

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from _helpers import spectral_norm_dense, supnorm_errors, threshold_ratios
+from _helpers import dense_truth, spectral_norm_dense, supnorm_errors, threshold_ratios
 from opcov.cli import ExperimentConfig, _config_from_argv, run_figure
 from opcov.enkf import pointwise_observation, compare_analysis_updates
 from opcov.estimation import ThresholdRule, _SMALL, estimate_and_report, spectral_norm
@@ -160,7 +160,7 @@ def test_criterion_06_sampler_correctness():
     N = 200_000
     ens = sample_ensemble(factorize(cov), N, seed=606, mesh=mesh)
     emp = ens.fields.T @ ens.fields / N
-    C = cov.entries
+    C = dense_truth(cov)
     sigma = np.sqrt((np.outer(np.diag(C), np.diag(C)) + C**2) / N)
     z = np.max(np.abs(emp - C) / sigma)
     ok = z <= 5.0

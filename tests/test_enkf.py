@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from _helpers import make_ensemble, spectral_norm_dense
+from _helpers import dense_truth, make_ensemble, spectral_norm_dense
 from opcov import enkf
 from opcov.enkf import (
     EnkfError,
@@ -316,7 +316,7 @@ def _dense_comparison(kernel, mesh, obs, N, rule, trials, seed):
     cov = covariance_matrix(kernel, mesh)
     factor = factorize(cov)
     w = mesh.weight
-    C = cov.entries  # gathered from the row once; the dense reference needs it
+    C = dense_truth(cov)  # gathered from the row once; the dense reference needs it
     A, Gamma = dense_pair(obs)
     gamma_lower = np.linalg.cholesky(Gamma)
     gain_true, _ = kalman_gain(C @ A.T, obs)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from scipy.sparse.linalg import LinearOperator
 
-from _helpers import make_ensemble, spectral_norm_dense
+from _helpers import dense_truth, make_ensemble, spectral_norm_dense
 from opcov import enkf, estimation, sampling
 from opcov.estimation import (
     EstimationError,
@@ -109,7 +109,7 @@ def test_sample_covariance_monte_carlo():
     N = 100_000
     ens = sample_ensemble(factorize(truth), N, seed=31, mesh=mesh)
     got = sample_covariance(ens)
-    C = truth.entries
+    C = dense_truth(truth)
     sigma = np.sqrt((np.outer(np.diag(C), np.diag(C)) + C**2) / N)
     assert np.all(np.abs(got - C) <= 5 * sigma)
 
@@ -204,9 +204,10 @@ def test_zero_operand_at_arpack_size():
     assert relative_error(np.zeros((n, n)), truth) == 1.0
     # est = truth makes the difference operator zero
     assert relative_error(truth, truth) == 0.0
-    assert relative_error(truth.entries, truth.entries) == 0.0
-    same = LinearOperator((n, n), matvec=lambda v: truth.entries @ v, dtype=float)
-    assert relative_error(same, truth.entries) == 0.0
+    C = dense_truth(truth)
+    assert relative_error(C, C) == 0.0
+    same = LinearOperator((n, n), matvec=lambda v: C @ v, dtype=float)
+    assert relative_error(same, C) == 0.0
 
 
 def test_spectral_norm_matches_dense_oracle():
@@ -248,7 +249,7 @@ def test_clustered_spectrum_converges_without_dense():
     # operator's action alone
     L = 300
     truth = covariance_matrix(se_kernel(1e-3), build_mesh(1, L))
-    sym = truth.entries
+    sym = dense_truth(truth)
     vals = np.linalg.eigvalsh(sym)
     want = float(np.max(np.abs(vals)))
     calls = []
@@ -296,7 +297,7 @@ def test_truth_min_eigenvalue_keeps_random_start():
     # run from the symmetric sine vector would miss it
     for m, kernel in ((200, se_kernel(0.005)), (100, matern_kernel(0.02, 1.5))):
         truth = covariance_matrix(kernel, build_mesh(1, m))
-        want = float(np.linalg.eigvalsh(truth.entries)[0])
+        want = float(np.linalg.eigvalsh(dense_truth(truth))[0])
         assert min_eigenvalue(truth, seed=1) == pytest.approx(want, rel=1e-12)
 
 
@@ -327,10 +328,58 @@ def test_mesh_truth_norm_takes_no_dense_product():
     for d, m, kernel in ((1, 200, se_kernel(0.01)), (2, 12, matern_kernel(0.1, 1.5))):
         truth = covariance_matrix(kernel, build_mesh(d, m))
         want = spectral_norm_dense(truth)
-        guarded = dataclasses.replace(truth, entries=truth.entries.view(NoMatmul))
+        guarded = dataclasses.replace(truth, entries=dense_truth(truth).view(NoMatmul))
         with pytest.raises(AssertionError, match="dense product"):
             guarded.entries @ np.ones(truth.L)
         assert abs(spectral_norm(guarded, seed=2) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("d,m,kernel,sampler", [
+    (2, 32, se_kernel(0.3), "kronecker"),
+    (2, 32, matern_kernel(0.02, 1.5), "circulant"),
+    (2, 32, matern_kernel(0.8, 1.5), "block-circulant"),
+    (2, 5, matern_kernel(0.8, 1.5), "cholesky"),
+])
+def test_factorize_and_report_do_not_read_the_entries_field(d, m, kernel, sampler):
+    # a truth whose entries field is not a matrix gives the same factor,
+    # draws and report as the truth itself, on every sampler
+    mesh = build_mesh(d, m)
+    cov = covariance_matrix(kernel, mesh)
+    guarded = dataclasses.replace(cov, entries=object())
+    factor, got = factorize(cov), factorize(guarded)
+    assert got.sampler == factor.sampler == sampler
+    assert got.jitter == factor.jitter and np.array_equal(got.root, factor.root)
+    ens = sample_ensemble(got, 9, seed=3, mesh=mesh)
+    assert np.array_equal(ens.fields, sample_ensemble(factor, 9, seed=3, mesh=mesh).fields)
+    rule = ThresholdRule(c0=1.0, form="simplified")
+    assert estimate_and_report(ens, guarded, rule, seed=2) == estimate_and_report(ens, cov, rule, seed=2)
+
+
+def test_truth_operators_do_not_read_the_entries_field():
+    # products, columns, extreme eigenvalues, errors and R_q^q of a truth
+    # whose entries field is not a matrix are those of the truth itself
+    from opcov.theory import sparsity_level
+
+    mesh = build_mesh(2, 32)
+    cov = covariance_matrix(matern_kernel(0.02, 1.5), mesh)
+    guarded = dataclasses.replace(cov, entries=object())
+    v = np.random.default_rng(5).standard_normal(mesh.L)
+    assert np.array_equal(sampling.covariance_matvec(guarded)(v), sampling.covariance_matvec(cov)(v))
+    assert np.array_equal(guarded.columns([0, mesh.L - 1]), cov.columns([0, mesh.L - 1]))
+    assert spectral_norm(guarded, seed=2) == spectral_norm(cov, seed=2)
+    assert min_eigenvalue(guarded, seed=2) == min_eigenvalue(cov, seed=2)
+    S = sample_covariance(sample_ensemble(factorize(cov), 9, seed=3, mesh=mesh))
+    assert relative_error(S, guarded, seed=2) == relative_error(S, cov, seed=2)
+    assert sparsity_level(guarded, 0.5) == sparsity_level(cov, 0.5)
+
+
+def test_report_rejects_a_truth_on_another_mesh():
+    # a d = 2 draw on 16 points, scored against a d = 1 truth on 16 points
+    ens = sample_ensemble(factorize(covariance_matrix(se_kernel(0.3), build_mesh(2, 4))), 3,
+                          seed=0, mesh=build_mesh(2, 4))
+    truth = covariance_matrix(se_kernel(0.3), build_mesh(1, 16))
+    with pytest.raises(EstimationError, match="different meshes"):
+        estimate_and_report(ens, truth, ThresholdRule(c0=1.0, form="simplified"))
 
 
 def test_spectral_norm_in_threads_matches_serial():
@@ -407,7 +456,7 @@ def test_l1_operator_bound_dominates_weighted_norm():
 
     mesh = build_mesh(1, 1250)
     c = covariance_matrix(se_kernel(0.05), mesh)
-    assert row_sum_bound(c.entries, mesh.weight) >= mesh.weight * spectral_norm(c, seed=0)
+    assert row_sum_bound(dense_truth(c), mesh.weight) >= mesh.weight * spectral_norm(c, seed=0)
     rng = np.random.default_rng(4)
     for trial in range(20):
         a = rng.normal(size=(7, 7))
@@ -423,7 +472,7 @@ def test_l1_operator_bound_dominates_weighted_norm():
 def test_report_on_single_zero_field():
     ens = make_ensemble(np.zeros((1, 6)))
     truth = covariance_matrix(se_kernel(1e-8), ens.mesh)
-    assert np.array_equal(truth.entries, np.eye(6))
+    assert np.array_equal(dense_truth(truth), np.eye(6))
     report = estimate_and_report(ens, truth, ThresholdRule(c0=1.0, form="full"))
     assert report.eps_sample == 1.0  # estimate is the zero matrix
     assert report.eps_thresh == 1.0
@@ -437,7 +486,7 @@ def test_report_thresholding_beats_sample_for_identity_truth():
     # win in a clear majority of seeds.
     mesh = build_mesh(1, 16)
     truth = covariance_matrix(se_kernel(1e-8), mesh)
-    assert np.array_equal(truth.entries, np.eye(16))
+    assert np.array_equal(dense_truth(truth), np.eye(16))
     rule = ThresholdRule(c0=1.0, form="full")
     truth_norm = 1.0
     wins = 0
@@ -457,7 +506,7 @@ def _dense_report(ens, truth, rho, truth_norm):
     S = F.T @ F / ens.N
     S = 0.5 * (S + S.T)
     T = hard_threshold(S, rho)
-    C = truth.entries
+    C = dense_truth(truth)
     return EstimatorReport(
         rho_hat=rho,
         eps_sample=spectral_norm_dense(S - C) / truth_norm,
@@ -602,7 +651,7 @@ def test_report_zero_shortcut_boundary(monkeypatch):
     got = estimate_and_report(ens, truth, rule, seed=1, truth_norm=truth_norm)
     assert (got.rho_hat, got.eps_thresh, got.nnz_fraction, got.psd_min_eig) == (rho, 1.0, 0.0, 0.0)
     assert got.eps_sample == pytest.approx(
-        spectral_norm_dense(sample_covariance(ens) - truth.entries) / truth_norm, rel=1e-12)
+        spectral_norm_dense(sample_covariance(ens) - dense_truth(truth)) / truth_norm, rel=1e-12)
 
 
 def test_report_mismatched_mesh_rejected():

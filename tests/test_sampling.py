@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from _helpers import make_ensemble, make_mesh
+from _helpers import dense_truth, make_ensemble, make_mesh
 from opcov.estimation import ThresholdRule, threshold_parameter
 from opcov.kernels import matern_kernel, se_kernel
 from opcov.sampling import (
@@ -43,7 +43,7 @@ def test_mesh_1d_two_points():
     assert mesh.weight == 0.5
     # the truth is the kernel between the cell centres 0.25 and 0.75
     kernel = se_kernel(0.3)
-    assert np.array_equal(covariance_matrix(kernel, mesh).entries,
+    assert np.array_equal(dense_truth(covariance_matrix(kernel, mesh)),
                           _entries_at([[0.25], [0.75]], kernel))
 
 
@@ -51,7 +51,7 @@ def test_mesh_2d_two_points_lexicographic():
     mesh = build_mesh(2, 2)
     want = [(0.25, 0.25), (0.25, 0.75), (0.75, 0.25), (0.75, 0.75)]
     kernel = se_kernel(0.3)
-    assert np.array_equal(covariance_matrix(kernel, mesh).entries, _entries_at(want, kernel))
+    assert np.array_equal(dense_truth(covariance_matrix(kernel, mesh)), _entries_at(want, kernel))
     assert mesh.weight == 0.25
 
 
@@ -77,14 +77,15 @@ def test_mesh_rejects_oversize():
 def test_covariance_matrix_se_2point():
     cov = covariance_matrix(se_kernel(1.0), build_mesh(1, 2))
     off = math.exp(-1.0 / 8.0)
-    assert cov.entries == pytest.approx(np.array([[1.0, off], [off, 1.0]]), rel=1e-15)
+    assert dense_truth(cov) == pytest.approx(np.array([[1.0, off], [off, 1.0]]), rel=1e-15)
 
 
 def test_covariance_matrix_unit_diagonal_and_symmetry():
     for kernel in (se_kernel(0.05), matern_kernel(0.1, 1.5)):
         cov = covariance_matrix(kernel, build_mesh(2, 7))
-        assert np.all(np.diag(cov.entries) == 1.0)
-        assert np.array_equal(cov.entries, cov.entries.T)
+        C = dense_truth(cov)
+        assert np.all(np.diag(C) == 1.0)
+        assert np.array_equal(C, C.T)
 
 
 def test_covariance_matrix_matern_entry_matches_scalar_kernel():
@@ -94,8 +95,8 @@ def test_covariance_matrix_matern_entry_matches_scalar_kernel():
     cov = covariance_matrix(kernel, build_mesh(1, 4))
     r = 0.75  # distance between the first and last cell centers
     want = (1 + 7.5 * math.sqrt(3)) * math.exp(-7.5 * math.sqrt(3))
-    assert cov.entries[0, 3] == pytest.approx(want, rel=1e-13)
-    assert cov.entries[0, 3] == pytest.approx(eval_kernel(kernel, r), rel=1e-15)
+    assert dense_truth(cov)[0, 3] == pytest.approx(want, rel=1e-13)
+    assert dense_truth(cov)[0, 3] == pytest.approx(eval_kernel(kernel, r), rel=1e-15)
 
 
 def test_sampling_is_deterministic():
@@ -136,8 +137,8 @@ def test_jittered_factor_is_the_shifted_matrix_factor():
     factor = factorize(cov)
     assert factor.sampler == "cholesky"
     assert factor.jitter == 1e-12
-    want = np.linalg.cholesky(cov.entries + factor.jitter * np.eye(cov.L))
-    assert np.array_equal(factor.lower, want)
+    want = np.linalg.cholesky(dense_truth(cov) + factor.jitter * np.eye(cov.L))
+    assert np.array_equal(factor.root, want)
 
 
 def test_factorize_rejects_indefinite():
@@ -155,6 +156,13 @@ def test_sample_requires_positive_count():
         sample_ensemble(factorize(cov), 0, seed=1, mesh=mesh)
 
 
+def test_draw_rejects_a_mesh_of_the_same_size():
+    # d = 2, m = 4 and d = 1, m = 16 both have 16 points
+    factor = factorize(covariance_matrix(se_kernel(0.3), build_mesh(2, 4)))
+    with pytest.raises(SamplingError, match="does not match"):
+        sample_ensemble(factor, 3, seed=0, mesh=build_mesh(1, 16))
+
+
 def test_single_point_fields_are_standard_normal():
     mesh = make_mesh(1)
     factor = factorize(covariance_matrix(se_kernel(0.1), mesh))
@@ -170,7 +178,7 @@ def test_empirical_covariance_matches_target():
     N = 200_000
     ens = sample_ensemble(factorize(cov), N, seed=2024, mesh=mesh)
     emp = ens.fields.T @ ens.fields / N
-    C = cov.entries
+    C = dense_truth(cov)
     sigma = np.sqrt((np.outer(np.diag(C), np.diag(C)) + C**2) / N)
     assert np.all(np.abs(emp - C) <= 5.0 * sigma)
     assert np.max(np.abs(emp - C)) < 0.02
@@ -204,7 +212,7 @@ def test_stationary_matvec_matches_dense_product(d, m, kernel):
     matvec = covariance_matvec(cov)
     rng = np.random.default_rng(m)
     for v in (rng.standard_normal(mesh.L), np.eye(mesh.L)[-1]):
-        want = cov.entries @ v
+        want = dense_truth(cov) @ v
         assert np.max(np.abs(matvec(v) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -220,7 +228,7 @@ def test_gathered_entries_match_pairwise_distances(d, m, kernel):
     mesh = build_mesh(d, m)
     cov = covariance_matrix(kernel, mesh)
     want = _entries_at(_mesh_points(d, m), kernel)
-    got = cov.entries
+    got = dense_truth(cov)
     assert np.max(np.abs(got - want)) <= 1e-14
     assert np.array_equal(got, got.T)
     # exactly Toeplitz: every entry is the first row at |i - j| per axis
@@ -238,10 +246,6 @@ def test_truth_holds_its_row_not_a_matrix():
     held = [v for v in vars(cov).values() if isinstance(v, np.ndarray)]
     assert sum(a.nbytes for a in held) == cov.row.nbytes == 8 * mesh.L
     assert cov.L == mesh.L
-    # every read gathers afresh, so a caller's changes never reach the truth
-    first = cov.entries
-    first[0, 0] = 7.0
-    assert cov.entries[0, 0] == 1.0
 
 
 def _minimal_embedding_eigenvalues(kernel, m):
@@ -262,30 +266,26 @@ def test_sampler_routing():
     # the top full padding (p = 2) and takes the first-axis embedding at p = 3
     mesh = build_mesh(2, 64)
     factor = factorize(covariance_matrix(se_kernel(0.3), mesh))
-    assert factor.sampler == "kronecker" and factor.axis_root.shape == (64, 64)
-    assert factor.spectrum is None and factor.lower is None and factor.block_root is None
+    assert factor.sampler == "kronecker" and factor.root.shape == (64, 64)
     factor = factorize(covariance_matrix(matern_kernel(0.3, 1.5), mesh))
-    assert factor.sampler == "block-circulant" and factor.block_root.shape == (193, 64, 64)
-    assert factor.block_root.flags.c_contiguous
-    assert factor.spectrum is None and factor.axis_root is None and factor.lower is None
+    assert factor.sampler == "block-circulant" and factor.root.shape == (193, 64, 64)
+    assert factor.root.flags.c_contiguous
     assert factor.jitter == 0.0
     # past the size rule (2 ceil(3 m) = 30 > m^2 = 25) no first-axis rung is
     # tried, and a cell negative on every full embedding keeps Cholesky
     mesh = build_mesh(2, 5)
     factor = factorize(covariance_matrix(matern_kernel(0.8, 1.5), mesh))
-    assert factor.sampler == "cholesky" and factor.lower.shape == (mesh.L, mesh.L)
-    assert factor.spectrum is None and factor.axis_root is None and factor.block_root is None
+    assert factor.sampler == "cholesky" and factor.root.shape == (mesh.L, mesh.L)
     # at d = 1 the first-axis embedding is the full one: SE lambda = 0.794
     # passes at p = 8 and draws by FFT
     factor = factorize(covariance_matrix(se_kernel(10**-0.1), build_mesh(1, 1250)))
-    assert factor.sampler == "circulant" and factor.spectrum.shape == (20_000,)
+    assert factor.sampler == "circulant" and factor.root.shape == (20_000,)
     # SE lambda = 0.01 at d = 1 is negative only at rounding level: the FFT
     # sampler, with the clipped |lambda_min| recorded as the jitter
     kernel = se_kernel(0.01)
     factor = factorize(covariance_matrix(kernel, build_mesh(1, 1250)))
     eig = _minimal_embedding_eigenvalues(kernel, 1250)
-    assert factor.sampler == "circulant" and factor.lower is None
-    assert factor.spectrum.shape == (2500,)
+    assert factor.sampler == "circulant" and factor.root.shape == (2500,)
     assert eig.min() < 0.0
     assert factor.jitter == pytest.approx(-eig.min(), rel=1e-6, abs=1e-16)
     assert factor.jitter <= 64 * np.finfo(float).eps * eig.max()
@@ -315,7 +315,7 @@ def test_padding_ladder_takes_the_first_nonnegative_rung(m, lam, M):
     kernel = matern_kernel(lam, 1.5)
     factor = factorize(covariance_matrix(kernel, build_mesh(2, m)))
     assert factor.sampler == "circulant"
-    assert factor.spectrum.shape == (2 * M, 2 * M)
+    assert factor.root.shape == (2 * M, 2 * M)
     tol = 64 * np.finfo(float).eps
     low, high = _embedding_extremes(kernel, m, M)
     assert low >= -tol * high
@@ -335,12 +335,11 @@ def test_kronecker_factor_matches_truth(d, m, lam):
 
     cov = covariance_matrix(se_kernel(lam), build_mesh(d, m))
     factor = factorize(cov)
-    assert factor.sampler == "kronecker" and factor.axis_root.shape == (m, m)
-    assert factor.spectrum is None and factor.lower is None
-    root = factor.axis_root
+    assert factor.sampler == "kronecker" and factor.root.shape == (m, m)
+    root = factor.root
     for _ in range(d - 1):
-        root = np.kron(root, factor.axis_root)
-    gap = spectral_norm_dense(root @ root.T - cov.entries)
+        root = np.kron(root, factor.root)
+    gap = spectral_norm_dense(root @ root.T - dense_truth(cov))
     assert 0.0 <= factor.jitter
     assert gap <= factor.jitter + 64 * np.finfo(float).eps * spectral_norm_dense(cov)
 
@@ -367,7 +366,7 @@ def test_empirical_covariance_matches_target_on_each_sampler(d, m, kernel, sampl
     N = 200_000
     ens = sample_ensemble(factor, N, seed=606, mesh=mesh)
     emp = ens.fields.T @ ens.fields / N
-    C = cov.entries
+    C = dense_truth(cov)
     sigma = np.sqrt((np.outer(np.diag(C), np.diag(C)) + C**2) / N)
     assert np.max(np.abs(emp - C) / sigma) <= 5.0
 
@@ -437,13 +436,12 @@ def test_block_circulant_factor_matches_truth(d, m, lam, M):
     cov = covariance_matrix(matern_kernel(lam, 1.5), build_mesh(d, m))
     factor = factorize(cov)
     B = m ** (d - 1)
-    assert factor.sampler == "block-circulant" and factor.block_root.shape == (M + 1, B, B)
-    assert factor.spectrum is None and factor.axis_root is None and factor.lower is None
-    roots = factor.block_root[_even(M)]
+    assert factor.sampler == "block-circulant" and factor.root.shape == (M + 1, B, B)
+    roots = factor.root[_even(M)]
     blocks = np.fft.fft(roots @ roots.transpose(0, 2, 1), axis=0).real
     a = np.arange(m)
     drawn = blocks[(a[:, None] - a[None, :]) % (2 * M)].transpose(0, 2, 1, 3).reshape(cov.L, cov.L)
-    gap = spectral_norm_dense(drawn - cov.entries)
+    gap = spectral_norm_dense(drawn - dense_truth(cov))
     assert 0.0 <= factor.jitter
     assert gap <= factor.jitter + 64 * np.finfo(float).eps * spectral_norm_dense(cov)
 
@@ -473,7 +471,7 @@ def test_first_axis_embedding_at_d1_is_the_full_embedding(m, kernel):
     mesh = build_mesh(1, m)
     cov = covariance_matrix(kernel, mesh)
     factor = factorize(cov)
-    M = factor.spectrum.size // 2
+    M = factor.root.size // 2
     assert factor.sampler == "circulant" and M >= 3 * m
     w, v = _first_axis_eigh(cov, M)
     full = _embedding_eigenvalues(cov, M)
@@ -481,8 +479,7 @@ def test_first_axis_embedding_at_d1_is_the_full_embedding(m, kernel):
     assert w.shape == (M + 1, 1) and np.array_equal(v, np.ones((M + 1, 1, 1)))
     assert np.max(np.abs(w[:, 0] - full[: M + 1])) <= tol
     roots = v * np.sqrt(np.maximum(w, 0.0) / (2 * M))[:, None, :]
-    blocked = CovFactor(cov=cov, jitter=factor.jitter, block_root=roots)
-    assert blocked.sampler == "block-circulant"
+    blocked = CovFactor(cov, factor.jitter, "block-circulant", roots)
     for N in (1, 9):
         assert np.allclose(sample_ensemble(blocked, N, seed=11, mesh=mesh).fields,
                            sample_ensemble(factor, N, seed=11, mesh=mesh).fields,
@@ -522,4 +519,4 @@ def test_block_circulant_setup_holds_one_array_of_roots():
     finally:
         tracemalloc.stop()
     assert factor.sampler == "block-circulant"
-    assert peak <= 1.25 * factor.block_root.nbytes
+    assert peak <= 1.25 * factor.root.nbytes

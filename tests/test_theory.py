@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from _helpers import make_ensemble, make_mesh, supnorm_errors, threshold_ratios
+from _helpers import dense_truth, make_ensemble, make_mesh, supnorm_errors, threshold_ratios
 from opcov.estimation import EstimationError, ThresholdRule, sample_covariance
 from opcov.kernels import eval_kernel, matern_kernel, se_kernel
 from opcov.sampling import build_mesh, covariance_matrix, factorize, sample_ensemble
@@ -51,7 +51,7 @@ def test_sparsity_level_approaches_l1_bound_as_q_to_1():
     kernel = se_kernel(0.05)
     cov = covariance_matrix(kernel, mesh)
     got = sparsity_level(cov, q=1 - 1e-7)
-    row_sum_bound = mesh.weight * float(np.max(np.sum(np.abs(cov.entries), axis=1)))
+    row_sum_bound = mesh.weight * float(np.max(np.sum(np.abs(dense_truth(cov)), axis=1)))
     assert got == pytest.approx(row_sum_bound, abs=1e-6)
 
 
@@ -70,7 +70,7 @@ def test_sparsity_level_matches_asymptotic_at_small_lengthscale():
 def test_sparsity_level_matches_dense_row_sums(d, m, kernel, q):
     mesh = build_mesh(d, m)
     cov = covariance_matrix(kernel, mesh)
-    want = mesh.weight * float(np.max(np.sum(np.abs(cov.entries) ** q, axis=1)))
+    want = mesh.weight * float(np.max(np.sum(np.abs(dense_truth(cov)) ** q, axis=1)))
     assert sparsity_level(cov, q) == pytest.approx(want, rel=1e-12)
 
 
@@ -212,7 +212,7 @@ def test_expected_supremum_matches_iid_oracle():
     # so the supremum is the max of 16 iid standard normals; brute-force MC.
     mesh = build_mesh(1, 16)
     kernel = se_kernel(1e-8)
-    assert np.array_equal(covariance_matrix(kernel, mesh).entries, np.eye(16))
+    assert np.array_equal(dense_truth(covariance_matrix(kernel, mesh)), np.eye(16))
     mean, stderr = expected_supremum_mc(
         factorize(covariance_matrix(kernel, mesh)), mesh, 20_000, seed=77
     )
@@ -329,7 +329,7 @@ def test_zero_sample_guard_statistic():
     ens = make_ensemble(np.zeros((1, 8)))
     khat = sample_covariance(ens)
     truth = covariance_matrix(se_kernel(0.2), build_mesh(1, 8))
-    assert np.max(np.abs(khat - truth.entries)) == 1.0
+    assert np.max(np.abs(khat - dense_truth(truth))) == 1.0
 
 
 def test_supnorm_experiment_large_sample_limit():
