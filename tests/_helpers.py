@@ -9,6 +9,7 @@ from opcov.sampling import (
     CovMatrix,
     Ensemble,
     Mesh,
+    _toeplitz_gather,
     covariance_matrix,
     derive_seed,
     factorize,
@@ -30,8 +31,8 @@ def make_ensemble(fields) -> Ensemble:
 
 
 def dense_truth(cov: CovMatrix) -> np.ndarray:
-    """The L x L matrix of a first-row truth, every column gathered from its row."""
-    return cov.columns(np.arange(cov.L))
+    """The L x L matrix of a first-row truth, gathered whole from its row."""
+    return _toeplitz_gather(cov.row, cov.mesh)
 
 
 def spectral_norm_dense(cov) -> float:
