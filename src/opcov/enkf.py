@@ -29,11 +29,11 @@ leave-one-out covariances are kept as those columns only: rank-one downdates
 (S[:, sites] - u_n u_n[sites]^T) / (N - 1) of the Gram columns S[:, sites],
 computed once per trial and thresholded entrywise; the mean-field gain reads
 the same columns of the truth, gathered from its first row.  Every covariance
-norm goes through :func:`opcov.estimation.spectral_norm` (ARPACK) without a
-dense product: the truth norm ||C|| behind c_const and the continuity bound is
-applied by FFT of the Toeplitz truth, and the continuity check's ||loo - C||
-is a ``LinearOperator``, the same downdate applied to a vector,
-v -> (F^T (F v) - u_n (u_n . v)) / (N - 1) - C v over the whole ensemble F.
+norm goes through :func:`opcov.estimation.spectral_norm` (ARPACK) on the
+operands of :mod:`opcov.estimation`, without a dense product: the truth norm
+||C|| behind c_const and the continuity bound is applied by FFT, and the
+continuity check's ||loo - C|| is that of ``_gram(F, N - 1, drop=u_n) - C``,
+the same downdate applied to a vector over the whole ensemble F.
 
 The continuity check needs ||loo - C|| only through a bound that increases
 with it, so a lower bound that already satisfies the inequality settles the
@@ -54,15 +54,13 @@ from typing import Iterator
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve
-from scipy.sparse.linalg import LinearOperator
 
-from .estimation import ThresholdRule, hard_threshold, spectral_norm
+from .estimation import ThresholdRule, _as_operator, _gram, hard_threshold, spectral_norm
 from .kernels import KernelModel
 from .sampling import (
     Ensemble,
     Mesh,
     covariance_matrix,
-    covariance_matvec,
     derive_seed,
     factorize,
     sample_ensemble,
@@ -316,7 +314,7 @@ def compare_analysis_updates(
         raise EnkfError("observation model does not match the mesh")
     cov = covariance_matrix(kernel, mesh)
     factor = factorize(cov)
-    cov_matvec = covariance_matvec(cov)
+    truth = _as_operator(cov)
     gain_true, _ = kalman_gain(cov.columns(obs.sites), obs)
     cov_op_norm = mesh.weight * spectral_norm(cov, seed=derive_seed(seed, 0xC0), tol=_NORM_TOL)
     w = mesh.weight
@@ -340,7 +338,7 @@ def compare_analysis_updates(
         # one probe for every particle's continuity certificate
         v = substream(seed, t, 2).standard_normal(mesh.L)
         gram_v = F.T @ (F @ v)
-        cov_v = cov_matvec(v)
+        cov_v = truth.matvec(v)
         for n, loo, loo_thresh, _rho in loo_covariances(ens, rule, obs.sites):
             u = F[n]
             innov = y - u[obs.sites] - etas[n]
@@ -361,14 +359,8 @@ def compare_analysis_updates(
                 min_margin = min(min_margin, certified / actual if actual else math.inf)
             else:
                 full_solves += 1
-                loo_minus_cov = LinearOperator(
-                    (mesh.L, mesh.L),
-                    matvec=lambda x: (F.T @ (F @ x) - u * (u @ x)) / (N - 1) - cov_matvec(x),
-                    dtype=float,
-                )
-                delta = w * spectral_norm(
-                    loo_minus_cov, seed=derive_seed(seed, t, 2, n), tol=_NORM_TOL
-                )
+                delta = w * spectral_norm(_gram(F, N - 1, drop=u) - truth,
+                                          seed=derive_seed(seed, t, 2, n), tol=_NORM_TOL)
                 bound = gain_continuity_bound(delta, cov_op_norm, obs)
                 if actual > bound * (1.0 + 1e-6):
                     continuity_ok = False

@@ -14,29 +14,33 @@ axis.  So its top eigenvector is positive (Perron-Frobenius) and unchanged by
 those reversals, like the sine vector, and the top eigenvectors of a Toeplitz
 matrix are close to sines (Grenander & Szego, *Toeplitz Forms*).  Lanczos from
 such a start stays, up to rounding, out of the antisymmetric half of the
-tightly clustered top spectrum.  Every other solve starts from a seeded Gaussian vector: the
-smallest eigenvalue of a truth may belong to an antisymmetric eigenvector,
-which a symmetric start cannot reach.  Either way, ARPACK's restarts draw from
-a seeded stream.  The helper's stopping rule certifies the residual
-||A x - theta x|| <= tol |theta|, with no matvec budget and no dense fallback;
-non-convergence raises :class:`SpectralNormError`.  Operands are
-``scipy.sparse.linalg.LinearOperator`` objects, explicit matrices (plain
-arrays: every estimate here is one) or a :class:`~opcov.sampling.CovMatrix`
-truth, which holds no matrix and is applied by FFT, so no norm takes a dense
-product of the truth.  The Krylov basis is picked from the operand: wide (64)
-for a truth, whose top eigenvalues cluster about 1e-5 apart at small
-lengthscales, and narrow (12) for everything else, whose top eigenvalue is
-separated.  Operators of order at most 64 are built from their columns and
+tightly clustered top spectrum.  Every other solve starts from a seeded
+Gaussian vector: the smallest eigenvalue of a truth may belong to an
+antisymmetric eigenvector, which a symmetric start cannot reach.  Either way,
+ARPACK's restarts draw from a seeded stream.  The helper's stopping rule
+certifies the residual ||A x - theta x|| <= tol |theta|, with no matvec
+budget and no dense fallback; non-convergence raises
+:class:`SpectralNormError`.  The Krylov basis is picked from the operand:
+wide (64) for a truth, whose top eigenvalues cluster about 1e-5 apart at
+small lengthscales, and narrow (12) for everything else, whose top eigenvalue
+is separated.  Operators of order at most 64 are built from their columns and
 solved by ``eigvalsh``.
 
+Each operand has one constructor, here, which the EnKF borrows.  A
+:class:`~opcov.sampling.CovMatrix` truth is applied by FFT
+(:func:`_as_operator`), a rank-N product F^T (F v) / s is :func:`_gram`, an
+explicit array (every estimate here is one) is wrapped as it is, and a
+difference is ``LinearOperator`` subtraction, a + (-1 b), which rounds as
+a - b does.
+
 A figure trial (:func:`estimate_and_report`) forms no L x L matrix unless
-every row of its thresholded estimate can hold a surviving entry.  The sample
-error is applied as the rank-N product F^T (F v) / N minus the truth, which
-is applied by FFT.  The thresholded estimate is exactly zero when the
-threshold exceeds every diagonal entry of the sample covariance (and hence,
-by Cauchy-Schwarz, every entry); that costs one O(NL) pass.  Otherwise it is
-formed and thresholded densely, but only on the rows and columns that
-Cauchy-Schwarz leaves able to hold a surviving entry.
+every row of its thresholded estimate can hold a surviving entry.  Its sample
+error is the norm of ``_gram(F, N)`` minus the truth.  The thresholded
+estimate is exactly zero when the threshold exceeds every diagonal entry of
+the sample covariance (and hence, by Cauchy-Schwarz, every entry); that
+costs one O(NL) pass.  Otherwise it is formed and thresholded densely, but
+only on the rows and columns that Cauchy-Schwarz leaves able to hold a
+surviving entry.
 """
 
 from __future__ import annotations
@@ -201,6 +205,15 @@ def _as_operator(obj) -> LinearOperator:
     return aslinearoperator(np.asarray(obj, dtype=float))
 
 
+def _gram(F: np.ndarray, scale: float, drop: np.ndarray | None = None) -> LinearOperator:
+    """v -> F^T (F v) / scale, or (F^T (F v) - drop (drop . v)) / scale given ``drop``."""
+    L = F.shape[1]
+    if drop is None:
+        return LinearOperator((L, L), matvec=lambda v: F.T @ (F @ v) / scale, dtype=float)
+    return LinearOperator((L, L), dtype=float,
+                          matvec=lambda v: (F.T @ (F @ v) - drop * (drop @ v)) / scale)
+
+
 def _sine_start(mesh) -> np.ndarray:
     """The outer product over the axes of sin(pi i / (m + 1)), i = 1..m, flattened."""
     s = np.sin(np.pi * np.arange(1, mesh.m + 1) / (mesh.m + 1))
@@ -212,16 +225,14 @@ def _extreme_eigenvalue(obj, which: str, seed: int, tol: float = _TOL) -> float:
 
     ARPACK's implicitly restarted Lanczos (``eigsh``, k=1); ``tol`` bounds the
     residual ||A x - theta x|| by tol |theta| and ``_MAXITER`` caps the
-    restarts, which draw from a stream seeded by ``seed``.  A CovMatrix truth
-    gets the wide Krylov basis, every other operand the narrow one.  The
-    largest eigenvalue of a truth starts from :func:`_sine_start`, which is
-    positive and symmetric under axis reversal like the truth's Perron
-    vector, and close to it: a Toeplitz matrix's top eigenvectors are near
-    sines.  Every other solve starts from a seeded Gaussian vector, since
-    the smallest eigenvalue of a truth may belong to an antisymmetric
-    eigenvector, which a symmetric start cannot reach.  An operator of order
-    at most 64 is built from its columns and solved by eigvalsh.  Raises
-    :class:`SpectralNormError` when ARPACK does not converge.
+    restarts, which draw from a stream seeded by ``seed``.  As the module
+    docstring says, a truth gets the wide Krylov basis and, for its largest
+    eigenvalue, the start :func:`_sine_start`.  An operator of order at most
+    64 is built from its columns and solved by eigvalsh.
+    Raises :class:`SpectralNormError` when ARPACK does not converge.  The
+    "SA" solve is meant for estimates: on a truth whose smallest eigenvalues
+    cluster at rounding level (large lengthscales) it may not meet its
+    relative tolerance.  No command calls it on a truth.
     """
     op = _as_operator(obj)
     n = op.shape[0]
@@ -261,7 +272,10 @@ def spectral_norm(cov, seed: int = 0, tol: float = _TOL) -> float:
 
 
 def min_eigenvalue(cov, seed: int = 0) -> float:
-    """Smallest eigenvalue; takes anything :func:`spectral_norm` takes."""
+    """Smallest eigenvalue of an estimate (array or LinearOperator).
+
+    On a truth the solve may not converge (see :func:`_extreme_eigenvalue`).
+    """
     return _extreme_eigenvalue(cov, "SA", seed)
 
 
@@ -275,9 +289,8 @@ def relative_error(est, truth, seed: int = 0, truth_norm: float | None = None) -
     estimate with no nonzero entry has error exactly 1.
     """
     op, truth_op = _as_operator(est), _as_operator(truth)
-    n = op.shape[0]
-    if n != truth_op.shape[0]:
-        raise EstimationError(f"order mismatch: est {n} vs truth {truth_op.shape[0]}")
+    if op.shape != truth_op.shape:
+        raise EstimationError(f"order mismatch: est {op.shape[0]} vs truth {truth_op.shape[0]}")
     if truth_norm is None:
         truth_norm = abs(_extreme_eigenvalue(truth, "LM", seed))
     if truth_norm == 0.0:
@@ -285,8 +298,7 @@ def relative_error(est, truth, seed: int = 0, truth_norm: float | None = None) -
     if not isinstance(est, (LinearOperator, CovMatrix)) and not np.any(est):
         # A fully thresholded estimate: the difference is -truth exactly.
         return 1.0
-    diff = LinearOperator((n, n), matvec=lambda v: op.matvec(v) - truth_op.matvec(v), dtype=float)
-    return abs(_extreme_eigenvalue(diff, "LM", seed)) / truth_norm
+    return abs(_extreme_eigenvalue(op - truth_op, "LM", seed)) / truth_norm
 
 
 # Edge of the tiles in which :func:`_thresholded_block` symmetrizes and
@@ -361,8 +373,7 @@ def estimate_and_report(
     F, N = ens.fields, ens.N
     rho_hat = threshold_parameter(ens, rule)
     if np.any(F):
-        sample = LinearOperator((L, L), matvec=lambda v: F.T @ (F @ v) / N, dtype=float)
-        eps_sample = relative_error(sample, truth, seed=seed, truth_norm=truth_norm)
+        eps_sample = relative_error(_gram(F, N), truth, seed=seed, truth_norm=truth_norm)
     else:
         eps_sample = 1.0  # the zero sample covariance: the difference is -truth
     idx, block, nnz = _thresholded_block(ens, rho_hat)

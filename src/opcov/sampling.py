@@ -152,27 +152,20 @@ class Mesh:
         return 1.0 / self.L
 
 
-def _gap_index(m: int, d: int) -> tuple:
-    """Index of a d-level Toeplitz matrix, as an (m,)*2d array, into its (m,)*d first row.
-
-    Axis a of the matrix pairs with axis d + a; the index arrays are m x m
-    and broadcast, never L x L.
-    """
-    ax = np.arange(m)
-    gap = np.abs(ax[:, None] - ax[None, :])
-    return tuple(gap.reshape((1,) * a + (m,) + (1,) * (d - 1) + (m,) + (1,) * (d - 1 - a))
-                 for a in range(d))
-
-
 def _toeplitz_gather(row: np.ndarray, mesh: Mesh, cols=None) -> np.ndarray:
     """Entries C[i, j] = row[|i - j|] (per axis) of a d-level Toeplitz matrix.
 
-    Every row and the columns ``cols`` (every column when None).
+    Every row and the columns ``cols``.  Every column (``cols`` None) is
+    gathered as an (m,)*2d array whose axis a pairs with axis d + a, by m x m
+    index arrays that broadcast, never L x L.
     """
     m, d = mesh.m, mesh.d
     first = row.reshape((m,) * d)
     if cols is None:
-        return first[_gap_index(m, d)].reshape(mesh.L, mesh.L)
+        ax = np.arange(m)
+        gap = np.abs(ax[:, None] - ax[None, :])
+        return first[tuple(gap.reshape((1,) * a + (m,) + (1,) * (d - 1) + (m,) + (1,) * (d - 1 - a))
+                           for a in range(d))].reshape(mesh.L, mesh.L)
     rows = np.unravel_index(np.arange(mesh.L), first.shape)
     picked = np.unravel_index(np.asarray(cols), first.shape)
     return first[tuple(np.abs(i[:, None] - j[None, :]) for i, j in zip(rows, picked))]
@@ -319,11 +312,12 @@ def _first_axis_eigh(cov: CovMatrix, M: int) -> tuple[np.ndarray, np.ndarray]:
     T_min(k, 2M - k) exp(-2 pi i j k / 2M), real symmetric and even in j, so
     j = 0..M are all the distinct blocks.  The transform commutes with the
     Toeplitz gather, so each Lambda_j is gathered from the real FFT of the
-    (2M, m^(d-1)) offset table; its eigenvectors then overwrite it.
+    (2M, m^(d-1)) offset table by the index that :func:`_toeplitz_gather`
+    makes of the row 0..B-1 on a (d-1)-axis mesh; eigh then overwrites it.
     """
     m, d, B = cov.mesh.m, cov.mesh.d, cov.L // cov.mesh.m  # B = m^(d-1)
     rows = _offset_table(cov, (M + 1,) + (m,) * (d - 1)).reshape(M + 1, B)
-    gap = np.arange(B).reshape((m,) * (d - 1))[_gap_index(m, d - 1)].reshape(B, B)
+    gap = _toeplitz_gather(np.arange(B), Mesh(d - 1, m))
     blocks = np.take(np.fft.rfft(rows[_even(M)], axis=0).real, gap, axis=1)
     w, step = np.empty((M + 1, B)), max(1, _DRAW_CHUNK // (B * B))
     for j in range(0, M + 1, step):
@@ -337,19 +331,18 @@ def _kronecker_root(cov: CovMatrix) -> tuple[np.ndarray, float]:
     The SE kernel factors over the axes, exp(-|x|^2 / 2 lam^2) = prod_a
     exp(-x_a^2 / 2 lam^2), so the truth is C1 (x) ... (x) C1 (d factors) with
     C1 the m x m Toeplitz matrix of the row's last-axis slice (the first m
-    entries).  With eigh(C1) = V diag(w) V^T, A = V sqrt(max(w, 0)) gives
-    A A^T = C1 + E, where E = V diag(max(-w, 0)) V^T has norm delta =
-    max(0, -w_min).  The drawn covariance is (C1 + E)^(x)d; expanding it, the
-    difference from C1^(x)d is a sum of Kronecker products holding E in k >= 1
-    of the d slots, and ||X (x) Y|| = ||X|| ||Y||, so its spectral norm is at
-    most sum_k binom(d, k) delta^k ||C1||^(d-k) = (||C1|| + delta)^d -
-    ||C1||^d, the recorded jitter (0 when C1 is nonnegative).  The truth's row
-    and C1^(x)d agree to rounding, so the bound holds up to rounding.
+    entries), gathered by :func:`_toeplitz_gather` as a one-axis truth.  With
+    eigh(C1) = V diag(w) V^T, A = V sqrt(max(w, 0)) gives A A^T = C1 + E,
+    where E = V diag(max(-w, 0)) V^T has norm delta = max(0, -w_min).  The
+    drawn covariance is (C1 + E)^(x)d; expanding it, the difference from
+    C1^(x)d is a sum of Kronecker products holding E in k >= 1 of the d
+    slots, and ||X (x) Y|| = ||X|| ||Y||, so its spectral norm is at most
+    sum_k binom(d, k) delta^k ||C1||^(d-k) = (||C1|| + delta)^d - ||C1||^d,
+    the recorded jitter (0 when C1 is nonnegative).  The truth's row and
+    C1^(x)d agree to rounding, so the bound holds up to rounding.
     """
     m, d = cov.mesh.m, cov.mesh.d
-    ax = np.arange(m)
-    c1 = cov.row[:m][np.abs(ax[:, None] - ax[None, :])]
-    w, v = np.linalg.eigh(c1)
+    w, v = np.linalg.eigh(_toeplitz_gather(cov.row[:m], Mesh(1, m)))
     norm = float(np.max(np.abs(w)))
     delta = max(0.0, -float(w[0]))
     return v * np.sqrt(np.maximum(w, 0.0)), (norm + delta) ** d - norm**d

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse.linalg import LinearOperator
 
 from _helpers import dense_truth, make_ensemble, spectral_norm_dense
 from opcov import enkf
@@ -484,18 +485,18 @@ def test_continuity_certificate_applies_the_truth_once_per_trial(monkeypatch):
     # every particle's certificate reads the trial's one product C v; only a
     # full solve would apply the truth again
     calls = []
-    inner = enkf.covariance_matvec
+    inner = enkf._as_operator
 
     def counting(cov):
-        matvec = inner(cov)
+        truth = inner(cov)
 
         def counted(v):
             calls.append(v.shape)
-            return matvec(v)
+            return truth.matvec(v)
 
-        return counted
+        return LinearOperator(truth.shape, matvec=counted, dtype=float)
 
-    monkeypatch.setattr(enkf, "covariance_matvec", counting)
+    monkeypatch.setattr(enkf, "_as_operator", counting)
     mesh = build_mesh(1, 96)
     obs = pointwise_observation(mesh, 4)
     got = compare_analysis_updates(se_kernel(0.05), mesh, obs, N=12,

@@ -45,6 +45,16 @@ def test_every_exported_name_is_reached(module):
     assert not unreached, f"{module}.__all__ names {unreached} that no library or benchmark code uses"
 
 
+def test_only_estimation_builds_operators():
+    # every operand (truth, Gram product, difference) has its one constructor
+    # in estimation; another module borrows them instead of building a closure
+    users = {path.name for path in (_ROOT / "src/opcov").glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if "LinearOperator" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                     getattr(node, "name", None))}
+    assert users == {"estimation.py"}
+
+
 def test_import_loads_no_integrate_optimize_or_spatial():
     # the library needs scipy.linalg and .sparse only; scipy.integrate alone
     # would pull in optimize, fft, spatial and constants, and the Matern
