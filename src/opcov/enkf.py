@@ -43,7 +43,8 @@ formed once; a gain difference within the bound at the particle's ratio
 (with no tolerance slack) passes.  Only a particle this certificate cannot
 pass runs the ARPACK solve, and that solve's Ritz value decides it with the
 1e-6 relative slack that covers the solver tolerance, so the flag is the one
-the full solve alone would give.
+the full solve alone would give.  The comparison returns one record per
+trial, which its callers pool (``enkf-demo``: :func:`opcov.cli.run_enkf_demo`).
 """
 
 from __future__ import annotations
@@ -233,7 +234,8 @@ class AnalysisComparison:
     ``continuity_full_solves`` counts the particles whose continuity check the
     trial's one-probe certificate could not pass, so it took the ARPACK norm;
     ``continuity_min_margin`` is the smallest bound / actual over the
-    certified particles (inf when none was certified).
+    certified particles (inf when none was certified).  ``enkf-demo`` sums
+    the counters over the trials and takes the smallest margin.
     """
 
     disc_vanilla: np.ndarray
@@ -257,35 +259,17 @@ class AnalysisComparison:
 
 @dataclass(frozen=True)
 class AnalysisComparisonSummary:
-    """Aggregate of the three-way analysis comparison over independent trials.
+    """The comparison's trials, in order, and the ``sampler`` that drew their fields.
 
-    ``sampler`` names how the forecast and truth fields were drawn
-    (:attr:`opcov.sampling.CovFactor.sampler`).  The counters are the trials'
-    :class:`AnalysisComparison` ones, summed and minimised;
-    ``zero_localized_frac`` is the fraction of all particles whose localized
-    gain was the zero gain.
+    Callers compute every statistic but ``frac_localized_better`` from ``trials``.
     """
 
     trials: list[AnalysisComparison]
-    mean_vanilla: float
-    mean_localized: float
-    frac_localized_better: float
-    zero_localized_frac: float
-    continuity_all_ok: bool
-    indefinite_gains: int
-    continuity_full_solves: int
-    continuity_min_margin: float
     sampler: str
 
-    def pooled_quantiles(self) -> dict[str, float]:
-        van = np.concatenate([t.disc_vanilla for t in self.trials])
-        loc = np.concatenate([t.disc_localized for t in self.trials])
-        out = {}
-        for name, data in (("vanilla", van), ("localized", loc)):
-            q50, q90, q99 = np.quantile(data, [0.5, 0.9, 0.99])
-            out.update({f"{name}_q50": float(q50), f"{name}_q90": float(q90),
-                        f"{name}_q99": float(q99)})
-        return out
+    @property
+    def frac_localized_better(self) -> float:
+        return float(np.mean([t.mean_localized < t.mean_vanilla for t in self.trials]))
 
 
 def compare_analysis_updates(
@@ -371,18 +355,4 @@ def compare_analysis_updates(
             zero_localized=zero_localized,
             continuity_full_solves=full_solves, continuity_min_margin=min_margin,
         ))
-    mean_v = float(np.mean([r.mean_vanilla for r in results]))
-    mean_l = float(np.mean([r.mean_localized for r in results]))
-    frac = float(np.mean([r.mean_localized < r.mean_vanilla for r in results]))
-    return AnalysisComparisonSummary(
-        trials=results,
-        mean_vanilla=mean_v,
-        mean_localized=mean_l,
-        frac_localized_better=frac,
-        zero_localized_frac=sum(r.zero_localized for r in results) / (trials * N),
-        continuity_all_ok=all(r.continuity_ok for r in results),
-        indefinite_gains=sum(r.indefinite_gains for r in results),
-        continuity_full_solves=sum(r.continuity_full_solves for r in results),
-        continuity_min_margin=min(r.continuity_min_margin for r in results),
-        sampler=factor.sampler,
-    )
+    return AnalysisComparisonSummary(trials=results, sampler=factor.sampler)

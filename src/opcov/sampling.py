@@ -101,6 +101,10 @@ _PADDINGS = (1.0, 1.5, 2.0)
 # The same Matern cell passes at p = 3, where the full embedding is still
 # negative, and draws 13 fields in 17-19 ms (2p complex normals per mesh
 # point), against 30 ms by Cholesky (2-core x86 host, one BLAS thread).
+# 2M <= m^2 is a draw-cost rule too: a field costs 2M B^2 multiply-adds
+# (B = m^(d-1)), a Cholesky one L^2 = m^2 B^2.  Lifted, it made d = 3 Matern
+# draws 4-6 times slower (20 fields: nu = 3/2, lambda = 0.8, m = 10 from 1.4-1.9
+# to 8-9 ms; nu = 5/2, lambda = 0.794, m = 15 from 15-19 to 64-74 ms).
 _FIRST_AXIS_PADDINGS = (3.0, 4.0, 6.0, 8.0, 12.0)
 # Complex entries per block of FFT draws, field entries per block of Kronecker
 # draws (and block entries per slice of the first-axis eigh), so temporaries

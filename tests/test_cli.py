@@ -5,6 +5,7 @@ import math
 import re
 import statistics
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,6 +172,15 @@ _INT_COLUMNS = {"seed", "d", "m", "N", "trial", "trials", "n", "indefinite_gains
                 "continuity_full_solves"}
 _TEXT_COLUMNS = {"form": {"full", "simplified"}, "continuity_all_ok": {"True", "False"},
                  "sampler": {"block-circulant", "cholesky", "circulant", "kronecker"}}
+
+
+def test_readme_quotes_the_csv_headers_the_commands_write():
+    # the figure trial and summary headers and the enkf-demo summary header,
+    # in the order README quotes them
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    quoted = re.findall(r"^\w+(?:,\w+)+$", readme, flags=re.MULTILINE)
+    assert quoted == [",".join(_TRIAL_COLUMNS), ",".join(_SUMMARY_COLUMNS),
+                      ",".join(_CSV_COLUMNS["enkf_demo_summary.csv"])]
 
 
 def check_one_cell_rule(path):
@@ -553,6 +563,36 @@ def test_enkf_demo_emits_summary_rows(tmp_path):
         # the one-probe certificate passes every particle of this run
         assert row["continuity_full_solves"] == "0"
         assert 1.0 <= float(row["continuity_min_margin"]) < math.inf
+
+
+def test_enkf_demo_summary_recomputes_from_its_trial_rows(tmp_path):
+    # the means, the ordering fraction and the pooled quantiles of each
+    # summary row, recomputed from the per-particle rows: every cell
+    # round-trips exactly, so the two agree bit for bit
+    out = tmp_path / "o"
+    assert main("enkf-demo --m 32 --lambdas 0.3,0.1 --trials 3 --dy 4".split()
+                + ["--out", str(out)]) == 0
+    particles = read_rows(out / "enkf_demo_trials.csv")
+    summary = read_rows(out / "enkf_demo_summary.csv")
+    seeds = list(dict.fromkeys(row["seed"] for row in particles))  # one per lengthscale
+    assert len(seeds) == len(summary) == 2
+    for seed, srow in zip(seeds, summary):
+        rows = [row for row in particles if row["seed"] == seed]
+        disc = {name: [np.array([float(row[f"disc_{name}"]) for row in rows
+                                 if int(row["trial"]) == t]) for t in range(3)]
+                for name in ("vanilla", "localized")}
+        means = {name: [float(x.mean()) for x in per_trial] for name, per_trial in disc.items()}
+        want = {
+            "mean_disc_vanilla": float(np.mean(means["vanilla"])),
+            "mean_disc_localized": float(np.mean(means["localized"])),
+            "frac_localized_better": float(np.mean(
+                [loc < van for loc, van in zip(means["localized"], means["vanilla"])])),
+        }
+        for name, per_trial in disc.items():
+            quantiles = np.quantile(np.concatenate(per_trial), [0.5, 0.9, 0.99])
+            want.update({f"{name}_q{q}": float(v) for q, v in zip((50, 90, 99), quantiles)})
+        assert len(rows) == 3 * int(srow["N"])
+        assert {key: float(srow[key]) for key in want} == want
 
 
 def test_enkf_demo_rerun_identical(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -291,19 +292,17 @@ def test_comparison_structure_and_determinism():
     rule = ThresholdRule(c0=5.0, form="simplified")
     a = compare_analysis_updates(se_kernel(0.05), mesh, obs, N=8, rule=rule, trials=4, seed=77)
     b = compare_analysis_updates(se_kernel(0.05), mesh, obs, N=8, rule=rule, trials=4, seed=77)
-    assert len(a.trials) == 4
-    assert a.mean_vanilla == b.mean_vanilla
-    assert a.mean_localized == b.mean_localized
-    for comp in a.trials:
+    assert len(a.trials) == len(b.trials) == 4
+    assert a.sampler == b.sampler
+    for comp, again in zip(a.trials, b.trials):
+        # every per-particle array and every counter, bit for bit
+        for f in fields(comp):
+            got, want = (np.asarray(getattr(c, f.name)) for c in (comp, again))
+            assert got.tobytes() == want.tobytes(), f.name
         assert comp.disc_vanilla.shape == (8,)
         assert np.all(comp.disc_vanilla >= 0)
         assert np.all(comp.c_consts >= 0)
-    quantiles = a.pooled_quantiles()
-    assert set(quantiles) == {
-        "vanilla_q50", "vanilla_q90", "vanilla_q99",
-        "localized_q50", "localized_q90", "localized_q99",
-    }
-    assert a.continuity_all_ok
+    assert all(comp.continuity_ok for comp in a.trials)
 
 
 def _dense_comparison(kernel, mesh, obs, N, rule, trials, seed):
@@ -397,7 +396,7 @@ def test_comparison_matches_dense_leave_one_out_formulation(d, m, kernel, monkey
     want = _dense_comparison(kernel, mesh, obs, 8, rule, 3, 29)
     # ten times the solver's 1e-7 certificate
     np.testing.assert_allclose(norms[1:], np.concatenate([w[3] for w in want]), rtol=1e-6)
-    assert got.continuity_full_solves == 3 * 8
+    assert sum(c.continuity_full_solves for c in got.trials) == 3 * 8
     for comp, (disc_v, disc_l, innov_norms, _, _, _, ok, zero) in zip(got.trials, want):
         np.testing.assert_allclose(comp.disc_vanilla, disc_v, rtol=1e-12)
         np.testing.assert_allclose(comp.disc_localized, disc_l, rtol=1e-12)
@@ -421,8 +420,7 @@ def test_zero_localized_frac_matches_dense_formulation(d, m, kernel, c0):
     got = compare_analysis_updates(kernel, mesh, obs, N=8, rule=rule, trials=3, seed=29)
     want = _dense_comparison(kernel, mesh, obs, 8, rule, 3, 29)
     assert [c.zero_localized for c in got.trials] == [w[7] for w in want]
-    assert got.zero_localized_frac == sum(w[7] for w in want) / (3 * 8)
-    assert 0.0 < got.zero_localized_frac < 1.0
+    assert 0 < sum(c.zero_localized for c in got.trials) < 3 * 8
     for comp, w in zip(got.trials, want):
         np.testing.assert_allclose(comp.disc_localized, w[1], rtol=1e-12)
 
@@ -447,9 +445,8 @@ def test_continuity_certificate_is_a_lower_bound_on_the_dense_norm(d, m, kernel,
     np.testing.assert_allclose(lower, np.concatenate([w[4] for w in want]), rtol=1e-12)
     assert np.all(np.array(lower) <= dense * (1.0 + 1e-12))
     # every particle of these cases is certified: only the truth norm is solved
-    assert len(norms) == 1 and got.continuity_full_solves == 0
-    assert 1.0 <= got.continuity_min_margin < math.inf
-    assert got.continuity_min_margin == min(c.continuity_min_margin for c in got.trials)
+    assert len(norms) == 1 and sum(c.continuity_full_solves for c in got.trials) == 0
+    assert 1.0 <= min(c.continuity_min_margin for c in got.trials) < math.inf
     assert [c.continuity_ok for c in got.trials] == [w[6] for w in want]
 
 
@@ -501,7 +498,7 @@ def test_continuity_certificate_applies_the_truth_once_per_trial(monkeypatch):
     obs = pointwise_observation(mesh, 4)
     got = compare_analysis_updates(se_kernel(0.05), mesh, obs, N=12,
                                    rule=ThresholdRule(), trials=3, seed=17)
-    assert got.continuity_full_solves == 0 and got.continuity_all_ok
+    assert all(c.continuity_full_solves == 0 and c.continuity_ok for c in got.trials)
     assert calls == [(96,)] * 3
 
 
@@ -512,8 +509,9 @@ def test_comparison_vanilla_discrepancy_shrinks_at_root_n_rate():
     kernel = se_kernel(0.1)
     small = compare_analysis_updates(kernel, mesh, obs, N=500, rule=rule, trials=8, seed=5)
     large = compare_analysis_updates(kernel, mesh, obs, N=2000, rule=rule, trials=8, seed=6)
-    assert large.mean_vanilla < 0.05
-    ratio = small.mean_vanilla / large.mean_vanilla
+    mean_small, mean_large = (np.mean([t.mean_vanilla for t in s.trials]) for s in (small, large))
+    assert mean_large < 0.05
+    ratio = mean_small / mean_large
     assert 1.4 <= ratio <= 2.6  # sqrt(4) = 2 within 30%
 
 
