@@ -109,7 +109,16 @@ class ExperimentConfig:
     q: float = 0.5
     esup_samples: int = 2000
 
-    def validate(self) -> None:
+    def validate(self) -> tuple[Mesh, ThresholdRule, list[KernelModel],
+                                enkf_mod.ObservationModel | None]:
+        """Check every setting; return ``(mesh, rule, kernels, obs)``, the objects checked.
+
+        A run uses these and builds none of its own.  ``kernels`` are the
+        unit-lengthscale base kernels stepped to each lengthscale: both
+        reference families (Matern at nu = 1.5) for fig1 and fig2, the parsed
+        ``kernel`` otherwise.  ``obs`` is enkf-demo's observation model, None
+        otherwise.  A bad value raises ConfigError; nothing is written.
+        """
         if self.experiment not in ("fig1", "fig2", "enkf-demo", "custom", "theory"):
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if not len(self.lambda_grid):
@@ -148,9 +157,10 @@ class ExperimentConfig:
         try:
             rule = ThresholdRule(c0=self.c0, form=self.form)
             mesh = build_mesh(self.d, self.m)
-            parse_kernel(self.kernel)
-            if self.experiment == "enkf-demo":
-                enkf_mod.pointwise_observation(mesh, self.dy, self.noise_std)
+            kernels = ([KernelModel("se", 1.0), KernelModel("matern", 1.0, 1.5)]
+                       if self.experiment in ("fig1", "fig2") else [parse_kernel(self.kernel)])
+            obs = (enkf_mod.pointwise_observation(mesh, self.dy, self.noise_std)
+                   if self.experiment == "enkf-demo" else None)
             if self.experiment == "theory":
                 _check_q(self.q)
                 _check_draws(self.esup_samples)
@@ -173,6 +183,7 @@ class ExperimentConfig:
                     rule.rho(0.0, sample_size(lam, self) - shrink)
                 except EstimationError as exc:
                     raise ConfigError(f"{exc} at lambda={lam!r}") from None
+        return mesh, rule, kernels, obs
 
 
 # Each command's preset: the ExperimentConfig fields it sets other than to
@@ -289,17 +300,6 @@ def _write_check(path: Path, problems: list[str]) -> None:
         raise CheckFailure("; ".join(problems))
 
 
-def _figure_kernels(cfg: ExperimentConfig) -> list[KernelModel]:
-    """The base kernels of a figure run, each stepped to every lengthscale.
-
-    fig1 and fig2 cover both reference families (Matern at nu = 1.5);
-    custom runs its one ``--kernel``.
-    """
-    if cfg.experiment in ("fig1", "fig2"):
-        return [KernelModel("se", 1.0), KernelModel("matern", 1.0, 1.5)]
-    return [parse_kernel(cfg.kernel)]
-
-
 def _lengthscale_trials(cfg: ExperimentConfig, mesh: Mesh, rule: ThresholdRule,
                         kernel: KernelModel, kernel_idx: int, lam_idx: int, name: str):
     """Set up one lengthscale and run its trials.
@@ -381,14 +381,12 @@ def _check_figure(rows: list[dict]) -> list[str]:
 
 def run_figure(cfg: ExperimentConfig) -> dict[str, list[dict]]:
     """Run fig1/fig2/custom; returns each kernel family's summary rows, as written."""
-    cfg.validate()
+    mesh, rule, kernels, _ = cfg.validate()
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    mesh = build_mesh(cfg.d, cfg.m)
-    rule = ThresholdRule(c0=cfg.c0, form=cfg.form)
     summaries: dict[str, list[dict]] = {}
     timings: list[str] = []
-    for kernel_idx, base in enumerate(_figure_kernels(cfg)):
+    for kernel_idx, base in enumerate(kernels):
         name = f"{cfg.experiment}_{base.family}"
         trial_rows: list[dict] = []
         rows: list[dict] = []
@@ -433,13 +431,9 @@ def run_figure(cfg: ExperimentConfig) -> dict[str, list[dict]]:
 
 def run_enkf_demo(cfg: ExperimentConfig) -> list[dict]:
     """Localized vs stochastic analysis step over the lengthscale grid."""
-    cfg.validate()
+    mesh, rule, (base,), obs = cfg.validate()
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    mesh = build_mesh(cfg.d, cfg.m)
-    obs = enkf_mod.pointwise_observation(mesh, cfg.dy, cfg.noise_std)
-    rule = ThresholdRule(c0=cfg.c0, form=cfg.form)
-    base = parse_kernel(cfg.kernel)
     rows: list[dict] = []
     summary_rows: list[dict] = []
     for lam_idx, lam in enumerate(cfg.lambda_grid):
@@ -493,18 +487,12 @@ def run_enkf_demo(cfg: ExperimentConfig) -> list[dict]:
 
 def run_theory(cfg: ExperimentConfig) -> list:
     """Scaling-report sweep over the lengthscale grid for one kernel family."""
-    cfg.validate()
+    mesh, _, (base,), _ = cfg.validate()
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    mesh = build_mesh(cfg.d, cfg.m)
-    base = parse_kernel(cfg.kernel)
-    reports = []
-    for lam_idx, lam in enumerate(cfg.lambda_grid):
-        kernel = KernelModel(base.family, lam, base.nu)
-        reports.append(scaling_report(
-            kernel, mesh, cfg.q, cfg.esup_samples,
-            derive_seed(cfg.master_seed, 0x7E, lam_idx),
-        ))
+    reports = [scaling_report(KernelModel(base.family, lam, base.nu), mesh, cfg.q,
+                              cfg.esup_samples, derive_seed(cfg.master_seed, 0x7E, lam_idx))
+               for lam_idx, lam in enumerate(cfg.lambda_grid)]
     _write_csv(out_dir / "theory_sweep.csv", [_row(r) for r in reports])
     return reports
 

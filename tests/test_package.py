@@ -55,6 +55,16 @@ def test_only_estimation_builds_operators():
     assert users == {"estimation.py"}
 
 
+def test_cli_builds_each_run_object_once():
+    # ExperimentConfig.validate builds the mesh, rule, kernels and observation
+    # model it checks, and every command runs on those
+    calls = [getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+             for node in ast.walk(ast.parse((_ROOT / "src/opcov/cli.py").read_text()))
+             if isinstance(node, ast.Call)]
+    constructors = ("build_mesh", "ThresholdRule", "parse_kernel", "pointwise_observation")
+    assert {name: calls.count(name) for name in constructors} == dict.fromkeys(constructors, 1)
+
+
 def test_import_loads_no_integrate_optimize_or_spatial():
     # the library needs scipy.linalg and .sparse only; scipy.integrate alone
     # would pull in optimize, fft, spatial and constants, and the Matern
