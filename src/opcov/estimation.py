@@ -33,14 +33,14 @@ explicit array (every estimate here is one) is wrapped as it is, and a
 difference is ``LinearOperator`` subtraction, a + (-1 b), which rounds as
 a - b does.
 
-A figure trial (:func:`estimate_and_report`) forms no L x L matrix unless
-every row of its thresholded estimate can hold a surviving entry.  Its sample
-error is the norm of ``_gram(F, N)`` minus the truth.  The thresholded
-estimate is exactly zero when the threshold exceeds every diagonal entry of
-the sample covariance (and hence, by Cauchy-Schwarz, every entry); that
-costs one O(NL) pass.  Otherwise it is formed and thresholded densely, but
-only on the rows and columns that Cauchy-Schwarz leaves able to hold a
-surviving entry.
+A figure trial (:func:`estimate_and_report`) is given ||truth|| and forms no
+L x L matrix unless every row of its thresholded estimate can hold a
+surviving entry.  Its sample error is the norm of ``_gram(F, N)`` minus the
+truth.  The thresholded estimate is exactly zero, with error 1, when the
+threshold exceeds every diagonal entry of the sample covariance (and hence,
+by Cauchy-Schwarz, every entry); that costs one O(NL) pass.  Otherwise it is
+formed and thresholded densely, but only on the rows and columns that
+Cauchy-Schwarz leaves able to hold a surviving entry.
 """
 
 from __future__ import annotations
@@ -279,25 +279,20 @@ def min_eigenvalue(cov, seed: int = 0) -> float:
     return _extreme_eigenvalue(cov, "SA", seed)
 
 
-def relative_error(est, truth, seed: int = 0, truth_norm: float | None = None) -> float:
-    """Relative spectral error ||est - truth|| / ||truth||.
+def relative_error(est, truth, seed: int = 0, *, truth_norm: float) -> float:
+    """Relative spectral error ||est - truth|| / ``truth_norm``.
 
     ``est`` and ``truth`` are anything :func:`spectral_norm` takes: a
     CovMatrix, an array or a LinearOperator giving the matrix's action.
+    ``truth_norm`` is ||truth||, which a caller computes once per truth.
     Quadrature weights cancel in the ratio, so plain matrix norms are used.
-    The difference is applied matrix-free, a CovMatrix by FFT.  An array
-    estimate with no nonzero entry has error exactly 1.
+    The difference is applied matrix-free, a CovMatrix by FFT.
     """
     op, truth_op = _as_operator(est), _as_operator(truth)
     if op.shape != truth_op.shape:
         raise EstimationError(f"order mismatch: est {op.shape[0]} vs truth {truth_op.shape[0]}")
-    if truth_norm is None:
-        truth_norm = abs(_extreme_eigenvalue(truth, "LM", seed))
     if truth_norm == 0.0:
         raise EstimationError("relative_error is undefined for a zero truth matrix")
-    if not isinstance(est, (LinearOperator, CovMatrix)) and not np.any(est):
-        # A fully thresholded estimate: the difference is -truth exactly.
-        return 1.0
     return abs(_extreme_eigenvalue(op - truth_op, "LM", seed)) / truth_norm
 
 
@@ -352,12 +347,13 @@ def estimate_and_report(
     truth: CovMatrix,
     rule: ThresholdRule,
     seed: int = 0,
-    truth_norm: float | None = None,
+    *,
+    truth_norm: float,
 ) -> EstimatorReport:
     """Run the full estimator pipeline for one ensemble and report errors.
 
-    ``truth_norm`` may be passed to reuse ||truth|| across trials on the same
-    lengthscale; it is recomputed otherwise.  No L x L matrix is formed
+    ``truth_norm`` is ||truth||, computed once per lengthscale by the caller
+    and shared by its trials.  No L x L matrix is formed
     unless every row can hold a surviving entry: the sample error is applied
     as F^T (F v) / N - C v, with C v by FFT, and the thresholded estimate
     is its principal block on the rows that can (:func:`_thresholded_block`;
@@ -368,8 +364,6 @@ def estimate_and_report(
     L = truth.L
     if ens.mesh != truth.mesh:
         raise EstimationError(f"ensemble and truth live on different meshes: {ens.mesh}, {truth.mesh}")
-    if truth_norm is None:
-        truth_norm = spectral_norm(truth, seed=seed)
     F, N = ens.fields, ens.N
     rho_hat = threshold_parameter(ens, rule)
     if np.any(F):

@@ -48,7 +48,7 @@ count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 import numpy as np
@@ -232,14 +232,18 @@ class CovFactor:
 class Ensemble:
     """N sampled field realizations on a mesh.
 
-    fields has shape (N, L); sups[n] is the maximum of fields[n] over the
-    mesh (the discretized supremum over the domain).
+    fields has shape (N, L).  N and sups (sups[n] is the maximum of fields[n]
+    over the mesh, the discretized supremum) are computed from it once.
     """
 
     mesh: Mesh
-    N: int
     fields: np.ndarray
-    sups: np.ndarray
+    N: int = field(init=False)
+    sups: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.N = len(self.fields)
+        self.sups = self.fields.max(axis=1)
 
 
 def build_mesh(d: int, m: int) -> Mesh:
@@ -581,4 +585,4 @@ def sample_ensemble(factor: CovFactor, N: int, seed: int, mesh: Mesh) -> Ensembl
         for block in blocks:
             fields[start : start + len(block)] = block
             start += len(block)
-    return Ensemble(mesh=mesh, N=N, fields=fields, sups=fields.max(axis=1))
+    return Ensemble(mesh=mesh, fields=fields)

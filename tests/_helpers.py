@@ -25,9 +25,7 @@ def make_mesh(L: int) -> Mesh:
 
 def make_ensemble(fields) -> Ensemble:
     fields = np.atleast_2d(np.asarray(fields, dtype=float))
-    N, L = fields.shape
-    mesh = make_mesh(L)
-    return Ensemble(mesh=mesh, N=N, fields=fields, sups=fields.max(axis=1))
+    return Ensemble(mesh=make_mesh(fields.shape[1]), fields=fields)
 
 
 def dense_truth(cov: CovMatrix) -> np.ndarray:

@@ -603,6 +603,26 @@ def test_enkf_demo_rerun_identical(tmp_path):
     assert result_files(tmp_path / "a") == result_files(tmp_path / "b")
 
 
+def test_enkf_demo_check_verdict_matches_its_rows(tmp_path):
+    # the verdict written is the one the summary rows it judges give,
+    # whichever that is: PASS and exit 0, or exit 3 and a FAIL line per
+    # violated criterion
+    out = tmp_path / "o"
+    code = main("enkf-demo --m 32 --lambdas 0.3,0.1 --trials 2 --dy 4 --check".split()
+                + ["--out", str(out)])
+    rows = read_rows(out / "enkf_demo_summary.csv")
+    frac = float(rows[-1]["frac_localized_better"])
+    problems = []
+    if frac < 0.9:
+        problems.append(f"localized update beat the stochastic one in only {frac:.0%} "
+                        "of trials at the smallest lengthscale")
+    if not all(row["continuity_all_ok"] == "True" for row in rows):
+        problems.append("gain-continuity inequality violated in some trial")
+    verdict = (out / "enkf_demo_check.txt").read_text().splitlines()
+    assert verdict == (["FAIL", *problems] if problems else ["PASS"])
+    assert code == (3 if problems else 0)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 9, 11])
 def test_enkf_demo_small_ensemble_does_not_fail_by_seed(seed, tmp_path):
     # at c0 = 1 and N = 8 the thresholded leave-one-out covariance makes

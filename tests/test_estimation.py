@@ -201,13 +201,12 @@ def test_zero_operand_at_arpack_size():
     for zero in (np.zeros((n, n)), zero_op):
         assert spectral_norm(zero, seed=3) == 0.0
         assert min_eigenvalue(zero, seed=3) == 0.0
-    assert relative_error(np.zeros((n, n)), truth) == 1.0
     # est = truth makes the difference operator zero
-    assert relative_error(truth, truth) == 0.0
+    assert relative_error(truth, truth, truth_norm=spectral_norm(truth)) == 0.0
     C = dense_truth(truth)
-    assert relative_error(C, C) == 0.0
+    assert relative_error(C, C, truth_norm=spectral_norm(C)) == 0.0
     same = LinearOperator((n, n), matvec=lambda v: C @ v, dtype=float)
-    assert relative_error(same, C) == 0.0
+    assert relative_error(same, C, truth_norm=spectral_norm(C)) == 0.0
 
 
 def test_spectral_norm_matches_dense_oracle():
@@ -340,7 +339,8 @@ def test_mesh_truth_norm_takes_no_dense_product():
         if well_conditioned:
             assert min_eigenvalue(guarded, seed=2) == min_eigenvalue(truth, seed=2)
         S = sample_covariance(sample_ensemble(factorize(truth), 9, seed=3, mesh=truth.mesh))
-        assert relative_error(S, guarded, seed=2) == relative_error(S, truth, seed=2)
+        assert (relative_error(S, guarded, seed=2, truth_norm=spectral_norm(guarded, seed=2))
+                == relative_error(S, truth, seed=2, truth_norm=spectral_norm(truth, seed=2)))
         assert sparsity_level(guarded, 0.5) == sparsity_level(truth, 0.5)
 
 
@@ -362,7 +362,9 @@ def test_factorize_and_report_do_not_read_the_entries_field(d, m, kernel, sample
     ens = sample_ensemble(got, 9, seed=3, mesh=mesh)
     assert np.array_equal(ens.fields, sample_ensemble(factor, 9, seed=3, mesh=mesh).fields)
     rule = ThresholdRule(c0=1.0, form="simplified")
-    assert estimate_and_report(ens, guarded, rule, seed=2) == estimate_and_report(ens, cov, rule, seed=2)
+    assert (estimate_and_report(ens, guarded, rule, seed=2,
+                                truth_norm=spectral_norm(guarded, seed=2))
+            == estimate_and_report(ens, cov, rule, seed=2, truth_norm=spectral_norm(cov, seed=2)))
 
 
 def test_report_rejects_a_truth_on_another_mesh():
@@ -371,7 +373,8 @@ def test_report_rejects_a_truth_on_another_mesh():
                           seed=0, mesh=build_mesh(2, 4))
     truth = covariance_matrix(se_kernel(0.3), build_mesh(1, 16))
     with pytest.raises(EstimationError, match="different meshes"):
-        estimate_and_report(ens, truth, ThresholdRule(c0=1.0, form="simplified"))
+        estimate_and_report(ens, truth, ThresholdRule(c0=1.0, form="simplified"),
+                            truth_norm=spectral_norm(truth))
 
 
 def test_spectral_norm_in_threads_matches_serial():
@@ -411,18 +414,20 @@ def test_min_eigenvalue_matches_dense():
 
 def test_relative_error_examples():
     truth = cov(np.eye(4))
-    assert relative_error(truth, truth) == 0.0
+    norm = spectral_norm(truth)
+    assert relative_error(truth, truth, truth_norm=norm) == 0.0
     doubled = cov(2 * np.eye(4))
-    assert relative_error(doubled, truth) == pytest.approx(1.0, rel=1e-12)
+    assert relative_error(doubled, truth, truth_norm=norm) == pytest.approx(1.0, rel=1e-12)
     shifted = cov(np.eye(4) + 0.1 * np.eye(4))
-    assert relative_error(shifted, truth) == pytest.approx(0.1, rel=1e-9)
+    assert relative_error(shifted, truth, truth_norm=norm) == pytest.approx(0.1, rel=1e-9)
 
 
 def test_relative_error_rejects_zero_truth_and_mismatch():
+    zero = cov(np.zeros((2, 2)))
     with pytest.raises(EstimationError):
-        relative_error(cov(np.eye(2)), cov(np.zeros((2, 2))))
+        relative_error(cov(np.eye(2)), zero, truth_norm=spectral_norm(zero))
     with pytest.raises(EstimationError):
-        relative_error(cov(np.eye(2)), cov(np.eye(3)))
+        relative_error(cov(np.eye(2)), cov(np.eye(3)), truth_norm=spectral_norm(cov(np.eye(3))))
 
 
 def test_relative_error_scale_invariant():
@@ -431,14 +436,18 @@ def test_relative_error_scale_invariant():
     est = cov(0.5 * (a + a.T))
     b = rng.normal(size=(8, 8))
     truth = cov(b @ b.T)
-    base = relative_error(est, truth)
-    scaled = relative_error(3.7 * est, 3.7 * truth)
+    base = relative_error(est, truth, truth_norm=spectral_norm(truth))
+    scaled = relative_error(3.7 * est, 3.7 * truth, truth_norm=spectral_norm(3.7 * truth))
     assert scaled == pytest.approx(base, rel=1e-8)
 
 
 def test_relative_error_zero_estimate_shortcut():
-    truth = cov(np.eye(5))
-    assert relative_error(cov(np.zeros((5, 5))), truth) == 1.0
+    # no short-cut is left: the zero estimate's error is ||truth|| / ||truth||,
+    # to the accuracy of two ARPACK solves
+    n = 100
+    truth = covariance_matrix(se_kernel(0.05), build_mesh(1, n))
+    got = relative_error(np.zeros((n, n)), truth, truth_norm=spectral_norm(truth))
+    assert got == pytest.approx(1.0, rel=1e-8)
 
 
 def test_operands_round_as_the_expressions_they_replace():
@@ -482,7 +491,8 @@ def test_report_on_single_zero_field():
     ens = make_ensemble(np.zeros((1, 6)))
     truth = covariance_matrix(se_kernel(1e-8), ens.mesh)
     assert np.array_equal(dense_truth(truth), np.eye(6))
-    report = estimate_and_report(ens, truth, ThresholdRule(c0=1.0, form="full"))
+    report = estimate_and_report(ens, truth, ThresholdRule(c0=1.0, form="full"),
+                                 truth_norm=spectral_norm(truth))
     assert report.eps_sample == 1.0  # estimate is the zero matrix
     assert report.eps_thresh == 1.0
     assert report.rho_hat == 1.0  # c0 / N with N = 1
@@ -665,9 +675,9 @@ def test_report_zero_shortcut_boundary(monkeypatch):
 
 def test_report_mismatched_mesh_rejected():
     ens = make_ensemble(np.zeros((2, 4)))
+    truth = covariance_matrix(se_kernel(0.1), build_mesh(1, 5))
     with pytest.raises(EstimationError):
-        estimate_and_report(ens, covariance_matrix(se_kernel(0.1), build_mesh(1, 5)),
-                            ThresholdRule())
+        estimate_and_report(ens, truth, ThresholdRule(), truth_norm=spectral_norm(truth))
 
 
 def test_reference_mesh_fig_trial_forms_no_square_matrix():
