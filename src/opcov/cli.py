@@ -119,7 +119,7 @@ class ExperimentConfig:
         ``kernel`` otherwise.  ``obs`` is enkf-demo's observation model, None
         otherwise.  A bad value raises ConfigError; nothing is written.
         """
-        if self.experiment not in ("fig1", "fig2", "enkf-demo", "custom", "theory"):
+        if self.experiment not in _COMMANDS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if not len(self.lambda_grid):
             raise ConfigError("lambda_grid must not be empty")

@@ -1,27 +1,52 @@
-"""Every library statement is run by a CI command, or the test says why not.
+"""Two rounds of the CI command set: statement coverage, reruns and output bytes.
 
-``ci_commands.txt`` holds the command lines of CI's determinism step.  One
-round of them runs here in one fresh interpreter with ``sys.settrace`` and
+``ci_commands.txt`` holds the command lines.  Tier-1 runs them twice, each
+round in one fresh interpreter with ``OPENBLAS_NUM_THREADS=1`` and every
+RuntimeWarning an error, and appends ``--threads`` to exactly the commands
+that ``opcov.cli._SETTINGS["threads"]`` names (the others refuse the flag).
+
+The first round runs at ``--threads 1`` with ``sys.settrace`` and
 ``threading.settrace`` installed before ``import opcov``, so module-level
-statements and the trials of the worker pool count.  A statement is a node of
-``ast.stmt``; it is executable when the compiled code holds a line start
-(``dis.findlinestarts``, as coverage.py counts) whose innermost enclosing
-statement it is, and it ran when a line event fired on such a line.  Every
-executable statement must run, apart from ``raise`` statements, the FAIL
-appends of ``--check``, ``main``'s exit handlers and the entries of
-``_ALLOWED``; an allowed statement that runs fails the test too.
+statements and the trials of the worker pool count.  From it:
+
+- Every library statement runs, or the test says why not.  A statement is a
+  node of ``ast.stmt``; it is executable when the compiled code holds a line
+  start (``dis.findlinestarts``, as coverage.py counts) whose innermost
+  enclosing statement it is, and it ran when a line event fired on such a
+  line.  Every executable statement must run, apart from ``raise``
+  statements, the FAIL appends of ``--check``, ``main``'s exit handlers and
+  the entries of ``_ALLOWED``; an allowed statement that runs fails the test
+  too.
+- Every result file (all but the ``*_timing.txt`` wall times) has the
+  SHA-256 that ``golden_digests.json`` records.  The digests hold only where
+  the file's key (library versions, machine, CPU dispatch targets, BLAS)
+  matches; elsewhere that test skips and names the part that differs.
+
+The second round runs untraced at ``--threads 2``, and every result file
+must match the first round's byte for byte: a rerun, and ``--threads``,
+moves no output byte.
 """
 
 import ast
 import dis
+import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+import scipy
+
+from opcov.cli import _SETTINGS
+from opcov.estimation import _EIGSH_TAKES_RNG
+
 _ROOT = Path(__file__).resolve().parent.parent
 _SRC = _ROOT / "src" / "opcov"
+_GOLDEN = _ROOT / "tests" / "golden_digests.json"
 
 # (module, function, the first source line of each allowed statement, why it
 # is kept, the test that runs it).  An allowed statement covers every
@@ -88,11 +113,18 @@ _ALLOWED = [
      "test_theory.py::test_scaling_report_fields_consistent"),
 ]
 
-# Runs the command lines given as JSON in argv[2] under a line tracer of the
-# files in directory argv[1] and prints the exit codes and the lines that ran.
-_TRACER = r"""
+# Runs the command lines given as JSON in argv[1] and prints their exit codes.
+_UNTRACED = r"""
+import json, sys
+from opcov.cli import main
+print(json.dumps({"codes": [main(argv) for argv in json.loads(sys.argv[1])]}))
+"""
+
+# As _UNTRACED, under a line tracer of the files in directory argv[2], and
+# prints the lines that ran too.
+_TRACED = r"""
 import json, sys, threading
-src, commands = sys.argv[1], json.loads(sys.argv[2])
+commands, src = json.loads(sys.argv[1]), sys.argv[2]
 ran = set()
 
 def on_line(frame, event, arg):
@@ -118,6 +150,61 @@ def _ci_commands():
     lines = (_ROOT / "tests" / "ci_commands.txt").read_text().splitlines()
     return [(words[0], words[1:]) for words in map(str.split, lines)
             if words and not words[0].startswith("#")]
+
+
+def _run_round(script, out, threads, *args):
+    """Run every command line in one fresh interpreter, each writing to
+    ``out/<name>``, at ``threads`` worker threads where the command reads
+    ``--threads``; return what ``script`` prints."""
+    reads_threads = _SETTINGS["threads"].commands
+    commands = [[*argv, *(["--threads", str(threads)] if argv[0] in reads_threads else []),
+                 "--out", str(out / name)] for name, argv in _ci_commands()]
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"), OPENBLAS_NUM_THREADS="1",
+               PYTHONWARNINGS="error::RuntimeWarning")
+    run = subprocess.run([sys.executable, "-c", script, json.dumps(commands), *args],
+                         env=env, capture_output=True, text=True, check=True)
+    result = json.loads(run.stdout)
+    assert result["codes"] == [0] * len(commands), run.stderr
+    return result
+
+
+@pytest.fixture(scope="module")
+def traced_round(tmp_path_factory):
+    """The output tree of the traced round and the (file name, line) pairs that ran."""
+    out = tmp_path_factory.mktemp("threads1")
+    result = _run_round(_TRACED, out, 1, str(_SRC))
+    return out, {(Path(file).name, line) for file, line in result["ran"]}
+
+
+def _digests(out):
+    """The SHA-256 of each result file under ``out``, by its relative path."""
+    return {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.rglob("*"))
+            if path.is_file() and not path.name.endswith("_timing.txt")}
+
+
+def _moved(expected, actual):
+    """The result files that differ between two digest maps, one kind a line;
+    empty when none does."""
+    kinds = {"moved": sorted(p for p in expected.keys() & actual.keys() if expected[p] != actual[p]),
+             "added": sorted(actual.keys() - expected.keys()),
+             "removed": sorted(expected.keys() - actual.keys())}
+    return "".join(f"\n{kind}: {' '.join(files)}" for kind, files in kinds.items() if files)
+
+
+def _blas(config):
+    blas = config["Build Dependencies"]["blas"]
+    return f"{blas['name']} {blas['version']}"
+
+
+def _digest_key():
+    """What the result bytes depend on besides the source tree and the seed.
+    numpy and scipy each link their own BLAS; ARPACK runs on scipy's."""
+    config = np.show_config(mode="dicts")
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "eigsh_takes_rng": _EIGSH_TAKES_RNG, "machine": platform.machine(),
+            "cpu_dispatch": config["SIMD Extensions"]["found"], "blas": _blas(config),
+            "scipy_blas": _blas(scipy.show_config(mode="dicts"))}
 
 
 def _statement_of_line(tree):
@@ -186,18 +273,8 @@ def _test_exists(reference):
     return any(isinstance(n, ast.FunctionDef) and n.name == name for n in ast.walk(tree))
 
 
-def test_every_library_statement_runs_in_a_ci_command(tmp_path):
-    # CI's determinism step runs the same list
-    assert "done 3< tests/ci_commands.txt" in (_ROOT / ".github/workflows/tests.yml").read_text()
-    commands = [[*argv, "--out", str(tmp_path / name)] for name, argv in _ci_commands()]
-    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"), OPENBLAS_NUM_THREADS="1",
-               PYTHONWARNINGS="error::RuntimeWarning")
-    run = subprocess.run([sys.executable, "-c", _TRACER, str(_SRC), json.dumps(commands)],
-                         env=env, capture_output=True, text=True, check=True)
-    result = json.loads(run.stdout)
-    assert result["codes"] == [0] * len(commands), run.stderr
-    ran = {(Path(file).name, line) for file, line in result["ran"]}
-
+def test_every_library_statement_runs_in_a_ci_command(traced_round):
+    _, ran = traced_round
     missing = [(module, test) for module, *_, test in _ALLOWED
                if not (_SRC / module).is_file() or not _test_exists(test)]
     assert not missing, f"allowlist entries name a module or test that does not exist: {missing}"
@@ -227,3 +304,26 @@ def test_every_library_statement_runs_in_a_ci_command(tmp_path):
     assert not unmatched, f"allowlist entries that name no single statement: {unmatched}"
     assert not stale, f"allowed statements that a CI command runs: {stale}"
     assert not never_ran, f"statements no CI command runs: {never_ran}"
+
+
+def test_rerun_at_two_threads_writes_the_same_bytes(traced_round, tmp_path):
+    _run_round(_UNTRACED, tmp_path, 2)
+    moved = _moved(_digests(traced_round[0]), _digests(tmp_path))
+    assert not moved, f"the --threads 2 round differs from the first:{moved}"
+
+
+def test_result_bytes_match_the_committed_digests(traced_round, tmp_path):
+    golden, key = json.loads(_GOLDEN.read_text()), _digest_key()
+    differs = [f"{part} is {key.get(part)!r} here, {golden['key'].get(part)!r} in {_GOLDEN.name}"
+               for part in sorted(key.keys() | golden["key"].keys())
+               if key.get(part) != golden["key"].get(part)]
+    if differs:
+        pytest.skip("the digests were made elsewhere: " + "; ".join(differs))
+    digests = _digests(traced_round[0])
+    moved = _moved(golden["digests"], digests)
+    if moved:
+        replacement = tmp_path / _GOLDEN.name
+        replacement.write_text(json.dumps({"key": key, "digests": digests},
+                                          indent=1, sort_keys=True) + "\n")
+        pytest.fail(f"result bytes differ from {_GOLDEN.name}:{moved}\n"
+                    f"the digests of this tree are in {replacement}")

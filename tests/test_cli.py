@@ -88,6 +88,8 @@ def test_config_validation_errors():
         ExperimentConfig(lambda_grid=[0.1, -0.2]).validate()
     with pytest.raises(ConfigError):
         ExperimentConfig(lambda_grid=[0.1], trials=0).validate()
+    with pytest.raises(ConfigError, match="unknown experiment 'fig3'"):
+        ExperimentConfig(experiment="fig3").validate()
 
 
 # ---------------------------------------------------------------------------
