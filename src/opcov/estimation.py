@@ -360,16 +360,14 @@ def estimate_and_report(
     none when the threshold exceeds every diagonal entry, and then the
     estimate is exactly zero).  When every entry
     survives, the estimate is the sample covariance and shares its error.
+    An ensemble of zero fields needs no case of its own: its sample error is
+    ||C|| / ||C||, exactly 1 at order <= 64 and 1 to rounding above.
     """
     L = truth.L
     if ens.mesh != truth.mesh:
         raise EstimationError(f"ensemble and truth live on different meshes: {ens.mesh}, {truth.mesh}")
-    F, N = ens.fields, ens.N
     rho_hat = threshold_parameter(ens, rule)
-    if np.any(F):
-        eps_sample = relative_error(_gram(F, N), truth, seed=seed, truth_norm=truth_norm)
-    else:
-        eps_sample = 1.0  # the zero sample covariance: the difference is -truth
+    eps_sample = relative_error(_gram(ens.fields, ens.N), truth, seed=seed, truth_norm=truth_norm)
     idx, block, nnz = _thresholded_block(ens, rho_hat)
     if nnz == 0:
         eps_thresh, min_eig = 1.0, 0.0

@@ -17,6 +17,7 @@ module loads no ``scipy.integrate``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,10 +55,26 @@ _EPSREL = 1e-10
 _PANELS = 60
 _GAUSS_LEGENDRE = [np.polynomial.legendre.leggauss(n) for n in (16, 32)]
 
+# The smallest q at which every kernel value that underflows to 0 (so is
+# below the smallest subnormal, 5e-324) has a q-th power below eps: dropping
+# it from R_q^q, or stopping the radial rule's r_max search on it, then
+# moves the result by less than a rounding error.  At q = 0.01 such a value
+# could still add 6e-4.
+_Q_MIN = math.log(sys.float_info.epsilon) / math.log(math.ulp(0.0))  # 0.0484
+
+
+def _check_q_floor(q: float) -> None:
+    if q < _Q_MIN:
+        raise EstimationError(
+            f"sparsity exponent q must be at least log(eps) / log(5e-324) = {_Q_MIN!r}, "
+            f"below which kernel values that underflow to 0 still count in R_q^q, got {q!r}"
+        )
+
 
 def _check_q(q: float) -> None:
     if not (0.0 < q < 1.0):
         raise EstimationError(f"sparsity exponent q must lie in (0, 1), got {q!r}")
+    _check_q_floor(q)
 
 
 def _check_draws(M: int) -> None:
@@ -92,6 +109,12 @@ def _radial_integral(kernel: KernelModel, q: float, d: int) -> float:
     every accepted kernel there, SE and Matern nu = 1/2, 3/2 and 5/2.  The
     order-32 sum is returned, and the order-16 sum on the same panels checks
     it.
+
+    That check cannot see the truncation at 4 r_max, which both orders
+    share.  It is small because k_1(r_max)^q <= 1e-16, but the search also
+    stops at the first r_max where k_1 underflows to 0, and there the true
+    k_1^q is below eps only when q >= ``_Q_MIN`` (the callers refuse smaller
+    q).
     """
     unit = KernelModel(kernel.family, 1.0, kernel.nu)
     r_max = 1.0
@@ -124,6 +147,7 @@ def sparsity_asymptotic(kernel: KernelModel, q: float, d: int) -> float:
     """
     if not (0.0 < q <= 1.0):
         raise EstimationError(f"q must lie in (0, 1], got {q!r}")
+    _check_q_floor(q)
     if d not in SPHERE_AREA:
         raise EstimationError(f"dimension d must be 1, 2 or 3, got {d}")
     try:

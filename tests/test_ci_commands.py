@@ -1,9 +1,12 @@
 """Two rounds of the CI command set: statement coverage, reruns and output bytes.
 
-``ci_commands.txt`` holds the command lines.  Tier-1 runs them twice, each
-round in one fresh interpreter with ``OPENBLAS_NUM_THREADS=1`` and every
-RuntimeWarning an error, and appends ``--threads`` to exactly the commands
-that ``opcov.cli._SETTINGS["threads"]`` names (the others refuse the flag).
+``ci_commands.txt`` holds the command lines, each with the exit code it must
+return: 0, or the N of an ``exit=N`` word after its name, so that a line can
+run a ``--check`` FAIL verdict (3) or a refused flag (1).  Tier-1 runs them
+twice, each round in one fresh interpreter with ``OPENBLAS_NUM_THREADS=1``
+and every RuntimeWarning an error, checks every line's exit code in both
+rounds, and appends ``--threads`` to exactly the commands that
+``opcov.cli._SETTINGS["threads"]`` names (the others refuse the flag).
 
 The first round runs at ``--threads 1`` with ``sys.settrace`` and
 ``threading.settrace`` installed before ``import opcov``, so module-level
@@ -15,8 +18,8 @@ statements and the trials of the worker pool count.  From it:
   enclosing statement it is, and it ran when a line event fired on such a
   line.  Every executable statement must run, apart from ``raise``
   statements, the FAIL appends of ``--check``, ``main``'s exit handlers and
-  the entries of ``_ALLOWED``; an allowed statement that runs fails the test
-  too.
+  the entries of ``_ALLOWED``, which no command line reaches; an allowed
+  statement that runs fails the test too.
 - Every result file (all but the ``*_timing.txt`` wall times) has the
   SHA-256 that ``golden_digests.json`` records.  The digests hold only where
   the file's key (library versions, machine, CPU dispatch targets, BLAS)
@@ -68,39 +71,6 @@ _ALLOWED = [
      ("if isinstance(exc, ArpackNoConvergence) or np.any(op.matvec(v0)):", "return 0.0"),
      "edge guard: ARPACK rejects the start vector of the zero operator",
      "test_estimation.py::test_zero_operand_at_arpack_size"),
-    ("estimation.py", "estimate_and_report",
-     ("eps_sample = 1.0  # the zero sample covariance: the difference is -truth",),
-     "edge guard: an ensemble of zero fields",
-     "test_estimation.py::test_report_on_single_zero_field"),
-    ("theory.py", "sparsity_asymptotic",
-     ("scale = math.inf",),
-     "edge guard: lam^d overflows at a huge lengthscale",
-     "test_theory.py::test_sparsity_asymptotic_of_a_huge_lengthscale_is_inf"),
-    ("theory.py", "scaling_report",
-     ("prediction = math.nan",),
-     "edge guard: a lengthscale outside the supremum scaling regime",
-     "test_theory.py::test_scaling_report_marks_invalid_prediction_as_nan"),
-    ("cli.py", "_parse_lambda_grid",
-     ("grid = []",),
-     "checks input from outside the program",
-     "test_cli.py::test_bad_flag_exits_one"),
-    ("cli.py", "_check_figure",
-     ("small = np.mean([r[\"mean_eps_thresh\"] for r in by_lam[:3]])",
-      "large = np.mean([r[\"mean_eps_thresh\"] for r in by_lam[-3:]])",
-      "ratio = small / large if large > 0 else math.inf",
-      "if not (0.5 <= ratio <= 2.0):",
-      "div = by_lam[0][\"mean_eps_sample\"] / by_lam[-1][\"mean_eps_sample\"]",
-      "if div < 3.0:"),
-     "flatness and divergence need 6 lengthscales; CI's fig1 --check has 3",
-     "test_cli.py::test_check_mode_flags_flat_sample_curve"),
-    ("cli.py", "run_enkf_demo",
-     ("smallest = summary_rows[-1]",
-      "problems = []",
-      "if smallest[\"frac_localized_better\"] < 0.9:",
-      "if not all(r[\"continuity_all_ok\"] for r in summary_rows):",
-      "_write_check(out_dir / \"enkf_demo_check.txt\", problems)"),
-     "enkf-demo --check, a documented flag no CI line runs",
-     "test_cli.py::test_enkf_demo_check_verdict_matches_its_rows"),
     ("estimation.py", "sample_covariance",
      ("entries = ens.fields.T @ ens.fields",
       "entries /= ens.N",
@@ -146,25 +116,34 @@ print(json.dumps({"codes": codes, "ran": sorted(ran)}))
 
 
 def _ci_commands():
-    """(output name, argv) for each command line of ``ci_commands.txt``."""
-    lines = (_ROOT / "tests" / "ci_commands.txt").read_text().splitlines()
-    return [(words[0], words[1:]) for words in map(str.split, lines)
-            if words and not words[0].startswith("#")]
+    """(output name, expected exit code, argv) for each command line of
+    ``ci_commands.txt``."""
+    commands = []
+    for words in map(str.split, (_ROOT / "tests" / "ci_commands.txt").read_text().splitlines()):
+        if words and not words[0].startswith("#"):
+            name, *argv = words
+            code = int(argv.pop(0).removeprefix("exit=")) if argv[0].startswith("exit=") else 0
+            commands.append((name, code, argv))
+    return commands
 
 
 def _run_round(script, out, threads, *args):
     """Run every command line in one fresh interpreter, each writing to
     ``out/<name>``, at ``threads`` worker threads where the command reads
-    ``--threads``; return what ``script`` prints."""
+    ``--threads``; check each line's exit code and return what ``script``
+    prints."""
     reads_threads = _SETTINGS["threads"].commands
+    lines = _ci_commands()
     commands = [[*argv, *(["--threads", str(threads)] if argv[0] in reads_threads else []),
-                 "--out", str(out / name)] for name, argv in _ci_commands()]
+                 "--out", str(out / name)] for name, _, argv in lines]
     env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"), OPENBLAS_NUM_THREADS="1",
                PYTHONWARNINGS="error::RuntimeWarning")
     run = subprocess.run([sys.executable, "-c", script, json.dumps(commands), *args],
                          env=env, capture_output=True, text=True, check=True)
     result = json.loads(run.stdout)
-    assert result["codes"] == [0] * len(commands), run.stderr
+    wrong = {name: (code, got) for (name, code, _), got in zip(lines, result["codes"])
+             if got != code}
+    assert not wrong, f"lines with another exit code, as (expected, got): {wrong}\n{run.stderr}"
     return result
 
 

@@ -738,7 +738,7 @@ _DRAWN = {
     "dy": (("1", "4", "8", "9"), ("0", "-1", _HUGE)),
     "noise_std": (("0.5", "1", "1e150", "1e-150"), ("0", "-1", "nan", "inf", "-inf", "1e308",
                                                    "5e-324")),
-    "q": (("0.5", "0.1", "0.99"), ("0", "1", "-1", "nan", "inf")),
+    "q": (("0.5", "0.1", "0.99"), ("0", "0.01", "1", "-1", "nan", "inf")),
     "esup_samples": (("2", "16"), ("0", "1", "-1", str(10**12), _HUGE)),
 }
 _RUN_IDS = itertools.count()

@@ -500,6 +500,16 @@ def test_report_on_single_zero_field():
     assert report.psd_min_eig == 0.0
 
 
+def test_report_on_zero_field_at_arpack_order():
+    # above order 64 ARPACK solves ||0 - C||, which is ||C|| to rounding
+    ens = make_ensemble(np.zeros((1, 100)))
+    truth = covariance_matrix(se_kernel(0.05), ens.mesh)
+    report = estimate_and_report(ens, truth, ThresholdRule(c0=1.0, form="full"),
+                                 truth_norm=spectral_norm(truth))
+    assert report.eps_sample == pytest.approx(1.0, rel=1e-12)
+    assert report.eps_thresh == 1.0
+
+
 def test_report_thresholding_beats_sample_for_identity_truth():
     # lambda -> 0 analog: independent entries, L=16, N=8; thresholding should
     # win in a clear majority of seeds.

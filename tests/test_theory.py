@@ -10,6 +10,7 @@ from opcov.estimation import EstimationError, ThresholdRule, sample_covariance
 from opcov.kernels import eval_kernel, matern_kernel, se_kernel
 from opcov.sampling import build_mesh, covariance_matrix, factorize, sample_ensemble
 from opcov.theory import (
+    _Q_MIN,
     ScalingReport,
     expected_supremum_mc,
     operator_norm_asymptotic,
@@ -32,6 +33,23 @@ def gauss_legendre_radial(kernel, q, d, r_max, n):
         x = 0.5 * (b - a) * nodes + 0.5 * (a + b)
         total += 0.5 * (b - a) * np.sum(weights * eval_kernel(kernel, x) ** q * x ** (d - 1))
     return total
+
+
+def log_kernel(kernel, r):
+    """log k(r) in closed form, finite where k(r) itself underflows to 0."""
+    if kernel.family == "se":
+        return -0.5 * (r / kernel.lam) ** 2
+    z = math.sqrt(2.0 * kernel.nu) * r / kernel.lam
+    return np.log({0.5: 1.0, 1.5: 1.0 + z, 2.5: 1.0 + z + z * z / 3.0}[kernel.nu]) - z
+
+
+def dense_sparsity_level(kernel, mesh, q):
+    """R_q^q from the dense row sums, with k^q as exp(q log k): the entries
+    that underflow to 0 in k still count."""
+    dist = np.sqrt(np.sum((np.indices((mesh.m,) * mesh.d) / mesh.m) ** 2, axis=0)).ravel()
+    powers = dataclasses.replace(covariance_matrix(kernel, mesh),
+                                 row=np.exp(q * log_kernel(kernel, dist)))
+    return mesh.weight * float(np.max(np.sum(dense_truth(powers), axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -66,19 +84,37 @@ def test_sparsity_level_matches_asymptotic_at_small_lengthscale():
 @pytest.mark.parametrize("d,m", [(1, 40), (1, 41), (2, 9), (2, 12), (3, 5)])
 @pytest.mark.parametrize("kernel", [se_kernel(0.1), se_kernel(0.02), matern_kernel(0.2, 1.5)],
                          ids=["se-0.1", "se-0.02", "matern-0.2"])
-@pytest.mark.parametrize("q", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("q", [_Q_MIN, 0.1, 0.5, 0.9])
 def test_sparsity_level_matches_dense_row_sums(d, m, kernel, q):
     mesh = build_mesh(d, m)
-    cov = covariance_matrix(kernel, mesh)
-    want = mesh.weight * float(np.max(np.sum(np.abs(dense_truth(cov)) ** q, axis=1)))
-    assert sparsity_level(cov, q) == pytest.approx(want, rel=1e-12)
+    want = dense_sparsity_level(kernel, mesh, q)
+    assert sparsity_level(covariance_matrix(kernel, mesh), q) == pytest.approx(want, rel=1e-12)
+
+
+def test_sparsity_level_at_the_floor_where_entries_underflow():
+    # SE at lambda = 0.01, m = 1250: the entries past r / lambda = 38.6 of
+    # every row underflow to 0 in k.  At _Q_MIN their q-th powers are below
+    # eps; at q = 0.02 they would add 4.8e-8 to R_q^q, at q = 0.01 1.1e-4
+    mesh, kernel = build_mesh(1, 1250), se_kernel(0.01)
+    want = dense_sparsity_level(kernel, mesh, _Q_MIN)
+    assert sparsity_level(covariance_matrix(kernel, mesh), _Q_MIN) == pytest.approx(want, rel=1e-12)
 
 
 def test_sparsity_level_rejects_bad_q():
     cov = covariance_matrix(se_kernel(0.1), build_mesh(1, 4))
     for q in (0.0, 1.0, -0.5, 1.5):
-        with pytest.raises(EstimationError):
+        with pytest.raises(EstimationError, match=r"in \(0, 1\)"):
             sparsity_level(cov, q)
+
+
+def test_q_below_the_underflow_floor_is_refused():
+    # at q = 0.01 a kernel value that underflows to 0 could still add 6e-4
+    cov = covariance_matrix(se_kernel(0.1), build_mesh(1, 4))
+    for q in (0.01, np.nextafter(_Q_MIN, 0.0)):
+        with pytest.raises(EstimationError, match="at least log"):
+            sparsity_level(cov, q)
+        with pytest.raises(EstimationError, match="at least log"):
+            sparsity_asymptotic(se_kernel(0.1), q, 1)
 
 
 def test_sparsity_asymptotic_closed_forms():
@@ -128,10 +164,11 @@ def test_matern_radial_integral_against_doubled_resolution_oracle():
     0.5, 1.5, 2.5))], ids=lambda k: f"{k.family}-{k.nu}")
 def test_radial_rule_matches_adaptive_quadrature(kernel):
     sphere = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
-    for q in (0.1, 0.25, 0.5, 0.9, 1.0):
+    # the oracle's k^q is exp(q log k), which never underflows
+    for q in (_Q_MIN, 0.1, 0.25, 0.5, 0.9, 1.0):
         for d in (1, 2, 3):
-            integral, _ = quad(lambda r: eval_kernel(kernel, r) ** q * r ** (d - 1), 0.0, np.inf,
-                               epsabs=0.0, epsrel=1e-12, limit=1000)
+            integral, _ = quad(lambda r: np.exp(q * log_kernel(kernel, r)) * r ** (d - 1),
+                               0.0, np.inf, epsabs=0.0, epsrel=1e-12, limit=1000)
             got = sparsity_asymptotic(kernel, q, d)
             assert got == pytest.approx(sphere[d] * integral, rel=1e-11), (q, d)
 
