@@ -14,10 +14,12 @@ deterministic given the master seed: each (kernel, lengthscale, trial) cell
 draws from its own substream, so results are identical for any ``--threads``
 value; output rows are written in grid order by one CSV writer,
 ``_write_csv``, the only formatter of library records, and every
-per-lengthscale result is a column of the command's summary CSV.  A result
-file holds nothing but results, so reruns are byte-identical file for file;
-wall times go to a separate timing file.  ``--kernel`` names a family and its
-shape (``se`` or ``matern:nu={0.5,1.5,2.5}``); ``--lambdas`` sets every lengthscale.
+per-lengthscale result is a column of the command's summary CSV, which a
+figure command also draws as ``<name>.svg`` (``_svg.error_figure``).  Every
+file goes through ``_write_lines``, and a result file holds nothing but
+results, so reruns are byte-identical file for file; wall times go to a
+separate timing file.  ``--kernel`` names a family and its shape (``se`` or
+``matern:nu={0.5,1.5,2.5}``); ``--lambdas`` sets every lengthscale.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime failure,
 3 acceptance-threshold violation under ``--check``.
@@ -38,7 +40,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import enkf as enkf_mod
-from ._svg import Series, error_plot
+from ._svg import error_figure
 from .estimation import (
     EstimationError,
     SpectralNormError,
@@ -100,7 +102,6 @@ class ExperimentConfig:
     master_seed: int = 0
     output_dir: str = "opcov_out"
     threads: int = 1
-    plot: bool = False
     check: bool = False
     # enkf-demo
     dy: int = 8
@@ -251,7 +252,6 @@ _SETTINGS = {
     "check": _Setting(bool, _RULE, help=(
         "verify qualitative acceptance thresholds; exit 3 on violation")),
     "threads": _Setting(int, _FIGURES, help="worker threads per lengthscale"),
-    "plot": _Setting(bool, _FIGURES, help="write SVG plots"),
     "dy": _Setting(int, ("enkf-demo",)),
     "noise_std": _Setting(float, ("enkf-demo",)),
     "q": _Setting(float, ("theory",)),
@@ -371,10 +371,11 @@ def _check_figure(rows: list[dict]) -> list[str]:
                 f"sample-covariance curve does not diverge: error ratio {div:.3f} < 3"
             )
     largest = by_lam[-1]
-    if largest["lambda"] >= _CROSSOVER_LAMBDA and largest["frac_thresh_worse"] < 0.5:
+    if largest["lambda"] >= _CROSSOVER_LAMBDA and largest["frac_thresh_worse"] <= 0.5:
         problems.append(
-            "no large-lengthscale crossover: thresholding beat the sample covariance "
-            f"in most trials at lambda={largest['lambda']:.4g}"
+            "no large-lengthscale crossover: thresholding was no better than the sample "
+            f"covariance in only {largest['frac_thresh_worse']:.0%} of trials, not in most, "
+            f"at lambda={largest['lambda']:.4g}"
         )
     return problems
 
@@ -399,21 +400,9 @@ def run_figure(cfg: ExperimentConfig) -> dict[str, list[dict]]:
             timings.append(timing)
         _write_csv(out_dir / f"{name}_trials.csv", trial_rows)
         _write_csv(out_dir / f"{name}_summary.csv", rows)
-        if cfg.plot:
-            lams = [r["lambda"] for r in rows]
-            error_plot(
-                out_dir / f"{name}.svg",
-                [
-                    Series(lams, [r["mean_eps_sample"] for r in rows], "#1f77b4",
-                           "relative error, sample", dash="6,4"),
-                    Series(lams, [r["mean_eps_thresh"] for r in rows], "#d62728",
-                           "relative error, thresholded"),
-                    Series(lams, [float(r["N"]) for r in rows], "#2ca02c",
-                           "sample size N", dash="2,3", right_axis=True),
-                ],
-                title=f"{name}: relative errors vs lengthscale",
-                xlabel="lengthscale", ylabel="relative error", right_label="N",
-            )
+        curves = ([r[key] for r in rows]
+                  for key in ("lambda", "mean_eps_sample", "mean_eps_thresh", "N"))
+        _write_lines(out_dir / f"{name}.svg", error_figure(name, *curves))
         summaries[base.family] = rows
     _write_lines(out_dir / f"{cfg.experiment}_timing.txt", timings)
     if cfg.check:

@@ -32,8 +32,8 @@ the same columns of the truth, gathered from its first row.  Every covariance
 norm goes through :func:`opcov.estimation.spectral_norm` (ARPACK) on the
 operands of :mod:`opcov.estimation`, without a dense product: the truth norm
 ||C|| behind c_const and the continuity bound is applied by FFT, and the
-continuity check's ||loo - C|| is that of ``_gram(F, N - 1, drop=u_n) - C``,
-the same downdate applied to a vector over the whole ensemble F.
+continuity check's ||loo - C|| is that of ``_gram(F_n, N - 1) - C``, where
+F_n is the ensemble without particle n.
 
 The continuity check needs ||loo - C|| only through a bound that increases
 with it, so a lower bound that already satisfies the inequality settles the
@@ -352,7 +352,7 @@ def compare_analysis_updates(
                 min_margin = min(min_margin, certified / actual if actual else math.inf)
             else:
                 full_solves += 1
-                delta = w * spectral_norm(_gram(F, N - 1, drop=u) - truth,
+                delta = w * spectral_norm(_gram(np.delete(F, n, axis=0), N - 1) - truth,
                                           seed=derive_seed(seed, t, 2, n), tol=_NORM_TOL)
                 bound = gain_continuity_bound(delta, cov_op_norm, obs)
                 if actual > bound * (1.0 + 1e-6):

@@ -205,13 +205,9 @@ def _as_operator(obj) -> LinearOperator:
     return aslinearoperator(np.asarray(obj, dtype=float))
 
 
-def _gram(F: np.ndarray, scale: float, drop: np.ndarray | None = None) -> LinearOperator:
-    """v -> F^T (F v) / scale, or (F^T (F v) - drop (drop . v)) / scale given ``drop``."""
-    L = F.shape[1]
-    if drop is None:
-        return LinearOperator((L, L), matvec=lambda v: F.T @ (F @ v) / scale, dtype=float)
-    return LinearOperator((L, L), dtype=float,
-                          matvec=lambda v: (F.T @ (F @ v) - drop * (drop @ v)) / scale)
+def _gram(F: np.ndarray, scale: float) -> LinearOperator:
+    """v -> F^T (F v) / scale."""
+    return LinearOperator((F.shape[1],) * 2, matvec=lambda v: F.T @ (F @ v) / scale, dtype=float)
 
 
 def _sine_start(mesh) -> np.ndarray:

@@ -19,6 +19,7 @@ from opcov.cli import (
     ConfigError,
     ExperimentConfig,
     _build_parser,
+    _check_figure,
     _config_from_argv,
     _flag,
     main,
@@ -357,6 +358,8 @@ _BAD_VALUES = {
     # full form needs c0 <= sqrt(N - 1) on the N - 1 member leave-one-out ensembles
     "enkf-demo --form full --c0 3 --lambdas 0.3": "c0=3.0, N=6",
     "enkf-demo --form full --c0 2.5 --lambdas 0.3": "c0=2.5, N=6",  # sqrt(6) < 2.5 < sqrt(7)
+    # every figure run writes its SVG; there is no switch for it
+    "fig1 --plot": "fig1 does not read --plot",
 }
 
 
@@ -383,14 +386,13 @@ _SETTING_VALUES = {
     "m": ("16", 16), "d": ("2", 2), "kernel": ("matern:nu=2.5", "matern:nu=2.5"),
     "trials": ("3", 3), "c0": ("2.5", 2.5), "form": ("full", "full"),
     "n_fixed": ("4", 4), "check": (None, True), "threads": ("2", 2),
-    "plot": (None, True), "dy": ("4", 4), "noise_std": ("0.5", 0.5), "q": ("0.3", 0.3),
-    "esup_samples": ("64", 64),
+    "dy": ("4", 4), "noise_std": ("0.5", 0.5), "q": ("0.3", 0.3), "esup_samples": ("64", 64),
 }
 
 # what each command reads, written out independently of the table
 _EVERY = {"master_seed", "output_dir", "lambda_grid", "m"}
 _RULE_KEYS = {"trials", "c0", "form", "n_fixed", "check"}
-_FIGURE_KEYS = _EVERY | _RULE_KEYS | {"threads", "plot"}
+_FIGURE_KEYS = _EVERY | _RULE_KEYS | {"threads"}
 _READS = {
     "fig1": _FIGURE_KEYS,
     "fig2": _FIGURE_KEYS,
@@ -412,7 +414,7 @@ _PRESETS = {"fig1": ExperimentConfig(experiment="fig1", m=1250, trials=100,
 
 def test_each_command_reads_exactly_its_settings(capsys):
     assert set(_SETTING_VALUES) == set(_SETTINGS)
-    assert sum(map(len, _READS.values())) == 56
+    assert sum(map(len, _READS.values())) == 53
     subs = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert set(subs.choices) == set(_READS)
     for command, sub in subs.choices.items():
@@ -482,7 +484,7 @@ def test_row_counts_and_rerun_determinism(tmp_path):
     assert main(args + ["--out", str(tmp_path / "a")]) == 0
     assert main(args + ["--out", str(tmp_path / "b")]) == 0
     a = result_files(tmp_path / "a")
-    assert set(a) == {"custom_se_trials.csv", "custom_se_summary.csv"}
+    assert set(a) == {"custom_se_trials.csv", "custom_se_summary.csv", "custom_se.svg"}
     assert a == result_files(tmp_path / "b")
     rows = read_rows(tmp_path / "a" / "custom_se_trials.csv")
     assert len(rows) == 6  # 3 lengthscales x 2 trials
@@ -527,7 +529,7 @@ def test_plot_writes_valid_svg(tmp_path):
     assert main([
         "custom", "--kernel", "se", "--m", "16", "--lambdas", "0.4,0.2,0.1",
         "--trials", "2", "--n-fixed", "4", "--seed", "8",
-        "--out", str(out), "--plot",
+        "--out", str(out),
     ]) == 0
     svg = out / "custom_se.svg"
     assert svg.exists()
@@ -545,6 +547,15 @@ def test_check_mode_flags_flat_sample_curve(tmp_path):
     assert code == 3
     report = (out / "custom_check.txt").read_text()
     assert "FAIL" in report
+
+
+def test_crossover_needs_thresholding_no_better_in_most_trials():
+    # a tie is no majority: at 0.5 the crossover fails, at 0.6 it holds
+    row = {"lambda": 0.794, "frac_thresh_worse": 0.5}
+    assert _check_figure([row]) == [
+        "no large-lengthscale crossover: thresholding was no better than the sample "
+        "covariance in only 50% of trials, not in most, at lambda=0.794"]
+    assert _check_figure([{**row, "frac_thresh_worse": 0.6}]) == []
 
 
 def test_enkf_demo_emits_summary_rows(tmp_path):
@@ -685,19 +696,17 @@ def test_tiny_lengthscales_run_with_each_closed_form(kernel, tmp_path):
         assert math.isfinite(float(row["mean_eps_sample"]))
 
 
-def test_plot_labels_log_axes_that_span_no_power_of_ten(tmp_path):
+def test_plot_labels_log_axes_that_span_no_power_of_ten():
     # lambda in [0.2, 0.4] and errors in [0.18, 0.39] hold no power of ten:
     # each log axis is ticked at its two ends, labelled by value; a single
     # lengthscale sits mid-axis
-    from opcov._svg import Series, error_plot
+    from opcov._svg import error_figure
 
     for xs, ys, want_left, want_bottom in (
         ([0.4, 0.2], [0.18, 0.39], ["0.138462", "0.507"], ["0.2", "0.4"]),  # y: [0.18/1.3, 0.39*1.3]
         ([0.2], [0.18], ["0.138462", "0.234"], ["0.2"]),
     ):
-        path = tmp_path / f"{len(xs)}.svg"
-        error_plot(path, [Series(xs, ys, "black", "errors")], "t", "x", "y")
-        svg = path.read_text()
+        svg = "\n".join(error_figure("t", xs, ys, ys, [4] * len(xs)))
         assert re.findall(r'text-anchor="end">([^<]*)<', svg) == want_left
         assert re.findall(r'y="402" text-anchor="middle">([^<]*)<', svg) == want_bottom
 

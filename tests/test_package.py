@@ -9,7 +9,7 @@ import pytest
 
 import opcov
 
-_MODULES = ["opcov." + name for name in opcov.__all__] + ["opcov.cli"]
+_MODULES = ["opcov." + name for name in opcov.__all__] + ["opcov.cli", "opcov._svg"]
 _ROOT = Path(__file__).resolve().parent.parent
 
 
