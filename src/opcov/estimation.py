@@ -28,19 +28,21 @@ solved by ``eigvalsh``.
 
 Each operand has one constructor, here, which the EnKF borrows.  A
 :class:`~opcov.sampling.CovMatrix` truth is applied by FFT
-(:func:`_as_operator`), a rank-N product F^T (F v) / s is :func:`_gram`, an
-explicit array (every estimate here is one) is wrapped as it is, and a
+(:func:`_as_operator`), a rank-N product F^T (F v) / s is :func:`_gram`, a
+thresholded estimate is the operator :func:`_thresholded_block` returns, and a
 difference is ``LinearOperator`` subtraction, a + (-1 b), which rounds as
-a - b does.
+a - b does.  The norm helpers take a CovMatrix or a ``LinearOperator``, not
+an explicit array.
 
 A figure trial (:func:`estimate_and_report`) is given ||truth|| and forms no
-L x L matrix unless every row of its thresholded estimate can hold a
-surviving entry.  Its sample error is the norm of ``_gram(F, N)`` minus the
+L x L matrix.  Its sample error is the norm of ``_gram(F, N)`` minus the
 truth.  The thresholded estimate is exactly zero, with error 1, when the
 threshold exceeds every diagonal entry of the sample covariance (and hence,
-by Cauchy-Schwarz, every entry); that costs one O(NL) pass.  Otherwise it is
-formed and thresholded densely, but only on the rows and columns that
-Cauchy-Schwarz leaves able to hold a surviving entry.
+by Cauchy-Schwarz, every entry); that costs one O(NL) pass.  Otherwise only
+the rows and columns that Cauchy-Schwarz leaves able to hold a surviving
+entry are scanned, in row panels, and only the sparse part of the estimate is
+stored: its kept entries, or the dropped ones that it differs by from the
+sample covariance, whichever are fewer.
 """
 
 from __future__ import annotations
@@ -51,13 +53,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import (
-    ArpackError,
-    ArpackNoConvergence,
-    LinearOperator,
-    aslinearoperator,
-    eigsh,
-)
+from scipy.sparse import csr_array
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
 from .sampling import CovMatrix, Ensemble, covariance_matvec, substream
 
@@ -158,8 +155,12 @@ def threshold_parameter(ens: Ensemble, rule: ThresholdRule) -> float:
 
 
 def _survivors(a: np.ndarray, rho: float) -> np.ndarray:
-    """The keep-ties indicator |a| >= rho of hard thresholding."""
-    return np.abs(a) >= rho
+    """The keep-ties indicator |a| >= rho of hard thresholding, for rho >= 0.
+
+    Compared as a >= rho or a <= -rho, which decides every entry as |a|
+    does without a temporary copy of ``a``.
+    """
+    return (a >= rho) | (a <= -rho)
 
 
 def hard_threshold(cov: np.ndarray, rho: float) -> np.ndarray:
@@ -187,7 +188,7 @@ _MAXITER = 10_000
 _SMALL = 64
 # Krylov basis sizes.  The top eigenvalues of a truth cluster about 1e-5
 # apart at small lengthscales and need a wide basis; every other operand (a
-# rank-N difference, a thresholded block, an explicit array) has a separated
+# rank-N difference, a thresholded estimate) has a separated
 # top eigenvalue, where a narrow basis restarts cheaply.
 _NCV_TRUTH = 64
 _NCV = 12
@@ -197,12 +198,10 @@ _EIGSH_TAKES_RNG = "rng" in inspect.signature(eigsh).parameters
 
 
 def _as_operator(obj) -> LinearOperator:
-    """``obj`` as a LinearOperator; a CovMatrix acts through :func:`covariance_matvec`."""
-    if isinstance(obj, LinearOperator):
-        return obj
+    """A CovMatrix as the LinearOperator of :func:`covariance_matvec`; a LinearOperator as is."""
     if isinstance(obj, CovMatrix):
         return LinearOperator((obj.L, obj.L), matvec=covariance_matvec(obj), dtype=float)
-    return aslinearoperator(np.asarray(obj, dtype=float))
+    return obj
 
 
 def _gram(F: np.ndarray, scale: float) -> LinearOperator:
@@ -259,7 +258,7 @@ def _extreme_eigenvalue(obj, which: str, seed: int, tol: float = _TOL) -> float:
 
 
 def spectral_norm(cov, seed: int = 0, tol: float = _TOL) -> float:
-    """Largest absolute eigenvalue of a symmetric array, CovMatrix or LinearOperator.
+    """Largest absolute eigenvalue of a CovMatrix or a symmetric LinearOperator.
 
     Deterministic given ``seed``.  A CovMatrix truth is applied by FFT, so it
     takes no dense product.
@@ -268,7 +267,7 @@ def spectral_norm(cov, seed: int = 0, tol: float = _TOL) -> float:
 
 
 def min_eigenvalue(cov, seed: int = 0) -> float:
-    """Smallest eigenvalue of an estimate (array or LinearOperator).
+    """Smallest eigenvalue of an estimate, a symmetric LinearOperator.
 
     On a truth the solve may not converge (see :func:`_extreme_eigenvalue`).
     """
@@ -279,7 +278,7 @@ def relative_error(est, truth, seed: int = 0, *, truth_norm: float) -> float:
     """Relative spectral error ||est - truth|| / ``truth_norm``.
 
     ``est`` and ``truth`` are anything :func:`spectral_norm` takes: a
-    CovMatrix, an array or a LinearOperator giving the matrix's action.
+    CovMatrix or a LinearOperator giving the matrix's action.
     ``truth_norm`` is ||truth||, which a caller computes once per truth.
     Quadrature weights cancel in the ratio, so plain matrix norms are used.
     The difference is applied matrix-free, a CovMatrix by FFT.
@@ -292,50 +291,86 @@ def relative_error(est, truth, seed: int = 0, *, truth_norm: float) -> float:
     return abs(_extreme_eigenvalue(op - truth_op, "LM", seed)) / truth_norm
 
 
-# Edge of the tiles in which :func:`_thresholded_block` symmetrizes and
-# thresholds its block.  Each whole-matrix temporary is one more page-faulted
-# k x k array: on a 2218-row block (a fig2-d2 SE trial, one BLAS thread on a
-# 2-core x86 host) the whole-matrix form took 139-162 ms and tiles of 128 take
-# 63 ms; at ~300 rows both take 1 ms.
-_TILE = 128
+# Rows per panel of :func:`_thresholded_block`, which holds one panel of
+# _TILE x k entries (and a survivor mask of it) and never the k x k block.
+_TILE = 64
+
+
+def _upper_panels(G: np.ndarray, N: int, rho: float):
+    """Each row panel of the upper triangle of G^T G / N, with its survivors.
+
+    Yields (i, panel, keep): ``panel`` is rows i to i + _TILE of the product,
+    from column i on, and ``keep`` is its keep-ties indicator with the
+    entries left of the diagonal cleared.  Each entry off the diagonal is
+    computed once, so the estimate built from the upper triangle is exactly
+    symmetric.  Every panel is written into one buffer, which the next
+    panel overwrites.
+    """
+    k = G.shape[1]
+    buf = np.empty((min(_TILE, k), k))
+    for i in range(0, k, _TILE):
+        panel = np.matmul(G[:, i : i + _TILE].T, G[:, i:], out=buf[: min(_TILE, k - i), : k - i])
+        panel /= N
+        yield i, panel, np.triu(_survivors(panel, rho))
 
 
 def _thresholded_block(ens: Ensemble, rho: float):
-    """The hard-thresholded sample covariance as its principal block on ``idx``.
+    """The hard-thresholded sample covariance as an operator on ``idx``.
 
     With d the diagonal of the sample covariance S, |S_ij| <= sqrt(d_i d_j)
     (Cauchy-Schwarz), so an entry can survive only in a row and a column
     with d_i max(d) >= rho^2; a margin of a few N eps covers the rounding of
     the N-term sums.  Returns those indices ``idx``, the thresholded block
-    S[idx, idx], formed as :func:`sample_covariance` forms S (so exactly
-    symmetric) and thresholded as :func:`hard_threshold` does, and its number
-    of surviving entries.  A threshold above max(d) leaves no index: the
-    estimate is the zero matrix, the block is None and no product is formed.
+    T = S[idx, idx] as a LinearOperator of order k = ``idx.size``, and T's
+    number of surviving entries (keep-ties, as :func:`hard_threshold`).  A
+    threshold above max(d) leaves no index, and no survivor leaves the zero
+    matrix: then the operator is None and no product is formed.
 
-    The product is the only array as large as the block.  It is symmetrized
-    and thresholded in place, one tile and its mirror at a time, which gives
-    the same bytes as the whole-matrix expressions.
+    Two passes over the row panels of :func:`_upper_panels`.  The first
+    counts the survivors of each row.  The second stores the smaller set of
+    upper-triangle entries as CSR (12 bytes an entry, in arrays sized by
+    the first pass): the kept ones, so that T = U + U^T - diag(U), or the
+    dropped ones, so that T is the Gram operator of the block's columns
+    minus that.  With nothing dropped T is the Gram operator itself.
     """
     F, N = ens.fields, ens.N
     diag = np.einsum("ni,ni->i", F, F) / N
     margin = 1.0 + 4.0 * N * np.finfo(float).eps
     idx = np.flatnonzero(diag * (np.max(diag) * margin * margin) >= rho * rho)
-    if idx.size == 0:
-        return idx, None, 0
+    k = idx.size
     G = F[:, idx]
-    block = G.T @ G
-    block /= N
-    nnz = 0
-    for i in range(0, idx.size, _TILE):
-        for j in range(i, idx.size, _TILE):
-            upper = block[i : i + _TILE, j : j + _TILE]
-            lower = block[j : j + _TILE, i : i + _TILE]
-            tile = 0.5 * (upper + lower.T)
-            nnz += int(np.count_nonzero(_survivors(tile, rho))) * (1 if i == j else 2)
-            tile = hard_threshold(tile, rho)
-            upper[...] = tile
-            lower[...] = tile.T
-    return idx, block, nnz
+    kept = np.zeros(k, dtype=np.int64)
+    kept_diag = 0
+    for i, _, keep in _upper_panels(G, N, rho):
+        kept[i : i + len(keep)] = np.count_nonzero(keep, axis=1)
+        kept_diag += int(np.count_nonzero(np.diagonal(keep)))
+    nnz = 2 * int(kept.sum()) - kept_diag
+    if nnz == 0:
+        return idx, None, 0
+    gram = _gram(G, N)
+    dropped = np.arange(k, 0, -1) - kept
+    store_kept = kept.sum() <= dropped.sum()
+    per_row = kept if store_kept else dropped
+    if not per_row.any():
+        return idx, gram, nnz
+    # k <= MAX_MESH_POINTS, so the k(k+1)/2 upper entries fit int32 indices
+    indptr = np.zeros(k + 1, dtype=np.int32)
+    np.cumsum(per_row, out=indptr[1:])
+    data = np.empty(indptr[-1])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    for i, panel, keep in _upper_panels(G, N, rho):
+        stored = keep if store_kept else np.triu(~keep)
+        lo, hi = indptr[i], indptr[i + len(panel)]
+        data[lo:hi] = panel[stored]
+        indices[lo:hi] = np.broadcast_to(np.arange(i, k, dtype=np.int32), stored.shape)[stored]
+    upper = csr_array((data, indices, indptr), shape=(k, k))
+    upper_diag = upper.diagonal()
+
+    def matvec(v):
+        sparse = upper @ v + upper.T @ v - upper_diag * v
+        return sparse if store_kept else gram.matvec(v) - sparse
+
+    return idx, LinearOperator((k, k), matvec=matvec, dtype=float), nnz
 
 
 def estimate_and_report(
@@ -349,12 +384,12 @@ def estimate_and_report(
     """Run the full estimator pipeline for one ensemble and report errors.
 
     ``truth_norm`` is ||truth||, computed once per lengthscale by the caller
-    and shared by its trials.  No L x L matrix is formed
-    unless every row can hold a surviving entry: the sample error is applied
-    as F^T (F v) / N - C v, with C v by FFT, and the thresholded estimate
-    is its principal block on the rows that can (:func:`_thresholded_block`;
-    none when the threshold exceeds every diagonal entry, and then the
-    estimate is exactly zero).  When every entry
+    and shared by its trials.  No L x L matrix is formed: the sample error is
+    applied as F^T (F v) / N - C v, with C v by FFT, and the thresholded
+    estimate is its principal block on the rows that can hold a surviving
+    entry, applied from its sparse part (:func:`_thresholded_block`; none
+    when the threshold exceeds every diagonal entry, and then the estimate
+    is exactly zero).  When every entry
     survives, the estimate is the sample covariance and shares its error.
     An ensemble of zero fields needs no case of its own: its sample error is
     ||C|| / ||C||, exactly 1 at order <= 64 and 1 to rounding above.
@@ -374,7 +409,7 @@ def estimate_and_report(
     else:
         def thresh_matvec(v):
             out = np.zeros(L)
-            out[idx] = block @ v[idx]
+            out[idx] = block.matvec(v[idx])
             return out
 
         thresh = LinearOperator((L, L), matvec=thresh_matvec, dtype=float)

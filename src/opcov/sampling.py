@@ -77,11 +77,11 @@ __all__ = [
 # (p <= 2 at d >= 2; at d = 1 the first-axis rungs reach p = 12) or
 # M + 1 <= m^2/2 + 1 blocks of order m^(d-1), about L^2 / 2 numbers.  But a
 # Cholesky-path truth (a non-SE kernel at large lengthscales whose embeddings
-# stay negative up to the size rule) still factors the L x L matrix, and the
-# figure trials form an L x L block when every row can keep an entry; 12,500
+# stay negative up to the size rule) still factors the L x L matrix; 12,500
 # points (~1.25 GB per matrix at float64) is the desk-scale limit for every
-# supported dimension.  The commands hold an N x L ensemble to the same
-# MAX_MESH_POINTS**2 values.
+# supported dimension.  The figure trials store only the sparse part of a
+# thresholded block, at most L(L+1)/4 entries of 12 bytes.  The commands
+# hold an N x L ensemble to the same MAX_MESH_POINTS**2 values.
 MAX_MESH_POINTS = 12_500
 
 _JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)

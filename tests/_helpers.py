@@ -1,8 +1,9 @@
 """Shared test utilities: hand-built ensembles and meshes for edge cases, the
-dense spectral-norm oracle, and the Monte Carlo statistics of the sup-norm and
-threshold-concentration checks."""
+dense spectral-norm oracle, explicit arrays as norm operands, and the Monte
+Carlo statistics of the sup-norm and threshold-concentration checks."""
 
 import numpy as np
+from scipy.sparse.linalg import aslinearoperator
 
 from opcov.estimation import ThresholdRule, sample_covariance, threshold_parameter
 from opcov.sampling import (
@@ -31,6 +32,12 @@ def make_ensemble(fields) -> Ensemble:
 def dense_truth(cov: CovMatrix) -> np.ndarray:
     """The L x L matrix of a first-row truth, gathered whole from its row."""
     return _toeplitz_gather(cov.row, cov.mesh)
+
+
+def as_operator(a):
+    """An explicit symmetric array as the LinearOperator that ``spectral_norm``,
+    ``min_eigenvalue`` and ``relative_error`` take; it applies ``a @ v``."""
+    return aslinearoperator(np.asarray(a, dtype=float))
 
 
 def spectral_norm_dense(cov) -> float:

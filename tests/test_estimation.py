@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from scipy.sparse.linalg import LinearOperator
 
-from _helpers import dense_truth, make_ensemble, spectral_norm_dense
+from _helpers import as_operator, dense_truth, make_ensemble, spectral_norm_dense
 from opcov import enkf, estimation, sampling
 from opcov.estimation import (
     EstimationError,
@@ -182,9 +182,9 @@ def test_hard_threshold_monotone_in_rho(seed, rho1, rho2):
 
 
 def test_spectral_norm_examples():
-    assert spectral_norm(cov(np.diag([3.0, -5.0, 1.0]))) == pytest.approx(5.0, rel=1e-12)
-    assert spectral_norm(cov(np.eye(17))) == pytest.approx(1.0, rel=1e-12)
-    assert spectral_norm(cov(np.zeros((4, 4)))) == 0.0
+    assert spectral_norm(as_operator(np.diag([3.0, -5.0, 1.0]))) == pytest.approx(5.0, rel=1e-12)
+    assert spectral_norm(as_operator(np.eye(17))) == pytest.approx(1.0, rel=1e-12)
+    assert spectral_norm(as_operator(np.zeros((4, 4)))) == 0.0
     for n in (3, 100):  # eigvalsh of the built columns, then ARPACK
         diag = np.resize([3.0, -5.0, 1.0], n)
         op = LinearOperator((n, n), matvec=lambda v: diag * v, dtype=float)
@@ -198,12 +198,12 @@ def test_zero_operand_at_arpack_size():
     n = 100
     truth = covariance_matrix(se_kernel(0.05), build_mesh(1, n))
     zero_op = LinearOperator((n, n), matvec=lambda v: np.zeros(n), dtype=float)
-    for zero in (np.zeros((n, n)), zero_op):
+    for zero in (as_operator(np.zeros((n, n))), zero_op):
         assert spectral_norm(zero, seed=3) == 0.0
         assert min_eigenvalue(zero, seed=3) == 0.0
     # est = truth makes the difference operator zero
     assert relative_error(truth, truth, truth_norm=spectral_norm(truth)) == 0.0
-    C = dense_truth(truth)
+    C = as_operator(dense_truth(truth))
     assert relative_error(C, C, truth_norm=spectral_norm(C)) == 0.0
     same = LinearOperator((n, n), matvec=lambda v: C @ v, dtype=float)
     assert relative_error(same, C, truth_norm=spectral_norm(C)) == 0.0
@@ -216,7 +216,7 @@ def test_spectral_norm_matches_dense_oracle():
         a = rng.normal(size=(L, L))
         sym = 0.5 * (a + a.T)
         want = spectral_norm_dense(sym)
-        got = spectral_norm(sym, seed=trial)
+        got = spectral_norm(as_operator(sym), seed=trial)
         assert abs(got - want) <= 1e-8 * want
 
 
@@ -224,7 +224,7 @@ def test_spectral_norm_deterministic_given_seed():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(40, 40))
     sym = 0.5 * (a + a.T)
-    assert spectral_norm(sym, seed=5) == spectral_norm(sym, seed=5)
+    assert spectral_norm(as_operator(sym), seed=5) == spectral_norm(as_operator(sym), seed=5)
 
 
 def test_spectral_norm_nonconvergence_reports_state(monkeypatch):
@@ -236,10 +236,10 @@ def test_spectral_norm_nonconvergence_reports_state(monkeypatch):
     sym = (q * vals) @ q.T
     monkeypatch.setattr(estimation, "_MAXITER", 1)
     with pytest.raises(SpectralNormError, match=r"\(LM\).*tol=1e-09 within 1 restarts.*order 100"):
-        spectral_norm(0.5 * (sym + sym.T), seed=0)
+        spectral_norm(as_operator(0.5 * (sym + sym.T)), seed=0)
     # at order 64 and below the built matrix goes to eigvalsh, which has no cap
     small = 0.5 * (sym[:64, :64] + sym[:64, :64].T)
-    assert spectral_norm(small, seed=0) == spectral_norm_dense(small)
+    assert spectral_norm(as_operator(small), seed=0) == spectral_norm_dense(small)
 
 
 def test_clustered_spectrum_converges_without_dense():
@@ -256,9 +256,9 @@ def test_clustered_spectrum_converges_without_dense():
     assert abs(spectral_norm(op) - want) <= 1e-12 * want
     assert len(calls) > 128
     assert abs(spectral_norm(truth) - want) <= 1e-12 * want
-    assert min_eigenvalue(sym) == pytest.approx(vals[0], rel=1e-12)
+    assert min_eigenvalue(as_operator(sym)) == pytest.approx(vals[0], rel=1e-12)
     half = 0.5 * np.eye(L)
-    got = relative_error(cov(sym), cov(half), truth_norm=0.5)
+    got = relative_error(as_operator(sym), as_operator(half), truth_norm=0.5)
     assert got == pytest.approx(spectral_norm_dense(sym - half) / 0.5, rel=1e-12)
 
 
@@ -338,7 +338,8 @@ def test_mesh_truth_norm_takes_no_dense_product():
         assert np.array_equal(guarded.columns(cols), truth.columns(cols))
         if well_conditioned:
             assert min_eigenvalue(guarded, seed=2) == min_eigenvalue(truth, seed=2)
-        S = sample_covariance(sample_ensemble(factorize(truth), 9, seed=3, mesh=truth.mesh))
+        S = as_operator(sample_covariance(sample_ensemble(factorize(truth), 9, seed=3,
+                                                          mesh=truth.mesh)))
         assert (relative_error(S, guarded, seed=2, truth_norm=spectral_norm(guarded, seed=2))
                 == relative_error(S, truth, seed=2, truth_norm=spectral_norm(truth, seed=2)))
         assert sparsity_level(guarded, 0.5) == sparsity_level(truth, 0.5)
@@ -386,8 +387,9 @@ def test_spectral_norm_in_threads_matches_serial():
     truth_matvec = sampling.covariance_matvec(truth)
     sample_minus_truth = LinearOperator(
         (400, 400), matvec=lambda v: F.T @ (F @ v) / 9 - truth_matvec(v), dtype=float)
+    sym = as_operator(sym)
     operands = [truth, sym, sample_minus_truth, truth, sym, sample_minus_truth,
-                cov(np.diag(np.arange(1.0, 81.0))), truth]
+                as_operator(np.diag(np.arange(1.0, 81.0))), truth]
     serial = [spectral_norm(obj, seed=s) for s, obj in enumerate(operands)]
     with ThreadPoolExecutor(max_workers=4) as pool:
         threaded = list(pool.map(lambda s: spectral_norm(operands[s], seed=s), range(8)))
@@ -401,10 +403,10 @@ def test_min_eigenvalue_matches_dense():
             a = rng.normal(size=(L, L))
             sym = 0.5 * (a + a.T)
             want = float(np.min(np.linalg.eigvalsh(sym)))
-            got = min_eigenvalue(sym, seed=trial)
+            got = min_eigenvalue(as_operator(sym), seed=trial)
             assert got == pytest.approx(want, rel=1e-8, abs=1e-9)
-    assert min_eigenvalue(np.diag([1.0, -0.5])) == pytest.approx(-0.5, rel=1e-10)
-    assert min_eigenvalue(np.zeros((3, 3))) == 0.0
+    assert min_eigenvalue(as_operator(np.diag([1.0, -0.5]))) == pytest.approx(-0.5, rel=1e-10)
+    assert min_eigenvalue(as_operator(np.zeros((3, 3)))) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -413,21 +415,21 @@ def test_min_eigenvalue_matches_dense():
 
 
 def test_relative_error_examples():
-    truth = cov(np.eye(4))
+    truth = as_operator(np.eye(4))
     norm = spectral_norm(truth)
     assert relative_error(truth, truth, truth_norm=norm) == 0.0
-    doubled = cov(2 * np.eye(4))
+    doubled = as_operator(2 * np.eye(4))
     assert relative_error(doubled, truth, truth_norm=norm) == pytest.approx(1.0, rel=1e-12)
-    shifted = cov(np.eye(4) + 0.1 * np.eye(4))
+    shifted = as_operator(np.eye(4) + 0.1 * np.eye(4))
     assert relative_error(shifted, truth, truth_norm=norm) == pytest.approx(0.1, rel=1e-9)
 
 
 def test_relative_error_rejects_zero_truth_and_mismatch():
-    zero = cov(np.zeros((2, 2)))
+    zero, eye2, eye3 = (as_operator(a) for a in (np.zeros((2, 2)), np.eye(2), np.eye(3)))
     with pytest.raises(EstimationError):
-        relative_error(cov(np.eye(2)), zero, truth_norm=spectral_norm(zero))
+        relative_error(eye2, zero, truth_norm=spectral_norm(zero))
     with pytest.raises(EstimationError):
-        relative_error(cov(np.eye(2)), cov(np.eye(3)), truth_norm=spectral_norm(cov(np.eye(3))))
+        relative_error(eye2, eye3, truth_norm=spectral_norm(eye3))
 
 
 def test_relative_error_scale_invariant():
@@ -436,8 +438,10 @@ def test_relative_error_scale_invariant():
     est = cov(0.5 * (a + a.T))
     b = rng.normal(size=(8, 8))
     truth = cov(b @ b.T)
-    base = relative_error(est, truth, truth_norm=spectral_norm(truth))
-    scaled = relative_error(3.7 * est, 3.7 * truth, truth_norm=spectral_norm(3.7 * truth))
+    base = relative_error(as_operator(est), as_operator(truth),
+                          truth_norm=spectral_norm(as_operator(truth)))
+    scaled = relative_error(as_operator(3.7 * est), as_operator(3.7 * truth),
+                            truth_norm=spectral_norm(as_operator(3.7 * truth)))
     assert scaled == pytest.approx(base, rel=1e-8)
 
 
@@ -446,7 +450,7 @@ def test_relative_error_zero_estimate_shortcut():
     # to the accuracy of two ARPACK solves
     n = 100
     truth = covariance_matrix(se_kernel(0.05), build_mesh(1, n))
-    got = relative_error(np.zeros((n, n)), truth, truth_norm=spectral_norm(truth))
+    got = relative_error(as_operator(np.zeros((n, n))), truth, truth_norm=spectral_norm(truth))
     assert got == pytest.approx(1.0, rel=1e-8)
 
 
@@ -459,7 +463,7 @@ def test_operands_round_as_the_expressions_they_replace():
     assert estimation._gram(F, s).matvec(v).tobytes() == (F.T @ (F @ v) / s).tobytes()
     truth = covariance_matrix(matern_kernel(0.2, 1.5), build_mesh(1, 50))
     a = rng.standard_normal((50, 50))
-    diff = estimation._as_operator(a) - estimation._as_operator(truth)
+    diff = as_operator(a) - estimation._as_operator(truth)
     want = a @ v - sampling.covariance_matvec(truth)(v)
     assert diff.matvec(v).tobytes() == want.tobytes()
 
@@ -542,6 +546,21 @@ def _dense_report(ens, truth, rho, truth_norm):
     )
 
 
+def _record_block_orders(monkeypatch):
+    """The order of each thresholded block a report builds, recorded as
+    ``_thresholded_block`` returns it (0 when no row can hold a survivor)."""
+    block_orders = []
+    real = estimation._thresholded_block
+
+    def recording(ens, rho):
+        idx, block, nnz = real(ens, rho)
+        block_orders.append(idx.size)
+        return idx, block, nnz
+
+    monkeypatch.setattr(estimation, "_thresholded_block", recording)
+    return block_orders
+
+
 def _assert_reports_agree(got, want):
     assert got.rho_hat == want.rho_hat
     assert got.nnz_fraction == want.nnz_fraction
@@ -559,10 +578,7 @@ def _assert_reports_agree(got, want):
 def test_report_matches_dense_formulation(d, m, kernels, monkeypatch):
     # rho_hat and nnz are equal and the errors agree to rounding whether the
     # estimate is zero, a principal block or the whole matrix; each must occur
-    block_orders = []
-    real_hard_threshold = estimation.hard_threshold
-    monkeypatch.setattr(estimation, "hard_threshold",
-                        lambda a, rho: block_orders.append(len(a)) or real_hard_threshold(a, rho))
+    block_orders = _record_block_orders(monkeypatch)
     mesh = build_mesh(d, m)
     sides = set()
     for kernel in kernels:
@@ -578,7 +594,7 @@ def test_report_matches_dense_formulation(d, m, kernels, monkeypatch):
                 got = estimate_and_report(ens, truth, rule, seed=seed, truth_norm=truth_norm)
                 want = _dense_report(ens, truth, threshold_parameter(ens, rule), truth_norm)
                 _assert_reports_agree(got, want)
-                if not block_orders:
+                if block_orders == [0]:
                     sides.add("zero")
                     assert got.nnz_fraction == 0.0
                 else:
@@ -598,10 +614,7 @@ def test_report_block_operands_match_dense(m, monkeypatch):
     rho = 0.6 * float(np.max(np.einsum("ni,ni->i", ens.fields, ens.fields))) / ens.N
     want = _dense_report(ens, truth, rho, truth_norm)
     monkeypatch.setattr(estimation, "threshold_parameter", lambda ens, rule: rho)
-    block_orders = []
-    real_hard_threshold = estimation.hard_threshold
-    monkeypatch.setattr(estimation, "hard_threshold",
-                        lambda a, rho: block_orders.append(len(a)) or real_hard_threshold(a, rho))
+    block_orders = _record_block_orders(monkeypatch)
     got = estimate_and_report(ens, truth, ThresholdRule(c0=5.0, form="simplified"),
                               seed=1, truth_norm=truth_norm)
     assert 0 < block_orders[0] < mesh.L
@@ -609,16 +622,11 @@ def test_report_block_operands_match_dense(m, monkeypatch):
     _assert_reports_agree(got, want)
 
 
-@pytest.mark.parametrize("d,m,quantile", [(1, 300, 0.0), (1, 300, 0.3), (2, 20, 0.1)])
-def test_thresholded_block_tiles_match_whole_matrix_form(d, m, quantile):
-    # a block of several tiles, the last one partial, holds the bytes and the
-    # survivor count of the whole-matrix symmetrize-and-threshold
-    mesh = build_mesh(d, m)
-    factor = factorize(covariance_matrix(se_kernel(0.05), mesh))
-    ens = sample_ensemble(factor, 5, seed=4, mesh=mesh)
+def _assert_block_matches_whole_matrix_form(ens, rho):
+    """The thresholded block holds the survivor count of the whole-matrix
+    symmetrize-and-threshold exactly, and its entries to rounding; returns
+    the survivor count and the block's order."""
     F, N = ens.fields, ens.N
-    diag = np.einsum("ni,ni->i", F, F) / N
-    rho = math.sqrt(float(np.quantile(diag, quantile)) * float(diag.max()))
     idx, block, nnz = estimation._thresholded_block(ens, rho)
     assert idx.size > estimation._TILE and idx.size % estimation._TILE != 0
     G = F[:, idx]
@@ -627,7 +635,56 @@ def test_thresholded_block_tiles_match_whole_matrix_form(d, m, quantile):
     whole = 0.5 * (whole + whole.T)
     assert 0 < nnz < whole.size
     assert nnz == np.count_nonzero(np.abs(whole) >= rho)
-    assert block.tobytes() == hard_threshold(whole, rho).tobytes()
+    got = np.stack([block.matvec(e) for e in np.eye(idx.size)], axis=1)
+    # The panels round each N-term dot product apart from the whole-matrix
+    # product, so the bytes may differ.  Each of the two is within
+    # gamma_N sum_n |G_ni G_nj| / N <= N eps sqrt(d_i d_j) of the exact
+    # entry (Cauchy-Schwarz), plus eps |S_ij| for the division by N, where
+    # d is the diagonal; so the two differ by at most twice (N + 1) eps
+    # sqrt(d_i d_j).  The survivor test saw the same numbers: nnz is exact.
+    diag = np.einsum("ni,ni->i", G, G) / N
+    bound = 2 * (N + 1) * np.finfo(float).eps * np.sqrt(np.outer(diag, diag))
+    assert np.all(np.abs(got - hard_threshold(whole, rho)) <= bound)
+    return nnz, idx.size
+
+
+@pytest.mark.parametrize("d,m,quantile", [(1, 300, 0.0), (1, 300, 0.3), (2, 20, 0.1)])
+def test_thresholded_block_tiles_match_whole_matrix_form(d, m, quantile):
+    # a block of several row panels, the last one partial, holds the survivor
+    # count of the whole-matrix symmetrize-and-threshold and its entries
+    mesh = build_mesh(d, m)
+    factor = factorize(covariance_matrix(se_kernel(0.05), mesh))
+    ens = sample_ensemble(factor, 5, seed=4, mesh=mesh)
+    F, N = ens.fields, ens.N
+    diag = np.einsum("ni,ni->i", F, F) / N
+    rho = math.sqrt(float(np.quantile(diag, quantile)) * float(diag.max()))
+    _assert_block_matches_whole_matrix_form(ens, rho)
+
+
+@pytest.mark.parametrize("side", ["kept", "dropped"])
+def test_thresholded_block_stores_the_smaller_set(side, monkeypatch):
+    # a threshold a few ranks above the median |entry| of the upper triangle
+    # keeps fewer than half of its entries, and the block stores the kept
+    # ones; a few ranks below, it stores the dropped ones.  With 40 fields
+    # every diagonal entry is near 1, far above that threshold, so the block
+    # is the whole matrix
+    mesh = build_mesh(1, 300)
+    ens = sample_ensemble(factorize(covariance_matrix(se_kernel(0.05), mesh)), 40, seed=4,
+                          mesh=mesh)
+    S = sample_covariance(ens)
+    upper = np.sort(np.abs(S[np.triu_indices(mesh.L)]))
+    rank = upper.size // 2 + (5 if side == "kept" else -5)
+    rho = 0.5 * float(upper[rank] + upper[rank + 1])  # between two entries, so no tie
+    stored = []
+    real_csr = estimation.csr_array
+    monkeypatch.setattr(estimation, "csr_array",
+                        lambda arrays, shape: stored.append(arrays[0].size)
+                        or real_csr(arrays, shape=shape))
+    nnz, k = _assert_block_matches_whole_matrix_form(ens, rho)
+    assert k == mesh.L
+    kept = (nnz + int(np.count_nonzero(np.abs(np.diag(S)) >= rho))) // 2
+    assert stored == [kept if side == "kept" else k * (k + 1) // 2 - kept]
+    assert 0 < stored[0] < k * (k + 1) // 4
 
 
 @pytest.mark.parametrize("keep", ["every entry", "most entries"])
@@ -712,3 +769,37 @@ def test_reference_mesh_fig_trial_forms_no_square_matrix():
         assert factor.sampler == sampler
         assert math.isfinite(report.eps_sample) and report.eps_sample > 0.0
         assert peak < 0.1 * 8 * mesh.L**2
+
+
+@pytest.mark.parametrize("kept", ["every entry", "about 30%"])
+def test_thresholded_trial_never_forms_the_block(kept, monkeypatch):
+    # one fig1 trial (d = 1, m = 1250, SE at lambda = 0.794, the reference
+    # N = 2) at a threshold that keeps every entry, where the estimate is the
+    # sample covariance, and at one that keeps about 30% of them.  The block
+    # is scanned in row panels and only its sparse part is stored, so the
+    # trial allocates far less than one k x k array of 8 k^2 bytes
+    import tracemalloc
+
+    mesh = build_mesh(1, 1250)
+    lam = 0.794
+    N = max(2, math.ceil(5 * math.log(1 / lam)))
+    truth = covariance_matrix(se_kernel(lam), mesh)
+    truth_norm = spectral_norm(truth, seed=1)
+    ens = sample_ensemble(factorize(truth), N, seed=2, mesh=mesh)
+    rho = 0.0 if kept == "every entry" else float(np.quantile(np.abs(sample_covariance(ens)), 0.7))
+    monkeypatch.setattr(estimation, "threshold_parameter", lambda ens, rule: rho)
+    block_orders = _record_block_orders(monkeypatch)
+    tracemalloc.start()
+    try:
+        report = estimate_and_report(ens, truth, ThresholdRule(c0=5.0, form="simplified"),
+                                     seed=2, truth_norm=truth_norm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (k,) = block_orders
+    if kept == "every entry":
+        assert report.nnz_fraction == 1.0 and k == mesh.L
+        assert peak < 0.25 * 8 * mesh.L**2
+    else:
+        assert report.nnz_fraction == pytest.approx(0.3, abs=0.01) and k < mesh.L
+        assert peak < 0.5 * 8 * k**2
