@@ -317,14 +317,14 @@ def _lengthscale_trials(cfg: ExperimentConfig, mesh: Mesh, rule: ThresholdRule,
     setup_s = time.perf_counter() - t_setup
 
     def one_trial(trial: int):
-        t0 = time.perf_counter()
         seed = derive_seed(cfg.master_seed, kernel_idx, lam_idx, trial)
         ens = sample_ensemble(factor, N, seed, mesh)
-        report = estimate_and_report(ens, cov, rule, seed=seed, truth_norm=truth_norm)
-        return report, seed, time.perf_counter() - t0
+        return estimate_and_report(ens, cov, rule, seed=seed, truth_norm=truth_norm), seed
 
+    t_trials = time.perf_counter()  # wall time: pooled trials overlap
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        reports, seeds, seconds = zip(*pool.map(one_trial, range(cfg.trials)))
+        reports, seeds = zip(*pool.map(one_trial, range(cfg.trials)))
+    trials_s = time.perf_counter() - t_trials
     trial_rows = [
         {"seed": seed, "d": cfg.d, "m": cfg.m, "lambda": lam, "N": N, "c0": float(rule.c0),
          "form": rule.form, **_row(report), "trial": trial}
@@ -349,7 +349,7 @@ def _lengthscale_trials(cfg: ExperimentConfig, mesh: Mesh, rule: ThresholdRule,
         "frac_thresh_worse": float(np.mean(eps_t >= eps_s)),
         "sampler": factor.sampler, "jitter": factor.jitter,
     }
-    timing = f"{name} lambda={lam!r} setup_s={setup_s:.3f} trials_s={sum(seconds):.3f}"
+    timing = f"{name} lambda={lam!r} setup_s={setup_s:.3f} trials_s={trials_s:.3f}"
     return trial_rows, summary, timing
 
 
@@ -439,11 +439,21 @@ def run_enkf_demo(cfg: ExperimentConfig) -> list[dict]:
              "innovation_norm": comp.innovation_norms[n], "c_const": comp.c_consts[n]}
             for t, comp in enumerate(trials) for n in range(comp.disc_vanilla.size)
         )
+        pooled = {name: np.concatenate([getattr(t, f"disc_{name}") for t in trials])
+                  for name in ("vanilla", "localized")}
         quantiles = {}  # of the discrepancies of every particle of every trial
-        for name in ("vanilla", "localized"):
-            pooled = np.concatenate([getattr(t, f"disc_{name}") for t in trials])
-            for q, value in zip((50, 90, 99), np.quantile(pooled, [0.5, 0.9, 0.99])):
+        for name, disc in pooled.items():
+            for q, value in zip((50, 90, 99), np.quantile(disc, [0.5, 0.9, 0.99])):
                 quantiles[f"{name}_q{q}"] = float(value)
+        # the localized ones split by the sign of the innovation matrix; an
+        # empty population reads nan (the mean of none would warn)
+        indefinite = np.concatenate([t.indefinite for t in trials])
+        parts = {"definite": pooled["localized"][~indefinite],
+                 "indefinite": pooled["localized"][indefinite]}
+        split = {f"mean_disc_localized_{kind}": float(part.mean()) if part.size else math.nan
+                 for kind, part in parts.items()}
+        split.update({f"localized_q50_{kind}": float(np.quantile(part, 0.5)) if part.size
+                      else math.nan for kind, part in parts.items()})
         # one summary row; its keys, in this order, are the CSV columns
         summary_rows.append({
             "lambda": lam, "N": N, "trials": cfg.trials,
@@ -453,7 +463,8 @@ def run_enkf_demo(cfg: ExperimentConfig) -> list[dict]:
             "zero_localized_frac": sum(t.zero_localized for t in trials) / (cfg.trials * N),
             "continuity_all_ok": all(t.continuity_ok for t in trials),
             **quantiles,
-            "indefinite_gains": sum(t.indefinite_gains for t in trials),
+            "indefinite_gains": int(indefinite.sum()),
+            **split,
             "sampler": summary.sampler,
             "continuity_full_solves": sum(t.continuity_full_solves for t in trials),
             "continuity_min_margin": min(t.continuity_min_margin for t in trials),

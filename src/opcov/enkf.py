@@ -54,7 +54,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve
 
 from .estimation import ThresholdRule, _as_operator, _gram, hard_threshold, spectral_norm
 from .kernels import KernelModel
@@ -150,25 +149,23 @@ def pointwise_observation(
 def kalman_gain(CA: np.ndarray, obs: ObservationModel) -> tuple[np.ndarray, bool]:
     """(K, indefinite): the gain K = C A^T (A C A^T + Gamma)^-1 from CA = C A^T.
 
-    The gain needs only an invertible innovation matrix S = A C A^T + Gamma.
-    S is solved through its Cholesky factor; a hard-thresholded covariance
-    can make S indefinite, and then a symmetric-indefinite solve takes over
-    and ``indefinite`` is True.  A singular or numerically singular S
-    (condition number beyond 1 / (d_y eps)) raises :class:`EnkfError`.  CA is
-    the L x d_y block of the covariance's columns at the observed sites.
+    The gain needs only an invertible innovation matrix S = A C A^T + Gamma,
+    and a hard-thresholded covariance can make S indefinite.  One
+    eigendecomposition S = V diag(w) V^T gives every answer: S is singular
+    or numerically singular, and :class:`EnkfError` is raised, when
+    min |w| <= d_y eps max |w| (condition number 1 / (d_y eps) or more);
+    ``indefinite`` says whether S has a negative eigenvalue; and
+    K = (CA V / w) V^T.  CA is the L x d_y block of the covariance's columns
+    at the observed sites.
     """
     S = CA[obs.sites] + obs.noise_std**2 * np.eye(obs.d_y)
-    S = 0.5 * (S + S.T)  # exactly symmetric
-    try:
-        return cho_solve(cho_factor(S, lower=True), CA.T).T, False
-    except np.linalg.LinAlgError:
-        pass
-    eig = np.abs(np.linalg.eigvalsh(S))
-    if not (np.min(eig) * S.shape[0] > np.finfo(float).eps * np.max(eig)):
+    w, V = np.linalg.eigh(0.5 * (S + S.T))  # exactly symmetric
+    size = np.abs(w)
+    if not (np.min(size) > obs.d_y * np.finfo(float).eps * np.max(size)):
         raise EnkfError(
             "innovation covariance A C A^T + Gamma is singular or numerically singular"
         )
-    return solve(S, CA.T, assume_a="sym").T, True
+    return (CA @ V / w) @ V.T, bool(w[0] < 0.0)
 
 
 def loo_covariances(
@@ -235,16 +232,17 @@ class AnalysisComparison:
     ``c_consts`` holds the per-particle conditioning constants
     ||A|| ||Gamma^-1|| ||C|| |y - A u_n - eta_n|; ``continuity_ok`` records
     whether the gain-continuity inequality held for every (PSD) leave-one-out
-    sample covariance of the trial.  ``indefinite_gains`` counts the particles
-    whose localized gain had an indefinite innovation matrix, solved by the
-    symmetric-indefinite path of :func:`kalman_gain` instead of Cholesky;
-    ``zero_localized`` counts those whose thresholded leave-one-out columns at
-    the sites were all zero, so that their localized gain is the zero gain.
+    sample covariance of the trial.  ``indefinite`` flags, per particle,
+    whether the innovation matrix of its localized gain had a negative
+    eigenvalue (the flag :func:`kalman_gain` returns); ``zero_localized``
+    counts the particles whose thresholded leave-one-out columns at the sites
+    were all zero, so that their localized gain is the zero gain.
     ``continuity_full_solves`` counts the particles whose continuity check the
     trial's one-probe certificate could not pass, so it took the ARPACK norm;
     ``continuity_min_margin`` is the smallest bound / actual over the
     certified particles (inf when none was certified).  ``enkf-demo`` sums
-    the counters over the trials and takes the smallest margin.
+    the flags and the counters over the trials, splits the localized
+    discrepancies by the flags and takes the smallest margin.
     """
 
     disc_vanilla: np.ndarray
@@ -252,7 +250,7 @@ class AnalysisComparison:
     innovation_norms: np.ndarray
     c_consts: np.ndarray
     continuity_ok: bool
-    indefinite_gains: int
+    indefinite: np.ndarray
     zero_localized: int
     continuity_full_solves: int
     continuity_min_margin: float
@@ -324,7 +322,7 @@ def compare_analysis_updates(
         innov_norms = np.empty(N)
         c_consts = np.empty(N)
         continuity_ok = True
-        indefinite = 0
+        indefinite = np.empty(N, dtype=bool)
         zero_localized = 0
         full_solves = 0
         min_margin = math.inf
@@ -336,9 +334,8 @@ def compare_analysis_updates(
             u = F[n]
             innov = y - u[obs.sites] - etas[n]
             gain_v, _ = kalman_gain(loo, obs)
-            gain_l, indefinite_l = kalman_gain(loo_thresh, obs)
+            gain_l, indefinite[n] = kalman_gain(loo_thresh, obs)
             delta_v = gain_v - gain_true
-            indefinite += indefinite_l
             zero_localized += not loo_thresh.any()
             disc_v[n] = state_norm(delta_v @ innov, w)
             disc_l[n] = state_norm((gain_l - gain_true) @ innov, w)
@@ -360,7 +357,7 @@ def compare_analysis_updates(
         results.append(AnalysisComparison(
             disc_vanilla=disc_v, disc_localized=disc_l,
             innovation_norms=innov_norms, c_consts=c_consts,
-            continuity_ok=continuity_ok, indefinite_gains=indefinite,
+            continuity_ok=continuity_ok, indefinite=indefinite,
             zero_localized=zero_localized,
             continuity_full_solves=full_solves, continuity_min_margin=min_margin,
         ))

@@ -9,8 +9,11 @@ records the mesh, the kernel and that row and no L x L array.  Columns are
 gathered from the row on request (``CovMatrix.columns``, exactly symmetric
 and Toeplitz) and never kept; ``covariance_matvec`` applies the covariance
 through the FFT of a circulant embedding of the row.  A :class:`CovMatrix` is
-only such a truth; an explicit matrix (a sample covariance, a thresholded
-estimate) is a plain ``numpy.ndarray``.
+only such a truth.  The explicit matrices are plain ``numpy.ndarray``s: the
+sample covariance of :func:`opcov.estimation.sample_covariance` and the
+EnKF's hard-thresholded leave-one-out columns.  A figure's thresholded
+estimate is neither: it is the operator that
+``opcov.estimation._thresholded_block`` returns.
 
 Draws are exact in distribution up to a recorded ``jitter``, a bound (up to
 rounding) on the spectral norm of the difference between the drawn

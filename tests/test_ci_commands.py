@@ -2,11 +2,12 @@
 
 ``ci_commands.txt`` holds the command lines, each with the exit code it must
 return: 0, or the N of an ``exit=N`` word after its name, so that a line can
-run a ``--check`` FAIL verdict (3) or a refused flag (1).  Tier-1 runs them
-twice, each round in one fresh interpreter with ``OPENBLAS_NUM_THREADS=1``
-and every RuntimeWarning an error, checks every line's exit code in both
-rounds, and appends ``--threads`` to exactly the commands that
-``opcov.cli._SETTINGS["threads"]`` names (the others refuse the flag).
+run a ``--check`` FAIL verdict (3), a runtime failure (2) or a refused flag
+(1).  Tier-1 runs them twice, each round in one fresh interpreter with
+``OPENBLAS_NUM_THREADS=1`` and every RuntimeWarning an error, checks every
+line's exit code in both rounds, and appends ``--threads`` to exactly the
+commands that ``opcov.cli._SETTINGS["threads"]`` names (the others refuse
+the flag).
 
 The first round runs at ``--threads 1`` with ``sys.settrace`` and
 ``threading.settrace`` installed before ``import opcov``, so module-level

@@ -5,6 +5,7 @@ import math
 import re
 import statistics
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -166,8 +167,10 @@ _CSV_COLUMNS = {
                               "zero_localized_frac", "continuity_all_ok",
                               "vanilla_q50", "vanilla_q90", "vanilla_q99",
                               "localized_q50", "localized_q90", "localized_q99",
-                              "indefinite_gains", "sampler", "continuity_full_solves",
-                              "continuity_min_margin"),
+                              "indefinite_gains", "mean_disc_localized_definite",
+                              "mean_disc_localized_indefinite", "localized_q50_definite",
+                              "localized_q50_indefinite", "sampler",
+                              "continuity_full_solves", "continuity_min_margin"),
     "theory_sweep.csv": ("lambda", "Rq_q", "Rq_q_asymptotic", "op_norm", "op_norm_asymptotic",
                          "eff_rank", "esup_mc", "esup_prediction"),
 }
@@ -254,6 +257,21 @@ def test_timing_names_the_sampler(tmp_path):
     assert len(lines) == 3
     assert all(re.fullmatch(r"custom_matern lambda=\S+ setup_s=[0-9.]+ trials_s=[0-9.]+", ln)
                for ln in lines)
+
+
+def test_timing_trials_s_is_wall_time(tmp_path):
+    # at --threads 2 the pooled trials overlap, so the sum of their own
+    # durations can exceed the time the command ran; trials_s is the wall
+    # time of the trials, so the lines sum to at most the command's wall
+    # time (plus 0.001 s a line for the 3-decimal rounding)
+    start = time.perf_counter()
+    assert main(["custom", "--m", "1250", "--lambdas", "0.3,0.01", "--c0", "1", "--trials", "16",
+                 "--threads", "2", "--out", str(tmp_path / "o")]) == 0
+    wall = time.perf_counter() - start
+    lines = (tmp_path / "o" / "custom_timing.txt").read_text().splitlines()
+    trials_s = [float(re.search(r"trials_s=(\S+)", line)[1]) for line in lines]
+    assert len(trials_s) == 2
+    assert sum(trials_s) <= wall + 0.001 * len(trials_s)
 
 
 def test_sweep_releases_each_cholesky_factor_before_the_next(tmp_path):
@@ -608,6 +626,48 @@ def test_enkf_demo_summary_recomputes_from_its_trial_rows(tmp_path):
         assert {key: float(srow[key]) for key in want} == want
 
 
+def test_enkf_demo_splits_the_localized_discrepancies_by_sign(tmp_path, monkeypatch):
+    # the settings of the CI set's enkf-indef line: six localized gains have
+    # an indefinite innovation matrix; the per-particle flags sum to
+    # indefinite_gains, and each population's mean and median are those of
+    # the flagged (or unflagged) disc_localized rows
+    comparisons = []
+    inner = cli.enkf_mod.compare_analysis_updates
+
+    def recording(*args, **kwargs):
+        comparisons.append(inner(*args, **kwargs))
+        return comparisons[-1]
+
+    monkeypatch.setattr(cli.enkf_mod, "compare_analysis_updates", recording)
+    out = tmp_path / "indef"
+    assert main("enkf-demo --c0 1 --m 48 --lambdas 0.05 --n-fixed 8 --trials 3 --dy 4 --seed 9"
+                .split() + ["--out", str(out)]) == 0
+    (row,) = read_rows(out / "enkf_demo_summary.csv")
+    flags = np.concatenate([t.indefinite for t in comparisons[0].trials])
+    assert flags.dtype == bool and flags.size == 3 * 8
+    assert int(flags.sum()) == int(row["indefinite_gains"]) == 6
+    disc = np.array([float(r["disc_localized"]) for r in read_rows(out / "enkf_demo_trials.csv")])
+    for kind, part in (("definite", disc[~flags]), ("indefinite", disc[flags])):
+        assert float(row[f"localized_q50_{kind}"]) == float(np.quantile(part, 0.5))
+        np.testing.assert_allclose(float(row[f"mean_disc_localized_{kind}"]), part.mean(),
+                                   rtol=1e-15)
+    recombined = (18 * float(row["mean_disc_localized_definite"])
+                  + 6 * float(row["mean_disc_localized_indefinite"])) / 24
+    np.testing.assert_allclose(recombined, float(row["mean_disc_localized"]), rtol=1e-14)
+    # the CI set's enkf line: every innovation matrix is definite, so the
+    # indefinite population is empty and reads nan, and the definite one is
+    # every particle
+    out = tmp_path / "enkf"
+    assert main("enkf-demo --m 32 --lambdas 0.3,0.1 --trials 2 --dy 4".split()
+                + ["--out", str(out)]) == 0
+    for row in read_rows(out / "enkf_demo_summary.csv"):
+        assert row["indefinite_gains"] == "0"
+        assert row["mean_disc_localized_indefinite"] == row["localized_q50_indefinite"] == "nan"
+        assert row["localized_q50_definite"] == row["localized_q50"]
+        np.testing.assert_allclose(float(row["mean_disc_localized_definite"]),
+                                   float(row["mean_disc_localized"]), rtol=1e-14)
+
+
 def test_enkf_demo_rerun_identical(tmp_path):
     args = ["enkf-demo", "--kernel", "se", "--m", "32", "--lambdas", "0.2",
             "--trials", "2", "--dy", "4", "--seed", "9"]
@@ -640,9 +700,10 @@ def test_enkf_demo_check_verdict_matches_its_rows(tmp_path):
 def test_enkf_demo_small_ensemble_does_not_fail_by_seed(seed, tmp_path):
     # at c0 = 1 and N = 8 the thresholded leave-one-out covariance makes
     # A C A^T + Gamma indefinite for some seeds; the gain must still be formed,
-    # and the summary records how many localized gains needed that solve.
+    # and the summary records how many localized gains had such a matrix.
     # Seeds 0-5 are the command's original failure report; under the
-    # circulant sampler 9 and 11 are the first that reach the indefinite solve.
+    # circulant sampler 9 and 11 are the first whose innovation matrices have
+    # a negative eigenvalue.
     assert main([
         "enkf-demo", "--c0", "1", "--m", "48", "--lambdas", "0.05", "--n-fixed", "8", "--trials", "3", "--dy", "4", "--seed", str(seed),
         "--out", str(tmp_path / "o"),

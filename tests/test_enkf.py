@@ -3,7 +3,6 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-import scipy.linalg
 from scipy.sparse.linalg import LinearOperator
 
 from _helpers import dense_truth, make_ensemble, spectral_norm_dense
@@ -113,13 +112,12 @@ def test_gain_residual_identity():
     gain, indefinite = kalman_gain(C[:, obs.sites], obs)
     residual = gain @ (A @ C @ A.T + Gamma) - C @ A.T
     assert np.max(np.abs(residual)) < 1e-10
-    assert not indefinite  # a positive definite S takes the Cholesky solve
+    assert not indefinite  # S is positive definite
 
 
 def test_gain_rejects_indefinite_inner_matrix():
-    # an indefinite but invertible S = A C A^T + Gamma has no Cholesky factor;
-    # the symmetric-indefinite solve gives the exact gain and says so, and
-    # only a singular S is rejected
+    # an indefinite but invertible S = A C A^T + Gamma gives the exact gain
+    # and says so, and only a singular S is rejected
     # S = CA[sites] + noise_std^2 I, the covariance block at the sites plus noise
     obs = one_site(noise_std=1e-3)
     gain, indefinite = kalman_gain(np.array([[-1.0]]), obs)
@@ -141,21 +139,39 @@ def test_gain_rejects_indefinite_inner_matrix():
     assert np.min(np.linalg.eigvalsh(S)) < 0.0 < np.max(np.linalg.eigvalsh(S))
     gain, indefinite = kalman_gain(CA, obs3)
     assert indefinite
-    assert np.array_equal(gain, scipy.linalg.solve(S, CA.T, assume_a="sym").T)
     assert np.max(np.abs(gain @ S - CA)) < 1e-12
+
+
+@pytest.mark.parametrize("diagonal,singular", [
+    ((1.0, 1e-16), True),  # positive definite at condition 1e16
+    ((-1.0, 2.22e-16), True),  # indefinite at condition 4.5e15
+    ((1.0, 1e-15), False),  # condition 1e15, below 1 / (d_y eps) = 2.25e15
+])
+def test_gain_refuses_condition_beyond_one_over_dy_eps(diagonal, singular):
+    # every S, definite or not, is held to the one bound; Gamma = 1e-300 I
+    # leaves S = A C A^T
+    obs = pointwise_observation(build_mesh(1, 2), 2, noise_std=1e-150)
+    CA = np.diag(diagonal)
+    if singular:
+        with pytest.raises(EnkfError, match="singular"):
+            kalman_gain(CA, obs)
+    else:
+        gain, indefinite = kalman_gain(CA, obs)
+        assert not indefinite
+        np.testing.assert_allclose(gain, np.eye(2), rtol=1e-12)
 
 
 def test_one_cholesky_per_innovation_matrix(monkeypatch):
     # the truth's gain, then the stochastic and the localized gain of each
-    # particle: 1 + 2 N trials factorizations, none repeated
+    # particle: 1 + 2 N trials eigendecompositions, none repeated
     calls = []
-    inner = enkf.cho_factor
+    inner = np.linalg.eigh
 
     def counting(*args, **kwargs):
         calls.append(1)
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(enkf, "cho_factor", counting)
+    monkeypatch.setattr(np.linalg, "eigh", counting)
     mesh = build_mesh(1, 48)
     obs = pointwise_observation(mesh, 4)
     compare_analysis_updates(se_kernel(0.05), mesh, obs, N=8,
