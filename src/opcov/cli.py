@@ -12,17 +12,20 @@ Each command reads the settings in ``_SETTINGS`` that name it, as flags
 only; a flag the command does not read is a configuration error.  Runs are
 deterministic given the master seed: each (kernel, lengthscale, trial) cell
 draws from its own substream, so results are identical for any ``--threads``
-value; output rows are written in grid order by one CSV writer,
-``_write_csv``, the only formatter of library records, and every
-per-lengthscale result is a column of the command's summary CSV, which a
-figure command also draws as ``<name>.svg`` (``_svg.error_figure``).  Every
-file goes through ``_write_lines``, and a result file holds nothing but
-results, so reruns are byte-identical file for file; wall times go to a
-separate timing file.  ``--kernel`` names a family and its shape (``se`` or
+value; output rows are formatted in grid order by ``_csv``, the only
+formatter of library records, and every per-lengthscale result is a column
+of the command's summary CSV, which a figure command also draws as
+``<name>.svg`` (``_svg.error_figure``).  A run builds every file as lines
+and hands them to ``_write_results``, the one writer, once its work is
+done.  A result file holds nothing but results, so reruns are
+byte-identical file for file; wall times go to a separate timing file.
+``--kernel`` names a family and its shape (``se`` or
 ``matern:nu={0.5,1.5,2.5}``); ``--lambdas`` sets every lengthscale.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime failure,
-3 acceptance-threshold violation under ``--check``.
+3 acceptance-threshold violation under ``--check``.  Runs that exit 0 or 3
+write every result file (3 with a FAIL verdict); runs that exit 1 or 2
+create nothing and leave an existing ``--out`` as it was.
 """
 
 from __future__ import annotations
@@ -268,12 +271,6 @@ def _flag(key: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _write_lines(path: Path, lines: list[str]) -> None:
-    """Write ``lines``, one per line."""
-    with open(path, "w", newline="") as fh:
-        fh.write("".join(line + "\n" for line in lines))
-
-
 def _cell(value) -> str:
     """The one CSV cell rule: ``str`` for strings, bools and integers, else the
     shortest round-trip ``repr`` of the value as a float."""
@@ -282,9 +279,9 @@ def _cell(value) -> str:
     return repr(float(value))
 
 
-def _write_csv(path: Path, rows: list[dict]) -> None:
-    """Write a CSV: the first row's keys as the header, then one line per row."""
-    _write_lines(path, [",".join(rows[0]), *(",".join(map(_cell, row.values())) for row in rows)])
+def _csv(rows: list[dict]) -> list[str]:
+    """A CSV's lines: the first row's keys as the header, then one line per row."""
+    return [",".join(rows[0]), *(",".join(map(_cell, row.values())) for row in rows)]
 
 
 def _row(record) -> dict:
@@ -293,10 +290,23 @@ def _row(record) -> dict:
             for f in fields(record)}
 
 
-def _write_check(path: Path, problems: list[str]) -> None:
-    """Write the ``--check`` verdict, PASS or FAIL and the violations; raise on FAIL."""
-    _write_lines(path, ["FAIL", *problems] if problems else ["PASS"])
-    if problems:
+def _write_results(cfg: ExperimentConfig, files: dict[str, list[str]],
+                   problems: list[str]) -> None:
+    """Create ``--out`` and write each file's lines, one per line.
+
+    Under ``--check`` also write the verdict, PASS or FAIL and ``problems``,
+    and raise CheckFailure on FAIL.  A run calls this once, after all its
+    work, so a run that fails writes nothing.
+    """
+    if cfg.check:  # the check file is named as the command's other files
+        files = {**files, f"{cfg.experiment.replace('-', '_')}_check.txt":
+                 ["FAIL", *problems] if problems else ["PASS"]}
+    out_dir = Path(cfg.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, lines in files.items():
+        with open(out_dir / name, "w", newline="") as fh:
+            fh.write("".join(line + "\n" for line in lines))
+    if cfg.check and problems:
         raise CheckFailure("; ".join(problems))
 
 
@@ -383,9 +393,8 @@ def _check_figure(rows: list[dict]) -> list[str]:
 def run_figure(cfg: ExperimentConfig) -> dict[str, list[dict]]:
     """Run fig1/fig2/custom; returns each kernel family's summary rows, as written."""
     mesh, rule, kernels, _ = cfg.validate()
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     summaries: dict[str, list[dict]] = {}
+    files: dict[str, list[str]] = {}
     timings: list[str] = []
     for kernel_idx, base in enumerate(kernels):
         name = f"{cfg.experiment}_{base.family}"
@@ -398,18 +407,15 @@ def run_figure(cfg: ExperimentConfig) -> dict[str, list[dict]]:
             trial_rows.extend(trials)
             rows.append(summary)
             timings.append(timing)
-        _write_csv(out_dir / f"{name}_trials.csv", trial_rows)
-        _write_csv(out_dir / f"{name}_summary.csv", rows)
         curves = ([r[key] for r in rows]
                   for key in ("lambda", "mean_eps_sample", "mean_eps_thresh", "N"))
-        _write_lines(out_dir / f"{name}.svg", error_figure(name, *curves))
+        files.update({f"{name}_trials.csv": _csv(trial_rows), f"{name}_summary.csv": _csv(rows),
+                      f"{name}.svg": error_figure(name, *curves)})
         summaries[base.family] = rows
-    _write_lines(out_dir / f"{cfg.experiment}_timing.txt", timings)
-    if cfg.check:
-        problems = []
-        for family, rows in summaries.items():
-            problems.extend(f"[{family}] {p}" for p in _check_figure(rows))
-        _write_check(out_dir / f"{cfg.experiment}_check.txt", problems)
+    files[f"{cfg.experiment}_timing.txt"] = timings
+    problems = [f"[{family}] {p}" for family, rows in summaries.items()
+                for p in _check_figure(rows)]
+    _write_results(cfg, files, problems)
     return summaries
 
 
@@ -421,8 +427,6 @@ def run_figure(cfg: ExperimentConfig) -> dict[str, list[dict]]:
 def run_enkf_demo(cfg: ExperimentConfig) -> list[dict]:
     """Localized vs stochastic analysis step over the lengthscale grid."""
     mesh, rule, (base,), obs = cfg.validate()
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows: list[dict] = []
     summary_rows: list[dict] = []
     for lam_idx, lam in enumerate(cfg.lambda_grid):
@@ -469,31 +473,27 @@ def run_enkf_demo(cfg: ExperimentConfig) -> list[dict]:
             "continuity_full_solves": sum(t.continuity_full_solves for t in trials),
             "continuity_min_margin": min(t.continuity_min_margin for t in trials),
         })
-    _write_csv(out_dir / "enkf_demo_trials.csv", rows)
-    _write_csv(out_dir / "enkf_demo_summary.csv", summary_rows)
-    if cfg.check:
-        smallest = summary_rows[-1]
-        problems = []
-        if smallest["frac_localized_better"] < 0.9:
-            problems.append(
-                "localized update beat the stochastic one in only "
-                f"{smallest['frac_localized_better']:.0%} of trials at the smallest lengthscale"
-            )
-        if not all(r["continuity_all_ok"] for r in summary_rows):
-            problems.append("gain-continuity inequality violated in some trial")
-        _write_check(out_dir / "enkf_demo_check.txt", problems)
+    smallest = summary_rows[-1]
+    problems = []
+    if smallest["frac_localized_better"] < 0.9:
+        problems.append(
+            "localized update beat the stochastic one in only "
+            f"{smallest['frac_localized_better']:.0%} of trials at the smallest lengthscale"
+        )
+    if not all(r["continuity_all_ok"] for r in summary_rows):
+        problems.append("gain-continuity inequality violated in some trial")
+    _write_results(cfg, {"enkf_demo_trials.csv": _csv(rows),
+                         "enkf_demo_summary.csv": _csv(summary_rows)}, problems)
     return summary_rows
 
 
 def run_theory(cfg: ExperimentConfig) -> list:
     """Scaling-report sweep over the lengthscale grid for one kernel family."""
     mesh, _, (base,), _ = cfg.validate()
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     reports = [scaling_report(KernelModel(base.family, lam, base.nu), mesh, cfg.q,
                               cfg.esup_samples, derive_seed(cfg.master_seed, 0x7E, lam_idx))
                for lam_idx, lam in enumerate(cfg.lambda_grid)]
-    _write_csv(out_dir / "theory_sweep.csv", [_row(r) for r in reports])
+    _write_results(cfg, {"theory_sweep.csv": _csv([_row(r) for r in reports])}, [])
     return reports
 
 
@@ -536,19 +536,14 @@ def _config_from_argv(argv) -> ExperimentConfig:
     return ExperimentConfig(experiment=command, **{**preset, **values})
 
 
+_RUNNERS = {**dict.fromkeys(_FIGURES, run_figure), "enkf-demo": run_enkf_demo,
+            "theory": run_theory}
+
+
 def main(argv=None) -> int:
     try:
         cfg = _config_from_argv(argv)
-    except ConfigError as exc:
-        print(f"opcov: configuration error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        if cfg.experiment in _FIGURES:
-            run_figure(cfg)
-        elif cfg.experiment == "enkf-demo":
-            run_enkf_demo(cfg)
-        else:
-            run_theory(cfg)
+        _RUNNERS[cfg.experiment](cfg)
     except CheckFailure as exc:
         print(f"opcov: check failed: {exc}", file=sys.stderr)
         return 3

@@ -5,9 +5,9 @@ return: 0, or the N of an ``exit=N`` word after its name, so that a line can
 run a ``--check`` FAIL verdict (3), a runtime failure (2) or a refused flag
 (1).  Tier-1 runs them twice, each round in one fresh interpreter with
 ``OPENBLAS_NUM_THREADS=1`` and every RuntimeWarning an error, checks every
-line's exit code in both rounds, and appends ``--threads`` to exactly the
-commands that ``opcov.cli._SETTINGS["threads"]`` names (the others refuse
-the flag).
+line's exit code in both rounds, and that a line exiting 1 or 2 created no
+output directory, and appends ``--threads`` to exactly the commands that
+``opcov.cli._SETTINGS["threads"]`` names (the others refuse the flag).
 
 The first round runs at ``--threads 1`` with ``sys.settrace`` and
 ``threading.settrace`` installed before ``import opcov``, so module-level
@@ -127,8 +127,8 @@ def _ci_commands():
 def _run_round(script, out, threads, *args):
     """Run every command line in one fresh interpreter, each writing to
     ``out/<name>``, at ``threads`` worker threads where the command reads
-    ``--threads``; check each line's exit code and return what ``script``
-    prints."""
+    ``--threads``; check each line's exit code, and that a line exiting 1 or
+    2 created no ``out/<name>``, and return what ``script`` prints."""
     reads_threads = _SETTINGS["threads"].commands
     lines = _ci_commands()
     commands = [[*argv, *(["--threads", str(threads)] if argv[0] in reads_threads else []),
@@ -141,6 +141,8 @@ def _run_round(script, out, threads, *args):
     wrong = {name: (code, got) for (name, code, _), got in zip(lines, result["codes"])
              if got != code}
     assert not wrong, f"lines with another exit code, as (expected, got): {wrong}\n{run.stderr}"
+    written = [name for name, code, _ in lines if code in (1, 2) and (out / name).exists()]
+    assert not written, f"lines that exit 1 or 2 but created their output directory: {written}"
     return result
 
 
